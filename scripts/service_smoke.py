@@ -12,6 +12,10 @@ the client, end to end:
 * three concurrent clients racing one recipe share a single execution
   -- proven by the ledger: exactly one ``run`` record, two cache-hit
   records, bit-identical payloads;
+* ``profile`` and ``mt`` workloads travel as specs: the server keys
+  each like a local recipe built from the synthesized records, the
+  process pool's payload equals a local execution byte for byte, and a
+  resubmission resolves from the memo;
 * recipe rejections are structured 400s naming the offending field,
   and count into ``/metrics``;
 * ``/metrics`` parses and its job counters reconcile with what we
@@ -32,7 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config_io import recipe_to_dict  # noqa: E402
+from repro.config_io import config_to_dict, recipe_to_dict  # noqa: E402
 from repro.obs.ledger import ledger_path, read_ledger  # noqa: E402
 from repro.obs.registry import parse_prometheus  # noqa: E402
 from repro.params import (  # noqa: E402
@@ -46,12 +50,21 @@ from repro.service import (  # noqa: E402
     ServiceError,
     create_server,
 )
-from repro.sim.parallel import RunRecipe  # noqa: E402
+from repro.service.api import result_to_json  # noqa: E402
+from repro.sim.parallel import RunRecipe, make_recipe  # noqa: E402
 from repro.sim.trace import (  # noqa: E402
     CoreTrace,
     TraceRecord,
     Workload,
 )
+from repro.workloads import (  # noqa: E402
+    homogeneous_mix,
+    multithreaded_workload,
+)
+
+#: (kind, generator, app) of the spec phase: one of each spec kind.
+SPECS = (("profile", homogeneous_mix, "gcc.1"),
+         ("mt", multithreaded_workload, "vips"))
 
 
 def small_config(engine: str = "object") -> SystemConfig:
@@ -142,6 +155,25 @@ def main() -> int:
         assert sorted(race_records).count("run") == 1, race_records
         assert len(race_records) == 3, race_records
 
+        # -- specs: synthesized where the job executes ------------------
+        for kind, build, app in SPECS:
+            local = make_recipe(build(app, cores=2, n_accesses=300, seed=11),
+                                "ziv:notinprc", config=small_config("fast"))
+            body = {
+                "workload": {"kind": kind, "app": app, "cores": 2,
+                             "accesses": 300, "seed": 11},
+                "scheme": "ziv:notinprc",
+                "config": config_to_dict(local.config),
+            }
+            final = client.wait(client.submit(body)["id"], timeout=180.0)
+            assert final["state"] == "done", final
+            assert final["source"] == "run", final
+            assert final["key"] == local.key(), (final, local.key())
+            assert client.result_bytes(final["id"]) == \
+                result_to_json(local.execute()), kind
+            again = client.submit(body)
+            assert again["source"] == "memo", again
+
         # -- structured rejections --------------------------------------
         for mutate, want_field in (
             (lambda d: d["config"].__setitem__("engine", "warp"),
@@ -166,9 +198,10 @@ def main() -> int:
                 ("repro_service_jobs_total", (("outcome", name),)), 0
             )
 
-        # fresh: the grid + the race primary; memo/disk: dupe + 2 racers
-        assert outcome("fresh") == len(grid) + 1, metrics
-        assert outcome("memo") + outcome("disk") == 3
+        # fresh: the grid + the race primary + one per spec; memo/disk:
+        # dupe + 2 racers + one per spec
+        assert outcome("fresh") == len(grid) + 1 + len(SPECS), metrics
+        assert outcome("memo") + outcome("disk") == 3 + len(SPECS)
         assert outcome("rejected") == 2
         assert outcome("failed") == 0
         assert metrics[("repro_service_jobs_inflight", ())] == 0
@@ -176,8 +209,9 @@ def main() -> int:
 
         # -- ledger growth accounting -----------------------------------
         grown = len(read_ledger()) - start
-        # grid (fresh) + dupe + race (1 run + 2 cache hits)
-        expected = len(grid) + 1 + 3
+        # grid (fresh) + dupe + race (1 run + 2 cache hits) + specs (1
+        # run + 1 cache hit each)
+        expected = len(grid) + 1 + 3 + 2 * len(SPECS)
         assert grown == expected, (grown, expected)
     finally:
         server.close()
@@ -185,7 +219,8 @@ def main() -> int:
     print(
         f"service smoke: {expected} resolution(s) over HTTP at "
         f"{server.url}, ledger {ledger_path()} grew by {grown}, "
-        f"one execution per key, both engines agree"
+        f"one execution per key, both engines agree, specs match "
+        f"local runs"
     )
     return 0
 

@@ -58,7 +58,7 @@ def _cmd_run(args) -> int:
     from repro.params import scaled_config
     from repro.sim.checkpoint import SimulationInterrupted
     from repro.sim.engine import run_workload
-    from repro.workloads import homogeneous_mix, multithreaded_workload
+    from repro.workloads import SynthRef
 
     if args.config:
         from repro.config_io import load_config
@@ -75,14 +75,8 @@ def _cmd_run(args) -> int:
         if wl.cores != config.cores:
             # A trace file fixes the core count; follow it.
             config = config.replace(cores=wl.cores)
-    elif args.workload.startswith("mt:"):
-        wl = multithreaded_workload(
-            args.workload[3:], cores=config.cores, n_accesses=args.accesses
-        )
     else:
-        wl = homogeneous_mix(
-            args.workload, cores=config.cores, n_accesses=args.accesses
-        )
+        wl = SynthRef.parse(args.workload, config.cores, args.accesses)
     from repro.sim.report import describe_result
 
     progress = None
@@ -143,17 +137,10 @@ def _cmd_telemetry(args) -> int:
     from repro.experiments.ascii_chart import series_chart
     from repro.params import TelemetryParams, scaled_config
     from repro.sim.engine import run_workload
-    from repro.workloads import homogeneous_mix, multithreaded_workload
+    from repro.workloads import SynthRef
 
     config = scaled_config(args.l2)
-    if args.workload.startswith("mt:"):
-        wl = multithreaded_workload(
-            args.workload[3:], cores=config.cores, n_accesses=args.accesses
-        )
-    else:
-        wl = homogeneous_mix(
-            args.workload, cores=config.cores, n_accesses=args.accesses
-        )
+    wl = SynthRef.parse(args.workload, config.cores, args.accesses)
     params = TelemetryParams(
         enabled=True, interval=args.interval, events=args.events or ""
     )
@@ -305,22 +292,20 @@ def _cmd_submit(args) -> int:
         with open(args.recipe, "r", encoding="utf-8") as fh:
             body = json.load(fh)
     else:
-        from repro.config_io import config_to_dict
+        from repro.config_io import config_to_dict, workload_to_dict
         from repro.params import scaled_config
+        from repro.workloads import SynthRef
 
         config = scaled_config(args.l2)
         if args.engine != config.engine:
             config = config.replace(engine=args.engine)
-        if args.workload.startswith("mt:"):
-            workload = {"kind": "mt", "app": args.workload[3:],
-                        "cores": config.cores,
-                        "accesses": args.accesses}
-        else:
-            workload = {"kind": "profile", "app": args.workload,
-                        "cores": config.cores,
-                        "accesses": args.accesses}
+        try:
+            ref = SynthRef.parse(args.workload, config.cores, args.accesses)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         body = {
-            "workload": workload,
+            "workload": workload_to_dict(ref),
             "scheme": args.scheme,
             "policy": args.policy,
             "scheduling": args.scheduling,

@@ -196,17 +196,22 @@ def workload_to_dict(workload: Any) -> dict[str, Any]:
     """Plain-dict form of a workload for JSON submission.
 
     :class:`~repro.sim.tracebin.TraceRef` serialises as its path +
-    fingerprint stand-in (``kind="trace"``; no records shipped); an
+    fingerprint stand-in (``kind="trace"``) and a
+    :class:`~repro.workloads.SynthRef` as its generator spec
+    (``kind="profile"``/``"mt"``), neither shipping records; an
     in-memory :class:`~repro.sim.trace.Workload` serialises every
-    record (``kind="records"``), so a remote server reconstructs a
-    workload with the identical content fingerprint -- and therefore
-    the identical result-cache key."""
+    record (``kind="records"``).  Either way a remote server
+    reconstructs a workload with the identical content fingerprint --
+    and therefore the identical result-cache key."""
     from repro.sim.tracebin import TraceRef
+    from repro.workloads import SynthRef
 
     if isinstance(workload, TraceRef):
         out: dict[str, Any] = {"kind": "trace"}
         out.update(trace_ref_to_dict(workload))
         return out
+    if isinstance(workload, SynthRef):
+        return dataclasses.asdict(workload)
     return {
         "kind": "records",
         "name": workload.name,
@@ -239,9 +244,10 @@ def workload_from_dict(data: dict[str, Any]) -> Any:
     ``kind="records"`` rebuilds an in-memory workload record by record;
     ``kind="trace"`` yields a :class:`~repro.sim.tracebin.TraceRef`
     (resolved and fingerprint-verified at execution time);
-    ``kind="profile"`` / ``kind="mt"`` synthesize the named workload
-    profile deterministically on the receiving side, so submissions can
-    name profiles without shipping records."""
+    ``kind="profile"`` / ``kind="mt"`` yield a
+    :class:`~repro.workloads.SynthRef`, synthesized deterministically
+    where the recipe executes, so submissions name profiles without
+    shipping records and parsing one synthesizes nothing."""
     from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
     if not isinstance(data, dict):
@@ -258,22 +264,14 @@ def workload_from_dict(data: dict[str, Any]) -> Any:
         body = {k: v for k, v in data.items() if k != "kind"}
         return trace_ref_from_dict(body)
     if kind in ("profile", "mt"):
-        app = data.get("app")
-        if not isinstance(app, str) or not app:
-            raise RecipeError(
-                f"{kind!r} workloads need an 'app' profile name",
-                field="app",
-            )
-        from repro.workloads import homogeneous_mix, multithreaded_workload
+        from repro.workloads import SynthRef
 
-        build = homogeneous_mix if kind == "profile" else (
-            multithreaded_workload
-        )
         try:
-            return build(
-                app,
+            return SynthRef(
+                kind,
+                data.get("app"),
                 cores=int(data.get("cores", 8)),
-                n_accesses=int(data.get("accesses", 20000)),
+                accesses=int(data.get("accesses", 20000)),
                 seed=int(data.get("seed", 0)),
             )
         except (ValueError, TypeError) as exc:

@@ -212,18 +212,21 @@ class JobManager:
             # afterwards would order 'running' after 'done'.
             self._publish("running", job)
             try:
-                future = self._ensure_executor().submit(
-                    _dispatch_execute, (key, recipe)
-                )
+                executor = self._ensure_executor()
+                future = executor.submit(_dispatch_execute, (key, recipe))
             except BaseException as exc:  # noqa: BLE001 - must unwedge key
                 # A dispatch failure (broken process pool, interpreter
                 # shutdown) must not strand the key: the stale _inflight
                 # entry would make every later submission of this recipe
-                # coalesce onto a primary that can never finish.
+                # coalesce onto a primary that can never finish.  A pool
+                # that refuses work stays broken: drop it, so the next
+                # dispatch builds a new one.
+                self._executor = None
                 self._on_error(key, exc)
                 return job.view()
             future.add_done_callback(
-                lambda f, key=key: self._on_future(key, f)
+                lambda f, key=key, pool=executor: self._on_future(key, f,
+                                                                  pool)
             )
             return job.view()
 
@@ -235,11 +238,19 @@ class JobManager:
 
     # -- completion --------------------------------------------------------
 
-    def _on_future(self, key: str, future: "concurrent.futures.Future") \
-            -> None:
+    def _on_future(self, key: str, future: "concurrent.futures.Future",
+                   pool: concurrent.futures.Executor) -> None:
         try:
             _key, result, wall_s = future.result()
         except BaseException as exc:  # noqa: BLE001 - job must record it
+            if isinstance(exc, concurrent.futures.BrokenExecutor):
+                # A worker died (an OOM kill, a crash) and took the pool
+                # with it.  Drop the pool before failing the jobs, so a
+                # client that sees the failure and resubmits gets a new
+                # one; a pool built since then is left alone.
+                with self._lock:
+                    if self._executor is pool:
+                        self._executor = None
             self._on_error(key, exc)
             return
         with self._lock:

@@ -87,11 +87,14 @@ class RunRecipe:
     must use ``scheduling="lockstep"``; the worker rebuilds the next-use
     oracle from the workload's canonical lock-step stream.
 
-    ``workload`` may instead be a :class:`~repro.sim.tracebin.TraceRef`:
-    the recipe then pickles as a path + content fingerprint (no records
-    shipped to workers), the fingerprint joins the cache key exactly as
-    an in-memory workload's would, and :meth:`execute` opens -- and
-    fingerprint-verifies -- the trace in the executing process.
+    ``workload`` may instead be a reference: a
+    :class:`~repro.sim.tracebin.TraceRef` (path + content fingerprint)
+    or a :class:`~repro.workloads.SynthRef` (a synthesized workload's
+    generator spec).  The recipe then pickles without records, the
+    reference's fingerprint joins the cache key exactly as the
+    in-memory workload's would, and :meth:`execute` resolves it in the
+    executing process: it opens and fingerprint-verifies the trace, or
+    synthesizes the workload.
     """
 
     workload: Workload
@@ -133,7 +136,7 @@ class RunRecipe:
         """Run the simulation this recipe describes (no caching)."""
         from repro.hierarchy.cmp import CacheHierarchy
         from repro.schemes import make_scheme
-        from repro.sim.tracebin import resolve_workload
+        from repro.sim.tracebin import TraceRef, resolve_workload
 
         workload = resolve_workload(self.workload)
         try:
@@ -181,7 +184,9 @@ class RunRecipe:
             )
             return sim.run()
         finally:
-            if workload is not self.workload:
+            # Close only what resolving opened: a trace file.  A
+            # synthesized workload holds nothing to close.
+            if isinstance(self.workload, TraceRef):
                 workload.close()
 
 

@@ -698,9 +698,13 @@ def make_trace_ref(path) -> TraceRef:
 
 
 def resolve_workload(workload):
-    """Normalise a workload argument: a :class:`TraceRef` opens (and
-    verifies) its file; anything Workload-shaped passes through."""
-    if isinstance(workload, TraceRef):
+    """Normalise a workload argument: a reference resolves where the
+    run executes -- a :class:`TraceRef` opens (and verifies) its file, a
+    :class:`~repro.workloads.SynthRef` synthesizes its workload -- and
+    anything Workload-shaped passes through."""
+    from repro.workloads.ref import SynthRef
+
+    if isinstance(workload, (TraceRef, SynthRef)):
         return workload.resolve()
     return workload
 

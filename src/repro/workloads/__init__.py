@@ -29,6 +29,7 @@ from repro.workloads.multithreaded import (
     MT_APP_NAMES,
     multithreaded_workload,
 )
+from repro.workloads.ref import SynthRef
 from repro.workloads.analysis import (
     TraceProfile,
     format_profile_table,
@@ -53,6 +54,7 @@ __all__ = [
     "heterogeneous_mixes",
     "MT_APP_NAMES",
     "multithreaded_workload",
+    "SynthRef",
     "TraceProfile",
     "profile_trace",
     "profile_workload",

@@ -63,13 +63,25 @@ def make_recipe(scheme: str = "inclusive", policy: str = "lru",
 # recipe wire forms
 
 
-def test_recipe_dict_round_trip_preserves_key():
+def test_recipe_dict_round_trip_preserves_key(tmp_path):
+    from repro.sim.tracebin import make_trace_ref, save_workload_bin
+    from repro.workloads import SynthRef
+
     recipe = make_recipe(scheme="ziv:likelydead", policy="srrip")
-    rebuilt = recipe_from_dict(recipe_to_dict(recipe))
-    assert rebuilt.key() == recipe.key()
-    assert rebuilt.workload.name == recipe.workload.name
-    assert rebuilt.scheme == recipe.scheme
-    assert rebuilt.policy == recipe.policy
+    save_workload_bin(recipe.workload, tmp_path / "wl.tracebin")
+    for workload in (
+        recipe.workload,
+        make_trace_ref(tmp_path / "wl.tracebin"),
+        SynthRef("profile", "gcc.1", cores=2, accesses=60, seed=5),
+        SynthRef("mt", "vips", cores=2, accesses=60, seed=5),
+    ):
+        original = RunRecipe(workload=workload, scheme=recipe.scheme,
+                             policy=recipe.policy, config=recipe.config)
+        rebuilt = recipe_from_dict(recipe_to_dict(original))
+        assert rebuilt.key() == original.key()
+        assert rebuilt.workload.name == workload.name
+        assert rebuilt.scheme == recipe.scheme
+        assert rebuilt.policy == recipe.policy
 
 
 def test_recipe_round_trip_keeps_kwargs_and_scheduling():
@@ -272,6 +284,40 @@ def test_manager_dispatch_failure_does_not_strand_the_key(monkeypatch):
         assert second["state"] == "done"
         assert second["source"] == "run"
         assert not second.get("coalesced_into")
+    finally:
+        manager.close()
+
+
+def test_manager_replaces_a_broken_process_pool(monkeypatch):
+    """A worker killed mid-job (an OOM kill) breaks a process pool for
+    good.  The job fails with that error, and the next fresh submission
+    runs on a new pool instead of failing until restart."""
+    import os
+    import signal
+
+    from repro.service.jobs import JobManager
+    from repro.sim import parallel
+
+    victim = make_recipe()
+    doomed = victim.key()
+    real = parallel._execute_recipe
+
+    def die_on_victim(item):
+        if item[0] == doomed:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(item)
+
+    # Forked workers inherit the patched execution layer.
+    monkeypatch.setenv("REPRO_MP_START", "fork")
+    monkeypatch.setattr(parallel, "_execute_recipe", die_on_victim)
+    manager = JobManager(workers=1, mode="process")
+    try:
+        failed = manager.wait(manager.submit(victim)["id"], timeout=60)
+        assert failed["state"] == "failed"
+        assert "BrokenProcessPool" in failed["error"]
+        after = manager.wait(manager.submit(make_recipe())["id"], timeout=60)
+        assert after["state"] == "done", after["error"]
+        assert after["source"] == "run"
     finally:
         manager.close()
 
@@ -485,6 +531,46 @@ def test_http_concurrent_clients_share_one_execution(service):
     assert len(ledger) == 3
 
 
+def test_http_repeated_profile_submissions_synthesize_once(service,
+                                                           monkeypatch):
+    """A profile spec is synthesized once for its fingerprint and once
+    where it executes; resubmissions of it synthesize nothing."""
+    import repro.workloads.mixes as mixes
+    from repro.service import ServiceError
+
+    server, client = service
+    calls = []
+    real = mixes.build_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixes, "build_trace", counting)
+    cores = 3
+    # A spec no other test submits, so no cache in this process has it.
+    body = {
+        "workload": {"kind": "profile", "app": "lbm.2", "cores": cores,
+                     "accesses": 90, "seed": 7207},
+        "scheme": "inclusive",
+        "config": config_to_dict(tiny_config().replace(cores=cores)),
+    }
+    first = client.wait(client.submit(body)["id"], timeout=30)
+    assert first["source"] == "run"
+    assert calls == ["lbm.2"] * (2 * cores)
+    for _ in range(4):
+        again = client.submit(body)
+        assert again["state"] == "done"
+        assert again["source"] in ("memo", "disk")
+        assert again["key"] == first["key"]
+    assert len(calls) == 2 * cores
+    body["workload"]["app"] = "nonesuch"
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(body)
+    assert excinfo.value.status == 400
+    assert excinfo.value.field == "workload.app"
+
+
 def test_http_both_engines_resolve(service):
     server, client = service
     base = make_recipe()
@@ -557,5 +643,10 @@ def test_cli_submit_reports_rejection(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1
         assert "config.engine" in captured.err
+        # An unknown --workload is refused before anything is sent.
+        rc = main(["submit", "--url", server.url, "--workload", "mt:gcc.1"])
+        assert rc == 2
+        assert "gcc.1" in capsys.readouterr().err
+        assert server.manager.jobs() == []
     finally:
         server.close()
