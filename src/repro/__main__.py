@@ -478,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="static-analysis pass enforcing simulator invariants "
-             "(determinism, cache-key completeness, counter discipline, "
-             "telemetry guarding, event-schema sync)",
+             "(determinism, counter discipline, telemetry guarding, "
+             "lock discipline, lock order, fork safety)",
     )
     from repro.lint.cli import add_arguments as _add_lint_arguments
 

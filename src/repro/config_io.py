@@ -23,23 +23,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
-from repro.params import (
-    ENGINES,
-    AuditParams,
-    CacheGeometry,
-    CHARParams,
-    ConfigError,
-    CoreParams,
-    DirectoryGeometry,
-    DRAMParams,
-    LLCGeometry,
-    PrefetchParams,
-    ProfileParams,
-    SystemConfig,
-    TelemetryParams,
-)
+from repro.params import ENGINES, ConfigError, SystemConfig
 
 
 class RecipeError(ConfigError):
@@ -62,19 +48,17 @@ def _prefixed(err: "RecipeError", prefix: str) -> "RecipeError":
     field = f"{prefix}.{err.field}" if err.field else prefix
     return RecipeError(str(err), field)
 
+
+#: Section name -> class for every dataclass-typed ``SystemConfig``
+#: field, and every top-level key a config dict may carry.  Both derive
+#: from the dataclass, so a new field round-trips (and reaches the
+#: recipe cache key) with no edit here.
 _SECTIONS: dict[str, type[Any]] = {
-    "l1": CacheGeometry,
-    "l2": CacheGeometry,
-    "llc": LLCGeometry,
-    "directory": DirectoryGeometry,
-    "dram": DRAMParams,
-    "core": CoreParams,
-    "char": CHARParams,
-    "prefetch": PrefetchParams,
-    "audit": AuditParams,
-    "telemetry": TelemetryParams,
-    "profile": ProfileParams,
+    name: hint
+    for name, hint in get_type_hints(SystemConfig).items()
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint)
 }
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SystemConfig))
 
 
 def config_to_dict(config: SystemConfig) -> dict[str, Any]:
@@ -92,9 +76,7 @@ def config_from_dict(data: dict[str, Any]) -> SystemConfig:
     at the offending key rather than prose alone."""
     if not isinstance(data, dict):
         raise RecipeError("configuration must be a JSON object")
-    known = {"cores", "directory_mode", "relocation_fifo_depth",
-             "nextrs_latency", "engine"} | set(_SECTIONS)
-    unknown = set(data) - known
+    unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise RecipeError(
             f"unknown configuration keys: {sorted(unknown)}",
@@ -344,7 +326,8 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
 
     Validates structurally (unknown/missing keys), then semantically:
     the config constructs through :func:`config_from_dict`, the scheme
-    and policy names must exist, and ``policy="belady"`` forces
+    and policy names must exist, a ``fast``-engine recipe must be one
+    :func:`repro.sim.fast.supports`, and ``policy="belady"`` forces
     lock-step scheduling exactly as
     :func:`~repro.sim.parallel.make_recipe` does.  Rejections raise
     :class:`RecipeError` with ``field`` naming the offending key."""
@@ -402,6 +385,17 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
             f"['timing', 'lockstep']",
             field="scheduling",
         )
+    if config.engine == "fast":
+        from repro.sim.fast import supports
+
+        if not supports(config, scheme, policy, dict(scheme_kwargs),
+                        dict(policy_kwargs)):
+            raise RecipeError(
+                f"the fast engine does not model scheme={scheme!r} "
+                f"policy={policy!r} with these kwargs and prefetcher; "
+                f"submit it with engine 'object'",
+                field="config.engine",
+            )
     if policy == "belady":
         scheduling = "lockstep"
     return RunRecipe(

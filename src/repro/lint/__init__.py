@@ -1,35 +1,31 @@
 """Repo-specific static analysis: machine-checked simulator invariants.
 
-Three PRs in a row hand-maintained the same cross-cutting contracts:
-``AuditParams``/``TelemetryParams`` had to be threaded through
-``SystemConfig`` *and* ``config_io`` (or the recipe cache key silently
-loses a dimension), telemetry emission sites had to stay behind the
-enabled-predicate (or the disabled hot path regresses), and the
-persistent result cache of :mod:`repro.sim.parallel` rests entirely on
-bitwise-deterministic simulation.  This package turns each of those
-regression classes into a permanent AST-level rule:
+The persistent result cache of :mod:`repro.sim.parallel` rests on
+bitwise-deterministic simulation, a disabled telemetry path must cost
+one predicate check, and the service's shared state must honour its
+locks.  None of these can be checked by running one test path, so this
+package checks each as an AST-level rule:
 
-==========================  ================================================
-rule id                     invariant enforced
-==========================  ================================================
-``determinism``             no unseeded ``random``, wall-clock reads or
-                            set-order iteration in simulator code
-``cache-key-completeness``  every ``SystemConfig`` field round-trips
-                            through :mod:`repro.config_io`
-``counter-discipline``      only declared ``SimStats``/``CoreStats``
-                            fields are ever incremented
-``telemetry-guard``         every event-emission call sits behind the
-                            ``telemetry is not None`` predicate
-``event-schema-sync``       emitted event kinds == ``EVENT_KINDS`` ==
-                            the schema table in docs/OBSERVABILITY.md
-``ledger-schema-sync``      ``LedgerRecord`` fields == construction
-                            sites == the docs field table
-``lock-discipline``         ``guarded-by[lock]``-declared state holds
-                            its lock at every access and never escapes
-``lock-order``              the acquires-while-holding graph is acyclic
-``fork-safety``             pool-dispatched workers touch no locks,
-                            files, or the run ledger
-==========================  ================================================
+======================  ================================================
+rule id                 invariant enforced
+======================  ================================================
+``determinism``         no unseeded ``random``, wall-clock reads or
+                        set-order iteration in simulator code
+``counter-discipline``  only declared ``SimStats``/``CoreStats``
+                        fields are ever incremented
+``telemetry-guard``     every event-emission call sits behind the
+                        ``telemetry is not None`` predicate
+``lock-discipline``     ``guarded-by[lock]``-declared state holds
+                        its lock at every access and never escapes
+``lock-order``          the acquires-while-holding graph is acyclic
+``fork-safety``         pool-dispatched workers touch no locks,
+                        files, or the run ledger
+======================  ================================================
+
+Contracts that a runtime test checks more directly live in the test
+suite instead: every ``SystemConfig`` leaf reaches the cache key
+(``tests/test_config_io.py``), and the event-kind, ledger-field and
+rule tables in the docs match the code (``tests/test_docs.py``).
 
 The concurrency rules ride a shared-state dataflow layer
 (:mod:`repro.lint.dataflow`) that classifies each attribute of a

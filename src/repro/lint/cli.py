@@ -16,9 +16,8 @@ from repro.lint.project import LintError
 from repro.lint.registry import all_rules
 from repro.lint.runner import format_findings, lint_paths
 
-#: What a bare ``repro lint`` scans: the package itself, plus the docs
-#: tree (the event-schema rule reads docs/OBSERVABILITY.md).
-DEFAULT_PATHS = ("src/repro", "docs")
+#: What a bare ``repro lint`` scans: the package itself.
+DEFAULT_PATH = "src/repro"
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -27,7 +26,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         default=None,
-        help=f"files/directories to lint (default: {' '.join(DEFAULT_PATHS)})",
+        help=f"files/directories to lint (default: {DEFAULT_PATH})",
     )
     parser.add_argument(
         "--format",
@@ -80,7 +79,7 @@ def run_lint(args: argparse.Namespace) -> int:
             raise LintError(
                 "--baseline and --write-baseline are mutually exclusive"
             )
-        paths = list(args.paths) if args.paths else _existing_defaults()
+        paths = args.paths or [DEFAULT_PATH]
         findings = lint_paths(paths, rule_ids=rule_ids)
         if args.write_baseline:
             write_baseline(args.write_baseline, findings)
@@ -103,18 +102,6 @@ def run_lint(args: argparse.Namespace) -> int:
         return 2
     print(format_findings(findings, args.format))
     return 1 if findings else 0
-
-
-def _existing_defaults() -> list[str]:
-    import pathlib
-
-    paths = [p for p in DEFAULT_PATHS if pathlib.Path(p).exists()]
-    if not paths:
-        raise LintError(
-            f"none of the default paths exist here: {DEFAULT_PATHS}; "
-            f"run from the repository root or pass explicit paths"
-        )
-    return paths
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -40,9 +40,8 @@ from typing import Optional, Union
 from repro.lint.project import SourceFile
 from repro.lint.visitor import dotted_name
 
-#: The contract verbs, in documentation order.  The lock-discipline rule
-#: keeps the vocabulary table in docs/STATIC_ANALYSIS.md in sync with
-#: this tuple, the same way the event-schema rule pins its kind table.
+#: The contract verbs, in documentation order.  ``tests/test_docs.py``
+#: checks the vocabulary table in docs/STATIC_ANALYSIS.md against it.
 CONTRACT_MARKERS: tuple[str, ...] = ("guarded-by", "holds", "fork-safe")
 
 #: ``threading`` constructors whose result is a lock (or owns one).

@@ -1,11 +1,12 @@
-"""The unit of analysis: a set of parsed source and document files.
+"""The unit of analysis: a set of parsed Python source files.
 
 Rules never touch the filesystem themselves; they receive a
 :class:`Project`, which owns file discovery, lazy AST parsing and the
-per-file suppression maps.  Cross-file rules (cache-key completeness,
-event-schema sync) locate their anchor files by *basename* through
-:meth:`Project.find_module`, so the same rule code runs unchanged on the
-real tree and on the miniature fixture trees the self-tests build.
+per-file suppression maps.  Cross-file rules (counter discipline reads
+``stats.py``, fork safety follows calls into other modules) locate
+their anchor files by *basename* through :meth:`Project.find_module`,
+so the same rule code runs unchanged on the real tree and on the
+miniature fixture trees the self-tests build.
 """
 
 from __future__ import annotations
@@ -61,26 +62,12 @@ class SourceFile:
         return self._suppressions
 
 
-class DocFile:
-    """One markdown document (event-schema sync reads the kind table)."""
-
-    def __init__(self, path: Path, root: Path) -> None:
-        self.path = path
-        try:
-            rel = path.resolve().relative_to(root.resolve())
-        except ValueError:
-            rel = path
-        self.rel = rel.as_posix()
-        self.text = path.read_text()
-
-
 class Project:
     """Everything one lint run analyses."""
 
     def __init__(self, paths: list[str], root: Optional[str] = None) -> None:
         self.root = Path(root) if root is not None else Path.cwd()
         self.files: list[SourceFile] = []
-        self.docs: list[DocFile] = []
         seen: set[Path] = set()
         for raw in paths:
             p = Path(raw)
@@ -91,12 +78,8 @@ class Project:
                 if key in seen:
                     continue
                 seen.add(key)
-                if path.suffix == ".py":
-                    self.files.append(SourceFile(path, self.root))
-                else:
-                    self.docs.append(DocFile(path, self.root))
+                self.files.append(SourceFile(path, self.root))
         self.files.sort(key=lambda f: f.rel)
-        self.docs.sort(key=lambda d: d.rel)
 
     @staticmethod
     def _expand(p: Path) -> Iterator[Path]:
@@ -106,7 +89,6 @@ class Project:
         for path in sorted(p.rglob("*.py")):
             if "__pycache__" not in path.parts:
                 yield path
-        yield from sorted(p.rglob("*.md"))
 
     # -- lookups rules use -------------------------------------------------
 
@@ -118,12 +100,6 @@ class Project:
         if not hits:
             return None
         return min(hits, key=lambda f: (len(Path(f.rel).parts), f.rel))
-
-    def find_doc(self, basename: str) -> Optional[DocFile]:
-        hits = [d for d in self.docs if d.path.name == basename]
-        if not hits:
-            return None
-        return min(hits, key=lambda d: (len(Path(d.rel).parts), d.rel))
 
     def scoped(self, dirs: frozenset[str]) -> Iterator[SourceFile]:
         """Source files whose directory path intersects ``dirs``."""

@@ -9,7 +9,7 @@ filter and ``--list-rules`` read the same registry.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.lint.model import Finding
 from repro.lint.project import LintError, Project
@@ -77,5 +77,3 @@ def select_rules(ids: Optional[Iterable[str]]) -> list[Rule]:
         return all_rules()
     return [get_rule(i) for i in ids]
 
-
-RuleFactory = Callable[[], Rule]

@@ -6,12 +6,9 @@ from repro.lint.rules.scope import (  # noqa: F401
     SIMULATOR_SCOPE,
 )
 from repro.lint.rules import (  # noqa: F401
-    cache_key,
     counters,
     determinism,
-    event_schema,
     fork_safety,
-    ledger_schema,
     lock_discipline,
     lock_order,
     telemetry_guard,

@@ -13,10 +13,10 @@ argument into a checked contract:
   bare (unless the method is a ``holds`` helper, i.e. the caller owns
   the lock), yielded to a generator consumer while the lock is held, or
   captured by a closure handed to an executor / future callback;
-* staleness both ways is a finding, mirroring the cache-key rule:
-  a declaration whose attribute is never accessed outside ``__init__``
-  is dead (``declared-but-never-guarded``), and an undeclared attribute
-  that is in fact consistently locked must be annotated
+* staleness both ways is a finding: a declaration whose attribute is
+  never accessed outside ``__init__`` is dead
+  (``declared-but-never-guarded``), and an undeclared attribute that is
+  in fact consistently locked must be annotated
   (``guarded-but-never-declared``) so the contract stays written down;
 * an undeclared attribute accessed *sometimes* locked, sometimes not --
   with at least one bare write -- is reported as a race signal: exactly
@@ -24,53 +24,21 @@ argument into a checked contract:
 
 The rule only engages classes that own a ``threading`` lock; pure data
 classes and the simulator core never construct one, so the service/obs
-scope is precise.  It also pins the "Concurrency contracts" tables in
-docs/STATIC_ANALYSIS.md (rule list and marker vocabulary) to the code,
-the same way the event-schema rule pins its kind table.
+scope is precise.  The "Concurrency contracts" tables in
+docs/STATIC_ANALYSIS.md (rule list and marker vocabulary) are checked
+against the registry and :data:`repro.lint.dataflow.CONTRACT_MARKERS`
+by ``tests/test_docs.py``.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
 
 from repro.lint import dataflow
 from repro.lint.model import Finding
-from repro.lint.project import DocFile, Project, SourceFile
+from repro.lint.project import Project, SourceFile
 from repro.lint.registry import Rule, register
 from repro.lint.rules.scope import CONCURRENCY_SCOPE
-
-_DOC_NAME = "STATIC_ANALYSIS.md"
-
-#: The three concurrency rule ids the docs table must list.
-CONCURRENCY_RULES = ("fork-safety", "lock-discipline", "lock-order")
-
-_RULE_TABLE_HEADER = re.compile(
-    r"^\|\s*Rule\s*\|\s*Checks\s*\|", re.IGNORECASE
-)
-_MARKER_TABLE_HEADER = re.compile(
-    r"^\|\s*Marker\s*\|\s*Placement\s*\|", re.IGNORECASE
-)
-_TABLE_CELL = re.compile(r"^\|\s*`(?P<name>[^`]+)`\s*\|")
-
-
-def _table_rows(doc: DocFile, header: re.Pattern[str]) -> dict[str, int]:
-    """``{first-cell-backtick-name: lineno}`` of the table under
-    ``header`` (first match wins)."""
-    out: dict[str, int] = {}
-    in_table = False
-    for lineno, line in enumerate(doc.text.splitlines(), 1):
-        if header.match(line):
-            in_table = True
-            continue
-        if not in_table:
-            continue
-        if not line.lstrip().startswith("|"):
-            break
-        m = _TABLE_CELL.match(line)
-        if m is not None:
-            out[m.group("name")] = lineno
-    return out
 
 
 class _ClassChecker:
@@ -237,55 +205,3 @@ class LockDisciplineRule(Rule):
                 if not cls.has_locks and not cls.declared and not cls.holds:
                     continue
                 yield from _ClassChecker(cls).run()
-        yield from self._check_docs(project)
-
-    def _check_docs(self, project: Project) -> Iterator[Finding]:
-        doc = project.find_doc(_DOC_NAME)
-        if doc is None or "Concurrency contracts" not in doc.text:
-            return
-        rule_rows = _table_rows(doc, _RULE_TABLE_HEADER)
-        for rule in CONCURRENCY_RULES:
-            if rule not in rule_rows:
-                yield Finding(
-                    file=doc.rel,
-                    line=1,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"concurrency rule {rule!r} is missing from the "
-                        f"rule table in {doc.rel}"
-                    ),
-                )
-        marker_rows = _table_rows(doc, _MARKER_TABLE_HEADER)
-        documented_markers = {
-            name.split("[")[0].lstrip("# ").replace("repro-lint:", "").strip()
-            for name in marker_rows
-        }
-        for marker in dataflow.CONTRACT_MARKERS:
-            if marker not in documented_markers:
-                yield Finding(
-                    file=doc.rel,
-                    line=1,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"contract marker {marker!r} is missing from "
-                        f"the vocabulary table in {doc.rel}"
-                    ),
-                )
-        for name, line in sorted(marker_rows.items()):
-            stripped = (
-                name.split("[")[0]
-                .lstrip("# ")
-                .replace("repro-lint:", "")
-                .strip()
-            )
-            if stripped not in dataflow.CONTRACT_MARKERS:
-                yield Finding(
-                    file=doc.rel,
-                    line=line,
-                    rule_id=self.rule_id,
-                    message=(
-                        f"vocabulary table documents marker {name!r}, "
-                        f"which repro.lint.dataflow does not implement "
-                        f"(ghost row)"
-                    ),
-                )

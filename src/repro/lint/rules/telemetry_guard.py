@@ -52,12 +52,6 @@ def _is_handle_expr(node: ast.AST, marker: str) -> bool:
     return False
 
 
-def is_telemetry_expr(node: ast.AST) -> bool:
-    """Does ``node`` denote the telemetry handle?  (Shared with the
-    event-schema rule.)"""
-    return _is_handle_expr(node, "telemetry")
-
-
 def _test_guards_handle(test: ast.expr, marker: str) -> bool:
     """Does an ``if`` test establish that the handle is live?"""
     if isinstance(test, ast.Compare):

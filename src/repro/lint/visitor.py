@@ -5,25 +5,20 @@ rule here needs and the stdlib visitor lacks:
 
 * an **ancestor stack** (``self.stack``), so a node can ask "am I inside
   an ``if`` whose test guards me?" without a second pass;
-* the **enclosing function** (``self.current_function``);
 * a ``report(node, message)`` helper that anchors a finding to the
   node's line in the file under analysis.
 
 Plus module-level expression helpers used across rules: dotted-name
-flattening, "does this expression mention X?" queries, and literal
-string collection (for resolving ``emit(kind, ...)`` where ``kind`` is a
-conditional expression over constants).
+flattening and "does this expression mention X?" queries.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Union
+from typing import Optional
 
 from repro.lint.model import Finding
 from repro.lint.project import SourceFile
-
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 class LintVisitor(ast.NodeVisitor):
@@ -42,17 +37,6 @@ class LintVisitor(ast.NodeVisitor):
             super().visit(node)
         finally:
             self.stack.pop()
-
-    @property
-    def current_function(self) -> Optional[FunctionNode]:
-        for node in reversed(self.stack):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return node
-        return None
-
-    def ancestors(self) -> Iterator[ast.AST]:
-        """Enclosing nodes, innermost first (excludes the current node)."""
-        return reversed(self.stack[:-1])
 
     def report(self, node: ast.AST, message: str) -> None:
         self.findings.append(
@@ -101,15 +85,6 @@ def mentions_name(node: ast.AST, name: str) -> bool:
     return any(
         isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)
     )
-
-
-def string_constants(node: ast.AST) -> set[str]:
-    """Every string literal appearing anywhere inside ``node``."""
-    return {
-        n.value
-        for n in ast.walk(node)
-        if isinstance(n, ast.Constant) and isinstance(n.value, str)
-    }
 
 
 def is_none_constant(node: ast.AST) -> bool:

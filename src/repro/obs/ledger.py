@@ -77,11 +77,10 @@ class LedgerRecord:
     ``run_many``/``fetch_or_run``, ``"memo"``/``"disk"`` cache hits,
     ``"direct"`` for a plain ``run_workload`` call); ``cache_hit``
     folds that to a boolean.  ``wall_s``/``accesses_per_s`` are zero
-    for cache hits (the stored result carries no new timing).  The
-    field set is pinned three ways by the ``ledger-schema-sync`` lint
-    rule: this dataclass, the keyword-complete constructor call in
-    :func:`record_from_result`, and the field table in
-    ``docs/OBSERVABILITY.md``.
+    for cache hits (the stored result carries no new timing).  No
+    field has a default, so a writer that misses one raises
+    ``TypeError``; ``tests/test_docs.py`` checks the field table in
+    ``docs/OBSERVABILITY.md`` against this dataclass.
     """
 
     version: int
@@ -160,9 +159,8 @@ def record_from_result(
     """Build the ledger record for one completed run.
 
     Every :class:`LedgerRecord` field is passed as an explicit keyword
-    below -- the ``ledger-schema-sync`` lint rule checks that this
-    construction site covers the full schema, so a new field cannot be
-    added to the dataclass without deciding what writers record for it.
+    below; the dataclass has no defaults, so a new field cannot be added
+    without deciding what this writer records for it.
     """
     audit = result.audit
     telemetry = result.telemetry

@@ -143,46 +143,38 @@ class RunRecipe:
             if self.config.engine == "fast":
                 from repro.sim.fast import FastHierarchy
 
-                fast_hierarchy = FastHierarchy(
+                hierarchy = FastHierarchy(
                     self.config,
                     self.scheme,
                     llc_policy=self.policy,
                     scheme_kwargs=dict(self.scheme_kwargs) or None,
                     policy_kwargs=dict(self.policy_kwargs) or None,
                 )
-                return Simulation(
-                    fast_hierarchy,
-                    workload,
-                    scheduling=self.scheduling,
-                    llc_policy_name=self.policy,
-                    audit=self.config.audit,
-                    telemetry=self.config.telemetry,
-                ).run()
-            oracle = None
-            if self.policy == "belady":
-                oracle = _oracle_for(workload)
-            scheme = make_scheme(self.scheme, **dict(self.scheme_kwargs))
-            hierarchy = CacheHierarchy(
-                self.config,
-                scheme,
-                llc_policy=self.policy,
-                oracle=oracle,
-                policy_kwargs=dict(self.policy_kwargs) or None,
-            )
-            sim = Simulation(
+            else:
+                oracle = None
+                if self.policy == "belady":
+                    oracle = _oracle_for(workload)
+                hierarchy = CacheHierarchy(
+                    self.config,
+                    make_scheme(self.scheme, **dict(self.scheme_kwargs)),
+                    llc_policy=self.policy,
+                    oracle=oracle,
+                    policy_kwargs=dict(self.policy_kwargs) or None,
+                )
+            return Simulation(
                 hierarchy,
                 workload,
                 scheduling=self.scheduling,
                 llc_policy_name=self.policy,
-                # Audit/telemetry settings come from the config (and
-                # therefore from the cache key) alone: the REPRO_AUDIT/
-                # REPRO_TELEMETRY environment variables must never be
-                # consulted inside a worker, or an instrumented result
-                # could be stored under an uninstrumented key.
+                # Instrumentation comes from the config (and therefore
+                # from the cache key) alone: REPRO_AUDIT, REPRO_TELEMETRY
+                # and REPRO_PROFILE must never be consulted inside a
+                # worker, or an instrumented result could be stored
+                # under an uninstrumented key.
                 audit=self.config.audit,
                 telemetry=self.config.telemetry,
-            )
-            return sim.run()
+                profile=self.config.profile,
+            ).run()
         finally:
             # Close only what resolving opened: a trace file.  A
             # synthesized workload holds nothing to close.

@@ -1,4 +1,7 @@
-"""JSON configuration round-trip and validation."""
+"""JSON configuration round-trip and validation, and the recipe cache
+key's coverage of every configuration leaf."""
+
+import dataclasses
 
 import pytest
 
@@ -9,6 +12,8 @@ from repro.config_io import (
     save_config,
 )
 from repro.params import ConfigError, scaled_config
+from repro.sim.parallel import RunRecipe
+from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
 
 class TestRoundTrip:
@@ -85,3 +90,87 @@ class TestValidation:
     def test_non_object_root(self):
         with pytest.raises(ConfigError, match="JSON object"):
             config_from_dict([1, 2])
+
+
+# ---------------------------------------------------------------------------
+# Every leaf reaches the cache key
+# ---------------------------------------------------------------------------
+
+#: A valid alternate for each string leaf of ``scaled_config()``.
+_STRING_ALTERNATES = {
+    ("core", "interconnect_kind"): "mesh",
+    ("prefetch", "kind"): "nextline",
+    ("telemetry", "events"): "relocation",
+    ("telemetry", "min_severity"): "warn",
+    ("directory_mode",): "zerodev",
+    ("engine",): "fast",
+}
+
+
+def _leaves(obj, path=()):
+    """``(path, value)`` for every non-dataclass field, depth first."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
+def _replace_at(obj, path, value):
+    head, *rest = path
+    new = _replace_at(getattr(obj, head), rest, value) if rest else value
+    return dataclasses.replace(obj, **{head: new})
+
+
+def _alternates(path, value):
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, (int, float)):
+        return [v for v in (value * 2, value + 1) if v != value]
+    return [_STRING_ALTERNATES[path]] if path in _STRING_ALTERNATES else []
+
+
+def _perturbed(config, path, value):
+    """``config`` with the leaf at ``path`` changed to the first of its
+    alternates the dataclass validation accepts (None if none is)."""
+    for alt in _alternates(path, value):
+        try:
+            return _replace_at(config, path, alt)
+        except ConfigError:
+            continue
+    return None
+
+
+def leaf_problems(config) -> list[str]:
+    """Perturb each leaf of ``config`` in turn; one message for every
+    leaf with no valid alternate value, whose change the real recipe
+    hash misses, or whose new value the dict form does not round-trip."""
+    workload = Workload([CoreTrace([TraceRecord(1, 64, False, 0)])], "leaf")
+    base_key = RunRecipe(workload, "inclusive", config).key()
+    problems = []
+    for path, value in _leaves(config):
+        name = ".".join(path)
+        changed = _perturbed(config, path, value)
+        if changed is None:
+            problems.append(f"{name}: no valid alternate value")
+            continue
+        if RunRecipe(workload, "inclusive", changed).key() == base_key:
+            problems.append(f"{name}: recipe key unchanged")
+        try:
+            round_tripped = config_from_dict(config_to_dict(changed))
+        except ConfigError as exc:
+            problems.append(f"{name}: {exc}")
+            continue
+        problems += [
+            f"{name}: {f.name} lost in the round trip"
+            for f in dataclasses.fields(changed)
+            if getattr(round_tripped, f.name) != getattr(changed, f.name)
+        ]
+    return problems
+
+
+def test_every_config_leaf_changes_the_recipe_key():
+    """No field of the default machine can be missed by the cache key
+    or by config_io."""
+    assert leaf_problems(scaled_config("256KB")) == []

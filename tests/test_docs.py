@@ -1,5 +1,6 @@
 """Docs-as-tests: every fenced ``python`` block in the user-facing
-documentation must actually run.
+documentation must actually run, and the schema tables in the docs
+must match the code they describe.
 
 Each documented file's blocks execute *sequentially in one shared
 namespace*, so a later block may use names a previous block defined --
@@ -14,6 +15,7 @@ runs never touch (or get served from) the repo's real result cache.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pathlib
 import re
@@ -103,3 +105,106 @@ def test_extractor_line_numbers_point_at_block_bodies():
     for lineno, source in python_blocks(path):
         first = source.splitlines()[0] if source else ""
         assert text[lineno - 1] == first, buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Schema tables match the code
+# ---------------------------------------------------------------------------
+
+_CELL_SPLIT = re.compile(r"(?<!\\)\|")
+
+
+def markdown_table(text: str, *header: str) -> list[list[str]]:
+    """Body rows of the first table in the markdown ``text`` whose header
+    row begins with the cells ``header``; cells are stripped of
+    whitespace and of enclosing backticks."""
+    rows = None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            if rows is not None:
+                break
+            continue
+        cells = [c.strip().strip("`")
+                 for c in _CELL_SPLIT.split(line.strip()[1:-1])]
+        if rows is None:
+            if tuple(cells[:len(header)]) == header:
+                rows = []
+        elif not set(cells[0]) <= set("-: "):
+            rows.append(cells)
+    assert rows is not None, f"no table headed {header}"
+    return rows
+
+
+def doc_text(rel: str) -> str:
+    return (REPO_ROOT / rel).read_text()
+
+
+def kind_table_drift(doc: str,
+                     kinds: dict[str, tuple[str, str]]) -> list[str]:
+    """Every way the Kind/Category/Severity table in ``doc`` differs
+    from ``kinds`` (shaped like ``EVENT_KINDS``); empty when in step."""
+    table = [tuple(row[:3]) for row in
+             markdown_table(doc, "Kind", "Category", "Severity")]
+    documented = {kind: (category, severity)
+                  for kind, category, severity in table}
+    drift = []
+    for kind, declared in kinds.items():
+        if kind not in documented:
+            drift.append(f"{kind!r} is missing from the kind table")
+        elif documented[kind] != declared:
+            drift.append(f"row {kind!r} says ({', '.join(documented[kind])})"
+                         f" but the code declares ({', '.join(declared)})")
+    drift += [f"ghost row {kind!r}: no such kind"
+              for kind in documented if kind not in kinds]
+    if not drift and [row[0] for row in table] != list(kinds):
+        drift.append("kind table rows are repeated or out of order")
+    return drift
+
+
+def test_event_kind_table_matches_event_kinds():
+    from repro.params import TELEMETRY_CATEGORIES, TELEMETRY_SEVERITIES
+    from repro.sim.telemetry import EVENT_KINDS
+
+    assert kind_table_drift(doc_text("docs/OBSERVABILITY.md"),
+                            EVENT_KINDS) == []
+    for category, severity in EVENT_KINDS.values():
+        assert category in TELEMETRY_CATEGORIES
+        assert severity in TELEMETRY_SEVERITIES
+
+
+def test_ledger_field_table_matches_ledger_record():
+    from repro.obs.ledger import LedgerRecord
+
+    rows = markdown_table(doc_text("docs/OBSERVABILITY.md"),
+                          "Field", "Meaning")
+    assert [row[0] for row in rows] == [
+        f.name for f in dataclasses.fields(LedgerRecord)
+    ]
+
+
+def test_rule_table_matches_registry():
+    from repro.lint import all_rules
+
+    rows = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"), "Rule id")
+    assert sorted(row[0] for row in rows) == [
+        rule.rule_id for rule in all_rules()
+    ]
+
+
+def test_concurrency_tables_match_the_analyzer():
+    from repro.lint import all_rules, dataflow
+    from repro.lint.rules.scope import CONCURRENCY_SCOPE
+
+    rules = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"),
+                           "Rule", "Checks")
+    assert sorted(row[0] for row in rules) == [
+        rule.rule_id for rule in all_rules()
+        if rule.scope_dirs == CONCURRENCY_SCOPE
+    ]
+    markers = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"),
+                             "Marker", "Placement")
+    documented = [re.match(r"# repro-lint: ([\w-]+)", row[0])
+                  for row in markers]
+    assert [m.group(1) if m else None for m in documented] == list(
+        dataflow.CONTRACT_MARKERS
+    )

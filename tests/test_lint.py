@@ -1,14 +1,18 @@
 """The static-analysis pass: every rule fires on a violating fixture,
 stays quiet on a clean one, suppressions work, JSON round-trips, and the
-shipped tree itself lints clean."""
+shipped tree itself lints clean.  The schema contracts that left lint
+still catch each defect their old rules' fixtures planted."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
+from repro import config_io
+from repro.config_io import RecipeError, config_from_dict, config_to_dict
 from repro.lint import (
     Finding,
     all_rules,
@@ -21,16 +25,28 @@ from repro.lint.model import Finding as ModelFinding
 from repro.lint.project import LintError, Project
 from repro.lint.runner import PARSE_ERROR_RULE, format_findings
 from repro.lint.suppress import suppressions_for_line
+from repro.params import (
+    ENGINES,
+    AuditParams,
+    CacheGeometry,
+    ProfileParams,
+    SystemConfig,
+    TelemetryParams,
+    scaled_config,
+)
+from repro.sim import telemetry
+from repro.sim.engine import run_workload
+from repro.workloads import homogeneous_mix
+from tests.conftest import tiny_config
+from tests.test_config_io import leaf_problems
+from tests.test_docs import kind_table_drift
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 EXPECTED_RULES = (
-    "cache-key-completeness",
     "counter-discipline",
     "determinism",
-    "event-schema-sync",
     "fork-safety",
-    "ledger-schema-sync",
     "lock-discipline",
     "lock-order",
     "telemetry-guard",
@@ -140,113 +156,6 @@ class TestDeterminism:
             ),
         })
         assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# cache-key completeness
-# ---------------------------------------------------------------------------
-
-_PARAMS_OK = """\
-from dataclasses import dataclass, field
-
-@dataclass(frozen=True)
-class AuditParams:
-    enabled: bool = False
-
-@dataclass(frozen=True)
-class SystemConfig:
-    cores: int
-    audit: AuditParams = field(default_factory=AuditParams)
-    directory_mode: str = "mesi"
-"""
-
-_CONFIG_IO_OK = """\
-_SECTIONS = {
-    "audit": AuditParams,
-}
-
-def config_from_dict(data):
-    known = {"cores", "directory_mode"} | set(_SECTIONS)
-    return known
-"""
-
-
-class TestCacheKeyCompleteness:
-    def test_complete_round_trip_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "params.py": _PARAMS_OK,
-            "config_io.py": _CONFIG_IO_OK,
-        })
-        assert findings == []
-
-    def test_annotated_sections_registry_is_found(self, tmp_path):
-        # config_io annotates `_SECTIONS: dict[str, type[Any]] = {...}`;
-        # the rule must read AnnAssign bindings too.
-        config_io = _CONFIG_IO_OK.replace(
-            "_SECTIONS = {", "_SECTIONS: dict[str, type] = {"
-        )
-        findings = lint_tree(tmp_path, {
-            "params.py": _PARAMS_OK,
-            "config_io.py": config_io,
-        })
-        assert findings == []
-
-    def test_unregistered_section_fires(self, tmp_path):
-        params = _PARAMS_OK.replace(
-            "class SystemConfig:",
-            "class TelemetryParams:\n"
-            "    interval: int = 1000\n\n"
-            "@dataclass(frozen=True)\n"
-            "class SystemConfig:",
-        ).replace(
-            "audit: AuditParams = field(default_factory=AuditParams)",
-            "audit: AuditParams = field(default_factory=AuditParams)\n"
-            "    telemetry: TelemetryParams = "
-            "field(default_factory=TelemetryParams)",
-        )
-        findings = lint_tree(tmp_path, {
-            "params.py": params,
-            "config_io.py": _CONFIG_IO_OK,
-        })
-        assert rule_ids(findings) == ["cache-key-completeness"]
-        assert "'telemetry'" in findings[0].message
-        assert "cache key" in findings[0].message
-        assert findings[0].file == "params.py"
-
-    def test_missing_scalar_key_fires(self, tmp_path):
-        config_io = _CONFIG_IO_OK.replace('"cores", "directory_mode"',
-                                          '"cores"')
-        findings = lint_tree(tmp_path, {
-            "params.py": _PARAMS_OK,
-            "config_io.py": config_io,
-        })
-        assert rule_ids(findings) == ["cache-key-completeness"]
-        assert "'directory_mode'" in findings[0].message
-
-    def test_wrong_section_class_fires(self, tmp_path):
-        config_io = _CONFIG_IO_OK.replace(
-            '"audit": AuditParams', '"audit": CacheGeometry'
-        )
-        findings = lint_tree(tmp_path, {
-            "params.py": _PARAMS_OK,
-            "config_io.py": config_io,
-        })
-        assert rule_ids(findings) == ["cache-key-completeness"]
-        assert "CacheGeometry" in findings[0].message
-
-    def test_stale_entries_fire_both_ways(self, tmp_path):
-        config_io = _CONFIG_IO_OK.replace(
-            '"audit": AuditParams,',
-            '"audit": AuditParams,\n    "legacy": AuditParams,',
-        ).replace('"cores", "directory_mode"',
-                  '"cores", "directory_mode", "ghost"')
-        findings = lint_tree(tmp_path, {
-            "params.py": _PARAMS_OK,
-            "config_io.py": config_io,
-        })
-        messages = " ".join(f.message for f in findings)
-        assert rule_ids(findings) == ["cache-key-completeness"] * 2
-        assert "'legacy'" in messages and "'ghost'" in messages
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +289,7 @@ class TestFastEngineScope:
         single finding (the full tree is linted so cross-file rules see
         the schema registry and docs)."""
         monkeypatch.chdir(REPO_ROOT)
-        findings = lint_paths(["src/repro", "docs"])
+        findings = lint_paths(["src/repro"])
         fast = [
             f for f in findings
             if "sim/fast" in f.file or f.file.endswith("differential.py")
@@ -469,115 +378,6 @@ class TestTelemetryGuard:
             ),
         })
         assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# event-schema sync
-# ---------------------------------------------------------------------------
-
-_TELEMETRY_FIXTURE = """\
-EVENT_KINDS = {
-    "relocation": ("relocation", "info"),
-    "tau_reset": ("char", "debug"),
-}
-"""
-
-_DOC_FIXTURE = """\
-# Observability
-
-| Kind | Category | Severity | Payload |
-|---|---|---|---|
-| `relocation` | relocation | info | `addr` |
-| `tau_reset` | char | debug | `d` |
-"""
-
-_EMITTER_FIXTURE = """\
-def move(self, addr, cross_bank):
-    telemetry = self.cmp.telemetry
-    if telemetry is not None:
-        kind = "tau_reset" if cross_bank else "relocation"
-        telemetry.emit(kind, addr=addr)
-"""
-
-
-class TestEventSchemaSync:
-    def fixture(self) -> dict[str, str]:
-        return {
-            "sim/telemetry.py": _TELEMETRY_FIXTURE,
-            "core/ziv.py": _EMITTER_FIXTURE,
-            "docs/OBSERVABILITY.md": _DOC_FIXTURE,
-        }
-
-    def test_synchronised_schema_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, self.fixture())
-        assert findings == []
-
-    def test_unknown_emitted_kind_fires(self, tmp_path):
-        tree = self.fixture()
-        tree["core/ziv.py"] = _EMITTER_FIXTURE.replace(
-            '"tau_reset" if', '"tau_rset" if'
-        )
-        findings = lint_tree(tmp_path, tree,
-                             rules=["event-schema-sync"])
-        messages = " ".join(f.message for f in findings)
-        assert "'tau_rset'" in messages
-        assert any(f.file == "core/ziv.py" for f in findings)
-
-    def test_undocumented_kind_fires(self, tmp_path):
-        tree = self.fixture()
-        tree["docs/OBSERVABILITY.md"] = "\n".join(
-            line for line in _DOC_FIXTURE.splitlines()
-            if "tau_reset" not in line
-        )
-        findings = lint_tree(tmp_path, tree)
-        assert rule_ids(findings) == ["event-schema-sync"]
-        assert "missing from the kind table" in findings[0].message
-
-    def test_ghost_doc_row_fires(self, tmp_path):
-        tree = self.fixture()
-        tree["docs/OBSERVABILITY.md"] += (
-            "| `warp_drive` | relocation | info | `addr` |\n"
-        )
-        findings = lint_tree(tmp_path, tree)
-        assert rule_ids(findings) == ["event-schema-sync"]
-        assert "ghost row" in findings[0].message
-        assert findings[0].file == "docs/OBSERVABILITY.md"
-
-    def test_category_mismatch_fires(self, tmp_path):
-        tree = self.fixture()
-        tree["docs/OBSERVABILITY.md"] = _DOC_FIXTURE.replace(
-            "| `tau_reset` | char | debug |", "| `tau_reset` | char | info |"
-        )
-        findings = lint_tree(tmp_path, tree)
-        assert rule_ids(findings) == ["event-schema-sync"]
-        assert "declares (char, debug)" in findings[0].message
-
-    def test_dead_schema_entry_fires(self, tmp_path):
-        tree = self.fixture()
-        tree["sim/telemetry.py"] = _TELEMETRY_FIXTURE.replace(
-            '    "tau_reset": ("char", "debug"),',
-            '    "tau_reset": ("char", "debug"),\n'
-            '    "never_emitted": ("char", "debug"),',
-        )
-        tree["docs/OBSERVABILITY.md"] += (
-            "| `never_emitted` | char | debug | - |\n"
-        )
-        findings = lint_tree(tmp_path, tree)
-        assert rule_ids(findings) == ["event-schema-sync"]
-        assert "no simulator code emits" in findings[0].message
-
-    def test_unresolvable_kind_fires(self, tmp_path):
-        tree = self.fixture()
-        tree["core/ziv.py"] = (
-            "def move(self, kinds, addr):\n"
-            "    telemetry = self.cmp.telemetry\n"
-            "    if telemetry is not None:\n"
-            "        telemetry.emit(kinds[0], addr=addr)\n"
-        )
-        findings = lint_tree(tmp_path, tree)
-        relevant = [f for f in findings
-                    if "not statically resolvable" in f.message]
-        assert len(relevant) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +523,7 @@ class TestCli:
 
     def test_shipped_tree_json_round_trips(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        findings = lint_paths(["src/repro", "docs"])
+        findings = lint_paths(["src/repro"])
         assert findings_from_json(findings_to_json(findings)) == findings
         assert findings == []
 
@@ -1375,7 +1175,7 @@ class TestBaseline:
         monkeypatch.chdir(REPO_ROOT)
         baseline = load_baseline("lint_baseline.json")
         assert baseline == []
-        delta = compare(lint_paths(["src/repro", "docs"]), baseline)
+        delta = compare(lint_paths(["src/repro"]), baseline)
         assert delta.new == ()
 
 
@@ -1435,3 +1235,143 @@ class TestProject:
     def test_missing_path_raises(self):
         with pytest.raises(LintError, match="no such file"):
             lint_paths(["definitely/not/here"])
+
+
+# ---------------------------------------------------------------------------
+# Contracts that left lint
+# ---------------------------------------------------------------------------
+# The cache-key-completeness and event-schema-sync rules kept hand-written
+# lists in step with SystemConfig, EVENT_KINDS and the docs.  config_io now
+# derives its lists from SystemConfig, and the rest is held at run time or
+# by direct tests: leaf_problems (tests/test_config_io.py), kind_table_drift
+# (tests/test_docs.py) and the KeyError TelemetryCollector.emit raises for
+# an undeclared kind.  Each test below plants the defect the matching rule
+# fixture planted and checks that its replacement reports it.
+
+
+class TestCacheKeyCompleteness:
+    def test_complete_round_trip_stays_quiet(self):
+        # Instrumentation on, so its switches are perturbed from True.
+        instrumented = dataclasses.replace(
+            scaled_config("256KB"),
+            audit=AuditParams(enabled=True),
+            telemetry=TelemetryParams(enabled=True),
+            profile=ProfileParams(enabled=True),
+        )
+        assert leaf_problems(instrumented) == []
+
+    def test_annotated_sections_registry_is_found(self):
+        # params.py postpones annotations, so every section type is a
+        # string until get_type_hints resolves it.
+        default = scaled_config("256KB")
+        sections = {
+            f.name: type(getattr(default, f.name))
+            for f in dataclasses.fields(SystemConfig)
+            if dataclasses.is_dataclass(getattr(default, f.name))
+        }
+        assert config_io._SECTIONS == sections
+        assert {"audit", "telemetry", "profile"} <= set(sections)
+
+    def test_unregistered_section_fires(self, monkeypatch):
+        monkeypatch.setattr(config_io, "_SECTIONS", {
+            name: cls for name, cls in config_io._SECTIONS.items()
+            if name != "profile"
+        })
+        problems = leaf_problems(scaled_config("256KB"))
+        assert problems
+        assert all(p.endswith(": profile lost in the round trip")
+                   for p in problems), problems
+
+    def test_missing_scalar_key_fires(self, monkeypatch):
+        monkeypatch.setattr(config_io, "_CONFIG_KEYS",
+                            config_io._CONFIG_KEYS - {"directory_mode"})
+        problems = leaf_problems(scaled_config("256KB"))
+        assert problems
+        assert all("'directory_mode'" in p for p in problems), problems
+
+    def test_wrong_section_class_fires(self, monkeypatch):
+        monkeypatch.setitem(config_io._SECTIONS, "audit", CacheGeometry)
+        problems = leaf_problems(scaled_config("256KB"))
+        assert problems
+        assert all("section 'audit'" in p for p in problems), problems
+
+    def test_stale_entries_fire_both_ways(self):
+        # Both key sets derive from SystemConfig, so neither can keep a
+        # field the dataclass dropped or miss one it gained ...
+        assert config_io._CONFIG_KEYS == {
+            f.name for f in dataclasses.fields(SystemConfig)
+        }
+        assert set(config_io._SECTIONS) <= config_io._CONFIG_KEYS
+        # ... and a key left over from an older schema is rejected by
+        # name, whether it was a section or a scalar.
+        data = config_to_dict(scaled_config("256KB"))
+        for stale, value in (("legacy", {"enabled": True}), ("ghost", 1)):
+            with pytest.raises(RecipeError) as err:
+                config_from_dict({**data, stale: value})
+            assert err.value.field == stale
+
+
+_KINDS_FIXTURE = {
+    "relocation": ("relocation", "info"),
+    "tau_reset": ("char", "debug"),
+}
+
+_DOC_FIXTURE = """\
+# Observability
+
+| Kind | Category | Severity | Payload |
+|---|---|---|---|
+| `relocation` | relocation | info | `addr` |
+| `tau_reset` | char | debug | `d` |
+"""
+
+
+def _run_without_kind(monkeypatch, kind: str, scheme: str) -> None:
+    """Run ``scheme`` on both engines with ``kind`` undeclared and only
+    the directory category traced: the emit call must raise anyway."""
+    monkeypatch.setattr(telemetry, "EVENT_KINDS", {
+        k: v for k, v in telemetry.EVENT_KINDS.items() if k != kind
+    })
+    workload = homogeneous_mix("mcf.1", cores=2, n_accesses=600)
+    for engine in ENGINES:
+        config = dataclasses.replace(tiny_config(), engine=engine)
+        with pytest.raises(KeyError, match=f"^'{kind}'$"):
+            run_workload(config, workload, scheme, llc_policy="lru",
+                         telemetry=TelemetryParams(enabled=True,
+                                                   events="directory"))
+
+
+class TestEventSchemaSync:
+    def test_synchronised_schema_stays_quiet(self):
+        assert kind_table_drift(_DOC_FIXTURE, _KINDS_FIXTURE) == []
+
+    def test_unknown_emitted_kind_fires(self, monkeypatch):
+        # The inclusive LLC emits back_invalidation as a literal kind.
+        _run_without_kind(monkeypatch, "back_invalidation", "inclusive")
+
+    def test_undocumented_kind_fires(self):
+        doc = "\n".join(line for line in _DOC_FIXTURE.splitlines()
+                        if "tau_reset" not in line)
+        assert kind_table_drift(doc, _KINDS_FIXTURE) == [
+            "'tau_reset' is missing from the kind table"
+        ]
+
+    def test_ghost_doc_row_fires(self):
+        doc = _DOC_FIXTURE + "| `warp_drive` | relocation | info | `addr` |\n"
+        assert kind_table_drift(doc, _KINDS_FIXTURE) == [
+            "ghost row 'warp_drive': no such kind"
+        ]
+
+    def test_category_mismatch_fires(self):
+        doc = _DOC_FIXTURE.replace("| `tau_reset` | char | debug |",
+                                   "| `tau_reset` | char | info |")
+        assert kind_table_drift(doc, _KINDS_FIXTURE) == [
+            "row 'tau_reset' says (char, info) but the code declares "
+            "(char, debug)"
+        ]
+
+    def test_unresolvable_kind_fires(self, monkeypatch):
+        # ZIV picks relocation, re_relocation or cross_bank_fallback at
+        # run time, a kind no static pass could resolve; the emit call
+        # checks it all the same.
+        _run_without_kind(monkeypatch, "relocation", "ziv:notinprc")

@@ -322,6 +322,19 @@ class TestProfiler:
         )
         assert plain.key() != profiled.key()
 
+    @pytest.mark.parametrize("engine", ["object", "fast"])
+    def test_recipe_never_consults_repro_profile(self, engine, monkeypatch):
+        """An unprofiled recipe executes unprofiled even with
+        REPRO_PROFILE set where it runs -- otherwise run_many and the
+        service would store a profiled result under its key."""
+        from repro.sim.parallel import make_recipe
+
+        monkeypatch.setenv("REPRO_PROFILE", "on")
+        recipe = make_recipe(make_workload(), "inclusive",
+                             config=tiny_config().replace(engine=engine))
+        assert not recipe.config.profile.enabled
+        assert recipe.execute().profile is None
+
     def test_profile_result_round_trip_and_validation(self):
         p = ProfileResult(engine="fast", phase_s={"decode": 0.5},
                           phase_calls={"decode": 1},

@@ -170,6 +170,25 @@ def test_unknown_workload_kind_rejected_with_field():
     assert _rejection(d).field == "workload.kind"
 
 
+#: Recipes that parse but that the fast engine cannot run.
+_FAST_UNSUPPORTED = [("qbs", "lru"), ("charonbase", "lru"),
+                     ("inclusive", "hawkeye")]
+
+
+def _fast_dict(scheme: str, policy: str) -> dict:
+    d = recipe_to_dict(make_recipe(scheme=scheme, policy=policy,
+                                   unique=False))
+    d["config"]["engine"] = "fast"
+    return d
+
+
+@pytest.mark.parametrize("scheme, policy", _FAST_UNSUPPORTED)
+def test_fast_engine_unsupported_recipe_rejected_with_field(scheme, policy):
+    err = _rejection(_fast_dict(scheme, policy))
+    assert err.field == "config.engine"
+    assert repr(scheme) in str(err) and repr(policy) in str(err)
+
+
 def test_recipe_error_is_a_config_error():
     # Existing load_config callers that catch ConfigError keep working.
     assert issubclass(RecipeError, ConfigError)
@@ -418,6 +437,25 @@ def test_http_rejects_bad_section_key_with_field(service):
         client.submit(d)
     assert excinfo.value.status == 400
     assert excinfo.value.field == "config.llc.warp_factor"
+
+
+def test_http_rejects_unsupported_fast_recipes(service):
+    from repro.obs.registry import parse_prometheus
+    from repro.service import ServiceError
+
+    server, client = service
+    for scheme, policy in _FAST_UNSUPPORTED:
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(_fast_dict(scheme, policy))
+        assert excinfo.value.status == 400
+        assert excinfo.value.field == "config.engine"
+    metrics = parse_prometheus(client.metrics())
+    outcomes = {
+        labels[0][1]: value for (name, labels), value in metrics.items()
+        if name == "repro_service_jobs_total"
+    }
+    assert outcomes.get("rejected") == len(_FAST_UNSUPPORTED)
+    assert outcomes.get("failed", 0) == 0
 
 
 def test_http_rejects_malformed_json_body(service):

@@ -217,6 +217,20 @@ class TestEvents:
             assert len(e.data["dst"]) == 3
             assert e.access_index >= 0
 
+    @pytest.mark.parametrize("params", [
+        TelemetryParams(enabled=True),
+        TelemetryParams(enabled=True, events="all", min_severity="warn"),
+    ], ids=["untraced", "warn-floor"])
+    def test_emit_rejects_unknown_kind_before_filtering(self, params):
+        """A misspelt kind raises wherever it is emitted, even when no
+        category is traced or the severity floor would drop it."""
+        from tests.conftest import build
+
+        collector = TelemetryCollector(build("inclusive"), params)
+        with pytest.raises(KeyError, match="tau_rset"):
+            collector.emit("tau_rset", d=1)
+        assert collector.events == []
+
     def test_category_filter(self):
         res = _run(telemetry="100,events=directory")
         kinds = {e.kind for e in res.telemetry.events}
