@@ -11,7 +11,8 @@ bit-identical statistics:
    resumed -- twice, so a resumed run is itself interrupted and resumed
    again (the sharded-across-sessions shape),
 4. via a :class:`~repro.sim.tracebin.TraceRef` recipe (the cache-key
-   path), on both engines.
+   path), on both engines: in timing mode equal to the reference, and
+   in lock-step mode (the Fig. 2 interleaving) equal to each other.
 
 Exits non-zero on the first divergence.  Scale with ``--accesses``:
 
@@ -114,21 +115,32 @@ def main(argv=None) -> int:
             "checkpoint-kill-resume run diverged from in-memory run"
         )
 
-        print("[4/4] TraceRef recipes on both engines")
+        print("[4/4] TraceRef recipes on both engines, timing and lock-step")
         ref = make_trace_ref(binary)
-        for engine in ("object", "fast"):
-            recipe = RunRecipe(
-                workload=ref,
-                scheme="ziv:notinprc",
-                config=config.replace(
-                    engine=engine,
-                    telemetry=base.telemetry.params,
-                ),
-            )
-            result = fetch_or_run(recipe)
-            assert signature(result) == base_sig, (
-                f"TraceRef run on {engine} engine diverged"
-            )
+        lockstep = {}
+        for scheduling in ("timing", "lockstep"):
+            for engine in ("object", "fast"):
+                recipe = RunRecipe(
+                    workload=ref,
+                    scheme="ziv:notinprc",
+                    config=config.replace(
+                        engine=engine,
+                        telemetry=base.telemetry.params,
+                    ),
+                    scheduling=scheduling,
+                )
+                sig = signature(fetch_or_run(recipe))
+                if scheduling == "lockstep":
+                    lockstep[engine] = sig
+                else:
+                    assert sig == base_sig, (
+                        f"TraceRef run on {engine} engine diverged"
+                    )
+        # Lock-step interleaves by access index, so it is compared across
+        # the engines, not with the timing-mode reference.
+        assert lockstep["object"] == lockstep["fast"], (
+            "lock-step TraceRef runs diverged between the engines"
+        )
 
     print("trace smoke: all runs bit-identical")
     return 0

@@ -25,7 +25,12 @@ import json
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from repro.params import ENGINES, ConfigError, SystemConfig
+from repro.params import (
+    ENGINES,
+    ConfigError,
+    SystemConfig,
+    fast_supports,
+)
 
 
 class RecipeError(ConfigError):
@@ -327,9 +332,9 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
     Validates structurally (unknown/missing keys), then semantically:
     the config constructs through :func:`config_from_dict`, the scheme
     and policy names must exist, a ``fast``-engine recipe must be one
-    :func:`repro.sim.fast.supports`, and ``policy="belady"`` forces
-    lock-step scheduling exactly as
-    :func:`~repro.sim.parallel.make_recipe` does.  Rejections raise
+    :func:`repro.params.fast_supports` (checked without loading the
+    engine), and ``policy="belady"`` forces lock-step scheduling exactly
+    as :func:`~repro.sim.parallel.make_recipe` does.  Rejections raise
     :class:`RecipeError` with ``field`` naming the offending key."""
     from repro.sim.parallel import RunRecipe
 
@@ -385,17 +390,15 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
             f"['timing', 'lockstep']",
             field="scheduling",
         )
-    if config.engine == "fast":
-        from repro.sim.fast import supports
-
-        if not supports(config, scheme, policy, dict(scheme_kwargs),
-                        dict(policy_kwargs)):
-            raise RecipeError(
-                f"the fast engine does not model scheme={scheme!r} "
-                f"policy={policy!r} with these kwargs and prefetcher; "
-                f"submit it with engine 'object'",
-                field="config.engine",
-            )
+    if config.engine == "fast" and not fast_supports(
+        config, scheme, policy, dict(scheme_kwargs), dict(policy_kwargs)
+    ):
+        raise RecipeError(
+            f"the fast engine does not model scheme={scheme!r} "
+            f"policy={policy!r} with these kwargs and prefetcher; "
+            f"submit it with engine 'object'",
+            field="config.engine",
+        )
     if policy == "belady":
         scheduling = "lockstep"
     return RunRecipe(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 
 BLOCK_SHIFT = 6
@@ -357,6 +357,37 @@ class CHARParams:
 #: ``config_io`` so dict-form validation (and the simulation service's
 #: structured rejection errors) stays in lockstep with the constructor.
 ENGINES: tuple[str, ...] = ("object", "fast")
+
+#: The fast engine's envelope: the schemes and LLC policies it replicates
+#: bit-exactly.  Kept here rather than in the engine module for the same
+#: reason as ``ENGINES``: validating a fast recipe must not load the
+#: engine.  ``repro.sim.fast`` re-exports them as ``SUPPORTED_SCHEMES``,
+#: ``SUPPORTED_POLICIES`` and ``supports``.
+FAST_SCHEMES = frozenset({
+    "inclusive",
+    "noninclusive",
+    "ziv:notinprc",
+    "ziv:lrunotinprc",
+    "ziv:maxrrpvnotinprc",
+})
+FAST_POLICIES = frozenset({"lru", "srrip", "nru"})
+
+
+def fast_supports(
+    config: SystemConfig,
+    scheme_name: str,
+    llc_policy: str = "lru",
+    scheme_kwargs: Optional[dict] = None,
+    policy_kwargs: Optional[dict] = None,
+) -> bool:
+    """Whether the fast engine models this run bit-exactly."""
+    return (
+        scheme_name in FAST_SCHEMES
+        and llc_policy in FAST_POLICIES
+        and not scheme_kwargs
+        and not policy_kwargs
+        and config.prefetch.kind == "none"
+    )
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ checkpoints, progress heartbeats, ``stop_after`` -- counts accesses, so
 the driver runs a *segment* of accesses up to the next position where
 any of them is due, does the boundary work there, and repeats.  A
 segment is the fast engine's fused kernel
-(:meth:`~repro.sim.fast.FastHierarchy.run_segment`) in timing mode, and
-the generic per-access loop (:meth:`Simulation._run_segment`) for the
-object engine and for lockstep scheduling.  A plain run is one segment.
+(:meth:`~repro.sim.fast.FastHierarchy.run_segment`) in both scheduling
+modes, and the generic per-access loop (:meth:`Simulation._run_segment`)
+for the object engine.  The fast engine has no per-access entry point:
+it runs only under this driver.  A plain run is one segment.
 """
 
 from __future__ import annotations
@@ -202,12 +203,9 @@ class Simulation:
             collector.bind()
         h = self.hierarchy
         cursor = _Cursor(self.workload, self.scheduling, state)
-        # The fast engine's fused kernel runs timing-mode segments; every
-        # other combination takes the generic per-access loop.
-        segment = (
-            getattr(h, "run_segment", None)
-            if self.scheduling == "timing" else None
-        ) or self._run_segment
+        # The fast engine's fused kernel runs its segments in both modes;
+        # the object engine takes the generic per-access loop.
+        segment = getattr(h, "run_segment", None) or self._run_segment
         total = self.workload.total_accesses()
         # Every periodic consumer counts accesses, so a segment runs to
         # the next position where any of them is due: an audit sweep
@@ -320,10 +318,10 @@ class Simulation:
         )
 
     def _run_segment(self, cursor: "_Cursor", stop: int) -> None:
-        """Generic per-access segment loop: accesses ``cursor.pos`` up to
-        ``stop`` through ``hierarchy.access``, in either scheduling mode.
-        (The fast engine's timing-mode kernel is the fused twin of this
-        loop: :meth:`~repro.sim.fast.FastHierarchy.run_segment`.)"""
+        """Object-engine segment loop: accesses ``cursor.pos`` up to
+        ``stop`` through ``CacheHierarchy.access``, in either scheduling
+        mode.  (The fast engine's kernel is the fused twin of this loop:
+        :meth:`~repro.sim.fast.FastHierarchy.run_segment`.)"""
         h = self.hierarchy
         if cursor.decoded is None:
             traces = [t.records for t in cursor.traces]

@@ -49,7 +49,12 @@ from repro.hierarchy.cmp import CoherenceError
 from repro.hierarchy.interconnect import make_interconnect
 from repro.coherence.sparse_directory import DirectoryProtocolError
 from repro.core.ziv import ZIVInvariantError
-from repro.params import SystemConfig
+from repro.params import (
+    FAST_POLICIES as SUPPORTED_POLICIES,
+    FAST_SCHEMES as SUPPORTED_SCHEMES,
+    SystemConfig,
+    fast_supports as supports,
+)
 from repro.sim.stats import SimStats
 
 
@@ -58,37 +63,8 @@ class UnsupportedConfigError(ValueError):
     should fall back to the object engine (or fix the request)."""
 
 
-#: Scheme names the fast engine replicates bit-exactly.
-SUPPORTED_SCHEMES = frozenset({
-    "inclusive",
-    "noninclusive",
-    "ziv:notinprc",
-    "ziv:lrunotinprc",
-    "ziv:maxrrpvnotinprc",
-})
-
-#: LLC replacement policies with array ports.
-SUPPORTED_POLICIES = frozenset({"lru", "srrip", "nru"})
-
 #: RRPV width shared by every supported policy (ReplacementPolicy.max_rrpv).
 _MAX_RRPV = 7
-
-
-def supports(
-    config: SystemConfig,
-    scheme_name: str,
-    llc_policy: str = "lru",
-    scheme_kwargs: Optional[dict] = None,
-    policy_kwargs: Optional[dict] = None,
-) -> bool:
-    """Whether :class:`FastHierarchy` models this run bit-exactly."""
-    return (
-        scheme_name in SUPPORTED_SCHEMES
-        and llc_policy in SUPPORTED_POLICIES
-        and not scheme_kwargs
-        and not policy_kwargs
-        and config.prefetch.kind == "none"
-    )
 
 
 class _FlatCache:
@@ -110,10 +86,12 @@ class _FlatCache:
 
 
 class FastHierarchy:
-    """Drop-in :class:`CacheHierarchy` replacement over flat arrays.
+    """The :class:`CacheHierarchy` counterpart over flat arrays.
 
-    Drives the real :class:`repro.sim.engine.Simulation` loop and the
-    real audit/telemetry layers through thin views
+    It runs only under :class:`repro.sim.engine.Simulation`: there is no
+    per-access ``access()`` call, every access of either scheduling mode
+    goes through the segment kernel :meth:`run_segment`.  The real
+    audit/telemetry layers see it through thin views
     (:mod:`repro.sim.fast.views`); statistics objects
     (:class:`SimStats`, :class:`EnergyModel`, :class:`PropertyVector`,
     :class:`RelocationTracker`) are shared with the object engine
@@ -244,16 +222,14 @@ class FastHierarchy:
 
         # -- replacement policy dispatch -----------------------------------
         if llc_policy == "lru":
-            self._llc_fill = self._fill_pos_lru
-            self._llc_touch = self._touch_pos_lru
+            self._llc_fill = self._llc_touch = self._touch_pos_lru
             self._victim = self._victim_lru
         elif llc_policy == "srrip":
             self._llc_fill = self._fill_pos_srrip
             self._llc_touch = self._touch_pos_srrip
             self._victim = self._victim_srrip
         else:  # nru
-            self._llc_fill = self._fill_pos_nru
-            self._llc_touch = self._touch_pos_nru
+            self._llc_fill = self._llc_touch = self._touch_pos_nru
             self._victim = self._victim_nru
 
         # -- scheme state --------------------------------------------------
@@ -297,10 +273,10 @@ class FastHierarchy:
             self._ladder = ()
             self._pvs = None
             self._reloc = None
-            if scheme_name == "inclusive":
-                self._install = self._install_inclusive
-            else:
-                self._install = self._install_noninclusive
+            # The kernel inlines the baseline installs: only the
+            # non-inclusive forward fill (an inclusive LLC never forwards)
+            # goes through ``_install``.
+            self._install = self._install_noninclusive
 
         # -- audit/telemetry views ----------------------------------------
         from repro.sim.fast.views import (
@@ -317,90 +293,7 @@ class FastHierarchy:
         ]
         self.scheme = FastSchemeView(self)
 
-    # ------------------------------------------------------------------ access
-
-    def access(
-        self,
-        core: int,
-        addr: int,
-        is_write: bool = False,
-        pc: int = 0,
-        cycle: int = 0,
-        global_pos: int = 0,
-    ) -> int:
-        """One memory access; returns its latency in cycles.
-
-        Statement-for-statement port of ``CacheHierarchy.access``: every
-        counter increment and coherence action happens at the oracle's
-        sequence point.
-        """
-        cs = self._core_stats[core]
-        cs.accesses += 1
-        energy = self.energy
-        energy.l1_accesses += 1
-
-        l1 = self._l1s[core]
-        pos = l1.map.get(addr, -1)
-        if pos >= 0:
-            cs.l1_hits += 1
-            extra = 0
-            if is_write:
-                if not l1.dirty[pos]:
-                    extra = self._write_upgrade(core, addr)
-                l1.dirty[pos] = True
-            l1.clock += 1
-            l1.stamp[pos] = l1.clock
-            return self._l1_lat + extra
-
-        cs.l1_misses += 1
-        energy.l2_accesses += 1
-        l2 = self._l2s[core]
-        pos = l2.map.get(addr, -1)
-        if pos >= 0:
-            cs.l2_hits += 1
-            extra = 0
-            if is_write:
-                if not l2.dirty[pos]:
-                    extra = self._write_upgrade(core, addr)
-                l2.dirty[pos] = True
-            l2.clock += 1
-            l2.stamp[pos] = l2.clock
-            n1 = self._fill_l1(core, addr, False, is_write)
-            if n1 is not None:
-                self._handle_notice(core, n1[0], n1[1], cycle)
-            return self._l12_lat + extra
-
-        cs.l2_misses += 1
-        return self._llc_access(core, addr, is_write, cycle)
-
     # -------------------------------------------------------------- LLC path
-
-    def _llc_access(
-        self, core: int, addr: int, is_write: bool, cycle: int
-    ) -> int:
-        energy = self.energy
-        energy.llc_tag_accesses += 1
-        energy.dir_accesses += 1
-        dpos = self._dir_lookup(addr)
-        bank = addr & self.llc_bank_mask
-        lat = self._base_lat[core * self.llc_banks + bank]
-
-        if dpos >= 0 and self.d_reloc[dpos] >= 0:
-            return self._relocated_hit(core, addr, dpos, is_write, cycle, lat)
-
-        hp = self.llc_map.get(addr, -1)
-        if hp >= 0 and not (self.llc_meta[hp] & 2):
-            return self._llc_hit(core, addr, dpos, hp, is_write, cycle, lat)
-
-        self.stats.llc_misses += 1
-        if dpos >= 0:
-            if self.inclusive:
-                raise CoherenceError(
-                    f"inclusive LLC missed on a directory-tracked block "
-                    f"{addr:#x}"
-                )
-            return self._forward_fill(core, addr, dpos, is_write, cycle, lat)
-        return self._memory_fill(core, addr, is_write, cycle, lat)
 
     def _relocated_hit(
         self, core: int, addr: int, dpos: int, is_write: bool,
@@ -425,27 +318,6 @@ class FastHierarchy:
         self._fill_private(core, addr, is_write, cycle)
         return lat + self._data_lat + self._reloc_penalty + extra
 
-    def _llc_hit(
-        self, core: int, addr: int, dpos: int, hp: int, is_write: bool,
-        cycle: int, lat: int,
-    ) -> int:
-        extra = 0
-        if dpos >= 0:
-            extra = self._coherence_on_miss(core, addr, dpos, is_write, cycle)
-        self._llc_touch(hp)
-        self.llc_meta[hp] &= ~4  # not_in_prc = False
-        if self._ziv:
-            self._refresh(hp // self.llc_ways)
-        self.stats.llc_hits += 1
-        self.energy.llc_data_reads += 1
-        if dpos < 0:
-            dpos = self._dir_allocate(addr, cycle)
-        self.d_sharers[dpos] |= 1 << core
-        if is_write:
-            self.d_owner[dpos] = core
-        self._fill_private(core, addr, is_write, cycle)
-        return lat + self._data_lat + extra
-
     def _forward_fill(
         self, core: int, addr: int, dpos: int, is_write: bool,
         cycle: int, lat: int,
@@ -458,22 +330,6 @@ class FastHierarchy:
             self.d_owner[dpos] = core
         self._fill_private(core, addr, is_write, cycle)
         return lat + self._fwd_lat + extra
-
-    def _memory_fill(
-        self, core: int, addr: int, is_write: bool, cycle: int, lat: int
-    ) -> int:
-        dram_lat = self._dram(addr, cycle)
-        self.stats.dram_reads += 1
-        self.energy.dram_accesses += 1
-        self._install(addr, cycle)
-        self.stats.llc_fills += 1
-        self.energy.llc_data_writes += 1
-        dpos = self._dir_allocate(addr, cycle)
-        self.d_sharers[dpos] |= 1 << core
-        if is_write:
-            self.d_owner[dpos] = core
-        self._fill_private(core, addr, is_write, cycle)
-        return lat + dram_lat
 
     # ------------------------------------------------------------- coherence
 
@@ -489,7 +345,8 @@ class FastHierarchy:
         bit = 1 << core
         others = self.d_sharers[dpos] & ~bit
         if others:
-            self._invalidate_sharers(others, addr)
+            victims, _dirty = self._invalidate_sharers(others, addr)
+            self.stats.coherence_invalidations += victims
             self.d_sharers[dpos] = bit
             extra = self._fwd_lat
         self.d_owner[dpos] = core
@@ -502,7 +359,8 @@ class FastHierarchy:
         if is_write:
             others = self.d_sharers[dpos] & ~(1 << core)
             if others:
-                self._invalidate_sharers(others, addr)
+                victims, _dirty = self._invalidate_sharers(others, addr)
+                self.stats.coherence_invalidations += victims
                 self.d_sharers[dpos] &= 1 << core
                 self.d_owner[dpos] = -1
                 extra = self._fwd_lat
@@ -516,28 +374,27 @@ class FastHierarchy:
                 extra = self._fwd_lat
         return extra
 
-    def _invalidate_sharers(self, mask: int, addr: int) -> None:
+    def _invalidate_sharers(self, mask: int, addr: int) -> tuple[int, bool]:
+        """Kill the private copies of ``addr`` in every core of ``mask``.
+        Returns ``(victims, dirty)``: how many cores held a copy (each
+        caller adds them to its own counter) and whether any was dirty."""
+        victims = 0
+        dirty = False
         core = 0
         while mask:
             if mask & 1:
-                copies, _dirty = self._invalidate(core, addr)
-                if copies:
-                    self.stats.coherence_invalidations += 1
+                held = False
+                for cache in (self._l1s[core], self._l2s[core]):
+                    pos = cache.map.pop(addr, -1)
+                    if pos >= 0:
+                        cache.tag[pos] = -1
+                        cache.vcount[pos // cache.ways] -= 1
+                        held = True
+                        dirty = dirty or cache.dirty[pos]
+                victims += held
             mask >>= 1
             core += 1
-
-    def _invalidate(self, core: int, addr: int) -> tuple[int, bool]:
-        """Kill every private copy; returns (copies, dirty data present)."""
-        copies = 0
-        dirty = False
-        for cache in (self._l1s[core], self._l2s[core]):
-            pos = cache.map.pop(addr, -1)
-            if pos >= 0:
-                cache.tag[pos] = -1
-                cache.vcount[pos // cache.ways] -= 1
-                copies += 1
-                dirty = dirty or cache.dirty[pos]
-        return copies, dirty
+        return victims, dirty
 
     def _downgrade(self, core: int, addr: int) -> bool:
         dirty = False
@@ -568,96 +425,48 @@ class FastHierarchy:
     def _fill_private(
         self, core: int, addr: int, is_write: bool, cycle: int
     ) -> None:
-        n2 = self._fill_l2(core, addr, is_write)
-        n1 = self._fill_l1(core, addr, is_write, is_write)
+        l1 = self._l1s[core]
+        l2 = self._l2s[core]
+        n2 = self._fill(l2, l1, addr, is_write)
+        n1 = self._fill(l1, l2, addr, is_write)
         if n2 is not None:
             self._handle_notice(core, n2[0], n2[1], cycle)
         if n1 is not None:
             self._handle_notice(core, n1[0], n1[1], cycle)
 
-    def _fill_l2(
-        self, core: int, addr: int, is_write: bool
+    @staticmethod
+    def _fill(
+        cache: _FlatCache, peer: _FlatCache, addr: int, dirty: bool
     ) -> Optional[tuple[int, bool]]:
-        l2 = self._l2s[core]
-        s = addr & l2.set_mask
-        base = s * l2.ways
+        """Fill ``addr`` (absent from ``cache``) into one private level,
+        evicting its LRU block if the set is full.  A victim the ``peer``
+        level still holds hands its dirtiness over; otherwise the core no
+        longer caches it and the eviction notice ``(addr, dirty)`` is
+        returned."""
+        s = addr & cache.set_mask
+        base = s * cache.ways
         notice = None
-        tags = l2.tag
-        if l2.vcount[s] < l2.ways:
-            pos = base
-            while tags[pos] >= 0:
-                pos += 1
-            l2.vcount[s] += 1
+        tags = cache.tag
+        if cache.vcount[s] < cache.ways:
+            pos = tags.index(-1, base, base + cache.ways)
+            cache.vcount[s] += 1
         else:
-            stamps = l2.stamp
-            pos = base
-            best = stamps[base]
-            for p in range(base + 1, base + l2.ways):
-                sp = stamps[p]
-                if sp < best:
-                    best = sp
-                    pos = p
+            seg = cache.stamp[base:base + cache.ways]
+            pos = base + seg.index(min(seg))
             old_addr = tags[pos]
-            old_dirty = l2.dirty[pos]
-            del l2.map[old_addr]
-            l1 = self._l1s[core]
-            lpos = l1.map.get(old_addr, -1)
-            if lpos >= 0:
+            old_dirty = cache.dirty[pos]
+            del cache.map[old_addr]
+            ppos = peer.map.get(old_addr, -1)
+            if ppos >= 0:
                 if old_dirty:
-                    l1.dirty[lpos] = True
+                    peer.dirty[ppos] = True
             else:
                 notice = (old_addr, old_dirty)
         tags[pos] = addr
-        l2.map[addr] = pos
-        l2.dirty[pos] = is_write
-        l2.clock += 1
-        l2.stamp[pos] = l2.clock
-        return notice
-
-    def _fill_l1(
-        self, core: int, addr: int, dirty: bool, is_write: bool
-    ) -> Optional[tuple[int, bool]]:
-        l1 = self._l1s[core]
-        pos = l1.map.get(addr, -1)
-        if pos >= 0:
-            l1.clock += 1
-            l1.stamp[pos] = l1.clock
-            if dirty or is_write:
-                l1.dirty[pos] = True
-            return None
-        s = addr & l1.set_mask
-        base = s * l1.ways
-        notice = None
-        tags = l1.tag
-        if l1.vcount[s] < l1.ways:
-            pos = base
-            while tags[pos] >= 0:
-                pos += 1
-            l1.vcount[s] += 1
-        else:
-            stamps = l1.stamp
-            pos = base
-            best = stamps[base]
-            for p in range(base + 1, base + l1.ways):
-                sp = stamps[p]
-                if sp < best:
-                    best = sp
-                    pos = p
-            old_addr = tags[pos]
-            old_dirty = l1.dirty[pos]
-            del l1.map[old_addr]
-            l2 = self._l2s[core]
-            lpos = l2.map.get(old_addr, -1)
-            if lpos >= 0:
-                if old_dirty:
-                    l2.dirty[lpos] = True
-            else:
-                notice = (old_addr, old_dirty)
-        tags[pos] = addr
-        l1.map[addr] = pos
-        l1.dirty[pos] = dirty or is_write
-        l1.clock += 1
-        l1.stamp[pos] = l1.clock
+        cache.map[addr] = pos
+        cache.dirty[pos] = dirty
+        cache.clock += 1
+        cache.stamp[pos] = cache.clock
         return notice
 
     # ------------------------------------------------------- eviction notices
@@ -825,19 +634,8 @@ class FastHierarchy:
         stats = self.stats
         stats.directory_evictions += 1
         stats.back_invalidations_dir += 1
-        dirty_any = False
-        victims = 0
-        mask = sharers
-        core = 0
-        while mask:
-            if mask & 1:
-                copies, dirty = self._invalidate(core, daddr)
-                if copies:
-                    victims += 1
-                    stats.inclusion_victims_dir += 1
-                dirty_any = dirty_any or dirty
-            mask >>= 1
-            core += 1
+        victims, dirty = self._invalidate_sharers(sharers, daddr)
+        stats.inclusion_victims_dir += victims
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.emit(
@@ -848,50 +646,29 @@ class FastHierarchy:
                 relocated=reloc >= 0,
             )
         if reloc >= 0:
-            dirty = bool(self.llc_meta[reloc] & 1) or dirty_any
-            del self.llc_map[self.llc_tag[reloc]]
-            self.llc_tag[reloc] = -1
-            sid = reloc // self.llc_ways
-            self.llc_vcount[sid] -= 1
-            if dirty:
-                self._writeback(daddr, cycle)
-            if self._ziv:
-                self._refresh(sid)
+            self._kill_relocated(reloc, daddr, dirty, cycle)
             return
         hp = self.llc_map.get(daddr, -1)
         if hp >= 0 and not (self.llc_meta[hp] & 2):
             m = self.llc_meta[hp] | 4
-            if dirty_any:
+            if dirty:
                 m |= 1
             self.llc_meta[hp] = m
             if self._ziv:
                 self._refresh(hp // self.llc_ways)
-        elif dirty_any:
+        elif dirty:
             self._writeback(daddr, cycle)
 
-    def _back_invalidate(self, addr: int, cycle: int) -> None:
-        """Inclusive-baseline LLC eviction: invalidate every private copy
-        of ``addr`` and free its directory entry.  The trailing dirty
-        writeback posts at cycle 0 (the oracle passes no context)."""
-        dpos = self._dir_lookup(addr)
-        if dpos < 0 or self.d_sharers[dpos] == 0:
-            return
+    def _back_invalidate(self, addr: int, dpos: int) -> None:
+        """Inclusive-baseline LLC eviction of a block whose directory
+        entry ``dpos`` has sharers: invalidate every private copy and
+        free the entry.  The trailing dirty writeback posts at cycle 0
+        (the oracle passes no context)."""
         stats = self.stats
         stats.back_invalidations_llc += 1
         sharers = self.d_sharers[dpos]
-        dirty_any = False
-        victims = 0
-        mask = sharers
-        core = 0
-        while mask:
-            if mask & 1:
-                copies, dirty = self._invalidate(core, addr)
-                if copies:
-                    victims += 1
-                    stats.inclusion_victims_llc += 1
-                dirty_any = dirty_any or dirty
-            mask >>= 1
-            core += 1
+        victims, dirty = self._invalidate_sharers(sharers, addr)
+        stats.inclusion_victims_llc += victims
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.emit(
@@ -902,7 +679,7 @@ class FastHierarchy:
                 victims=victims,
             )
         self._dir_free(addr)
-        if dirty_any:
+        if dirty:
             hp = self.llc_map.get(addr, -1)
             if hp >= 0 and not (self.llc_meta[hp] & 2):
                 self.llc_meta[hp] |= 1
@@ -931,11 +708,6 @@ class FastHierarchy:
         self._llc_fill(pos)
 
     # -- replacement-policy array ports (bound at init) --------------------
-
-    def _fill_pos_lru(self, pos: int) -> None:
-        bank = pos // self.bank_size
-        self.llc_clock[bank] += 1
-        self.llc_stamp[pos] = self.llc_clock[bank]
 
     def _touch_pos_lru(self, pos: int) -> None:
         bank = pos // self.bank_size
@@ -978,9 +750,6 @@ class FastHierarchy:
                 return p
         raise AssertionError("aging must expose a max-RRPV block")
 
-    def _fill_pos_nru(self, pos: int) -> None:
-        self.llc_meta[pos] |= 8
-
     def _touch_pos_nru(self, pos: int) -> None:
         self.llc_meta[pos] |= 8
 
@@ -1001,24 +770,6 @@ class FastHierarchy:
         return base
 
     # --------------------------------------------------------- scheme installs
-
-    def _install_inclusive(self, addr: int, cycle: int) -> None:
-        bank = addr & self.llc_bank_mask
-        sid = (bank * self.llc_spb
-               + ((addr >> self.llc_bank_bits) & self.llc_set_mask))
-        base = sid * self.llc_ways
-        if self.llc_vcount[sid] < self.llc_ways:
-            tags = self.llc_tag
-            pos = base
-            while tags[pos] >= 0:
-                pos += 1
-        else:
-            pos = self._victim(base)
-            # Back-invalidation first: a dirty private copy marks the
-            # victim dirty, so the eviction below writes it back.
-            self._back_invalidate(self.llc_tag[pos], cycle)
-            self._evict_llc(pos, cycle)
-        self._install_home(pos, sid, addr)
 
     def _install_noninclusive(self, addr: int, cycle: int) -> None:
         bank = addr & self.llc_bank_mask
@@ -1270,29 +1021,18 @@ class FastHierarchy:
 
     # ------------------------------------------------------------------- DRAM
 
-    def _dram(self, addr: int, cycle: int) -> int:
-        """Inlined DRAMModel.access (same bank/row mapping and timing)."""
+    def _writeback(self, addr: int, cycle: int) -> None:
+        """Dirty data to memory.  Only the DRAM bank state moves (same
+        bank/row mapping and timing as DRAMModel.access): a writeback's
+        latency is never charged to an access."""
         rest = addr >> self._dram_ch_shift
         gb = ((addr & self._dram_ch_mask) * self._dram_bpc
               + (rest & self._dram_bank_mask))
-        row = (rest >> self._dram_bank_shift) >> self._dram_row_bits
+        self._dram_open[gb] = (
+            (rest >> self._dram_bank_shift) >> self._dram_row_bits
+        )
         ready = self._dram_ready
-        wait = ready[gb] - cycle
-        if wait < 0:
-            wait = 0
-        open_row = self._dram_open[gb]
-        if open_row == row:
-            service = self._dram_hit
-        elif open_row < 0:
-            service = self._dram_miss
-        else:
-            service = self._dram_conflict
-        self._dram_open[gb] = row
-        ready[gb] = cycle + wait + self._dram_busy
-        return wait + service
-
-    def _writeback(self, addr: int, cycle: int) -> None:
-        self._dram(addr, cycle)
+        ready[gb] = max(ready[gb], cycle) + self._dram_busy
         self.stats.dram_writes += 1
         self.stats.llc_writebacks_out += 1
         self.energy.dram_accesses += 1
@@ -1377,25 +1117,31 @@ class FastHierarchy:
         return entry[0], entry[1], 0
 
     def run_segment(self, cursor, stop: int) -> None:
-        """Timing-mode segment kernel: accesses ``cursor.pos`` up to
-        ``stop`` (see :mod:`repro.sim.engine` for the driver).
+        """Segment kernel: accesses ``cursor.pos`` up to ``stop``, in
+        either scheduling mode (see :mod:`repro.sim.engine` for the
+        driver).
 
         Exact port of the generic segment loop
-        (``Simulation._run_segment``, timing mode) + :meth:`access` with
+        (``Simulation._run_segment``) + ``CacheHierarchy.access`` with
         the dominant paths (private fills, directory allocation, DRAM,
         the inclusive/non-inclusive LLC install and the eviction-notice
-        handshake) inlined into one loop body.  Address-derived values
-        come precomputed per record in decode windows
-        (:meth:`_window`), and the hot counters are tracked as a handful
-        of per-path tallies from which every stats/energy field is
-        derived at the flush that ends each segment -- so the driver's
-        boundary work (audit sweeps, telemetry samples, checkpoints)
-        always sees exact counters.  Rare paths (relocated hits,
-        coherence forwards, ZIV installs, spills) reuse the per-access
-        methods; their direct ``self.stats``/``self.energy`` increments
-        commute with the flush.  Like the generic loop, the kernel
-        stamps a bound telemetry collector with each access's index so
-        events carry it.
+        handshake) inlined into one loop body.  A timing-mode access
+        issues at its core's ready cycle plus its gap and requeues at
+        ``issue + latency``; a lock-step access issues at its global
+        position and requeues at its core's trace index.  Either way the
+        cursor's heap keeps the generic loop's format, so checkpoints of
+        the two loops are interchangeable.  Address-derived values come
+        precomputed per record in decode windows (:meth:`_window`), and
+        the hot counters are tracked as a handful of per-path tallies
+        from which every stats/energy field is derived at the flush that
+        ends each segment -- so the driver's boundary work (audit
+        sweeps, telemetry samples, checkpoints) always sees exact
+        counters.  Rare paths (relocated hits, coherence forwards, ZIV
+        installs, spills) are helper methods; their direct
+        ``self.stats``/``self.energy`` increments commute with the
+        flush.  Like the generic loop, the kernel stamps a bound
+        telemetry collector with each access's index so events carry
+        it.
         """
         from heapq import heappop, heappush
 
@@ -1453,6 +1199,7 @@ class FastHierarchy:
         telemetry = self.telemetry
         traces = cursor.traces
         finish = cursor.finish
+        lockstep = cursor.lockstep
 
         # -- decode windows: the current one of every core, kept on the
         # cursor between segments; heap entries index into them ----------
@@ -1494,7 +1241,7 @@ class FastHierarchy:
                 (addr, lat, bank, sid, dsid, s2, b2, s1, b1, gb, row),
                 is_write, off,
             ) = cols_t[core][idx]
-            issue = ready + off
+            issue = gpos if lockstep else ready + off
 
             # ---- access (fused) ------------------------------------------
             l1 = l1s[core]
@@ -1565,7 +1312,7 @@ class FastHierarchy:
                         hp = llc_map.get(addr, -1)
                         if hp >= 0 and not (llc_meta[hp] & 2):
                             # LLC home hit (rare on miss-dominated runs:
-                            # delegate the tail to the per-access methods)
+                            # delegate the tail to the helper methods)
                             extra = 0
                             if dpos >= 0:
                                 if is_write:
@@ -1644,9 +1391,7 @@ class FastHierarchy:
                                         if 0 <= vd < d_slice:
                                             d_nru[vd] = True
                                         if vd >= 0 and d_sharers[vd]:
-                                            self._back_invalidate(
-                                                vaddr, issue
-                                            )
+                                            self._back_invalidate(vaddr, vd)
                                     m = llc_meta[ip]
                                     del llc_map[vaddr]
                                     if m & 1:
@@ -1822,7 +1567,10 @@ class FastHierarchy:
             # ---- bookkeeping (port of the generic loop's tail) ----------
             idx += 1
             if idx < ends[core]:
-                heappush(heap, (issue + latency, core, idx))
+                heappush(heap, (
+                    base_t[core] + idx if lockstep else issue + latency,
+                    core, idx,
+                ))
             elif base_t[core] + idx < len(traces[core]):
                 # window exhausted: retire its instructions, decode the next
                 cs = core_stats[core]
@@ -1834,7 +1582,9 @@ class FastHierarchy:
                 )
                 ends[core] = len(cols_t[core])
                 seg_from[core] = 0
-                heappush(heap, (issue + latency, core, 0))
+                heappush(heap, (
+                    base_t[core] if lockstep else issue + latency, core, 0
+                ))
             else:
                 finish[core] = issue + latency
                 core_stats[core].cycles = issue + latency

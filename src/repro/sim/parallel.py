@@ -589,33 +589,26 @@ def run_many(
                                           engine=recipe.config.engine))
             seen.add(key)
 
-    if pending:
-        items = list(pending.items())
-        if len(items) == 1:
-            completed = [_execute_recipe(items[0])]
-        else:
-            ctx = multiprocessing.get_context(_start_method())
-            with ctx.Pool(processes=min(n_jobs, len(items))) as pool:
-                completed = pool.imap(_execute_recipe, items)
-                results = []
-                for key, result, wall_s in completed:
-                    results.append((key, result, wall_s))
-                    _ledger_append(pending[key], key, result, "run", wall_s)
-                    if tracker is not None:
-                        heartbeat(tracker.advance(
-                            pending_label[key], "run", result, key=key,
-                            engine=pending[key].config.engine,
-                        ))
-                completed = results
-        if len(items) == 1:
-            key, result, wall_s = completed[0]
+    def finished(completed) -> None:
+        # Each result reaches the memo and the disk cache as it arrives,
+        # before its ledger record: a later recipe that fails loses no
+        # finished work, and no "run" record lacks its cache entry.
+        for key, result, wall_s in completed:
+            publish_result(key, result)
             _ledger_append(pending[key], key, result, "run", wall_s)
             if tracker is not None:
-                heartbeat(tracker.advance(pending_label[key], "run", result,
-                                          key=key,
-                                          engine=pending[key].config.engine))
-        for key, result, _wall_s in completed:
-            publish_result(key, result)
+                heartbeat(tracker.advance(
+                    pending_label[key], "run", result, key=key,
+                    engine=pending[key].config.engine,
+                ))
+
+    items = list(pending.items())
+    if len(items) == 1:
+        finished([_execute_recipe(items[0])])
+    elif items:
+        ctx = multiprocessing.get_context(_start_method())
+        with ctx.Pool(processes=min(n_jobs, len(items))) as pool:
+            finished(pool.imap(_execute_recipe, items))
 
     out = []
     for i, (recipe, key) in enumerate(zip(recipes, keys)):

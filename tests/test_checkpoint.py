@@ -79,15 +79,24 @@ def test_resumed_run_bit_identical(tmp_path, engine, scheduling):
     assert result_signature(resumed) == result_signature(base)
 
 
-@pytest.mark.parametrize("engine", ["object", "fast"])
-def test_streamed_checkpoint_resume_bit_identical(tmp_path, engine):
+@pytest.mark.parametrize("engine,scheduling", [
+    ("object", "timing"),
+    ("fast", "timing"),
+    ("object", "lockstep"),
+    ("fast", "lockstep"),
+], ids=["object", "fast", "object-lockstep", "fast-lockstep"])
+def test_streamed_checkpoint_resume_bit_identical(tmp_path, engine,
+                                                  scheduling):
     # The full out-of-core path: binary trace, interrupted streamed run,
-    # resumed streamed run, compared against the in-memory run.
+    # resumed streamed run, compared against the in-memory run.  A
+    # streamed lock-step run is where a core's decode window starts past
+    # record 0, so its heap keys must add the window base.
     wl = make_workload(seed=2, n=1500)
     path = tmp_path / "ck.tracebin"
     save_workload_bin(wl, path, chunk_records=256)
     config = tiny_config(cores=2).replace(engine=engine)
-    kwargs = dict(scheme_name="ziv:notinprc", telemetry="500")
+    kwargs = dict(scheme_name="ziv:notinprc", telemetry="500",
+                  scheduling=scheduling)
     base = run_workload(config, wl, **kwargs)
     ckpt = tmp_path / "run.ckpt"
     with open_trace(path) as bw:

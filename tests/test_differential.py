@@ -72,11 +72,26 @@ def _cell(wl, scheme, policy, directory_mode="mesi", audit="end,collect",
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("policy", GRID_POLICIES)
-@pytest.mark.parametrize("scheme", GRID_SCHEMES)
-def test_grid_cell_identical(workloads, scheme, policy):
+#: Every grid cell in both scheduling modes.  Lock-step (the canonical
+#: stream of the MIN oracle and the Fig. 2 counts) takes the fast
+#: engine's kernel with its own issue cycle and heap key; timing cells
+#: keep their plain ``scheme-policy`` ids.
+GRID_CELLS = [
+    pytest.param(
+        scheme, policy, scheduling,
+        id=f"{scheme}-{policy}"
+        + ("" if scheduling == "timing" else f"-{scheduling}"),
+    )
+    for scheduling in ("timing", "lockstep")
+    for scheme in GRID_SCHEMES
+    for policy in GRID_POLICIES
+]
+
+
+@pytest.mark.parametrize("scheme,policy,scheduling", GRID_CELLS)
+def test_grid_cell_identical(workloads, scheme, policy, scheduling):
     for wl in workloads:
-        report = _cell(wl, scheme, policy)
+        report = _cell(wl, scheme, policy, scheduling=scheduling)
         assert report.ok, report.summary()
 
 

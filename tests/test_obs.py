@@ -195,6 +195,28 @@ class TestLedgerAppends:
         assert all(r.source == "run" for r in records)
         assert {r.recipe_key for r in records} == {r.key() for r in recipes}
 
+    def test_run_many_keeps_finished_work_when_a_later_recipe_fails(
+        self, obs_cache
+    ):
+        # The fast engine cannot run qbs, so the second recipe's worker
+        # raises.  Results come back in submission order, so the first
+        # one arrives before the error: it must be in the disk cache,
+        # with exactly one "run" record in the ledger.
+        from repro.sim.fast import UnsupportedConfigError
+        from repro.sim.parallel import lookup_result
+
+        cfg = tiny_config()
+        good = RunRecipe(make_workload(0), "inclusive", cfg)
+        bad = RunRecipe(make_workload(1), "qbs", cfg.replace(engine="fast"))
+        with pytest.raises(UnsupportedConfigError):
+            run_many([good, bad], jobs=2)
+        clear_memo()
+        hit = lookup_result(good.key())
+        assert hit is not None and hit[1] == "disk"
+        runs = [r for r in read_ledger()
+                if r.recipe_key == good.key() and r.source == "run"]
+        assert len(runs) == 1
+
     def test_repro_ledger_off_suppresses_appends(self, obs_cache,
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "off")

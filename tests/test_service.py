@@ -10,10 +10,16 @@ real JSON, nothing mocked but the clock-free workloads."""
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config_io import (
     ConfigError,
     RecipeError,
@@ -187,6 +193,38 @@ def test_fast_engine_unsupported_recipe_rejected_with_field(scheme, policy):
     err = _rejection(_fast_dict(scheme, policy))
     assert err.field == "config.engine"
     assert repr(scheme) in str(err) and repr(policy) in str(err)
+
+
+def test_fast_recipe_validation_leaves_the_engine_unloaded():
+    # The server checks every fast recipe against the engine's envelope;
+    # accepting or rejecting one must not import the engine module.
+    code = (
+        "import json, sys\n"
+        "from repro.config_io import RecipeError, recipe_from_dict\n"
+        "ok, bad = json.loads(sys.argv[1])\n"
+        "assert recipe_from_dict(ok).config.engine == 'fast'\n"
+        "try:\n"
+        "    recipe_from_dict(bad)\n"
+        "except RecipeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('unsupported fast recipe accepted')\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('repro.sim.fast'))))\n"
+    )
+    config = config_to_dict(tiny_config("fast"))
+    ok = {"workload": {"kind": "profile", "app": "xalancbmk.2", "cores": 2,
+                       "accesses": 120},
+          "scheme": "ziv:notinprc", "config": config}
+    bad = dict(ok, scheme="qbs")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([ok, bad])],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_recipe_error_is_a_config_error():
