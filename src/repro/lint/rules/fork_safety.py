@@ -12,9 +12,10 @@ interleave but never interleave *within* a record.
 This rule enforces all of that statically:
 
 * every function reachable from a pool dispatch site
-  (``executor.submit(f, ...)``, ``pool.imap(f, ...)``, ...) is resolved
-  (bare name in the same module, ``mod.func`` across modules) and its
-  transitive same-project callees are walked;
+  (``executor.submit(f, ...)``, ``pool.imap(f, ...)``, ...) or named as
+  a pool or executor's ``initializer=`` is resolved (bare name in the
+  same module, ``mod.func`` across modules) and its transitive
+  same-project callees are walked;
 * inside that worker cone, acquiring a module-level lock (``with
   LOCK:`` / ``LOCK.acquire()``) or opening a file handle (``open``,
   ``os.open``, ``gzip.open``, ``path.open()``, ...) is a finding --
@@ -275,7 +276,9 @@ def _ledger_discipline(project: Project) -> Iterator[Finding]:
 
 
 class _DispatchVisitor(ast.NodeVisitor):
-    """Collects pool dispatch sites in one file."""
+    """Collects pool dispatch sites in one file: the function argument of
+    a dispatch method, and the ``initializer=`` of a pool or executor
+    constructor (it runs in every worker before any task)."""
 
     def __init__(self) -> None:
         self.sites: list[tuple[ast.expr, str, int]] = []
@@ -287,8 +290,15 @@ class _DispatchVisitor(ast.NodeVisitor):
             and node.args
         ):
             self.sites.append(
-                (node.args[0], node.func.attr, node.lineno)
+                (node.args[0], f".{node.func.attr}()", node.lineno)
             )
+        ctor = (dotted_name(node.func) or "").rpartition(".")[2]
+        if ctor.endswith(("Pool", "Executor")):
+            for kw in node.keywords:
+                if kw.arg == "initializer":
+                    self.sites.append(
+                        (kw.value, f"{ctor}(initializer=)", node.lineno)
+                    )
         self.generic_visit(node)
 
 
@@ -315,7 +325,7 @@ class ForkSafetyRule(Rule):
                 resolved = walk.resolve(sf, func_expr)
                 if resolved is None:
                     continue  # method / external callable: out of scope
-                origin = f"{sf.rel}:{lineno} .{api}()"
+                origin = f"{sf.rel}:{lineno} {api}"
                 walk.check(resolved[0], resolved[1], origin)
         yield from sorted(set(walk.findings))
         yield from _ledger_discipline(project)

@@ -6,8 +6,14 @@ LLC policy, scheduling mode, workload) and shares no state with any other
 run.  This module exploits that twice over:
 
 * :func:`run_many` fans fully specified :class:`RunRecipe`\\ s out over a
-  ``multiprocessing`` pool and merges the :class:`SimResult`\\ s back in
-  submission order, so the output is bit-identical to a serial loop.
+  ``concurrent.futures`` process pool.  The call's ``(key, recipe)``
+  misses reach each worker once, through the pool initializer (inherited
+  under ``fork``, pickled once per worker under ``spawn``); a task is
+  just an index into that list, and only its ``(key, result, wall_s)``
+  comes back.  Results are published to the memo, disk cache and ledger
+  in completion order and returned in submission order, so the output
+  is bit-identical to a serial loop.  A worker that dies fails the call
+  with ``BrokenProcessPool`` after every completed result is published.
 
 * Every completed recipe is stored in a **persistent result cache** under
   ``.repro_cache/`` keyed by a stable content hash of the complete recipe
@@ -471,7 +477,8 @@ def _ledger_append(
 def _execute_recipe(
     item: "tuple[str, RunRecipe]",
 ) -> "tuple[str, SimResult, float]":
-    """Pool worker: rebuild the hierarchy from the pickled recipe and run.
+    """Execute one ``(key, recipe)`` miss: rebuild the hierarchy from the
+    recipe and run.
 
     Module-level (not a closure) so it imports cleanly under the ``spawn``
     start method.  Returns ``(key, result, wall_s)``: the wall time rides
@@ -482,6 +489,67 @@ def _execute_recipe(
     result = recipe.execute()
     wall_s = time.perf_counter() - t0  # repro-lint: ignore[determinism]
     return key, result, wall_s
+
+
+#: In a :func:`run_many` pool worker: the ``(key, recipe)`` misses of
+#: the call that built the pool, adopted once by :func:`_adopt_pending`.
+_PENDING: "list[tuple[str, RunRecipe]]" = []
+
+
+def _adopt_pending(items: "list[tuple[str, RunRecipe]]") -> None:
+    """Pool initializer: keep the call's misses for this worker's tasks
+    (under ``spawn``, one pickle per worker stores each shared trace
+    once)."""
+    global _PENDING
+    _PENDING = items
+
+
+def _run_pending(index: int) -> "tuple[str, SimResult, float]":
+    """Pool task: execute the adopted miss at ``index``.
+
+    ``_execute_recipe`` is looked up at call time, so a patched
+    execution layer reaches the workers that inherit it."""
+    return _execute_recipe(_PENDING[index])
+
+
+def _fan_out(
+    items: "list[tuple[str, RunRecipe]]",
+    n_jobs: int,
+    finished: Callable[["tuple[str, SimResult, float]"], None],
+) -> None:
+    """Run ``items`` on a process pool, passing each ``(key, result,
+    wall_s)`` to ``finished`` as it completes.  On the first error (a
+    failing recipe, or ``BrokenProcessPool`` when a worker dies), tasks
+    not yet started are cancelled, running ones finish and are passed
+    on too, and the error is re-raised."""
+    # Imported here: it loads logging, whose memory a process that
+    # never fans out (a streamed run, a warm sweep) need not pay for.
+    import concurrent.futures
+
+    ctx = multiprocessing.get_context(_start_method())
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(n_jobs, len(items)),
+        mp_context=ctx,
+        initializer=_adopt_pending,
+        initargs=(items,),
+    ) as pool:
+        futures: "list[concurrent.futures.Future]" = []
+        handled = set()
+        try:
+            futures.extend(pool.submit(_run_pending, i)
+                           for i in range(len(items)))
+            for future in concurrent.futures.as_completed(futures):
+                handled.add(future)
+                finished(future.result())
+        except BaseException:
+            # Waits for the running tasks; cancelled ones never finish,
+            # so they must not be waited on.
+            pool.shutdown(cancel_futures=True)
+            for future in futures:
+                if (future not in handled and not future.cancelled()
+                        and future.exception() is None):
+                    finished(future.result())
+            raise
 
 
 def _start_method() -> str:
@@ -521,7 +589,9 @@ def run_many(
     already present in the memo or disk cache are not re-run.  With
     ``jobs`` > 1 the misses fan out over a process pool -- the workers are
     pure functions of their recipe, so the merged output is byte-identical
-    to the serial path.  ``jobs=None`` (or 1) runs serially in-process;
+    to the serial path.  Each fresh result is stored as it completes; if
+    a recipe fails or a worker dies, the call raises once every completed
+    result is stored.  ``jobs=None`` (or 1) runs serially in-process;
     ``jobs<=0`` means one worker per CPU.
 
     ``progress`` (if given) is called with a short label -- ``labels[i]``
@@ -589,26 +659,24 @@ def run_many(
                                           engine=recipe.config.engine))
             seen.add(key)
 
-    def finished(completed) -> None:
+    def finished(completed: "tuple[str, SimResult, float]") -> None:
         # Each result reaches the memo and the disk cache as it arrives,
-        # before its ledger record: a later recipe that fails loses no
-        # finished work, and no "run" record lacks its cache entry.
-        for key, result, wall_s in completed:
-            publish_result(key, result)
-            _ledger_append(pending[key], key, result, "run", wall_s)
-            if tracker is not None:
-                heartbeat(tracker.advance(
-                    pending_label[key], "run", result, key=key,
-                    engine=pending[key].config.engine,
-                ))
+        # before its ledger record: a failing recipe loses no finished
+        # work, and no "run" record lacks its cache entry.
+        key, result, wall_s = completed
+        publish_result(key, result)
+        _ledger_append(pending[key], key, result, "run", wall_s)
+        if tracker is not None:
+            heartbeat(tracker.advance(
+                pending_label[key], "run", result, key=key,
+                engine=pending[key].config.engine,
+            ))
 
     items = list(pending.items())
     if len(items) == 1:
-        finished([_execute_recipe(items[0])])
+        finished(_execute_recipe(items[0]))
     elif items:
-        ctx = multiprocessing.get_context(_start_method())
-        with ctx.Pool(processes=min(n_jobs, len(items))) as pool:
-            finished(pool.imap(_execute_recipe, items))
+        _fan_out(items, n_jobs, finished)
 
     out = []
     for i, (recipe, key) in enumerate(zip(recipes, keys)):

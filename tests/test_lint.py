@@ -908,6 +908,39 @@ class TestForkSafety:
         assert len(findings) == 1
         assert findings[0].file.endswith("service/disk.py")
 
+    def test_pool_initializer_is_a_dispatch_site(self, tmp_path):
+        """An initializer runs in every worker: its lock and its file
+        handle are reported like a dispatched task's."""
+        findings = lint_tree(tmp_path, {
+            "service/worker.py": (
+                "import concurrent.futures\n"
+                "import threading\n"
+                "LOCK = threading.Lock()\n"
+                "def probe(path):\n"
+                "    with LOCK:\n"
+                "        return open(path).read()\n"
+                "def run(path):\n"
+                "    return concurrent.futures.ProcessPoolExecutor(\n"
+                "        max_workers=2, initializer=probe, initargs=(path,))\n"
+            ),
+        }, rules=["fork-safety"])
+        assert sorted(f.line for f in findings) == [5, 6]
+        assert all("ProcessPoolExecutor(initializer=)" in f.message
+                   for f in findings)
+
+    def test_pure_pool_initializer_stays_quiet(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "service/worker.py": (
+                "ITEMS = []\n"
+                "def adopt(items):\n"
+                "    global ITEMS\n"
+                "    ITEMS = items\n"
+                "def run(ctx, items):\n"
+                "    return ctx.Pool(2, initializer=adopt, initargs=(items,))\n"
+            ),
+        }, rules=["fork-safety"])
+        assert findings == []
+
     def test_worker_reaching_ledger_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "service/worker.py": (

@@ -3,9 +3,11 @@ the perf-regression gate (`repro.obs`)."""
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -43,7 +45,12 @@ from repro.obs.regress import (
 )
 from repro.params import ConfigError, ProfileParams
 from repro.sim.engine import run_workload
-from repro.sim.parallel import RunRecipe, clear_memo, run_many
+from repro.sim.parallel import (
+    RunRecipe,
+    _execute_recipe,
+    clear_memo,
+    run_many,
+)
 from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
 
@@ -198,24 +205,70 @@ class TestLedgerAppends:
     def test_run_many_keeps_finished_work_when_a_later_recipe_fails(
         self, obs_cache
     ):
-        # The fast engine cannot run qbs, so the second recipe's worker
-        # raises.  Results come back in submission order, so the first
-        # one arrives before the error: it must be in the disk cache,
+        # The fast engine cannot run qbs, so the bad recipe's worker
+        # raises, in either submission order.  Both recipes start at
+        # once on two workers, so the good one runs to completion even
+        # when the error arrives first: it must be in the disk cache,
         # with exactly one "run" record in the ledger.
         from repro.sim.fast import UnsupportedConfigError
-        from repro.sim.parallel import lookup_result
+        from repro.sim.parallel import clear_result_cache, lookup_result
 
         cfg = tiny_config()
         good = RunRecipe(make_workload(0), "inclusive", cfg)
         bad = RunRecipe(make_workload(1), "qbs", cfg.replace(engine="fast"))
-        with pytest.raises(UnsupportedConfigError):
-            run_many([good, bad], jobs=2)
-        clear_memo()
-        hit = lookup_result(good.key())
-        assert hit is not None and hit[1] == "disk"
-        runs = [r for r in read_ledger()
-                if r.recipe_key == good.key() and r.source == "run"]
-        assert len(runs) == 1
+        for order in ([good, bad], [bad, good]):
+            clear_memo()
+            clear_result_cache()
+            before = len(read_ledger())
+            with pytest.raises(UnsupportedConfigError):
+                run_many(order, jobs=2)
+            clear_memo()
+            hit = lookup_result(good.key())
+            assert hit is not None and hit[1] == "disk"
+            runs = [r for r in read_ledger()[before:]
+                    if r.recipe_key == good.key() and r.source == "run"]
+            assert len(runs) == 1
+
+    def test_run_many_fails_cleanly_when_a_worker_dies(
+        self, obs_cache, monkeypatch
+    ):
+        """A SIGKILLed worker (an OOM kill) fails the call with
+        BrokenProcessPool instead of blocking it, and the cache and the
+        ledger agree on what completed.  The call runs in a forked child
+        so that a hang fails this test rather than the suite."""
+        from repro.sim import parallel
+        from repro.sim.parallel import lookup_result
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        cfg = tiny_config()
+        recipes = [
+            RunRecipe(make_workload(k), "inclusive", cfg) for k in range(4)
+        ]
+        # Last, so the victim starts only on a worker that has already
+        # finished a recipe.
+        doomed = recipes[-1].key()
+        # Forked workers inherit the patched execution layer.
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+        monkeypatch.setattr(parallel, "_execute_recipe",
+                            functools.partial(_die_on_key, doomed))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_report_run_many, args=(recipes, send))
+        child.start()
+        send.close()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("run_many still blocked 30 s after a worker died")
+        assert receive.poll() and receive.recv() == "BrokenProcessPool"
+        stored = [r.key() for r in recipes
+                  if lookup_result(r.key()) is not None]
+        runs = [r.recipe_key for r in read_ledger() if r.source == "run"]
+        assert stored and doomed not in stored
+        # One "run" record per stored result, and none without one.
+        assert sorted(runs) == sorted(stored)
 
     def test_repro_ledger_off_suppresses_appends(self, obs_cache,
                                                  monkeypatch):
@@ -234,6 +287,25 @@ class TestLedgerAppends:
         with pytest.raises(ConfigError):
             list(__import__("repro.obs.ledger", fromlist=["iter_ledger"])
                  .iter_ledger(strict=True))
+
+
+def _die_on_key(doomed: str, item):
+    """Execution layer that SIGKILLs the worker drawing ``doomed``."""
+    if item[0] == doomed:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _execute_recipe(item)
+
+
+def _report_run_many(recipes, send) -> None:
+    """Forked child: run ``recipes`` on two workers and send back how the
+    call ended."""
+    try:
+        run_many(recipes, jobs=2)
+        send.send("returned")
+    except BaseException as exc:  # noqa: BLE001 - reported to the test
+        send.send(type(exc).__name__)
+    finally:
+        send.close()
 
 
 def _append_batch(args):

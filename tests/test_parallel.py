@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -95,6 +96,60 @@ class TestDeterminism:
         clear_memo()
         a, b = run_many([r, r], jobs=2)
         assert a is b
+
+
+class UnpicklableTrace(CoreTrace):
+    """A trace that refuses to cross a process boundary by pickle."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("this trace must not be pickled")
+
+
+class TestDispatch:
+    def test_fork_workers_inherit_the_recipes(self, monkeypatch):
+        """Under fork the pending recipes are inherited, never pickled:
+        a workload that cannot be pickled still runs on two workers and
+        matches the serial loop."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        cfg = tiny_config()
+        recipes = [
+            RunRecipe(
+                workload=Workload(
+                    [UnpicklableTrace(t.records, t.name) for t in wl.traces],
+                    wl.name,
+                ),
+                scheme=scheme,
+                config=cfg,
+            )
+            for scheme in ("inclusive", "ziv:notinprc")
+            for wl in small_workloads()
+        ]
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(recipes[0])
+        clear_memo()
+        serial = run_many(recipes)
+        clear_memo()
+        parallel = run_many(recipes, jobs=2)
+        assert [summarise(r) for r in parallel] == [
+            summarise(r) for r in serial
+        ]
+
+    def test_spawn_matches_serial(self, monkeypatch):
+        """Spawned workers receive the pending recipes by pickle, once
+        each, and merge to the serial loop's results."""
+        monkeypatch.setenv("REPRO_MP_START", "spawn")
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        recipes = grid_recipes()
+        clear_memo()
+        serial = run_many(recipes)
+        clear_memo()
+        parallel = run_many(recipes, jobs=2)
+        assert [summarise(r) for r in parallel] == [
+            summarise(r) for r in serial
+        ]
 
 
 class TestRecipeKeys:
