@@ -19,7 +19,10 @@ the client, end to end:
 * recipe rejections are structured 400s naming the offending field,
   and count into ``/metrics``;
 * ``/metrics`` parses and its job counters reconcile with what we
-  submitted; the ledger grew by exactly the expected record count.
+  submitted; the ledger grew by exactly the expected record count;
+* SIGKILLing the pool workers while a long job runs fails that job with
+  ``BrokenProcessPool``, and the next submission runs fresh on a new
+  pool.
 
 Exit 0 on success; any assertion failure is a non-zero exit.
 
@@ -30,6 +33,9 @@ Usage::
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -213,6 +219,36 @@ def main() -> int:
         # run + 1 cache hit each)
         expected = len(grid) + 1 + 3 + 2 * len(SPECS)
         assert grown == expected, (grown, expected)
+
+        # -- kill phase: a dead worker fails its job, not the service ---
+        # Long enough that the workers die well before it could finish.
+        long_job = {
+            "workload": {"kind": "profile", "app": "gcc.1", "cores": 2,
+                         "accesses": 100_000, "seed": 5},
+            "scheme": "inclusive",
+            "config": config_to_dict(small_config("object")),
+        }
+        doomed = client.submit(long_job)
+        assert doomed["state"] == "running", doomed
+        workers = multiprocessing.active_children()
+        assert workers, "the process pool has no live workers"
+        for proc in workers:
+            os.kill(proc.pid, signal.SIGKILL)
+        doomed = client.wait(doomed["id"], timeout=180.0)
+        assert doomed["state"] == "failed", doomed
+        assert "BrokenProcessPool" in doomed["error"], doomed
+        after = client.submit(recipe_to_dict(
+            RunRecipe(small_workload(8), "inclusive", small_config())
+        ))
+        after = client.wait(after["id"], timeout=180.0)
+        assert (after["state"], after["source"]) == ("done", "run"), after
+        metrics = parse_prometheus(client.metrics())
+        assert outcome("failed") == 1, metrics
+        assert metrics[("repro_service_jobs_inflight", ())] == 0
+        # The failed job leaves no record; the fresh one leaves its run.
+        grown = len(read_ledger()) - start
+        expected += 1
+        assert grown == expected, (grown, expected)
     finally:
         server.close()
 
@@ -220,7 +256,7 @@ def main() -> int:
         f"service smoke: {expected} resolution(s) over HTTP at "
         f"{server.url}, ledger {ledger_path()} grew by {grown}, "
         f"one execution per key, both engines agree, specs match "
-        f"local runs"
+        f"local runs, a killed pool fails one job"
     )
     return 0
 

@@ -13,7 +13,8 @@ This rule enforces all of that statically:
 
 * every function reachable from a pool dispatch site
   (``executor.submit(f, ...)``, ``pool.imap(f, ...)``, ...) or named as
-  a pool or executor's ``initializer=`` is resolved (bare name in the
+  the ``initializer=`` of a pool, an executor or a pool builder
+  (``parallel.process_pool``) is resolved (bare name in the
   same module, ``mod.func`` across modules) and its transitive
   same-project callees are walked;
 * inside that worker cone, acquiring a module-level lock (``with
@@ -22,9 +23,9 @@ This rule enforces all of that statically:
   unless the function is whitelisted with ``# repro-lint: fork-safe``
   on its ``def`` line, which asserts the function was audited for pool
   execution and stops the walk;
-* reaching the ledger writers (``append_record`` / ``_ledger_append``)
-  from a worker is always a finding: ledger appends are
-  parent-process-only, whitelist or not;
+* reaching the ledger writers (``append_record`` /
+  ``record_resolution``) from a worker is always a finding: ledger
+  appends are parent-process-only, whitelist or not;
 * the ledger writer itself must honour the single-write discipline:
   ``append_record`` opens with ``os.open(..., O_APPEND)`` and issues
   exactly one ``os.write``.
@@ -54,7 +55,7 @@ POOL_DISPATCH = frozenset(
 _OPENERS = frozenset(("open", "fdopen"))
 
 #: The parent-process-only ledger entry points.
-LEDGER_WRITERS = frozenset(("append_record", "_ledger_append"))
+LEDGER_WRITERS = frozenset(("append_record", "record_resolution"))
 
 
 def _module_functions(sf: SourceFile) -> dict[str, _FuncDef]:
@@ -278,7 +279,8 @@ def _ledger_discipline(project: Project) -> Iterator[Finding]:
 class _DispatchVisitor(ast.NodeVisitor):
     """Collects pool dispatch sites in one file: the function argument of
     a dispatch method, and the ``initializer=`` of a pool or executor
-    constructor (it runs in every worker before any task)."""
+    constructor or a ``*_pool`` builder (it runs in every worker before
+    any task)."""
 
     def __init__(self) -> None:
         self.sites: list[tuple[ast.expr, str, int]] = []
@@ -293,7 +295,7 @@ class _DispatchVisitor(ast.NodeVisitor):
                 (node.args[0], f".{node.func.attr}()", node.lineno)
             )
         ctor = (dotted_name(node.func) or "").rpartition(".")[2]
-        if ctor.endswith(("Pool", "Executor")):
+        if ctor.endswith(("Pool", "Executor", "_pool")):
             for kw in node.keywords:
                 if kw.arg == "initializer":
                     self.sites.append(

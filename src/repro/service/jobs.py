@@ -5,8 +5,9 @@ The ROADMAP's service item names the refactor this module embodies:
 Storage is :mod:`repro.sim.parallel`'s memo + disk cache, reached
 through its public seam (``lookup_result``/``publish_result``/
 ``record_resolution``); execution is the same ``_execute_recipe`` pure
-function ``run_many`` fans out, here dispatched onto a persistent
-worker pool; and submission is this module's :class:`JobManager`.
+function ``run_many`` runs, submitted to a persistent pool built by the
+same ``parallel.process_pool``; and submission is this module's
+:class:`JobManager`.
 
 Dedup semantics (the service's core guarantee):
 
@@ -22,19 +23,20 @@ Every resolution appends exactly one run-ledger record: ``"run"`` for
 the primary's fresh execution, ``"memo"``/``"disk"`` for coalesced and
 cache-resolved submissions -- so N concurrent clients submitting one
 recipe leave one fresh record and N-1 cache-hit records, and the
-ledger *proves* the single execution.
+ledger *proves* the single execution.  A job whose result cannot be
+stored (a full disk) fails with its coalesced waiters and leaves no
+record, so no ``run`` record ever lacks its cache entry.
 
 Subscribers observe the job stream through a monotonically numbered
 event log (:meth:`JobManager.events_since`); terminal events carry a
 :class:`~repro.sim.telemetry.RunProgress` heartbeat, the same shape
-``run_many --progress`` prints locally.
+``run_many`` passes to its ``heartbeat`` locally.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import multiprocessing
 import os
 import threading
 import time
@@ -50,14 +52,6 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 #: Submission outcomes counted for ``/metrics``.
 OUTCOMES = ("fresh", "coalesced", "memo", "disk", "failed", "rejected")
-
-
-def _dispatch_execute(item: "tuple[str, Any]") -> "tuple[str, Any, float]":
-    """Pool entry point: resolve ``parallel._execute_recipe`` at call
-    time (module-level so it pickles under ``spawn``; late-bound so
-    tests can monkeypatch the execution layer without touching the
-    manager)."""
-    return parallel._execute_recipe(item)
 
 
 @dataclass
@@ -108,15 +102,12 @@ class Job:
 
 @dataclass
 class _Tally:
-    """Fleet accounting for RunProgress heartbeats + /metrics."""
+    """Fleet accounting for RunProgress heartbeats (the per-outcome
+    counts are ``JobManager._outcomes``)."""
 
     submitted: int = 0
     completed: int = 0
-    from_memo: int = 0
-    from_disk: int = 0
     simulated: int = 0
-    failed: int = 0
-    rejected: int = 0
     accesses: int = 0
     fresh_accesses: int = 0
     fresh_wall_s: float = 0.0
@@ -128,9 +119,9 @@ class JobManager:
     executes misses on a worker pool, and records every resolution in
     the run ledger.
 
-    ``mode="process"`` (the default) executes on a
-    ``ProcessPoolExecutor`` using the same start method as
-    ``run_many`` (``REPRO_MP_START``); ``mode="thread"`` executes
+    ``mode="process"`` (the default) executes on a process pool from
+    ``parallel.process_pool``, the builder ``run_many`` uses (start
+    method ``REPRO_MP_START``); ``mode="thread"`` executes
     in-process on a thread pool -- same semantics, no fork cost, the
     right choice for tests, docs and tiny workloads."""
 
@@ -162,10 +153,7 @@ class JobManager:
     def _ensure_executor(self) -> concurrent.futures.Executor:  # repro-lint: holds[_lock]
         if self._executor is None:
             if self.mode == "process":
-                ctx = multiprocessing.get_context(parallel._start_method())
-                self._executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=ctx
-                )
+                self._executor = parallel.process_pool(self.workers)
             else:
                 self._executor = concurrent.futures.ThreadPoolExecutor(
                     max_workers=self.workers,
@@ -213,7 +201,10 @@ class JobManager:
             self._publish("running", job)
             try:
                 executor = self._ensure_executor()
-                future = executor.submit(_dispatch_execute, (key, recipe))
+                # Pickled by name: a process worker runs the execution
+                # layer it inherited.
+                future = executor.submit(parallel._execute_recipe,
+                                         (key, recipe))
             except BaseException as exc:  # noqa: BLE001 - must unwedge key
                 # A dispatch failure (broken process pool, interpreter
                 # shutdown) must not strand the key: the stale _inflight
@@ -233,28 +224,29 @@ class JobManager:
     def record_rejection(self) -> None:
         """Count one rejected submission (a 400 at the HTTP layer)."""
         with self._lock:
-            self._tally.rejected += 1
             self._outcomes["rejected"] += 1
 
     # -- completion --------------------------------------------------------
 
     def _on_future(self, key: str, future: "concurrent.futures.Future",
                    pool: concurrent.futures.Executor) -> None:
-        try:
-            _key, result, wall_s = future.result()
-        except BaseException as exc:  # noqa: BLE001 - job must record it
-            if isinstance(exc, concurrent.futures.BrokenExecutor):
-                # A worker died (an OOM kill, a crash) and took the pool
-                # with it.  Drop the pool before failing the jobs, so a
-                # client that sees the failure and resubmits gets a new
-                # one; a pool built since then is left alone.
-                with self._lock:
-                    if self._executor is pool:
-                        self._executor = None
-            self._on_error(key, exc)
-            return
         with self._lock:
-            parallel.publish_result(key, result)
+            try:
+                _key, result, wall_s = future.result()
+                # Disk first, then memo: a failed write (a full disk)
+                # stores nothing, and fails the job like a failed run.
+                parallel.publish_result(key, result)
+            except BaseException as exc:  # noqa: BLE001 - job must record it
+                if (isinstance(exc, concurrent.futures.BrokenExecutor)
+                        and self._executor is pool):
+                    # A worker died (an OOM kill, a crash) and took the
+                    # pool with it.  Drop the pool before failing the
+                    # jobs, so a client that sees the failure and
+                    # resubmits gets a new one; a pool built since then
+                    # is left alone.
+                    self._executor = None
+                self._on_error(key, exc)
+                return
             primary_id = self._inflight.pop(key, None)
             waiting = self._waiters.pop(key, [])
             if primary_id is not None:
@@ -278,7 +270,6 @@ class JobManager:
                 job.error = message
                 # Failure timestamp: job metadata, not simulation state.
                 job.finished_ts = time.time()  # repro-lint: ignore[determinism]
-                self._tally.failed += 1
                 self._outcomes["failed"] += 1
                 self._publish("failed", job)
             self._cond.notify_all()
@@ -302,12 +293,8 @@ class JobManager:
             t.simulated += 1
             t.fresh_accesses += job.accesses
             t.fresh_wall_s += wall_s
-        elif source == "memo":
-            t.from_memo += 1
-            self._outcomes["memo"] += 1
-        elif source == "disk":
-            t.from_disk += 1
-            self._outcomes["disk"] += 1
+        else:
+            self._outcomes[source] += 1
         self._cond.notify_all()
 
     # -- progress / events -------------------------------------------------
@@ -329,8 +316,8 @@ class JobManager:
             total=t.submitted,
             label=job.label,
             source=job.source or "failed",
-            from_memo=t.from_memo,
-            from_disk=t.from_disk,
+            from_memo=self._outcomes["memo"],
+            from_disk=self._outcomes["disk"],
             simulated=t.simulated,
             # Heartbeat wall time: progress reporting, never cached.
             elapsed_s=time.time() - t.started_ts,  # repro-lint: ignore[determinism]

@@ -5,15 +5,19 @@ run is a deterministic function of its *recipe* (configuration, scheme,
 LLC policy, scheduling mode, workload) and shares no state with any other
 run.  This module exploits that twice over:
 
-* :func:`run_many` fans fully specified :class:`RunRecipe`\\ s out over a
-  ``concurrent.futures`` process pool.  The call's ``(key, recipe)``
-  misses reach each worker once, through the pool initializer (inherited
-  under ``fork``, pickled once per worker under ``spawn``); a task is
-  just an index into that list, and only its ``(key, result, wall_s)``
-  comes back.  Results are published to the memo, disk cache and ledger
-  in completion order and returned in submission order, so the output
-  is bit-identical to a serial loop.  A worker that dies fails the call
-  with ``BrokenProcessPool`` after every completed result is published.
+* :func:`run_many` is the one path that resolves recipes: memo/disk
+  lookup, dedupe, execute, store, ledger record, heartbeat.  Hits
+  resolve first; the unique misses run in-process, or, with ``jobs`` >
+  1, on a ``concurrent.futures`` process pool whose initializer hands
+  each worker the call's ``(key, recipe)`` misses once (inherited under
+  ``fork``, pickled once per worker under ``spawn``), so a task is just
+  an index and only its ``(key, result, wall_s)`` comes back.  Results
+  are published in completion order and returned in submission order,
+  so the output is bit-identical whatever ``jobs`` is.  A worker that
+  dies fails the call with ``BrokenProcessPool`` after every completed
+  result is published.  The simulation service resolves through the
+  same pieces: :func:`process_pool`, :func:`_execute_recipe`,
+  :func:`publish_result` and :func:`record_resolution`.
 
 * Every completed recipe is stored in a **persistent result cache** under
   ``.repro_cache/`` keyed by a stable content hash of the complete recipe
@@ -387,40 +391,19 @@ def lookup_result(key: str) -> "Optional[tuple[SimResult, str]]":
 
 
 def publish_result(key: str, result: SimResult) -> None:
-    """Write one completed result back to both storage layers (the
-    in-process memo always, the disk cache when enabled)."""
-    _MEMO[key] = result
+    """Write one completed result back to both storage layers: the disk
+    cache (when enabled) first, then the in-process memo.  A failed
+    write (a full disk) raises and leaves the result in neither, so
+    nothing serves a result the cache does not hold."""
     if cache_enabled():
         store_result(key, result)
+    _MEMO[key] = result
 
 
 def fetch_or_run(recipe: RunRecipe) -> SimResult:
     """Resolve one recipe through the cache layers: in-process memo, then
-    disk, then a fresh (serial) simulation.  Completed runs are written
-    back to both layers."""
-    return _fetch_with_source(recipe)[0]
-
-
-def _fetch_with_source(recipe: RunRecipe) -> "tuple[SimResult, str]":
-    """:func:`fetch_or_run` plus provenance: which layer resolved the
-    recipe (``"memo"``, ``"disk"`` or ``"run"``), for progress
-    heartbeats.  Every resolution -- cache hit or fresh -- appends one
-    record to the run ledger (:mod:`repro.obs.ledger`)."""
-    key = recipe.key()
-    hit = lookup_result(key)
-    if hit is not None:
-        result, source = hit
-        _ledger_append(recipe, key, result, source, 0.0)
-        return result, source
-    # Wall time feeds the ledger record only (observability, never a
-    # SimResult), so the clock reads are suppressed like the
-    # ProgressTracker's.
-    t0 = time.perf_counter()  # repro-lint: ignore[determinism]
-    result = recipe.execute()
-    wall_s = time.perf_counter() - t0  # repro-lint: ignore[determinism]
-    publish_result(key, result)
-    _ledger_append(recipe, key, result, "run", wall_s)
-    return result, "run"
+    disk, then a fresh in-process simulation (``run_many([recipe])``)."""
+    return run_many([recipe])[0]
 
 
 def record_resolution(
@@ -431,25 +414,12 @@ def record_resolution(
     wall_s: float,
 ) -> None:
     """Append the run-ledger provenance record for one resolved
-    submission (best-effort, parent-process only).  The public seam for
-    resolution layers built on :func:`lookup_result`/
-    :func:`publish_result` -- the simulation service records exactly one
-    ``"run"`` per fresh execution and one ``"memo"``/``"disk"`` per
-    deduplicated or cache-resolved submission through this call."""
-    _ledger_append(recipe, key, result, source, wall_s)
-
-
-def _ledger_append(
-    recipe: RunRecipe,
-    key: str,
-    result: SimResult,
-    source: str,
-    wall_s: float,
-) -> None:
-    """Append one run-ledger record; best-effort (the ledger must never
-    fail a run), and only ever called in the parent process -- pool
-    workers return their wall time instead, so each resolution is
-    recorded exactly once."""
+    submission: ``"run"`` for a fresh execution, ``"memo"``/``"disk"``
+    for a deduplicated or cache-resolved one.  Best-effort (the ledger
+    must never fail a run), and only ever called in the parent process:
+    pool workers return their wall time instead, so each resolution is
+    recorded exactly once.  :func:`run_many` and the simulation service
+    both record through this call."""
     try:
         from repro.obs.ledger import (
             append_record,
@@ -480,10 +450,13 @@ def _execute_recipe(
     """Execute one ``(key, recipe)`` miss: rebuild the hierarchy from the
     recipe and run.
 
-    Module-level (not a closure) so it imports cleanly under the ``spawn``
-    start method.  Returns ``(key, result, wall_s)``: the wall time rides
-    back to the parent, which owns all ledger appends (workers never
-    touch the ledger, so each resolution is recorded exactly once)."""
+    Module-level (not a closure), so a process pool pickles it by name
+    and the worker runs the execution layer it inherited: ``run_many``'s
+    workers reach it through :func:`_run_pending`, and the simulation
+    service submits it directly.  Returns ``(key, result, wall_s)``: the
+    wall time rides back to the parent, which owns all ledger appends
+    (workers never touch the ledger, so each resolution is recorded
+    exactly once)."""
     key, recipe = item
     t0 = time.perf_counter()  # repro-lint: ignore[determinism]
     result = recipe.execute()
@@ -512,6 +485,32 @@ def _run_pending(index: int) -> "tuple[str, SimResult, float]":
     return _execute_recipe(_PENDING[index])
 
 
+def process_pool(workers: int, initializer=None, initargs: tuple = ()):
+    """A ``concurrent.futures`` process pool of ``workers`` processes,
+    started by the ``REPRO_MP_START`` method (default ``fork`` where
+    available, else ``spawn``).  The one pool builder: :func:`run_many`
+    builds a pool per call, the simulation service one per server."""
+    # Imported here: it loads logging, whose memory a process that
+    # never fans out (a streamed run, a warm sweep) need not pay for.
+    import concurrent.futures
+
+    available = multiprocessing.get_all_start_methods()
+    method = os.environ.get("REPRO_MP_START")
+    if not method:
+        method = "fork" if "fork" in available else "spawn"
+    elif method not in available:
+        raise ValueError(
+            f"REPRO_MP_START={method!r} not available; "
+            f"choose from {available}"
+        )
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=initializer,
+        initargs=initargs,
+    )
+
+
 def _fan_out(
     items: "list[tuple[str, RunRecipe]]",
     n_jobs: int,
@@ -522,17 +521,10 @@ def _fan_out(
     failing recipe, or ``BrokenProcessPool`` when a worker dies), tasks
     not yet started are cancelled, running ones finish and are passed
     on too, and the error is re-raised."""
-    # Imported here: it loads logging, whose memory a process that
-    # never fans out (a streamed run, a warm sweep) need not pay for.
     import concurrent.futures
 
-    ctx = multiprocessing.get_context(_start_method())
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(n_jobs, len(items)),
-        mp_context=ctx,
-        initializer=_adopt_pending,
-        initargs=(items,),
-    ) as pool:
+    with process_pool(min(n_jobs, len(items)), initializer=_adopt_pending,
+                      initargs=(items,)) as pool:
         futures: "list[concurrent.futures.Future]" = []
         handled = set()
         try:
@@ -552,19 +544,6 @@ def _fan_out(
             raise
 
 
-def _start_method() -> str:
-    wanted = os.environ.get("REPRO_MP_START")
-    available = multiprocessing.get_all_start_methods()
-    if wanted:
-        if wanted not in available:
-            raise ValueError(
-                f"REPRO_MP_START={wanted!r} not available; "
-                f"choose from {available}"
-            )
-        return wanted
-    return "fork" if "fork" in available else "spawn"
-
-
 def resolve_jobs(jobs: Optional[int]) -> int:
     """Normalise a ``jobs`` argument: None/1 -> serial, 0 or negative ->
     one worker per CPU."""
@@ -578,32 +557,27 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def run_many(
     recipes: Sequence[RunRecipe],
     jobs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
     labels: Optional[Sequence[str]] = None,
     heartbeat=None,
 ) -> list[SimResult]:
-    """Run every recipe, in parallel when ``jobs`` allows, and return the
-    results in submission order.
+    """Resolve every recipe and return the results in submission order.
 
-    Duplicate recipes (same key) are simulated once and shared; recipes
-    already present in the memo or disk cache are not re-run.  With
-    ``jobs`` > 1 the misses fan out over a process pool -- the workers are
-    pure functions of their recipe, so the merged output is byte-identical
-    to the serial path.  Each fresh result is stored as it completes; if
-    a recipe fails or a worker dies, the call raises once every completed
-    result is stored.  ``jobs=None`` (or 1) runs serially in-process;
-    ``jobs<=0`` means one worker per CPU.
+    One path for every ``jobs`` value.  Recipes already in the memo or
+    the disk cache resolve first.  The unique misses then run: in this
+    process when ``jobs`` is None/1 or there is only one, otherwise on a
+    process pool of ``jobs`` workers (``jobs<=0`` means one per CPU).
+    Workers are pure functions of their recipe, so the output is
+    bit-identical whatever ``jobs`` is.  Each fresh result is stored as
+    it completes; if a recipe fails, a worker dies or a store fails, the
+    call raises once every completed result is stored.
 
-    ``progress`` (if given) is called with a short label -- ``labels[i]``
-    when provided, else the recipe's scheme/policy/workload -- as each
-    submitted recipe is resolved.
-
-    ``heartbeat`` (if given) receives one
-    :class:`~repro.sim.telemetry.RunProgress` per resolved recipe with
-    cache-provenance counts, simulated accesses/second and a pessimistic
-    ETA (e.g. a :class:`~repro.sim.telemetry.ProgressPrinter`).  Cache
-    hits heartbeat as they resolve; fresh simulations heartbeat as each
-    completes."""
+    Every recipe is one resolution: one run-ledger record and, when
+    ``heartbeat`` is given, one :class:`~repro.sim.telemetry.RunProgress`
+    (cache-provenance counts, simulated accesses/second, a pessimistic
+    ETA; e.g. a :class:`~repro.sim.telemetry.ProgressPrinter`), labelled
+    ``labels[i]`` or the recipe's scheme/policy/workload.  A duplicate
+    recipe (same key) shares its primary's result and resolves as
+    ``"memo"`` right after it."""
     from repro.sim.telemetry import ProgressTracker
 
     n_jobs = resolve_jobs(jobs)
@@ -611,76 +585,48 @@ def run_many(
         ProgressTracker(len(recipes), n_jobs) if heartbeat is not None
         else None
     )
-
-    def label_of(i: int, recipe: RunRecipe) -> str:
-        if labels is not None:
-            return labels[i]
-        return f"{recipe.scheme}/{recipe.policy}: {recipe.workload.name}"
-
     keys = [r.key() for r in recipes]
-    if n_jobs <= 1:
-        out = []
-        for i, recipe in enumerate(recipes):
-            if progress is not None:
-                progress(label_of(i, recipe))
-            result, source = _fetch_with_source(recipe)
-            if tracker is not None:
-                heartbeat(tracker.advance(label_of(i, recipe), source,
-                                          result, key=keys[i],
-                                          engine=recipe.config.engine))
-            out.append(result)
-        return out
+    out: "list[Optional[SimResult]]" = [None] * len(recipes)
 
-    # Resolve what we can from the caches; collect unique misses.
-    pending: dict[str, RunRecipe] = {}
-    pending_label: dict[str, str] = {}
-    for i, (recipe, key) in enumerate(zip(recipes, keys)):
+    def resolved(i: int, result: SimResult, source: str,
+                 wall_s: float = 0.0) -> None:
+        recipe = recipes[i]
+        out[i] = result
+        record_resolution(recipe, keys[i], result, source, wall_s)
+        if tracker is not None:
+            label = (labels[i] if labels is not None else
+                     f"{recipe.scheme}/{recipe.policy}: "
+                     f"{recipe.workload.name}")
+            heartbeat(tracker.advance(label, source, result, key=keys[i],
+                                      engine=recipe.config.engine))
+
+    # Hits resolve now; each unique miss keeps the indices asking for it.
+    pending: "dict[str, list[int]]" = {}
+    for i, key in enumerate(keys):
         if key in pending:
+            pending[key].append(i)
             continue
         hit = lookup_result(key)
         if hit is not None:
-            cached, source = hit
-            _ledger_append(recipe, key, cached, source, 0.0)
-            if tracker is not None:
-                heartbeat(tracker.advance(label_of(i, recipe), source,
-                                          cached, key=key,
-                                          engine=recipe.config.engine))
-            continue
-        pending[key] = recipe
-        pending_label[key] = label_of(i, recipe)
-    if tracker is not None:
-        # Duplicates of pending misses resolve for free at merge time;
-        # account for them so completed counts reach the total.
-        seen: set = set()
-        for recipe, key in zip(recipes, keys):
-            if key in pending and key in seen:
-                heartbeat(tracker.advance(pending_label[key], "memo", None,
-                                          key=key,
-                                          engine=recipe.config.engine))
-            seen.add(key)
+            resolved(i, *hit)
+        else:
+            pending[key] = [i]
 
     def finished(completed: "tuple[str, SimResult, float]") -> None:
-        # Each result reaches the memo and the disk cache as it arrives,
+        # Each result reaches the disk cache and the memo as it arrives,
         # before its ledger record: a failing recipe loses no finished
         # work, and no "run" record lacks its cache entry.
         key, result, wall_s = completed
         publish_result(key, result)
-        _ledger_append(pending[key], key, result, "run", wall_s)
-        if tracker is not None:
-            heartbeat(tracker.advance(
-                pending_label[key], "run", result, key=key,
-                engine=pending[key].config.engine,
-            ))
+        first, *duplicates = pending[key]
+        resolved(first, result, "run", wall_s)
+        for i in duplicates:
+            resolved(i, result, "memo")
 
-    items = list(pending.items())
-    if len(items) == 1:
-        finished(_execute_recipe(items[0]))
+    items = [(key, recipes[indices[0]]) for key, indices in pending.items()]
+    if n_jobs <= 1 or len(items) == 1:
+        for item in items:
+            finished(_execute_recipe(item))
     elif items:
         _fan_out(items, n_jobs, finished)
-
-    out = []
-    for i, (recipe, key) in enumerate(zip(recipes, keys)):
-        if progress is not None:
-            progress(label_of(i, recipe))
-        out.append(_MEMO[key])
     return out

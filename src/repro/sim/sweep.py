@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.params import SystemConfig
 from repro.sim.engine import SimResult
 from repro.sim.metrics import geomean, mix_speedup
-from repro.sim.parallel import RunRecipe, run_many
+from repro.sim.parallel import RunRecipe, make_recipe, run_many
 from repro.sim.trace import Workload
 
 
@@ -37,21 +37,11 @@ class SweepPoint:
     policy: str = "lru"
 
     def recipe(self, workload: Workload) -> RunRecipe:
-        # Resolve REPRO_AUDIT here, at recipe-construction time in the
-        # submitting process, exactly like make_recipe: audit settings are
-        # part of the cache key and must never be re-read in a worker.
-        from repro.sim.audit import resolve_audit
-
-        config = self.config
-        audit_params = resolve_audit(None, config.audit)
-        if audit_params != config.audit:
-            config = config.replace(audit=audit_params)
-        return RunRecipe(
-            workload=workload,
-            scheme=self.scheme,
-            config=config,
-            policy=self.policy,
-        )
+        # make_recipe resolves REPRO_AUDIT and REPRO_TELEMETRY here, in
+        # the submitting process: instrumentation is part of the cache
+        # key and must never be re-read in a worker.
+        return make_recipe(workload, self.scheme, policy=self.policy,
+                           config=self.config)
 
 
 @dataclass
@@ -85,6 +75,8 @@ def run_sweep(
     whose recipe matches the baseline's (by content, not by object or
     label identity) reuses the baseline runs instead of re-simulating.
     ``jobs`` fans the whole grid out over worker processes.
+    ``progress`` (if given) is called with each point's label as its
+    run resolves.
     """
     if not points:
         raise ValueError("sweep needs at least one point")
@@ -101,7 +93,10 @@ def run_sweep(
         for wl in workloads:
             recipes.append(point.recipe(wl))
             labels.append(f"{point.label}: {wl.name}")
-    results = run_many(recipes, jobs=jobs, progress=progress, labels=labels)
+    heartbeat = (None if progress is None
+                 else lambda beat: progress(beat.label))
+    results = run_many(recipes, jobs=jobs, labels=labels,
+                       heartbeat=heartbeat)
 
     n = len(workloads)
     base_runs = results[:n]

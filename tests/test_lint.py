@@ -954,6 +954,39 @@ class TestForkSafety:
         }, rules=["fork-safety"])
         assert any("parent-process-only" in f.message for f in findings)
 
+    def test_worker_recording_a_resolution_fires(self, tmp_path):
+        """``record_resolution`` appends to the ledger, so a pool task
+        that calls it is reported like one calling ``append_record``."""
+        findings = lint_tree(tmp_path, {
+            "service/worker.py": (
+                "from repro.sim.parallel import record_resolution\n"
+                "def work(item):\n"
+                "    record_resolution(*item)\n"
+                "    return item\n"
+                "def run(executor, item):\n"
+                "    return executor.submit(work, item)\n"
+            ),
+        }, rules=["fork-safety"])
+        assert [f.line for f in findings] == [3]
+        assert "record_resolution()" in findings[0].message
+        assert "parent-process-only" in findings[0].message
+
+    def test_pool_builder_initializer_is_a_dispatch_site(self, tmp_path):
+        """``parallel.process_pool(initializer=f)`` runs ``f`` in every
+        worker, like the executor it builds."""
+        findings = lint_tree(tmp_path, {
+            "service/worker.py": (
+                "from repro.sim import parallel\n"
+                "def probe(path):\n"
+                "    return open(path).read()\n"
+                "def run(path):\n"
+                "    return parallel.process_pool(\n"
+                "        2, initializer=probe, initargs=(path,))\n"
+            ),
+        }, rules=["fork-safety"])
+        assert [f.line for f in findings] == [3]
+        assert "process_pool(initializer=)" in findings[0].message
+
     def test_ledger_two_writes_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "obs/ledger.py": (

@@ -270,6 +270,37 @@ class TestLedgerAppends:
         # One "run" record per stored result, and none without one.
         assert sorted(runs) == sorted(stored)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_many_stores_nothing_when_the_disk_is_full(
+        self, obs_cache, monkeypatch, jobs
+    ):
+        """A cache write that fails (ENOSPC) fails the call with that
+        error and leaves the result in neither the disk cache nor the
+        memo, and the ledger without a "run" record.  A retry once the
+        disk has room runs the recipe fresh."""
+        import errno
+
+        from repro.sim import parallel
+        from repro.sim.parallel import lookup_result, store_result
+
+        def full_disk(key, result):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        cfg = tiny_config()
+        recipes = [
+            RunRecipe(make_workload(k), "inclusive", cfg)
+            for k in range(jobs)
+        ]
+        monkeypatch.setattr(parallel, "store_result", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            run_many(recipes, jobs=jobs)
+        assert all(lookup_result(r.key()) is None for r in recipes)
+        assert [r for r in read_ledger() if r.source == "run"] == []
+        monkeypatch.setattr(parallel, "store_result", store_result)
+        run_many(recipes, jobs=jobs)
+        assert sorted((r.recipe_key, r.source) for r in read_ledger()) == \
+            sorted((r.key(), "run") for r in recipes)
+
     def test_repro_ledger_off_suppresses_appends(self, obs_cache,
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "off")

@@ -9,6 +9,7 @@ import pytest
 
 from tests.conftest import tiny_config
 
+from repro.obs.ledger import read_ledger
 from repro.sim.engine import Simulation, SimResult
 from repro.sim.parallel import (
     RunRecipe,
@@ -18,6 +19,7 @@ from repro.sim.parallel import (
     clear_memo,
     clear_result_cache,
     fetch_or_run,
+    lookup_result,
     make_recipe,
     run_many,
 )
@@ -90,12 +92,33 @@ class TestDeterminism:
             assert result.scheme == recipe.scheme
             assert result.policy == recipe.policy
 
-    def test_duplicate_recipes_share_one_result(self):
-        wl = small_workloads(1)[0]
-        r = RunRecipe(workload=wl, scheme="inclusive", config=tiny_config())
-        clear_memo()
-        a, b = run_many([r, r], jobs=2)
-        assert a is b
+    def test_duplicate_recipes_share_one_result(self, monkeypatch,
+                                                 tmp_path):
+        """A duplicate shares its primary's result and resolves as
+        "memo" right after it, whatever ``jobs`` is: one ledger record
+        and one heartbeat per submitted recipe."""
+        wl_a, wl_b = small_workloads(2)
+        a = RunRecipe(workload=wl_a, scheme="inclusive", config=tiny_config())
+        b = RunRecipe(workload=wl_b, scheme="inclusive", config=tiny_config())
+        want = {a.key(): ["run", "memo"], b.key(): ["run"]}
+
+        def by_key(pairs):
+            out = {}
+            for key, source in pairs:
+                out.setdefault(key, []).append(source)
+            return out
+
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / str(jobs)))
+            clear_memo()
+            beats = []
+            first, again, other = run_many([a, a, b], jobs=jobs,
+                                            heartbeat=beats.append)
+            assert first is again and other is not first
+            assert by_key((r.recipe_key, r.source)
+                          for r in read_ledger()) == want, jobs
+            assert by_key((p.key, p.source) for p in beats) == want, jobs
+            assert beats[-1].completed == beats[-1].total == 3
 
 
 class UnpicklableTrace(CoreTrace):
@@ -219,17 +242,26 @@ class TestDiskCache:
         assert cache_info()["entries"] == 0
 
     def test_corrupt_entry_is_dropped(self, monkeypatch, tmp_path):
+        """An unreadable entry -- garbage, or a real result pickle cut
+        short -- is a miss: the recipe runs fresh and its result
+        replaces the entry."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         wl = small_workloads(1)[0]
         recipe = RunRecipe(workload=wl, scheme="inclusive",
                            config=tiny_config())
         clear_memo()
-        fetch_or_run(recipe)
+        first = fetch_or_run(recipe)
         [entry] = cache_dir().glob("*.pkl")
-        entry.write_bytes(b"not a pickle")
-        clear_memo()
-        result = fetch_or_run(recipe)  # falls back to a fresh run
-        assert result.stats.llc_misses >= 0
+        whole = entry.read_bytes()
+        for corrupt in (b"not a pickle", whole[:len(whole) // 2]):
+            entry.write_bytes(corrupt)
+            clear_memo()
+            result = fetch_or_run(recipe)  # falls back to a fresh run
+            assert summarise(result) == summarise(first)
+            clear_memo()
+            stored, source = lookup_result(recipe.key())
+            assert source == "disk"
+            assert summarise(stored) == summarise(first)
 
     def test_clear_result_cache(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

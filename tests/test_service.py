@@ -9,9 +9,11 @@ real JSON, nothing mocked but the clock-free workloads."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -35,7 +37,7 @@ from repro.params import (
     LLCGeometry,
     SystemConfig,
 )
-from repro.sim.parallel import RunRecipe
+from repro.sim.parallel import RunRecipe, _execute_recipe
 from repro.workloads import homogeneous_mix
 
 _UNIQUE = itertools.count()
@@ -349,24 +351,15 @@ def test_manager_replaces_a_broken_process_pool(monkeypatch):
     """A worker killed mid-job (an OOM kill) breaks a process pool for
     good.  The job fails with that error, and the next fresh submission
     runs on a new pool instead of failing until restart."""
-    import os
-    import signal
-
     from repro.service.jobs import JobManager
     from repro.sim import parallel
 
     victim = make_recipe()
-    doomed = victim.key()
-    real = parallel._execute_recipe
-
-    def die_on_victim(item):
-        if item[0] == doomed:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(item)
-
-    # Forked workers inherit the patched execution layer.
+    # Forked workers inherit the patched execution layer; the manager
+    # pickles it by name, so it must live at module level.
     monkeypatch.setenv("REPRO_MP_START", "fork")
-    monkeypatch.setattr(parallel, "_execute_recipe", die_on_victim)
+    monkeypatch.setattr(parallel, "_execute_recipe",
+                        functools.partial(_die_on_key, victim.key()))
     manager = JobManager(workers=1, mode="process")
     try:
         failed = manager.wait(manager.submit(victim)["id"], timeout=60)
@@ -377,6 +370,67 @@ def test_manager_replaces_a_broken_process_pool(monkeypatch):
         assert after["source"] == "run"
     finally:
         manager.close()
+
+
+def test_manager_fails_cleanly_when_the_store_fails(monkeypatch):
+    """A full disk: the result cannot be stored, so the primary and its
+    coalesced waiter both fail with the write error, the key is freed
+    and /metrics counts both failures.  Nothing serves the unstored
+    result: once the disk has room, a resubmission runs fresh, and the
+    ledger holds no record for the key ahead of that run."""
+    import errno
+
+    from repro.obs.ledger import read_ledger
+    from repro.obs.registry import MetricsRegistry, parse_prometheus
+    from repro.service.jobs import JobManager
+    from repro.sim import parallel
+
+    gate = threading.Event()
+
+    def gated(item):
+        assert gate.wait(timeout=30)
+        return _execute_recipe(item)
+
+    def full_disk(key, result):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(parallel, "_execute_recipe", gated)
+    monkeypatch.setattr(parallel, "store_result", full_disk)
+    recipe = make_recipe()
+    manager = JobManager(workers=1, mode="thread")
+    try:
+        primary = manager.submit(recipe)
+        waiter = manager.submit(recipe)
+        assert waiter["coalesced_into"] == primary["id"]
+        gate.set()
+        finals = [manager.wait(v["id"], timeout=10)
+                  for v in (primary, waiter)]
+        assert [v["state"] for v in finals] == ["failed", "failed"]
+        assert all("OSError" in v["error"] and "No space left" in v["error"]
+                   for v in finals)
+        with manager._lock:
+            assert manager._inflight == {}
+        registry = MetricsRegistry()
+        manager.fill_registry(registry)
+        metrics = parse_prometheus(registry.to_prometheus())
+        assert metrics[("repro_service_jobs_total",
+                        (("outcome", "failed"),))] == 2
+        assert parallel.lookup_result(recipe.key()) is None
+        monkeypatch.undo()
+        again = manager.wait(manager.submit(recipe)["id"], timeout=30)
+        assert (again["state"], again["source"]) == ("done", "run")
+        assert [r.source for r in read_ledger()
+                if r.recipe_key == recipe.key()] == ["run"]
+    finally:
+        gate.set()
+        manager.close()
+
+
+def _die_on_key(doomed: str, item):
+    """Execution layer that SIGKILLs the worker drawing ``doomed``."""
+    if item[0] == doomed:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _execute_recipe(item)
 
 
 def test_server_concurrent_close_is_race_free():
