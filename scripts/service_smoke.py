@@ -22,7 +22,11 @@ the client, end to end:
   submitted; the ledger grew by exactly the expected record count;
 * SIGKILLing the pool workers while a long job runs fails that job with
   ``BrokenProcessPool``, and the next submission runs fresh on a new
-  pool.
+  pool;
+* twenty hit jobs over one raw keep-alive connection take a median
+  under 20 ms each (no response waits out a delayed ACK), and a POST
+  whose body the server never reads (a 404) leaves the connection
+  usable for the next request.
 
 Exit 0 on success; any assertion failure is a non-zero exit.
 
@@ -33,11 +37,15 @@ Usage::
 
 from __future__ import annotations
 
+import http.client
+import json
 import multiprocessing
 import os
 import signal
+import statistics
 import sys
 import threading
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -72,6 +80,9 @@ from repro.workloads import (  # noqa: E402
 SPECS = (("profile", homogeneous_mix, "gcc.1"),
          ("mt", multithreaded_workload, "vips"))
 
+#: Hit jobs of the keep-alive phase.
+KEEP_ALIVE_HITS = 20
+
 
 def small_config(engine: str = "object") -> SystemConfig:
     return SystemConfig(
@@ -93,6 +104,41 @@ def small_workload(k: int = 0, length: int = 600) -> Workload:
         for c in range(2)
     ]
     return Workload(traces, f"svc-smoke-wl{k}")
+
+
+def keep_alive_phase(server, body: dict) -> None:
+    """Submit a stored recipe and fetch its payload KEEP_ALIVE_HITS
+    times over one raw ``http.client`` connection, then send a POST to
+    an unknown path and a GET on the same connection."""
+    data = json.dumps(body).encode()
+    headers = {"Content-Type": "application/json"}
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+
+    def call(method: str, path: str, status: int) -> bytes:
+        conn.request(method, path, body=data if method == "POST" else None,
+                     headers=headers)
+        response = conn.getresponse()
+        raw = response.read()
+        assert response.status == status, (method, path, raw[:300])
+        return raw
+
+    try:
+        latencies = []
+        for _ in range(KEEP_ALIVE_HITS):
+            t0 = time.perf_counter()
+            view = json.loads(call("POST", "/v1/jobs", 202))["job"]
+            assert view["state"] == "done", view
+            call("GET", f"/v1/jobs/{view['id']}/result", 200)
+            latencies.append(time.perf_counter() - t0)
+            if len(latencies) == 1:
+                sock = conn.sock
+        assert conn.sock is sock, "the hits took more than one connection"
+        call("POST", "/v1/nope", 404)
+        assert json.loads(call("GET", "/healthz", 200))["ok"] is True
+    finally:
+        conn.close()
+    median_ms = statistics.median(latencies) * 1e3
+    assert median_ms < 20.0, f"keep-alive hit median {median_ms:.1f} ms"
 
 
 def main() -> int:
@@ -141,10 +187,10 @@ def main() -> int:
         outcomes: list = [None] * 3
 
         def racer(i: int) -> None:
-            c = ServiceClient(server.url, timeout=180.0)
-            final = c.wait(c.submit(race_dict)["id"], timeout=180.0)
-            outcomes[i] = (final["source"],
-                           c.result_bytes(final["id"]))
+            with ServiceClient(server.url, timeout=180.0) as c:
+                final = c.wait(c.submit(race_dict)["id"], timeout=180.0)
+                outcomes[i] = (final["source"],
+                               c.result_bytes(final["id"]))
 
         threads = [threading.Thread(target=racer, args=(i,))
                    for i in range(3)]
@@ -249,14 +295,22 @@ def main() -> int:
         grown = len(read_ledger()) - start
         expected += 1
         assert grown == expected, (grown, expected)
+
+        # -- keep-alive: one connection, no delayed-ACK stall -----------
+        keep_alive_phase(server, d0)
+        grown = len(read_ledger()) - start
+        expected += KEEP_ALIVE_HITS
+        assert grown == expected, (grown, expected)
     finally:
+        client.close()
         server.close()
 
     print(
         f"service smoke: {expected} resolution(s) over HTTP at "
         f"{server.url}, ledger {ledger_path()} grew by {grown}, "
         f"one execution per key, both engines agree, specs match "
-        f"local runs, a killed pool fails one job"
+        f"local runs, a killed pool fails one job, keep-alive hits "
+        f"do not stall"
     )
     return 0
 

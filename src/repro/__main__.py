@@ -287,7 +287,6 @@ def _cmd_submit(args) -> int:
 
     from repro.service import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url, timeout=args.timeout)
     if args.recipe:
         with open(args.recipe, "r", encoding="utf-8") as fh:
             body = json.load(fh)
@@ -311,37 +310,38 @@ def _cmd_submit(args) -> int:
             "scheduling": args.scheduling,
             "config": config_to_dict(config),
         }
-    try:
-        view = client.submit(body)
-        print(f"job {view['id']} ({view['state']}): "
-              f"{view['scheme']}/{view['policy']} on {view['workload']} "
-              f"[{view['engine']}]")
-        if args.no_wait:
-            return 0
-        view = client.wait(view["id"], timeout=args.timeout)
-        if view["state"] == "failed":
-            print(f"job {view['id']} failed: {view['error']}",
-                  file=sys.stderr)
+    with ServiceClient(args.url, timeout=args.timeout) as client:
+        try:
+            view = client.submit(body)
+            print(f"job {view['id']} ({view['state']}): "
+                  f"{view['scheme']}/{view['policy']} on {view['workload']} "
+                  f"[{view['engine']}]")
+            if args.no_wait:
+                return 0
+            view = client.wait(view["id"], timeout=args.timeout)
+            if view["state"] == "failed":
+                print(f"job {view['id']} failed: {view['error']}",
+                      file=sys.stderr)
+                return 1
+            payload = client.result(view["id"])
+            print(f"job {view['id']} done (source={view['source']}, "
+                  f"wall={view['wall_s']:.3f}s)")
+            print(f"  cycles: {payload['cycles']}")
+            print(f"  accesses: {payload['summary']['accesses']}")
+            ipc = ", ".join(f"{v:.4f}" for v in payload["ipc_per_core"])
+            print(f"  ipc/core: {ipc}")
+        except ServiceError as exc:
+            print(f"service error: {exc}", file=sys.stderr)
             return 1
-        payload = client.result(view["id"])
-        print(f"job {view['id']} done (source={view['source']}, "
-              f"wall={view['wall_s']:.3f}s)")
-        print(f"  cycles: {payload['cycles']}")
-        print(f"  accesses: {payload['summary']['accesses']}")
-        ipc = ", ".join(f"{v:.4f}" for v in payload["ipc_per_core"])
-        print(f"  ipc/core: {ipc}")
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 
 def _cmd_jobs(args) -> int:
     from repro.service import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url, timeout=args.timeout)
     try:
-        views = client.jobs()
+        with ServiceClient(args.url, timeout=args.timeout) as client:
+            views = client.jobs()
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)
         return 1

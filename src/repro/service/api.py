@@ -25,8 +25,10 @@ def _sanitize(value: Any) -> Any:
 
     Dict keys are stringified (JSON objects only key on strings; int
     keys in e.g. histogram extras must not round-trip ambiguously),
-    tuples become lists, and anything non-native falls back to
-    ``repr`` -- never silently dropped."""
+    tuples become lists, a dataclass instance becomes the dict of its
+    fields (walked in place, not copied by ``dataclasses.asdict``),
+    and anything non-native falls back to ``repr`` -- never silently
+    dropped."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, dict):
@@ -34,7 +36,8 @@ def _sanitize(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _sanitize(dataclasses.asdict(value))
+        return {f.name: _sanitize(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return repr(value)
 
 
@@ -46,7 +49,7 @@ def result_to_dict(result: Any) -> dict:
     included); the optional instrumentation attachments collapse to
     their summaries -- the service serves *results*, not transcripts,
     and the full telemetry/audit objects stay in the result cache."""
-    stats = _sanitize(dataclasses.asdict(result.stats))
+    stats = _sanitize(result.stats)
     audit = None
     if result.audit is not None:
         audit = {

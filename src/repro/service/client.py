@@ -1,4 +1,4 @@
-"""HTTP client for the simulation service (stdlib ``urllib`` only).
+"""HTTP client for the simulation service (stdlib ``http.client`` only).
 
 :class:`ServiceClient` speaks the JSON protocol of
 :mod:`repro.service.server` -- submit recipes (as dicts or
@@ -9,6 +9,11 @@ Every non-2xx response raises :class:`ServiceError` carrying the
 server's structured error body, including the offending submission
 ``field`` for recipe rejections.
 
+Each thread that uses a client holds one persistent HTTP/1.1
+connection, opened on its first request; a forked child opens its
+own.  ``close()``, or leaving a ``with`` block, closes them all.  The
+client connects directly: unlike ``urllib``, it ignores ``http_proxy``.
+
 ``run_recipes`` is the remote-sweep helper: submit a whole recipe grid
 (the server deduplicates and coalesces), then collect payloads in
 submission order -- the client-side analogue of
@@ -17,12 +22,21 @@ submission order -- the client-side analogue of
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import os
+import threading
+import weakref
 from typing import Any, Iterable, Optional
+from urllib.parse import urlsplit
 
 from repro.config_io import recipe_to_dict
+
+#: How a kept-alive connection fails when the server closed it while it
+#: sat idle (a restart, a dropped connection): sending the request, or
+#: reading the status line back, finds the socket gone.
+_STALE = (http.client.RemoteDisconnected, BrokenPipeError,
+          ConnectionResetError)
 
 
 class ServiceError(Exception):
@@ -46,14 +60,55 @@ class ServiceError(Exception):
         return f"[{self.status} {self.type}] {base}"
 
 
+class _Slot:
+    """One thread's connection, tagged with the process that opened
+    it.  Dropped with its thread's local storage (the thread ended, or
+    the client went away), it closes the connection."""
+
+    def __init__(self, conn: http.client.HTTPConnection) -> None:
+        self.pid = os.getpid()
+        self.conn = conn
+
+    def __del__(self) -> None:
+        self.conn.close()
+
+
 class ServiceClient:
-    """A connection-per-request client bound to one service base URL."""
+    """A client bound to one service base URL, holding one persistent
+    connection per thread.  ``close()`` (or leaving a ``with`` block)
+    closes every connection it opened; a later request reopens one."""
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(
+                f"service URL must be http(s)://host[:port]: {base_url!r}"
+            )
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._prefix = url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        # Weak: a finished thread's connection goes with its slot.
+        self._opened: "weakref.WeakSet[Any]" = weakref.WeakSet()  # repro-lint: guarded-by[_lock]
 
     # -- transport ---------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, created on first use.  A forked
+        child must not share its parent's socket, so it makes its own."""
+        slot = getattr(self._local, "slot", None)
+        if slot is None or slot.pid != os.getpid():
+            slot = self._local.slot = _Slot(self._connection_class(
+                self._netloc, timeout=self.timeout))
+            with self._lock:
+                self._opened.add(slot.conn)
+        return slot.conn
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> bytes:
@@ -62,26 +117,58 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
+        conn = self._connection()
+        # A socket left open by an earlier request.
+        reused = conn.sock is not None
+
+        def exchange() -> http.client.HTTPResponse:
+            conn.request(method, self._prefix + path, body=data,
+                         headers=headers)
+            return conn.getresponse()
+
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read()
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
             try:
-                detail = json.loads(raw)["error"]
-            except (ValueError, KeyError, TypeError):
-                raise ServiceError(
-                    exc.code, "HTTPError", raw.decode(errors="replace")
-                ) from exc
+                response = exchange()
+            except _STALE:
+                if not reused:
+                    raise
+                # Once more on a new connection.  A repeated POST is
+                # safe: the server dedups by content key, so it adds at
+                # most a memo or coalesced job, never a second run.
+                conn.close()
+                response = exchange()
+            raw = response.read()
+        except BaseException:
+            # Whatever the failure, the connection's state is unknown.
+            conn.close()
+            raise
+        if 200 <= response.status < 300:
+            return raw
+        try:
+            detail = json.loads(raw)["error"]
+        except (ValueError, KeyError, TypeError):
             raise ServiceError(
-                exc.code,
-                detail.get("type", "Error"),
-                detail.get("message", ""),
-                detail.get("field", ""),
-            ) from exc
+                response.status, "HTTPError", raw.decode(errors="replace")
+            ) from None
+        raise ServiceError(
+            response.status,
+            detail.get("type", "Error"),
+            detail.get("message", ""),
+            detail.get("field", ""),
+        )
+
+    def close(self) -> None:
+        """Close every connection this client holds, in every thread."""
+        with self._lock:
+            opened = list(self._opened)
+        for conn in opened:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _get_json(self, path: str) -> Any:
         return json.loads(self._request("GET", path))

@@ -25,7 +25,9 @@ cache-resolved submissions -- so N concurrent clients submitting one
 recipe leave one fresh record and N-1 cache-hit records, and the
 ledger *proves* the single execution.  A job whose result cannot be
 stored (a full disk) fails with its coalesced waiters and leaves no
-record, so no ``run`` record ever lacks its cache entry.
+record, so no ``run`` record ever lacks its cache entry.  A record the
+ledger cannot take fails nothing: the result is stored and served,
+and ``/metrics`` counts the miss.
 
 Subscribers observe the job stream through a monotonically numbered
 event log (:meth:`JobManager.events_since`); terminal events carry a
@@ -144,6 +146,7 @@ class JobManager:
         self._job_ids = itertools.count(1)  # repro-lint: guarded-by[_lock]
         self._tally = _Tally()  # repro-lint: guarded-by[_lock]
         self._outcomes = {name: 0 for name in OUTCOMES}  # repro-lint: guarded-by[_lock]
+        self._ledger_failures = 0  # repro-lint: guarded-by[_lock]
         self._last_progress: Optional[dict] = None  # repro-lint: guarded-by[_lock]
         self._executor: Optional[concurrent.futures.Executor] = None  # repro-lint: guarded-by[_lock]
         self._closed = False  # repro-lint: guarded-by[_lock]
@@ -284,8 +287,9 @@ class JobManager:
         job.finished_ts = time.time()  # repro-lint: ignore[determinism]
         job.wall_s = wall_s
         job.accesses = result.stats.total_accesses
-        parallel.record_resolution(job.recipe, job.key, result, source,
-                                   wall_s)
+        if not parallel.record_resolution(job.recipe, job.key, result,
+                                          source, wall_s):
+            self._ledger_failures += 1
         t = self._tally
         t.completed += 1
         t.accesses += job.accesses
@@ -407,12 +411,19 @@ class JobManager:
                        "keys currently executing on the worker pool")
         registry.gauge("repro_service_workers",
                        "configured worker-pool width")
+        registry.counter(
+            "repro_service_ledger_append_failures_total",
+            "resolutions whose run-ledger record could not be written "
+            "(the job still completes)",
+        )
         with self._lock:
             for outcome in OUTCOMES:
                 registry.inc(
                     "repro_service_jobs_total", {"outcome": outcome},
                     self._outcomes[outcome],
                 )
+            registry.inc("repro_service_ledger_append_failures_total",
+                         None, self._ledger_failures)
             registry.set("repro_service_jobs_inflight", None,
                          len(self._inflight))
             registry.set("repro_service_workers", None, self.workers)

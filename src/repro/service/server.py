@@ -21,6 +21,11 @@ lives in ``docs/SERVICE.md``:
                                       aggregation + service counters)
 ====================================  =====================================
 
+Connections are HTTP/1.1 keep-alive, with ``TCP_NODELAY`` on every
+accepted socket.  The server closes a connection after a response that
+left request-body bytes unread, after a Server-Sent Events stream, and
+at shutdown.
+
 Error contract: every non-2xx response is structured JSON --
 ``{"error": {"type", "message", "field"}}`` -- where ``field`` names
 the offending submission key (``"config.engine"``) when one is
@@ -32,6 +37,7 @@ structured body.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
@@ -61,6 +67,13 @@ class _RequestError(Exception):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket.  A response leaves as two
+    # writes, headers then body; under Nagle's algorithm the body waits
+    # for the ACK of the headers, which a keep-alive peer delays by up
+    # to 40 ms.
+    disable_nagle_algorithm = True
+    # Whether the current request's body is still on the socket.
+    _body_unread = False
 
     # The ThreadingHTTPServer subclass carries the manager.
     @property
@@ -78,6 +91,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._body_unread:
+            # The unread bytes would parse as the next request on this
+            # connection, so it ends with this response.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -120,6 +137,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _RequestError(400, "BadRequest",
                                 "request needs a JSON body")
         raw = self.rfile.read(length)
+        self._body_unread = False
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -136,6 +154,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, method: str) -> None:
+        # Set for any announced body: one whose length is malformed or
+        # chunked is never read, and neither is one sent to an endpoint
+        # that takes none.
+        self._body_unread = (
+            "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "0") != "0"
+        )
         path = urlsplit(self.path).path.rstrip("/") or "/"
         try:
             handler = self._route(method, path)
@@ -302,6 +327,44 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The listener: one daemon thread per connection.  It keeps the
+    open connections so that closing it also drops idle keep-alive
+    ones, whose threads would otherwise go on answering from a closed
+    job manager."""
+
+    def __init__(self, address: "tuple[str, int]", manager: JobManager,
+                 verbose: bool) -> None:
+        super().__init__(address, _Handler)
+        self.manager = manager
+        self.verbose = verbose
+        self.stopping = False
+        self._conns_lock = threading.Lock()
+        self._conns: "set[socket.socket]" = set()  # repro-lint: guarded-by[_conns_lock]
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._conns_lock:
+            self._conns.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._conns_lock:
+            self._conns.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            try:
+                # Wakes a thread blocked reading the next request; it
+                # sees end-of-stream and closes the socket.
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # closed meanwhile
+                pass
+
+
 class ServiceServer:
     """One simulation-service instance: HTTP front, job manager back.
 
@@ -314,11 +377,7 @@ class ServiceServer:
                  workers: Optional[int] = None, mode: str = "process",
                  verbose: bool = False) -> None:
         self.manager = JobManager(workers=workers, mode=mode)
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.manager = self.manager  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.stopping = False  # type: ignore[attr-defined]
+        self._httpd = _HTTPServer((host, port), self.manager, verbose)
         # Lifecycle state.  Without the lock, two concurrent close()
         # calls both pass the check-then-act on _closed and server_close
         # runs twice on one socket (found by `repro lint` bring-up,
@@ -366,7 +425,7 @@ class ServiceServer:
         # Exactly one caller reaches this point; the teardown itself
         # runs unlocked so a concurrent (idempotent) close() never
         # blocks behind shutdown().
-        self._httpd.stopping = True  # type: ignore[attr-defined]
+        self._httpd.stopping = True
         self._httpd.shutdown()
         self._httpd.server_close()
         if thread is not None:

@@ -412,14 +412,16 @@ def record_resolution(
     result: SimResult,
     source: str,
     wall_s: float,
-) -> None:
+) -> bool:
     """Append the run-ledger provenance record for one resolved
     submission: ``"run"`` for a fresh execution, ``"memo"``/``"disk"``
     for a deduplicated or cache-resolved one.  Best-effort (the ledger
-    must never fail a run), and only ever called in the parent process:
-    pool workers return their wall time instead, so each resolution is
-    recorded exactly once.  :func:`run_many` and the simulation service
-    both record through this call."""
+    must never fail a run): returns False when the ledger is on but
+    did not get the record (a full disk), True otherwise.  Only ever
+    called in the parent process: pool workers return their wall time
+    instead, so each resolution is recorded exactly once.
+    :func:`run_many` and the simulation service both record through
+    this call; the service counts the misses."""
     try:
         from repro.obs.ledger import (
             append_record,
@@ -428,8 +430,8 @@ def record_resolution(
         )
 
         if not ledger_enabled():
-            return
-        append_record(record_from_result(
+            return True
+        return append_record(record_from_result(
             recipe_key=key,
             result=result,
             source=source,
@@ -441,7 +443,7 @@ def record_resolution(
             resumed_from="",
         ))
     except Exception:
-        pass
+        return False
 
 
 def _execute_recipe(

@@ -9,14 +9,18 @@ real JSON, nothing mocked but the clock-free workloads."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import http.client
 import itertools
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +128,41 @@ def test_belady_policy_coerces_to_lockstep():
     d = recipe_to_dict(make_recipe())
     d["policy"] = "belady"
     assert recipe_from_dict(d).scheduling == "lockstep"
+
+
+# ---------------------------------------------------------------------------
+# result payloads
+
+
+def _asdict_sanitize(value):
+    """The reference projection: a dataclass is copied by
+    ``dataclasses.asdict`` and the copy is sanitized."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _asdict_sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_asdict_sanitize(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _asdict_sanitize(dataclasses.asdict(value))
+    return repr(value)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_payload_bytes_equal_the_asdict_reference(engine, monkeypatch):
+    """Sanitizing a dataclass field by field yields the bytes of the
+    ``dataclasses.asdict`` copy, with every attachment present."""
+    from repro.service import api
+    from repro.sim.engine import run_workload
+
+    recipe = make_recipe(scheme="ziv:notinprc")
+    result = run_workload(tiny_config(engine), recipe.workload,
+                          "ziv:notinprc", audit="end", telemetry="40",
+                          profile="on")
+    assert None not in (result.audit, result.telemetry, result.profile)
+    payload = api.result_to_json(result)
+    monkeypatch.setattr(api, "_sanitize", _asdict_sanitize)
+    assert payload == api.result_to_json(result)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +512,8 @@ def service():
 
     server = create_server(port=0, workers=2, mode="thread").start()
     try:
-        yield server, ServiceClient(server.url, timeout=30)
+        with ServiceClient(server.url, timeout=30) as client:
+            yield server, client
     finally:
         server.close()
 
@@ -628,6 +668,50 @@ def test_http_metrics_expose_service_counters(service):
     assert ("repro_ledger_records", ()) in metrics
 
 
+def test_http_failed_ledger_appends_are_counted(service, monkeypatch):
+    """A full disk under the ledger fails no job: a fresh run and a hit
+    both complete and serve their payload, /metrics counts the two
+    missing records, and once the disk has room the next resolution
+    appends as usual."""
+    import errno
+
+    from repro.obs import ledger
+    from repro.obs.registry import parse_prometheus
+
+    class FullDisk:
+        """``os`` as the ledger module sees it, on a full disk."""
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def write(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failures() -> int:
+        return parse_prometheus(client.metrics())[
+            ("repro_service_ledger_append_failures_total", ())]
+
+    def records(key: str) -> "list[str]":
+        return [r.source for r in ledger.read_ledger()
+                if r.recipe_key == key]
+
+    server, client = service
+    d = recipe_to_dict(make_recipe())
+    monkeypatch.setattr(ledger, "os", FullDisk())
+    fresh = client.wait(client.submit(d)["id"], timeout=30)
+    hit = client.submit(d)
+    assert (fresh["state"], fresh["source"]) == ("done", "run")
+    assert hit["state"] == "done" and hit["source"] in ("memo", "disk")
+    assert client.result_bytes(fresh["id"]) == client.result_bytes(hit["id"])
+    assert failures() == 2
+    assert records(fresh["key"]) == []
+    monkeypatch.undo()
+    again = client.submit(d)
+    assert records(fresh["key"]) == [again["source"]]
+    assert failures() == 2
+
+
 def test_http_concurrent_clients_share_one_execution(service):
     """Satellite: N clients race one recipe -> one fresh execution,
     proven by the ledger, with bit-identical result payloads."""
@@ -716,6 +800,135 @@ def test_http_both_engines_resolve(service):
     # The two engines agree on the counters (the differential-oracle
     # contract), so the payloads differ only in profile attribution.
     assert payloads["object"] == payloads["fast"]
+
+
+# ---------------------------------------------------------------------------
+# HTTP transport: persistent connections
+
+
+def _count_accepted(server) -> list:
+    """Record each connection ``server`` accepts from now on."""
+    httpd = server._httpd
+    accepted: list = []
+    real = httpd.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        real(request, client_address)
+
+    httpd.process_request = counting
+    return accepted
+
+
+def test_http_keep_alive_responses_are_not_delayed(service):
+    """Twenty requests on one kept-alive connection.  With Nagle's
+    algorithm on, each response body waited out the client's delayed
+    ACK: about 44 ms a request on Linux."""
+    server, _ = service
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        latencies = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            latencies.append(time.perf_counter() - t0)
+            if len(latencies) == 1:
+                sock = conn.sock
+        assert conn.sock is sock
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.020, latencies
+
+
+@pytest.mark.parametrize("path, length, status, closes", [
+    ("/v1/nope", None, 404, True),       # no endpoint reads the body
+    ("/v1/jobs", "abc", 400, True),      # its length cannot be parsed
+    ("/v1/jobs", None, 400, False),      # read, then rejected
+])
+def test_http_unread_request_body_ends_the_connection(service, path,
+                                                      length, status,
+                                                      closes):
+    """Unread body bytes would parse as the next request (a 400 HTML
+    page), so the server closes the connection after the response; a
+    body that was read leaves it open."""
+    server, _ = service
+    body = json.dumps({"scheme": "inclusive"}).encode()
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length or str(len(body)))
+        conn.endheaders(body)
+        response = conn.getresponse()
+        assert response.status == status
+        assert "error" in json.loads(response.read())
+        assert (response.getheader("Connection") == "close") is closes
+        assert (conn.sock is None) is closes
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["ok"] is True
+    finally:
+        conn.close()
+
+
+def test_client_holds_one_connection_per_thread(service):
+    server, client = service
+    accepted = _count_accepted(server)
+    recipes = [make_recipe(accesses=60) for _ in range(10)]
+    assert len(client.run_recipes(recipes, timeout=60)) == 10
+    assert len(accepted) == 1
+    seen = []
+    other = threading.Thread(target=lambda: seen.append(client.health()))
+    other.start()
+    other.join(timeout=30)
+    assert not other.is_alive() and seen
+    assert len(accepted) == 2
+    assert client.health()["ok"] is True
+    assert len(accepted) == 2
+
+
+def test_client_in_a_forked_child_opens_its_own_connection(service):
+    import multiprocessing
+
+    server, client = service
+    accepted = _count_accepted(server)
+    assert client.health()["ok"] is True
+    child = multiprocessing.get_context("fork").Process(target=client.health)
+    child.start()
+    child.join(timeout=30)
+    assert child.exitcode == 0
+    assert len(accepted) == 2
+    assert client.health()["ok"] is True
+    assert len(accepted) == 2
+
+
+def test_client_reconnects_once_after_the_server_drops_it():
+    """A restart drops the client's idle connection; the next call
+    fails on it and succeeds through one new connection.  With no
+    server left, that one retry fails too and the error propagates."""
+    from repro.service import ServiceClient, create_server
+
+    server = create_server(port=0, workers=1, mode="thread").start()
+    port = server.port
+    with ServiceClient(server.url, timeout=30) as client:
+        try:
+            assert client.health()["ok"] is True
+        finally:
+            server.close()
+        server = create_server(port=port, workers=1, mode="thread").start()
+        try:
+            accepted = _count_accepted(server)
+            assert client._connection().sock is not None
+            assert client.health()["ok"] is True
+            assert len(accepted) == 1
+        finally:
+            server.close()
+        with pytest.raises(ConnectionRefusedError):
+            client.health()
 
 
 # ---------------------------------------------------------------------------
