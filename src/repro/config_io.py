@@ -21,6 +21,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 from typing import Any, get_type_hints
@@ -69,6 +70,22 @@ _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SystemConfig))
 def config_to_dict(config: SystemConfig) -> dict[str, Any]:
     """Nested plain-dict form of a configuration."""
     return dataclasses.asdict(config)
+
+
+def _config_json(config: SystemConfig) -> str:
+    """Canonical JSON text of a configuration (sorted keys): its share of
+    every recipe key and ledger ``config_digest``.
+
+    Serialised once per process per configuration.  The memo is keyed by
+    value *and* by ``repr``, because configurations that compare equal
+    can serialise apart (``1`` against ``1.0``).  Callers get immutable
+    text, never the dict it was made from."""
+    return _config_json_memo(config, repr(config))
+
+
+@functools.lru_cache(maxsize=256)
+def _config_json_memo(config: SystemConfig, _exact: str) -> str:
+    return json.dumps(config_to_dict(config), sort_keys=True)
 
 
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
@@ -207,7 +224,7 @@ def workload_to_dict(workload: Any) -> dict[str, Any]:
                 "name": trace.name,
                 "records": [
                     [r.gap, r.addr, 1 if r.is_write else 0, r.pc]
-                    for r in trace.records
+                    for r in trace
                 ],
             }
             for trace in workload.traces
@@ -235,7 +252,7 @@ def workload_from_dict(data: dict[str, Any]) -> Any:
     :class:`~repro.workloads.SynthRef`, synthesized deterministically
     where the recipe executes, so submissions name profiles without
     shipping records and parsing one synthesizes nothing."""
-    from repro.sim.trace import CoreTrace, TraceRecord, Workload
+    from repro.sim.trace import CoreTrace, Workload
 
     if not isinstance(data, dict):
         raise RecipeError("workload must be a JSON object")
@@ -253,16 +270,15 @@ def workload_from_dict(data: dict[str, Any]) -> Any:
     if kind in ("profile", "mt"):
         from repro.workloads import SynthRef
 
-        try:
-            return SynthRef(
-                kind,
-                data.get("app"),
-                cores=int(data.get("cores", 8)),
-                accesses=int(data.get("accesses", 20000)),
-                seed=int(data.get("seed", 0)),
-            )
-        except (ValueError, TypeError) as exc:
-            raise RecipeError(str(exc), field="app") from exc
+        counts: dict[str, int] = {}
+        for key, default in (("cores", 8), ("accesses", 20000), ("seed", 0)):
+            try:
+                counts[key] = int(data.get(key, default))
+            except (ValueError, TypeError) as exc:
+                raise RecipeError(f"{key} must be an integer ({exc})",
+                                  field=key) from exc
+        # SynthRef names the field it rejects.
+        return SynthRef(kind, data.get("app"), **counts)
     cores = data.get("cores")
     if not isinstance(cores, list) or not cores:
         raise RecipeError(
@@ -276,18 +292,25 @@ def workload_from_dict(data: dict[str, Any]) -> Any:
                 f"core {i} must be an object with a 'records' list",
                 field=f"cores.{i}",
             )
+        gaps: list[int] = []
+        addrs: list[int] = []
+        writes: list[bool] = []
+        pcs: list[int] = []
         try:
-            records = [
-                TraceRecord(int(g), int(a), bool(w), int(pc))
-                for g, a, w, pc in core["records"]
-            ]
+            for g, a, w, pc in core["records"]:
+                gaps.append(int(g))
+                addrs.append(int(a))
+                writes.append(bool(w))
+                pcs.append(int(pc))
         except (ValueError, TypeError) as exc:
             raise RecipeError(
                 f"core {i}: records must be [gap, addr, is_write, pc] "
                 f"quadruples ({exc})",
                 field=f"cores.{i}.records",
             ) from exc
-        traces.append(CoreTrace(records, name=core.get("name", "app")))
+        traces.append(CoreTrace.from_columns(
+            gaps, addrs, writes, pcs, name=core.get("name", "app")
+        ))
     return Workload(traces, name=data.get("name", "mix"))
 
 

@@ -63,10 +63,9 @@ def ledger_path() -> Path:
 def config_digest(config: Any) -> str:
     """Stable content hash of a :class:`~repro.params.SystemConfig`
     (sha256 over the sorted ``config_io`` dict form)."""
-    from repro.config_io import config_to_dict
+    from repro.config_io import _config_json
 
-    preimage = json.dumps(config_to_dict(config), sort_keys=True)
-    return hashlib.sha256(preimage.encode()).hexdigest()
+    return hashlib.sha256(_config_json(config).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -321,12 +321,18 @@ class Simulation:
         """Object-engine segment loop: accesses ``cursor.pos`` up to
         ``stop`` through ``CacheHierarchy.access``, in either scheduling
         mode.  (The fast engine's kernel is the fused twin of this loop:
-        :meth:`~repro.sim.fast.FastHierarchy.run_segment`.)"""
+        :meth:`~repro.sim.fast.FastHierarchy.run_segment`.)  Records come
+        from each core's column window (:func:`_load_window`), refilled
+        where a streamed trace's window ends."""
         h = self.hierarchy
+        traces = cursor.traces
         if cursor.decoded is None:
-            traces = [t.records for t in cursor.traces]
-            cursor.decoded = (traces, [len(t) for t in traces])
-        traces, ends = cursor.decoded
+            n = len(traces)
+            cursor.decoded = ([()] * n, [()] * n, [()] * n, [()] * n,
+                              [0] * n, [0] * n)
+            for _ready, core, idx in cursor.heap:
+                _load_window(cursor.decoded, traces[core], core, idx)
+        gaps_t, addrs_t, writes_t, pcs_t, base_t, end_t = cursor.decoded
         access = h.access
         core_stats = h.stats.cores
         base_cpi = h.config.core.base_cpi
@@ -338,28 +344,49 @@ class Simulation:
         heappop = heapq.heappop
         for pos in range(cursor.pos, stop):
             ready, core, idx = heappop(heap)
-            rec = traces[core][idx]
-            gap = rec.gap
+            i = idx - base_t[core]
+            gap = gaps_t[core][i]
             issue = pos if lockstep else ready + int(gap * base_cpi)
             if telemetry is not None:
                 telemetry.access_index = pos
             done = issue + access(
                 core,
-                rec.addr,
-                rec.is_write,
-                rec.pc,
+                addrs_t[core][i],
+                writes_t[core][i],
+                pcs_t[core][i],
                 cycle=issue,
                 global_pos=pos,
             )
             cs = core_stats[core]
             cs.instructions += gap + 1
             idx += 1
-            if idx < ends[core]:
+            if idx == end_t[core] and idx < len(traces[core]):
+                # a streamed trace's window ran out: read the next one
+                _load_window(cursor.decoded, traces[core], core, idx)
+            if idx < end_t[core]:
                 heappush(heap, (idx if lockstep else done, core, idx))
             else:
                 finish[core] = done
                 cs.cycles = done
         cursor.pos = stop
+
+
+def _load_window(decoded: tuple, trace, core: int, start: int) -> None:
+    """Point ``core``'s slots of the object loop's ``decoded`` columns
+    ``(gaps, addrs, writes, pcs, base, end)`` at the window holding
+    record ``start``: an in-memory trace's whole columns, or the bounded
+    window a streamed trace unpacks at ``start``
+    (:meth:`~repro.sim.tracebin.BinCoreTrace.window`).  ``base`` and
+    ``end`` are the window's first and past-the-last record indices."""
+    gaps_t, addrs_t, writes_t, pcs_t, base_t, end_t = decoded
+    window = getattr(trace, "window", None)
+    if window is None:
+        columns, base = (trace.gaps, trace.addrs, trace.writes, trace.pcs), 0
+    else:
+        columns, base = window(start), start
+    gaps_t[core], addrs_t[core], writes_t[core], pcs_t[core] = columns
+    base_t[core] = base
+    end_t[core] = base + len(columns[1])
 
 
 class _Cursor:

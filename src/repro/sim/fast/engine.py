@@ -1096,25 +1096,21 @@ class FastHierarchy:
         ``start``.  A streamed trace unpacks a bounded window at
         ``start`` straight from its file
         (:meth:`~repro.sim.tracebin.BinCoreTrace.window`); an in-memory
-        trace decodes whole, memoised on the trace keyed by the geometry
-        (traces are immutable after construction)."""
+        trace decodes its columns whole, memoised on the trace keyed by
+        the geometry (traces are immutable after construction)."""
         window = getattr(trace, "window", None)
         if window is not None:
-            gaps, addrs, writes = window(start)
+            gaps, addrs, writes, _pcs = window(start)
             return self._decode(core, gaps, addrs, writes, infos), gaps, start
         memo = getattr(trace, "_fast_cols", None)
         if memo is None:
             memo = trace._fast_cols = {}
-        entry = memo.get((self._decode_key, core))
-        if entry is None:
-            recs = trace.records
-            gaps = [r.gap for r in recs]
-            cols = self._decode(
-                core, gaps, [r.addr for r in recs],
-                [r.is_write for r in recs], infos,
+        cols = memo.get((self._decode_key, core))
+        if cols is None:
+            cols = memo[(self._decode_key, core)] = self._decode(
+                core, trace.gaps, trace.addrs, trace.writes, infos
             )
-            entry = memo[(self._decode_key, core)] = (cols, gaps)
-        return entry[0], entry[1], 0
+        return cols, trace.gaps, 0
 
     def run_segment(self, cursor, stop: int) -> None:
         """Segment kernel: accesses ``cursor.pos`` up to ``stop``, in

@@ -116,10 +116,15 @@ class RunRecipe:
     policy_kwargs: tuple = ()
 
     def describe(self) -> str:
-        """Canonical JSON description -- the hash preimage of :meth:`key`."""
-        from repro.config_io import config_to_dict
+        """Canonical JSON description -- the hash preimage of :meth:`key`.
 
-        return json.dumps(
+        ``json.dumps(..., sort_keys=True)`` of the recipe's fields with
+        the config's dict form under ``"config"``.  That key sorts first,
+        so the config's memoised JSON text opens the object and the
+        rest follows as ``json.dumps`` would write it."""
+        from repro.config_io import _config_json
+
+        rest = json.dumps(
             {
                 "version": CACHE_VERSION,
                 "workload": self.workload.fingerprint(),
@@ -128,10 +133,10 @@ class RunRecipe:
                 "scheduling": self.scheduling,
                 "scheme_kwargs": list(self.scheme_kwargs),
                 "policy_kwargs": list(self.policy_kwargs),
-                "config": config_to_dict(self.config),
             },
             sort_keys=True,
         )
+        return '{"config": ' + _config_json(self.config) + ", " + rest[1:]
 
     def key(self) -> str:
         """Stable content hash identifying this recipe across processes,

@@ -5,6 +5,11 @@ of non-memory instructions since the previous access (the "gap"), the block
 address, a read/write flag, and the PC of the access (consumed by Hawkeye's
 predictor).  Traces stand in for the paper's SimPoint segments of SPEC CPU
 2017 / PARSEC / TPC-E executions.
+
+A :class:`CoreTrace` holds the four fields as parallel columns, from the
+generators (:mod:`repro.workloads`) through the content fingerprint to
+both engines' decode: no hot path builds a :class:`TraceRecord`.  Records
+are built on demand for tools and tests.
 """
 
 from __future__ import annotations
@@ -38,30 +43,105 @@ class TraceRecord:
         )
 
 
-class CoreTrace:
-    """The access stream of one core plus bookkeeping."""
+#: Records hashed per ``update`` call by :func:`hash_columns`: bounds
+#: the transient preimage (about 30 bytes a record) whatever the length.
+HASH_SLICE = 4096
 
-    def __init__(self, records: Sequence[TraceRecord], name: str = "app") -> None:
-        self.records = list(records)
+_PREIMAGE = b"%d,%d,%d,%d;"
+
+
+def hash_columns(h, gaps: Sequence[int], addrs: Sequence[int],
+                 writes: Sequence, pcs: Sequence[int]) -> None:
+    """Feed parallel record columns to the hash ``h`` in the fingerprint
+    preimage: ``b"%d,%d,%d,%d;" % (gap, addr, is_write, pc)`` per record,
+    the write flag as 0 or 1.
+
+    The one owner of that preimage: :meth:`CoreTrace.fingerprint`, the
+    tracebin writer and :meth:`~repro.sim.tracebin.TraceBinReader.verify`
+    all hash through here, so an in-memory trace and its binary file
+    share their fingerprint.  Works :data:`HASH_SLICE` records at a time,
+    one formatting call per slice."""
+    n = len(addrs)
+    for lo in range(0, n, HASH_SLICE):
+        hi = min(lo + HASH_SLICE, n)
+        flat: list = [0] * (4 * (hi - lo))
+        flat[0::4] = gaps[lo:hi]
+        flat[1::4] = addrs[lo:hi]
+        flat[2::4] = writes[lo:hi]
+        flat[3::4] = pcs[lo:hi]
+        h.update(_PREIMAGE * (hi - lo) % tuple(flat))
+
+
+class CoreTrace:
+    """The access stream of one core: four parallel columns.
+
+    ``gaps``, ``addrs``, ``writes`` and ``pcs`` hold one entry per access,
+    in order.  A trace is immutable after construction: the engines
+    memoise per-trace decode work (the fast engine's ``_fast_cols``)
+    on that promise, so never mutate a column in place.
+
+    ``CoreTrace(records, name)`` splits :class:`TraceRecord` objects into
+    columns; :meth:`from_columns` adopts ready-made columns without a
+    record in sight.  ``records``, iteration and indexing build records
+    on demand (for tools and tests); nothing caches them, since every
+    pool worker would keep one list per trace it touched.  A pickle
+    carries the name and the columns only."""
+
+    def __init__(self, records: Iterable[TraceRecord],
+                 name: str = "app") -> None:
+        records = list(records)
         self.name = name
+        self.gaps = [r.gap for r in records]
+        self.addrs = [r.addr for r in records]
+        self.writes = [r.is_write for r in records]
+        self.pcs = [r.pc for r in records]
+
+    @classmethod
+    def from_columns(cls, gaps: list, addrs: list, writes: list,
+                     pcs: list, name: str = "app") -> "CoreTrace":
+        """A trace over the given columns, which it adopts (not copies):
+        the caller must not touch them afterwards."""
+        if not len(gaps) == len(addrs) == len(writes) == len(pcs):
+            raise ValueError(
+                f"trace columns differ in length: gaps {len(gaps)}, addrs "
+                f"{len(addrs)}, writes {len(writes)}, pcs {len(pcs)}"
+            )
+        trace = cls.__new__(cls)
+        trace.name = name
+        trace.gaps = gaps
+        trace.addrs = addrs
+        trace.writes = writes
+        trace.pcs = pcs
+        return trace
+
+    def __getstate__(self) -> dict:
+        # Columns only: engine memos stay in the process that built them.
+        return {"name": self.name, "gaps": self.gaps, "addrs": self.addrs,
+                "writes": self.writes, "pcs": self.pcs}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.addrs)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return map(TraceRecord, self.gaps, self.addrs, self.writes, self.pcs)
 
     def __getitem__(self, i: int) -> TraceRecord:
-        return self.records[i]
+        return TraceRecord(self.gaps[i], self.addrs[i], self.writes[i],
+                           self.pcs[i])
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The records, built afresh on every read."""
+        return list(self)
 
     @property
     def instructions(self) -> int:
         """Total dynamic instructions represented (gaps + the accesses)."""
-        return sum(r.gap + 1 for r in self.records)
+        return sum(self.gaps) + len(self.gaps)
 
     def footprint(self) -> int:
         """Number of distinct blocks touched."""
-        return len({r.addr for r in self.records})
+        return len(set(self.addrs))
 
     def fingerprint(self) -> str:
         """Content hash of the trace (name + every record).
@@ -70,9 +150,7 @@ class CoreTrace:
         persistent result-cache keys in :mod:`repro.sim.parallel`."""
         h = hashlib.sha256()
         h.update(self.name.encode())
-        update = h.update
-        for r in self.records:
-            update(b"%d,%d,%d,%d;" % (r.gap, r.addr, r.is_write, r.pc))
+        hash_columns(h, self.gaps, self.addrs, self.writes, self.pcs)
         return h.hexdigest()
 
 
@@ -118,6 +196,17 @@ class Workload:
         return f"{self.name}[{apps}]"
 
 
+def _round_robin(streams: list) -> Iterator[tuple[int, object]]:
+    """``(core, item)`` pairs of per-core iterables in lock-step order:
+    one item of every unfinished core per step, cores in order."""
+    lengths = [len(s) for s in streams]
+    iters = [iter(s) for s in streams]
+    for i in range(max(lengths)):
+        for core, it in enumerate(iters):
+            if i < lengths[core]:
+                yield core, next(it)
+
+
 def lockstep_stream(workload: Workload) -> list[int]:
     """Canonical global access stream: round-robin by access index.
 
@@ -125,25 +214,18 @@ def lockstep_stream(workload: Workload) -> list[int]:
     (paper footnote 2: MIN consumes the global L1 access stream, which is
     independent of LLC policy for a given schedule).  The engine's
     ``lockstep`` scheduling mode replays accesses in exactly this order.
+    A streamed trace has no address column and gives its addresses in
+    one pass over its records.
     """
-
-    streams = [t.records for t in workload]
-    out: list[int] = []
-    longest = max(len(s) for s in streams)
-    for i in range(longest):
-        for s in streams:
-            if i < len(s):
-                out.append(s[i].addr)
-    return out
+    columns = [
+        t.addrs if isinstance(t, CoreTrace) else [r.addr for r in t]
+        for t in workload
+    ]
+    return [addr for _core, addr in _round_robin(columns)]
 
 
 def interleave_records(
     workload: Workload,
 ) -> Iterator[tuple[int, TraceRecord]]:
     """(core, record) pairs in the canonical lock-step order."""
-    streams = [t.records for t in workload]
-    longest = max(len(s) for s in streams)
-    for i in range(longest):
-        for core, s in enumerate(streams):
-            if i < len(s):
-                yield core, s[i]
+    return _round_robin(list(workload))

@@ -13,12 +13,12 @@ TPC-E/SPEC segments:
   entry (file offset, record count, CRC-32 of the raw bytes) lets
   readers seek to any chunk and detect bit-level corruption locally.
 * **Memory-mapped access** -- :class:`TraceBinReader` maps the file and
-  decodes one chunk at a time; :class:`BinWorkload` wraps it in the
-  :class:`~repro.sim.trace.Workload` interface with a small decoded-chunk
-  cache, so peak resident memory is bounded by the chunk size, not the
-  trace length.  The fast engine skips record objects altogether: it
-  unpacks bounded windows (:data:`WINDOW_RECORDS` per core) straight
-  from the mapping into its decode columns (:meth:`BinCoreTrace.window`).
+  decodes bounded windows; :class:`BinWorkload` wraps it in the
+  :class:`~repro.sim.trace.Workload` interface, so peak resident memory
+  is bounded by the window size, not the trace length.  Both engines
+  skip record objects altogether: they unpack windows of
+  :data:`WINDOW_RECORDS` records per core straight from the mapping into
+  the four trace columns (:meth:`BinCoreTrace.window`).
 * **Streaming content fingerprint** -- the header stores the workload's
   SHA-256 fingerprint computed with *exactly* the same preimage as
   :meth:`Workload.fingerprint`, so a streamed binary trace and the same
@@ -60,7 +60,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from repro.sim.trace import CoreTrace, TraceRecord, Workload
+from repro.sim.trace import CoreTrace, TraceRecord, Workload, hash_columns
 from repro.sim.tracefile import (
     TraceFormatError,
     default_workload_name,
@@ -98,22 +98,6 @@ def _window_struct(n: int) -> struct.Struct:
 # ---------------------------------------------------------------------------
 
 
-class _CoreHasher:
-    """Streaming replica of :meth:`CoreTrace.fingerprint`."""
-
-    __slots__ = ("_h",)
-
-    def __init__(self, name: str) -> None:
-        self._h = sha256()
-        self._h.update(name.encode())
-
-    def update(self, gap: int, addr: int, is_write: int, pc: int) -> None:
-        self._h.update(b"%d,%d,%d,%d;" % (gap, addr, is_write, pc))
-
-    def hexdigest(self) -> str:
-        return self._h.hexdigest()
-
-
 def _workload_fingerprint(name: str, core_digests: Iterable[str]) -> str:
     """Streaming replica of :meth:`Workload.fingerprint`."""
     h = sha256()
@@ -121,6 +105,30 @@ def _workload_fingerprint(name: str, core_digests: Iterable[str]) -> str:
     for digest in core_digests:
         h.update(digest.encode())
     return h.hexdigest()
+
+
+def _column_batches(records, n: int) -> Iterator[tuple]:
+    """``(gaps, addrs, writes, pcs)`` of ``n`` records at a time: slices
+    of a :class:`CoreTrace`'s columns, or columns gathered from any
+    iterable of records."""
+    if isinstance(records, CoreTrace):
+        for lo in range(0, len(records), n):
+            yield (records.gaps[lo:lo + n], records.addrs[lo:lo + n],
+                   records.writes[lo:lo + n], records.pcs[lo:lo + n])
+        return
+    batch: tuple = ([], [], [], [])
+    gaps, addrs, writes, pcs = batch
+    for r in records:
+        gaps.append(r.gap)
+        addrs.append(r.addr)
+        writes.append(r.is_write)
+        pcs.append(r.pc)
+        if len(addrs) == n:
+            yield batch
+            batch = ([], [], [], [])
+            gaps, addrs, writes, pcs = batch
+    if addrs:
+        yield batch
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +140,12 @@ class TraceBinWriter:
     """Streaming writer: cores in order, records per core in order.
 
     Call :meth:`write_core` once per core (dense core ids are implied by
-    call order) with any iterable of records -- a list, a
-    :class:`CoreTrace`, or a lazy generator draining a multi-gigabyte
-    source.  Nothing beyond one chunk buffer is held in memory.  The
-    file appears at ``path`` atomically on :meth:`close` (temp file +
-    rename); an abandoned writer leaves no partial file behind.
+    call order) with a :class:`CoreTrace`, whose columns it writes chunk
+    by chunk, or any iterable of records -- a list, or a lazy generator
+    draining a multi-gigabyte source.  Nothing beyond one chunk's
+    columns is held in memory.  The file appears at ``path`` atomically
+    on :meth:`close` (temp file + rename); an abandoned writer leaves no
+    partial file behind.
     """
 
     def __init__(
@@ -156,8 +165,6 @@ class TraceBinWriter:
         self.core_counts: list[int] = []
         self.core_digests: list[str] = []
         self._index: list[tuple[int, int, int]] = []  # offset, count, crc
-        self._buf = bytearray()
-        self._buf_count = 0
         self._closed = False
         directory = self.path.resolve().parent
         fd, self._tmp = tempfile.mkstemp(
@@ -176,41 +183,42 @@ class TraceBinWriter:
         core = len(self.core_names)
         if name is None:
             name = f"core{core}"
-        hasher = _CoreHasher(name)
-        pack = _RECORD.pack
-        buf = self._buf
+        h = sha256(name.encode())
         count = 0
-        for r in records:
-            gap, addr, is_write, pc = r.gap, r.addr, r.is_write, r.pc
-            w = 1 if is_write else 0
-            try:
-                buf += pack(gap, addr, pc, w)
-            except struct.error as exc:
-                raise TraceFormatError(
-                    f"record {count} of core {core}: field out of range "
-                    f"(gap<{_U32_MAX + 1}, addr/pc<2**64 required): {exc}"
-                ) from exc
-            hasher.update(gap, addr, w, pc)
-            count += 1
-            self._buf_count += 1
-            if self._buf_count == self.chunk_records:
-                self._flush_chunk()
-        if self._buf_count:
-            self._flush_chunk()  # chunks never span cores
+        for gaps, addrs, writes, pcs in _column_batches(
+            records, self.chunk_records
+        ):
+            # The flags byte and the fingerprint take the flag as 0 or 1.
+            writes = list(map(bool, writes))
+            self._write_chunk(core, count, gaps, addrs, writes, pcs)
+            hash_columns(h, gaps, addrs, writes, pcs)
+            count += len(addrs)
         self.core_names.append(name)
         self.core_counts.append(count)
-        self.core_digests.append(hasher.hexdigest())
+        self.core_digests.append(h.hexdigest())
         return count
 
-    def _flush_chunk(self) -> None:
-        data = bytes(self._buf)
-        self._index.append(
-            (self._offset, self._buf_count, zlib.crc32(data))
-        )
+    def _write_chunk(self, core: int, first: int, gaps, addrs, writes,
+                     pcs) -> None:
+        """Pack one chunk (records ``first``... of ``core``) and index it."""
+        pack = _RECORD.pack
+        try:
+            data = b"".join(map(pack, gaps, addrs, pcs, writes))
+        except struct.error:
+            # Find the record at fault, for the message.
+            for i, fields in enumerate(zip(gaps, addrs, pcs, writes)):
+                try:
+                    pack(*fields)
+                except struct.error as exc:
+                    raise TraceFormatError(
+                        f"record {first + i} of core {core}: field out of "
+                        f"range (gap<{_U32_MAX + 1}, addr/pc<2**64 "
+                        f"required): {exc}"
+                    ) from exc
+            raise
+        self._index.append((self._offset, len(addrs), zlib.crc32(data)))
         self._f.write(data)
         self._offset += len(data)
-        self._buf.clear()
-        self._buf_count = 0
 
     # -- finalisation ------------------------------------------------------
 
@@ -417,17 +425,31 @@ class TraceBinReader:
             )
         ]
 
-    def window(self, core: int, start: int) -> tuple[tuple, tuple, list]:
-        """Columns ``(gaps, addrs, writes)`` of one core's records from
-        ``start``: at most :data:`WINDOW_RECORDS` of them, never past the
-        end of the chunk holding ``start``, unpacked straight from the
+    def window(self, core: int, start: int) -> tuple[tuple, tuple, list,
+                                                      tuple]:
+        """Columns ``(gaps, addrs, writes, pcs)`` of one core's records
+        from ``start``: at most :data:`WINDOW_RECORDS` of them, never past
+        the end of the chunk holding ``start``, unpacked straight from the
         mapping."""
         ci, off = divmod(start, self.chunk_records)
         offset, count, _crc = self._chunks[core][ci]
-        flat = _window_struct(min(WINDOW_RECORDS, count - off)).unpack_from(
+        return self._columns(offset + off * RECORD_BYTES,
+                             min(WINDOW_RECORDS, count - off))
+
+    def _columns(self, at: int, n: int) -> tuple[tuple, tuple, list, tuple]:
+        """The four columns of ``n`` packed records at byte ``at``."""
+        flat = _window_struct(n).unpack_from(self._mm, at)
+        return (flat[0::4], flat[1::4], [f & 1 == 1 for f in flat[3::4]],
+                flat[2::4])
+
+    def record(self, core: int, i: int) -> TraceRecord:
+        """Record ``i`` of one core, unpacked on its own."""
+        ci, off = divmod(i, self.chunk_records)
+        offset, _count, _crc = self._chunks[core][ci]
+        gap, addr, pc, flags = _RECORD.unpack_from(
             self._mm, offset + off * RECORD_BYTES
         )
-        return flat[0::4], flat[1::4], [f & 1 == 1 for f in flat[3::4]]
+        return TraceRecord(gap, addr, bool(flags & 1), pc)
 
     def records(self, core: int) -> Iterator[TraceRecord]:
         """All records of one core, chunk by chunk."""
@@ -445,7 +467,7 @@ class TraceBinReader:
         chunks_checked = 0
         digests = []
         for core in range(self.cores):
-            hasher = _CoreHasher(self.core_names[core])
+            h = sha256(self.core_names[core].encode())
             for ci, (offset, count, crc) in enumerate(self._chunks[core]):
                 data = self._mm[offset:offset + count * RECORD_BYTES]
                 if zlib.crc32(data) != crc:
@@ -453,10 +475,13 @@ class TraceBinReader:
                         f"{self.path}: CRC mismatch in chunk {ci} of core "
                         f"{core} (offset {offset}): the file is corrupt"
                     )
-                for gap, addr, pc, flags in _RECORD.iter_unpack(data):
-                    hasher.update(gap, addr, flags & 1, pc)
+                for lo in range(0, count, WINDOW_RECORDS):
+                    hash_columns(h, *self._columns(
+                        offset + lo * RECORD_BYTES,
+                        min(WINDOW_RECORDS, count - lo),
+                    ))
                 chunks_checked += 1
-            digest = hasher.hexdigest()
+            digest = h.hexdigest()
             if digest != self.core_fingerprints[core]:
                 raise TraceFormatError(
                     f"{self.path}: core {core} content fingerprint "
@@ -515,20 +540,17 @@ class TraceBinReader:
 class BinCoreTrace:
     """Lazy :class:`CoreTrace` stand-in over one core of a reader.
 
-    Supports the sequence protocol the engines use (``len``, indexing,
-    iteration) by decoding chunks on demand; a two-slot cache keeps the
-    most recently touched chunks decoded, which makes the engines'
-    mostly-sequential access patterns cheap while bounding memory."""
-
-    _CACHE_SLOTS = 2
+    The engines read it through :meth:`window`, bounded column windows
+    unpacked straight from the mapping.  Tools get the sequence protocol
+    (``len``, iteration chunk by chunk, and indexing, which unpacks the
+    one record asked for), so nothing but the current window is ever
+    decoded."""
 
     def __init__(self, reader: TraceBinReader, core: int) -> None:
         self._reader = reader
         self._core = core
         self.name = reader.core_names[core]
         self._len = reader.core_counts[core]
-        self._chunk_records = reader.chunk_records
-        self._cache: dict[int, list[TraceRecord]] = {}
 
     # -- sequence protocol -------------------------------------------------
 
@@ -543,23 +565,9 @@ class BinCoreTrace:
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError(i)
-        ci, off = divmod(i, self._chunk_records)
-        chunk = self._cache.get(ci)
-        if chunk is None:
-            chunk = self._reader.chunk(self._core, ci)
-            if len(self._cache) >= self._CACHE_SLOTS:
-                # Evict the oldest-inserted chunk (dict preserves
-                # insertion order); sequential readers never re-touch it.
-                del self._cache[next(iter(self._cache))]
-            self._cache[ci] = chunk
-        return chunk[off]
+        return self._reader.record(self._core, i)
 
     # -- CoreTrace API -----------------------------------------------------
-
-    @property
-    def records(self) -> "BinCoreTrace":
-        """The engines hoist ``trace.records``; serve the lazy view."""
-        return self
 
     @property
     def instructions(self) -> int:
@@ -571,9 +579,9 @@ class BinCoreTrace:
     def fingerprint(self) -> str:
         return self._reader.core_fingerprints[self._core]
 
-    def window(self, start: int) -> tuple[tuple, tuple, list]:
-        """Raw columns of the decode window starting at record ``start``
-        (see :meth:`TraceBinReader.window`)."""
+    def window(self, start: int) -> tuple[tuple, tuple, list, tuple]:
+        """Columns ``(gaps, addrs, writes, pcs)`` of the decode window
+        starting at record ``start`` (see :meth:`TraceBinReader.window`)."""
         return self._reader.window(self._core, start)
 
 
@@ -623,10 +631,21 @@ def load_workload_bin(path) -> Workload:
     """Fully materialise a tracebin file as a plain :class:`Workload`
     (convenience for small traces and tests)."""
     with TraceBinReader(path) as reader:
-        traces = [
-            CoreTrace(list(reader.records(c)), reader.core_names[c])
-            for c in range(reader.cores)
-        ]
+        traces = []
+        for core in range(reader.cores):
+            gaps: list = []
+            addrs: list = []
+            writes: list = []
+            pcs: list = []
+            while len(gaps) < reader.core_counts[core]:
+                g, a, w, p = reader.window(core, len(gaps))
+                gaps += g
+                addrs += a
+                writes += w
+                pcs += p
+            traces.append(CoreTrace.from_columns(
+                gaps, addrs, writes, pcs, name=reader.core_names[core]
+            ))
         return Workload(traces, name=reader.name)
 
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import random
 
-from repro.sim.trace import CoreTrace, TraceRecord, Workload
+from repro.sim.trace import CoreTrace, Workload
 from repro.workloads.patterns import make_pattern
-from repro.workloads.profiles import _fnv1a
+from repro.workloads.profiles import _fnv1a, draw_columns, region_addresses
 
 MT_APP_NAMES = ("canneal", "facesim", "vips", "applu", "tpce")
 
@@ -78,6 +78,8 @@ def multithreaded_workload(
         raise ValueError(
             f"unknown multi-threaded app {app!r}; known: {MT_APP_NAMES}"
         ) from None
+    if n_accesses < 0:
+        raise ValueError(f"n_accesses must be >= 0, got {n_accesses}")
 
     # Shared region layout is common to all threads; the randomised
     # placement emulates physical page allocation.
@@ -99,8 +101,7 @@ def multithreaded_workload(
             # Threads start at staggered phases of the shared pattern so
             # they are not artificially synchronised.
             pat = make_pattern(kind, size, seed=_fnv1a(app, seed, "sh", idx))
-            for _ in range(core * (size // max(1, cores))):
-                pat.next_offset()
+            pat.take(core * (size // max(1, cores)))
             patterns.append(pat)
             bases.append(shared_bases[idx])
             weights.append(weight)
@@ -126,23 +127,11 @@ def multithreaded_workload(
             acc += w / total_w
             cumulative.append(acc)
         max_gap = max(1, 2 * mean_gap)
-        records = []
-        for _ in range(n_accesses):
-            u = rng.random()
-            ridx = 0
-            while cumulative[ridx] < u and ridx < len(cumulative) - 1:
-                ridx += 1
-            off = patterns[ridx].next_offset()
-            addr = bases[ridx] + off
-            is_write = rng.random() < write_ratio
-            pcs = pc_pools[ridx]
-            records.append(
-                TraceRecord(
-                    rng.randrange(max_gap),
-                    addr,
-                    is_write,
-                    pcs[rng.randrange(len(pcs))],
-                )
-            )
-        traces.append(CoreTrace(records, name=f"{app}-t{core}"))
+        gaps, writes, pcs, regions = draw_columns(
+            rng, n_accesses, cumulative, write_ratio, pc_pools, max_gap,
+            gap_first=True,
+        )
+        addrs = region_addresses(regions, patterns, bases)
+        traces.append(CoreTrace.from_columns(gaps, addrs, writes, pcs,
+                                             name=f"{app}-t{core}"))
     return Workload(traces, name=f"mt-{app}")

@@ -17,11 +17,36 @@ span the regimes that drive the paper's phenomena:
 * ``PointerChasePattern`` -- a permutation walk (mcf/omnetpp-like) with a
   long reuse distance equal to the region size.
 * ``StencilPattern`` -- row sweeps with neighbour reuse (scientific codes).
+
+Patterns hand out offsets in bulk: :meth:`Pattern.take` returns the next
+``n``, and ``take(a) + take(b)`` always equals ``take(a + b)``.  Each
+pattern owns its ``random.Random``, so the generators can draw a region's
+offsets in one call without disturbing any other stream.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import count, islice
+
+
+def randbelow(rng: random.Random, n: int, k: int) -> list[int]:
+    """``k`` successive ``rng.randrange(n)`` draws, ``n > 0``, in bulk.
+
+    CPython (3.10 to 3.12) draws ``randrange(n)`` as
+    ``getrandbits(n.bit_length())``, drawing again while the value is
+    ``>= n``.  Every attempt takes one call, so the accepted values are
+    the raw draws filtered by ``< n``; asking only for as many raw draws
+    as values are still missing consumes exactly the stream ``k`` calls
+    to ``randrange`` would.  ``tests/test_workloads.py`` pins this
+    against ``randrange`` itself."""
+    bits = n.bit_length()
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    while len(out) < k:
+        raw = map(getrandbits, [bits] * (k - len(out)))
+        out.extend(filter(n.__gt__, raw))
+    return out
 
 
 class Pattern:
@@ -33,9 +58,13 @@ class Pattern:
         self.size = size
         self.rng = random.Random(seed)
 
+    def take(self, n: int) -> list[int]:
+        """The next ``n`` block offsets, each in [0, size)."""
+        raise NotImplementedError
+
     def next_offset(self) -> int:
         """The next block offset in [0, size)."""
-        raise NotImplementedError
+        return self.take(1)[0]
 
 
 class StreamingPattern(Pattern):
@@ -46,10 +75,11 @@ class StreamingPattern(Pattern):
         self.stride = stride
         self._pos = 0
 
-    def next_offset(self) -> int:
-        off = self._pos
-        self._pos = (self._pos + self.stride) % self.size
-        return off
+    def take(self, n: int) -> list[int]:
+        out = list(map(self.size.__rmod__,
+                       islice(count(self._pos, self.stride), n)))
+        self._pos = (self._pos + n * self.stride) % self.size
+        return out
 
 
 class CircularPattern(StreamingPattern):
@@ -64,17 +94,16 @@ class HotPattern(Pattern):
     uniforms, which biases toward low offsets without the cost of a true
     Zipf sampler."""
 
-    def next_offset(self) -> int:
-        a = self.rng.randrange(self.size)
-        b = self.rng.randrange(self.size)
-        return min(a, b)
+    def take(self, n: int) -> list[int]:
+        draws = randbelow(self.rng, self.size, 2 * n)
+        return list(map(min, draws[0::2], draws[1::2]))
 
 
 class RandomPattern(Pattern):
     """Uniform random over the region."""
 
-    def next_offset(self) -> int:
-        return self.rng.randrange(self.size)
+    def take(self, n: int) -> list[int]:
+        return randbelow(self.rng, self.size, n)
 
 
 class PointerChasePattern(Pattern):
@@ -83,20 +112,26 @@ class PointerChasePattern(Pattern):
 
     def __init__(self, size: int, seed: int = 0) -> None:
         super().__init__(size, seed)
-        perm = list(range(size))
-        self.rng.shuffle(perm)
-        # Build a single cycle so the walk covers the whole region.
-        self._next = {perm[i]: perm[(i + 1) % size] for i in range(size)}
-        self._pos = perm[0]
+        # The walk visits the shuffled blocks in order, then wraps: one
+        # cycle covering the whole region.
+        self._cycle = list(range(size))
+        self.rng.shuffle(self._cycle)
+        self._at = 0
 
-    def next_offset(self) -> int:
-        off = self._pos
-        self._pos = self._next[off]
-        return off
+    def take(self, n: int) -> list[int]:
+        cycle = self._cycle
+        at = self._at
+        out = cycle[at:at + n]
+        while len(out) < n:
+            out += cycle[:n - len(out)]
+        self._at = (at + n) % self.size
+        return out
 
 
 class StencilPattern(Pattern):
-    """Row-major sweep touching vertical neighbours, like a 2D stencil."""
+    """Row-major sweep touching vertical neighbours, like a 2D stencil:
+    block ``p``, then ``p + row`` and ``p - row`` (wrapping), then
+    ``p + 1``."""
 
     def __init__(self, size: int, seed: int = 0, row: int = 16) -> None:
         super().__init__(size, seed)
@@ -104,19 +139,17 @@ class StencilPattern(Pattern):
         self._pos = 0
         self._phase = 0
 
-    def next_offset(self) -> int:
-        base = self._pos
-        if self._phase == 0:
-            off = base
-        elif self._phase == 1:
-            off = (base + self.row) % self.size
-        else:
-            off = (base - self.row) % self.size
-        self._phase += 1
-        if self._phase == 3:
-            self._phase = 0
-            self._pos = (self._pos + 1) % self.size
-        return off
+    def take(self, n: int) -> list[int]:
+        size, row, pos, phase = self.size, self.row, self._pos, self._phase
+        steps = (phase + n + 2) // 3
+        sweep: list[int] = [0] * (3 * steps)
+        sweep[0::3] = map(size.__rmod__, range(pos, pos + steps))
+        sweep[1::3] = map(size.__rmod__, range(pos + row, pos + row + steps))
+        sweep[2::3] = map(size.__rmod__, range(pos - row, pos - row + steps))
+        done = phase + n
+        self._pos = (pos + done // 3) % size
+        self._phase = done % 3
+        return sweep[phase:done]
 
 
 PATTERN_FACTORY = {

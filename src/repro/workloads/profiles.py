@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.sim.trace import CoreTrace, TraceRecord
+from repro.sim.trace import CoreTrace
 from repro.workloads.patterns import make_pattern
 
 
@@ -160,6 +160,8 @@ def build_trace(
     part of the address space; multiprogrammed mixes give every core its
     own base.
     """
+    if n_accesses < 0:
+        raise ValueError(f"n_accesses must be >= 0, got {n_accesses}")
     if isinstance(profile, str):
         profile = get_profile(profile)
     rng = random.Random(_fnv1a(profile.name, seed, base_addr))
@@ -174,7 +176,7 @@ def build_trace(
         patterns.append(
             make_pattern(region.kind, region.size, seed=_fnv1a(seed, idx))
         )
-        region_bases.append(cursor)
+        region_bases.append(base_addr + cursor)
         cursor += region.size + 16 + rng.randrange(512)
         pc_pools.append(
             [
@@ -191,17 +193,70 @@ def build_trace(
         cumulative.append(acc)
 
     max_gap = max(1, 2 * profile.mean_gap)
-    records = []
-    for _ in range(n_accesses):
-        u = rng.random()
-        region_idx = 0
-        while cumulative[region_idx] < u and region_idx < len(cumulative) - 1:
-            region_idx += 1
-        off = patterns[region_idx].next_offset()
-        addr = base_addr + region_bases[region_idx] + off
-        is_write = rng.random() < profile.write_ratio
-        pcs = pc_pools[region_idx]
-        pc = pcs[rng.randrange(len(pcs))]
-        gap = rng.randrange(max_gap)
-        records.append(TraceRecord(gap, addr, is_write, pc))
-    return CoreTrace(records, name or profile.name)
+    gaps, writes, pcs, regions = draw_columns(
+        rng, n_accesses, cumulative, profile.write_ratio, pc_pools, max_gap,
+        gap_first=False,
+    )
+    addrs = region_addresses(regions, patterns, region_bases)
+    return CoreTrace.from_columns(gaps, addrs, writes, pcs,
+                                  name or profile.name)
+
+
+def draw_columns(rng: random.Random, n: int, cumulative: list,
+                 write_ratio: float, pc_pools: list, max_gap: int,
+                 gap_first: bool) -> tuple[list, list, list, list]:
+    """The main stream of a trace generator: ``(gaps, writes, pcs,
+    regions)`` columns of ``n`` records, the region index standing in
+    for the address that :func:`region_addresses` fills in later.
+
+    Per record it draws, in order, the region selector ``u``, the write
+    flag, then the PC and the gap (``gap_first``: the gap, then the PC),
+    exactly as the record-at-a-time generators did.  Bounded draws inline
+    CPython's ``randrange(n)``: ``getrandbits(n.bit_length())``, drawn
+    again while ``>= n`` (the algorithm
+    :func:`~repro.workloads.patterns.randbelow` pins)."""
+    if not all(pc_pools):
+        raise ValueError("every region needs at least one PC")
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    last = len(cumulative) - 1
+    pools = [(pool, len(pool), len(pool).bit_length()) for pool in pc_pools]
+    gap_bits = max_gap.bit_length()
+    gaps = [0] * n
+    writes = [False] * n
+    pcs = [0] * n
+    regions = [0] * n
+    for i in range(n):
+        u = random_()
+        r = 0
+        while cumulative[r] < u and r < last:
+            r += 1
+        regions[i] = r
+        writes[i] = random_() < write_ratio
+        pool, size, bits = pools[r]
+        if gap_first:
+            gap = getrandbits(gap_bits)
+            while gap >= max_gap:
+                gap = getrandbits(gap_bits)
+        k = getrandbits(bits)
+        while k >= size:
+            k = getrandbits(bits)
+        pcs[i] = pool[k]
+        if not gap_first:
+            gap = getrandbits(gap_bits)
+            while gap >= max_gap:
+                gap = getrandbits(gap_bits)
+        gaps[i] = gap
+    return gaps, writes, pcs, regions
+
+
+def region_addresses(regions: list, patterns: list, bases: list) -> list:
+    """The address column: each record's next offset in its region's
+    pattern, plus the region's base.  One :meth:`~repro.workloads.
+    patterns.Pattern.take` per region is exact, because every pattern
+    owns a random stream of its own."""
+    streams = [
+        map(base.__add__, pattern.take(regions.count(r)))
+        for r, (pattern, base) in enumerate(zip(patterns, bases))
+    ]
+    return list(map(next, map(streams.__getitem__, regions)))

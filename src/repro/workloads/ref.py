@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from repro.config_io import RecipeError
 from repro.sim.trace import Workload
 from repro.workloads.mixes import homogeneous_mix
 from repro.workloads.multithreaded import MT_APP_NAMES, multithreaded_workload
@@ -40,16 +41,22 @@ class SynthRef:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A RecipeError is a ValueError whose ``field`` names the bad
+        # field, which the service reports as ``workload.<field>``.
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown synthesized-workload kind "
-                             f"{self.kind!r}; known: {sorted(_KINDS)}")
+            raise RecipeError(f"unknown synthesized-workload kind "
+                              f"{self.kind!r}; known: {sorted(_KINDS)}",
+                              field="kind")
         known = _KINDS[self.kind][1]
         if self.app not in known:
-            raise ValueError(f"unknown {self.kind!r} app {self.app!r}; "
-                             f"known: {known}")
+            raise RecipeError(f"unknown {self.kind!r} app {self.app!r}; "
+                              f"known: {known}", field="app")
         if self.cores < 1:
-            raise ValueError(f"a workload needs at least one core, "
-                             f"got cores={self.cores}")
+            raise RecipeError(f"a workload needs at least one core, "
+                              f"got cores={self.cores}", field="cores")
+        if self.accesses < 0:
+            raise RecipeError(f"accesses must be >= 0, got "
+                              f"accesses={self.accesses}", field="accesses")
 
     @classmethod
     def parse(cls, spec: str, cores: int, accesses: int,

@@ -2,17 +2,23 @@
 key's coverage of every configuration leaf."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro.config_io import (
+    RecipeError,
+    _config_json,
     config_from_dict,
     config_to_dict,
     load_config,
+    recipe_from_dict,
     save_config,
 )
-from repro.params import ConfigError, scaled_config
-from repro.sim.parallel import RunRecipe
+from repro.obs.ledger import config_digest
+from repro.params import ConfigError, CoreParams, scaled_config
+from repro.sim.parallel import CACHE_VERSION, RunRecipe
 from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
 
@@ -174,3 +180,95 @@ def test_every_config_leaf_changes_the_recipe_key():
     """No field of the default machine can be missed by the cache key
     or by config_io."""
     assert leaf_problems(scaled_config("256KB")) == []
+
+
+# ---------------------------------------------------------------------------
+# The configuration is serialised once per process, keys unchanged
+# ---------------------------------------------------------------------------
+
+
+def _unmemoised_describe(recipe) -> str:
+    """:meth:`RunRecipe.describe` as it was written before the memo."""
+    return json.dumps(
+        {
+            "version": CACHE_VERSION,
+            "workload": recipe.workload.fingerprint(),
+            "scheme": recipe.scheme,
+            "policy": recipe.policy,
+            "scheduling": recipe.scheduling,
+            "scheme_kwargs": list(recipe.scheme_kwargs),
+            "policy_kwargs": list(recipe.policy_kwargs),
+            "config": dataclasses.asdict(recipe.config),
+        },
+        sort_keys=True,
+    )
+
+
+_MEMO_CONFIGS = [
+    scaled_config("256KB"),
+    scaled_config("512KB").replace(engine="fast"),
+    # Equal to each other, serialised apart: the memo must not merge them.
+    scaled_config("256KB").replace(core=CoreParams(base_cpi=1)),
+    scaled_config("256KB").replace(core=CoreParams(base_cpi=1.0)),
+    scaled_config("256KB").replace(core=CoreParams(base_cpi=True)),
+]
+
+
+def test_memoised_config_keeps_keys_and_digests():
+    workload = Workload([CoreTrace([TraceRecord(1, 64, False, 0)])], "memo")
+    for _pass in range(2):  # the second pass is served by the memo
+        for config in _MEMO_CONFIGS:
+            recipe = RunRecipe(workload, "ziv:notinprc", config,
+                               policy_kwargs=(("k", 1),))
+            preimage = _unmemoised_describe(recipe)
+            assert recipe.describe() == preimage
+            assert recipe.key() == hashlib.sha256(
+                preimage.encode()).hexdigest()
+            assert config_digest(config) == hashlib.sha256(json.dumps(
+                dataclasses.asdict(config), sort_keys=True
+            ).encode()).hexdigest()
+    keys = {RunRecipe(workload, "inclusive", c).key() for c in _MEMO_CONFIGS}
+    assert len(keys) == len(_MEMO_CONFIGS)
+
+
+def test_config_dict_is_never_shared():
+    config = scaled_config("256KB")
+    config_to_dict(config)["cores"] = 99
+    assert json.loads(_config_json(config))["cores"] == config.cores
+    assert config_to_dict(config) is not config_to_dict(config)
+
+
+# ---------------------------------------------------------------------------
+# Synthesized-workload specs: rejections name the field at fault
+# ---------------------------------------------------------------------------
+
+
+def _profile_recipe(**workload):
+    spec = {"kind": "profile", "app": "mcf.1", "cores": 2, "accesses": 40,
+            "seed": 0}
+    spec.update(workload)
+    return {"workload": spec, "scheme": "inclusive",
+            "config": config_to_dict(scaled_config("256KB", cores=2))}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"accesses": -5}, "workload.accesses"),
+    ({"accesses": "many"}, "workload.accesses"),
+    ({"cores": 0}, "workload.cores"),
+    ({"cores": None}, "workload.cores"),
+    ({"seed": "x"}, "workload.seed"),
+    ({"app": "nonesuch"}, "workload.app"),
+    ({"app": "canneal"}, "workload.app"),
+    ({"kind": "mt", "app": "mcf.1"}, "workload.app"),
+    ({"kind": "nonesuch"}, "workload.kind"),
+])
+def test_synth_spec_rejection_names_the_field(change, field):
+    with pytest.raises(RecipeError) as excinfo:
+        recipe_from_dict(_profile_recipe(**change))
+    assert excinfo.value.field == field
+
+
+def test_empty_synth_spec_is_still_a_workload():
+    recipe = recipe_from_dict(_profile_recipe(accesses=0))
+    assert recipe.workload.accesses == 0
+    assert recipe.workload.resolve().total_accesses() == 0

@@ -785,6 +785,23 @@ def test_http_repeated_profile_submissions_synthesize_once(service,
     assert excinfo.value.field == "workload.app"
 
 
+def test_http_rejects_negative_accesses_with_field(service):
+    from repro.service import ServiceError
+
+    server, client = service
+    body = {
+        "workload": {"kind": "profile", "app": "mcf.1", "cores": 2,
+                     "accesses": -5, "seed": 1},
+        "scheme": "inclusive",
+        "config": config_to_dict(tiny_config()),
+    }
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(body)
+    assert excinfo.value.status == 400
+    assert excinfo.value.type == "RecipeError"
+    assert excinfo.value.field == "workload.accesses"
+
+
 def test_http_both_engines_resolve(service):
     server, client = service
     base = make_recipe()

@@ -115,6 +115,99 @@ FINGERPRINTS = {
     },
 }
 
+#: ``Workload.fingerprint()`` of every generator at cores=2, 5000 accesses
+#: per core, seed 11, taken from the record-at-a-time generators.  At this
+#: length every streaming region wraps and every pointer chase finishes
+#: a lap, which the 64-access table above never reaches.
+LONG_FINGERPRINTS = {
+    "profile": {
+        "bwaves.1":
+            "45aea8bcc1c59fd5dfb969d6052313ef7314643980212e37f70c91702bda031f",
+        "bwaves.2":
+            "bcfb21aad73c1ddccec874e4e443a4e336afb4a95d30638faa89ef0e41b89b34",
+        "bwaves.3":
+            "b71fd0d40223fb4e1a01c344aeda93d4ef51f14c540a4de10b23a7ff683d3aff",
+        "cactus.1":
+            "cbf04e2b3ce815d899af32cdbcb18764c946dfd434aa144a79153238d372d9ff",
+        "cactus.2":
+            "aeada6570bfc584a263b5dc852205a3985e2ccfd50606c77938d30ff63de9fb4",
+        "cactus.3":
+            "362c6e6959f72317597b83971f68c2fe196d849516fcd37e26e4942100a1175f",
+        "deepsjeng.1":
+            "36ef47c671bd4e0ffea127a5fe412fcf3315b77449b071ddfcb49bd69933ce49",
+        "deepsjeng.2":
+            "7a7e1e187d9f121d7c0026612943eaeaa80141e63970e079d5d72e765e0c5d86",
+        "deepsjeng.3":
+            "f88ce9bbe6be650d89e31f7e7e711020a9dbd469f5bc859816361743e76b362a",
+        "exchange2.1":
+            "283527f3a95c2d862f10ac4e752ac3759d12a53bab0f174402fcb8d0dcfaac74",
+        "exchange2.2":
+            "09fbcb977b307b555dfc7c312acc8594e4749d9b58ad14d1dbbc84312cfccf1f",
+        "exchange2.3":
+            "66ec65534bfd7d5c1e2695fd2a044d2df2661a572beaed4a52462817c15c3ab6",
+        "fotonik3d.1":
+            "89fe39240baa3fdb5383eec40c49d0a2f1a2fe8791a9c6801e2970f96ff4d386",
+        "fotonik3d.2":
+            "37aeac57baab9ac11d6feb28b52b9ee00aa2d89f10e166020d0aa22a022e6458",
+        "fotonik3d.3":
+            "441d022b25e93144bae409d5f5283b42af44dab74494e577fe9cad17d3b4a753",
+        "gcc.1":
+            "3b19a84caf96019465147b984591749a22ff507bfe21eef66e7b8a92fd2b78b2",
+        "gcc.2":
+            "c42dd11227d8cb34288ae49d636d6d4bad2237c8d769476a3dc73ab0701ba680",
+        "gcc.3":
+            "47f7c4ed7762c9fe056ea0865f2cceac540c92013a45920c0efe8203800e6786",
+        "lbm.1":
+            "2f360e5b78181225d21e57f7e5b6a9231e4b00f6da80a5693bda749752307220",
+        "lbm.2":
+            "f1de846923be51975ffab0060959aa8edf4e158aa73c2c3ebf7d14f44e4a7f62",
+        "lbm.3":
+            "7f184ac1c34b5269007ed880c9d5e6b2e82433086300925e520c41f4fdd9a377",
+        "leela.1":
+            "ec05b804aa6dce094070cf50d32780b446c3a1f6d14d95ae0bf953762fbdc471",
+        "leela.2":
+            "eda5d791d55b8562e56672306695442a5e003bf5acc05097c1ce292e358ddad6",
+        "leela.3":
+            "6feb57c0098106affe4ee25c5ce7f2241afbcaea66efc5ca3e778506d3cd6264",
+        "mcf.1":
+            "c8a067475f62884ccedb77efb5a52bf8d802ea01d951fdd84d85a1de84cdb978",
+        "mcf.2":
+            "8037a0e9b79d3bc5df170d85e6581902d17b895bf318523fefdefb5f8b03b0c4",
+        "mcf.3":
+            "e5028b37c0ee0df666035ee4884e952d58c2989c49b785c15e220aa48510b62f",
+        "omnetpp.1":
+            "4149f7e311173418793eabe581008614f8de77f5410f07bbf7f5479be15d4fa3",
+        "omnetpp.2":
+            "6776125b8eb78d25e6f216e4de3c5994165b73bc6e5cb7b9185b2e99fa5ec738",
+        "omnetpp.3":
+            "3d7c73ac92bd9a49001e6174546a1c6f327f04942af940668143b80ab8c28b0c",
+        "wrf.1":
+            "63964b0f1dee5718fc81c112ad2314c2d9a4b36fce40308c806faa29243bb746",
+        "wrf.2":
+            "ce2c9ae3ef7315b23db4947aaccd6d9a43916a76cdd57707ddae12e43004d5e4",
+        "wrf.3":
+            "854989f679317937c929ff85b2351c234150082be5d36a1eb6ca50406854aeab",
+        "xalancbmk.1":
+            "5e4a91dc784606d8b83e595333c8bb8fe8b8c63a884a0c4a479c04a4d002a099",
+        "xalancbmk.2":
+            "59ed05d9ffece988af3026b9b5905ba5223e951c4bb87c7fa59634cacc2a7a27",
+        "xalancbmk.3":
+            "1be4b9fda33d78f5b45817f61a710106b6498b5c22f69e2989dd65aff7ba7e3d",
+    },
+    "mt": {
+        "canneal":
+            "b020cf576ac65c10aea1b8e3450cff38bda87acec46da38779568c7d0a089090",
+        "facesim":
+            "1abc60a3a0d90e4f1db6ea96e8561eba7f194441368b03c3fae7cfa5e955048d",
+        "vips":
+            "c4176d027314de1874245eb5b746e9303ddebb6882b9ca820e431269809c6474",
+        "applu":
+            "3660e90b12d19716be2e8412ca0b4596bbf3e6023d4247e4f2750cd7f216d7da",
+        "tpce":
+            "e29c2dac8e89a82dd60261e778a7cfb55df9068b72e2c258fad4326293bded65",
+    },
+}
+
 SPECS = ([("profile", app) for app in ALL_PROFILE_NAMES]
          + [("mt", app) for app in MT_APP_NAMES])
 
@@ -136,6 +229,13 @@ def test_synthesized_content_is_pinned(kind, app):
     })
     assert by_spec.workload == ref
     assert by_spec.key() == by_records.key()
+
+
+@pytest.mark.parametrize("kind,app", SPECS,
+                         ids=[f"{kind}-{app}" for kind, app in SPECS])
+def test_long_synthesized_content_is_pinned(kind, app):
+    built = GENERATORS[kind](app, cores=2, n_accesses=5000, seed=11)
+    assert built.fingerprint() == LONG_FINGERPRINTS[kind][app]
 
 
 def test_ref_names_and_builds_what_its_generator_builds():
@@ -161,10 +261,21 @@ def test_ref_parses_the_command_line_form():
     ("mt", "gcc.1"),
     ("records", "gcc.1"),
     ("profile", "gcc.1", 0),
+    ("profile", "gcc.1", 2, -5),
 ])
 def test_ref_rejects_what_no_generator_builds(args):
     with pytest.raises(ValueError):
         SynthRef(*args)
+
+
+@pytest.mark.parametrize("generator", [
+    lambda n: homogeneous_mix("gcc.1", cores=2, n_accesses=n),
+    lambda n: multithreaded_workload("vips", cores=2, n_accesses=n),
+])
+def test_generators_reject_negative_lengths(generator):
+    assert generator(0).total_accesses() == 0
+    with pytest.raises(ValueError, match="n_accesses"):
+        generator(-5)
 
 
 def test_ref_travels_as_its_spec():

@@ -1,8 +1,12 @@
 """Trace containers and the canonical lock-step stream."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.sim.trace import (
+    HASH_SLICE,
     CoreTrace,
     TraceRecord,
     Workload,
@@ -64,3 +68,81 @@ class TestLockstep:
             (0, 1),
             (1, 10),
         ]
+
+
+class TestColumns:
+    """A trace is four parallel columns; records are a view built on
+    demand."""
+
+    def data(self):
+        return ([3, 0, 7], [64, 65, 64], [False, True, False], [9, 9, 12])
+
+    def test_records_and_columns_build_the_same_trace(self):
+        gaps, addrs, writes, pcs = self.data()
+        records = [TraceRecord(*r) for r in zip(gaps, addrs, writes, pcs)]
+        by_records = CoreTrace(records, "t")
+        by_columns = CoreTrace.from_columns(*self.data(), name="t")
+        for t in (by_records, by_columns):
+            assert (t.gaps, t.addrs, t.writes, t.pcs) == self.data()
+            assert t.records == records
+            assert list(t) == records and t[2] == records[2]
+            assert len(t) == 3 and t.instructions == 13
+            assert t.footprint() == 2
+        assert by_records.fingerprint() == by_columns.fingerprint()
+
+    def test_fingerprint_preimage_is_unchanged(self):
+        t = CoreTrace.from_columns(*self.data(), name="t")
+        preimage = b"t" + b"".join(
+            b"%d,%d,%d,%d;" % (r.gap, r.addr, r.is_write, r.pc)
+            for r in t.records
+        )
+        assert t.fingerprint() == hashlib.sha256(preimage).hexdigest()
+
+    def test_long_fingerprint_hashes_in_slices(self):
+        n = 2 * HASH_SLICE + 5
+        t = CoreTrace.from_columns(list(range(n)), list(range(n)),
+                                   [i % 3 == 0 for i in range(n)],
+                                   [7] * n, name="long")
+        h = hashlib.sha256(b"long")
+        for r in t.records:
+            h.update(b"%d,%d,%d,%d;" % (r.gap, r.addr, r.is_write, r.pc))
+        assert t.fingerprint() == h.hexdigest()
+
+    def test_pickle_carries_the_columns_only(self):
+        for t in (CoreTrace([TraceRecord(*r) for r in zip(*self.data())]),
+                  CoreTrace.from_columns(*self.data())):
+            t._fast_cols = {"memo": [1, 2, 3]}
+            back = pickle.loads(pickle.dumps(t))
+            assert vars(back).keys() == {"name", "gaps", "addrs", "writes",
+                                         "pcs"}
+            assert back.records == t.records
+            assert back.fingerprint() == t.fingerprint()
+
+    def test_columns_must_line_up(self):
+        gaps, addrs, writes, pcs = self.data()
+        with pytest.raises(ValueError, match="differ in length"):
+            CoreTrace.from_columns(gaps, addrs[:2], writes, pcs)
+
+
+def test_no_record_is_built_on_the_hot_path(monkeypatch, tmp_path):
+    """Synthesizing a mix, keying a recipe on it and running it on both
+    engines build no TraceRecord."""
+    from repro.sim.engine import run_workload
+    from repro.sim.parallel import make_recipe
+    from repro.workloads import homogeneous_mix, multithreaded_workload
+    from tests.conftest import tiny_config
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    def refuse(self, *args):
+        raise AssertionError("a TraceRecord was built")
+
+    monkeypatch.setattr(TraceRecord, "__init__", refuse)
+    for workload in (homogeneous_mix("mcf.1", cores=2, n_accesses=300),
+                     multithreaded_workload("vips", cores=2,
+                                            n_accesses=300)):
+        for engine in ("object", "fast"):
+            config = tiny_config(cores=2).replace(engine=engine)
+            assert make_recipe(workload, "ziv:notinprc", config=config).key()
+            result = run_workload(config, workload, "ziv:notinprc")
+            assert result.stats.total_accesses == 600

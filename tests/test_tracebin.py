@@ -122,15 +122,21 @@ def test_streaming_view_matches_materialised(tmp_path):
         assert bw[0].footprint() == wl[0].footprint()
 
 
-def test_decoded_chunk_cache_stays_bounded(tmp_path):
+def test_indexing_decodes_one_record(tmp_path, monkeypatch):
+    # Random access unpacks the one record asked for: no chunk is
+    # decoded and nothing is kept on the view.
     wl = make_workload(seed=3, cores=1, n=1000)
     path = tmp_path / "wl.tracebin"
     save_workload_bin(wl, path, chunk_records=50)
+
+    def no_chunks(*args):
+        raise AssertionError("indexing must not decode a chunk")
+
+    monkeypatch.setattr(TraceBinReader, "chunk", no_chunks)
     with open_trace(path) as bw:
         trace = bw[0]
-        for i in range(len(trace)):
-            trace[i]
-        assert len(trace._cache) <= trace._CACHE_SLOTS
+        assert [trace[i] for i in range(len(trace))] == wl[0].records
+        assert vars(trace).keys() == {"_reader", "_core", "name", "_len"}
 
 
 def test_binworkload_pickles_by_path(tmp_path):
@@ -186,6 +192,77 @@ def test_streamed_fast_run_holds_one_window_per_core(tmp_path, monkeypatch):
     monkeypatch.undo()
     base = run_workload(config, wl, "inclusive", telemetry="700")
     assert compare_results(base, streamed) == []
+
+
+def test_streamed_object_run_reads_column_windows(tmp_path, monkeypatch):
+    # The object loop reads a streamed trace as the fast kernel does:
+    # bounded column windows refilled where one ends, never a decoded
+    # chunk or a record.
+    from repro.sim.tracebin import BinCoreTrace
+
+    # 10001 and 10038 records: core 0's last chunk holds one record.
+    wl = make_workload(seed=7, n=10001)
+    path = tmp_path / "wl.tracebin"
+    save_workload_bin(wl, path, chunk_records=5000)
+    window = BinCoreTrace.window
+    starts: dict = {0: [], 1: []}
+
+    def tracked(self, start):
+        columns = window(self, start)
+        assert len({len(c) for c in columns}) == 1
+        assert len(columns[0]) <= WINDOW_RECORDS
+        starts[self._core].append(start)
+        return columns
+
+    def no_records(*args):
+        raise AssertionError("streamed object runs must not decode records")
+
+    monkeypatch.setattr(BinCoreTrace, "window", tracked)
+    monkeypatch.setattr(TraceBinReader, "chunk", no_records)
+    monkeypatch.setattr(TraceBinReader, "record", no_records)
+    config = tiny_config(cores=2)
+    with open_trace(path) as bw:
+        streamed = run_workload(config, bw, "ziv:notinprc", telemetry="700",
+                                checkpoint_path=tmp_path / "run.ckpt",
+                                checkpoint_every=2000)
+    # one window per refill, cut at WINDOW_RECORDS and at the chunk seam,
+    # kept across the segments that boundary work cuts
+    assert starts == {0: [0, 4096, 5000, 9096, 10000],
+                      1: [0, 4096, 5000, 9096, 10000]}
+    monkeypatch.undo()
+    base = run_workload(config, wl, "ziv:notinprc", telemetry="700")
+    assert compare_results(base, streamed) == []
+
+
+def test_window_carries_the_pc_column(tmp_path):
+    wl = make_workload(seed=8, cores=1, n=300)
+    path = tmp_path / "wl.tracebin"
+    save_workload_bin(wl, path, chunk_records=128)
+    with TraceBinReader(path) as reader:
+        gaps, addrs, writes, pcs = reader.window(0, 100)
+    assert len(pcs) == 28  # up to the chunk seam
+    assert list(zip(gaps, addrs, writes, pcs)) == [
+        (r.gap, r.addr, r.is_write, r.pc) for r in wl[0].records[100:128]
+    ]
+
+
+def test_synthesized_mix_with_a_partial_last_chunk(tmp_path):
+    # One hasher owns the preimage: the writer hashes per chunk and
+    # verify per window, and both must land on the in-memory value when
+    # a core's length is not a multiple of the chunk size.
+    from repro.workloads import heterogeneous_mixes
+
+    wl = heterogeneous_mixes(n_mixes=1, cores=3, n_accesses=1000, seed=5)[0]
+    path = tmp_path / "mix.tracebin"
+    assert save_workload_bin(wl, path, chunk_records=384) == \
+        wl.fingerprint()
+    with TraceBinReader(path) as reader:
+        assert reader.fingerprint == wl.fingerprint()
+        assert reader.core_counts == [1000] * 3
+        assert reader.verify()["chunks"] == 9
+    back = load_workload_bin(path)
+    assert [(t.gaps, t.addrs, t.writes, t.pcs) for t in back] == \
+        [(t.gaps, t.addrs, t.writes, t.pcs) for t in wl]
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
@@ -301,6 +378,18 @@ def test_writer_rejects_out_of_range_fields(tmp_path):
         with pytest.raises(TraceFormatError, match="out of range"):
             w.write_core([TraceRecord(2**32, 0, False, 0)])
         w.abort()
+
+
+def test_writer_stores_any_true_flag_as_a_write(tmp_path):
+    # The flags byte keeps bit 0 only, so a write flag of 2 is written,
+    # hashed and read back as a plain write.
+    wl = Workload([CoreTrace([TraceRecord(0, 1, 2, 3),
+                              TraceRecord(1, 2, 0, 3)], "c")], "flags")
+    path = tmp_path / "wl.tracebin"
+    save_workload_bin(wl, path)
+    with TraceBinReader(path) as reader:
+        reader.verify()
+    assert load_workload_bin(path)[0].writes == [True, False]
 
 
 def test_writer_needs_a_core(tmp_path):

@@ -1,5 +1,7 @@
 """Workload generators: patterns, profiles, mixes, multi-threaded apps."""
 
+import random
+
 import pytest
 
 from repro.workloads.mixes import (
@@ -15,8 +17,10 @@ from repro.workloads.patterns import (
     PointerChasePattern,
     RandomPattern,
     StencilPattern,
+    PATTERN_FACTORY,
     StreamingPattern,
     make_pattern,
+    randbelow,
 )
 from repro.workloads.profiles import (
     ALL_PROFILE_NAMES,
@@ -73,6 +77,37 @@ class TestPatterns:
         p = StencilPattern(64, row=8)
         offs = [p.next_offset() for _ in range(3)]
         assert offs == [0, 8, 64 - 8]
+
+
+class TestBulkOffsets:
+    """``take`` hands out offsets in bulk; the generators rely on it being
+    the same stream as one offset at a time."""
+
+    @pytest.mark.parametrize("kind", sorted(PATTERN_FACTORY))
+    @pytest.mark.parametrize("size", [1, 3, 16, 1000])
+    def test_take_splits_like_one_stream(self, kind, size):
+        for a, b in ((0, 5), (1, 1), (7, 30), (size, size + 2),
+                     (2 * size + 1, 3)):
+            split = make_pattern(kind, size, seed=size + a)
+            whole = make_pattern(kind, size, seed=size + a)
+            single = make_pattern(kind, size, seed=size + a)
+            got = split.take(a) + split.take(b)
+            assert got == whole.take(a + b)
+            assert got == [single.next_offset() for _ in range(a + b)]
+            assert all(0 <= off < size for off in got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_randbelow_is_randrange(self, seed):
+        """The inlined bounded draw consumes the stream exactly as
+        ``random.Random.randrange`` does (CPython 3.10 to 3.12)."""
+        mine = random.Random(seed)
+        theirs = random.Random(seed)
+        for n in range(1, 1101):
+            k = n % 5 + 1
+            assert randbelow(mine, n, k) == [
+                theirs.randrange(n) for _ in range(k)
+            ]
+        assert mine.random() == theirs.random()
 
 
 class TestProfiles:
