@@ -26,7 +26,11 @@ the client, end to end:
 * twenty hit jobs over one raw keep-alive connection take a median
   under 20 ms each (no response waits out a delayed ACK), and a POST
   whose body the server never reads (a 404) leaves the connection
-  usable for the next request.
+  usable for the next request;
+* one body resubmitted 200 times over one keep-alive connection gets
+  byte-identical payloads and leaves 200 ``memo`` ledger records, and
+  ``/metrics`` counts each of them as a memo run and a memo job; a
+  malformed body and an empty one each count as rejected.
 
 Exit 0 on success; any assertion failure is a non-zero exit.
 
@@ -82,6 +86,9 @@ SPECS = (("profile", homogeneous_mix, "gcc.1"),
 
 #: Hit jobs of the keep-alive phase.
 KEEP_ALIVE_HITS = 20
+
+#: Resubmissions of one body in the hit phase.
+HITS = 200
 
 
 def small_config(engine: str = "object") -> SystemConfig:
@@ -139,6 +146,55 @@ def keep_alive_phase(server, body: dict) -> None:
         conn.close()
     median_ms = statistics.median(latencies) * 1e3
     assert median_ms < 20.0, f"keep-alive hit median {median_ms:.1f} ms"
+
+
+def hit_phase(server, client: ServiceClient, body: dict) -> None:
+    """Resubmit one stored recipe HITS times over one keep-alive
+    connection; then send a malformed body and an empty one."""
+    data = json.dumps(body).encode()
+    headers = {"Content-Type": "application/json"}
+
+    def counts() -> "tuple[int, int, int]":
+        metrics = parse_prometheus(client.metrics())
+        runs = sum(value for (name, labels), value in metrics.items()
+                   if name == "repro_runs_total"
+                   and ("source", "memo") in labels)
+        jobs = [metrics.get(("repro_service_jobs_total",
+                             (("outcome", outcome),)), 0)
+                for outcome in ("memo", "rejected")]
+        return runs, jobs[0], jobs[1]
+
+    records = len(read_ledger())
+    runs, memo, rejected = counts()
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+
+    def call(method: str, path: str, status: int,
+             payload: "bytes | None" = None) -> bytes:
+        conn.request(method, path, body=payload, headers=headers)
+        response = conn.getresponse()
+        raw = response.read()
+        assert response.status == status, (method, path, raw[:300])
+        return raw
+
+    try:
+        payloads = set()
+        sock = None
+        for _ in range(HITS):
+            view = json.loads(call("POST", "/v1/jobs", 202, data))["job"]
+            assert (view["state"], view["source"]) == ("done", "memo"), view
+            payloads.add(call("GET", f"/v1/jobs/{view['id']}/result", 200))
+            if sock is None:
+                sock = conn.sock
+        assert conn.sock is sock, "the hits took more than one connection"
+        assert len(payloads) == 1, f"{len(payloads)} different payloads"
+        call("POST", "/v1/jobs", 400, b"{not json")
+        call("POST", "/v1/jobs", 400, b"")
+    finally:
+        conn.close()
+    added = read_ledger()[records:]
+    assert [r.source for r in added] == ["memo"] * HITS, len(added)
+    after = counts()
+    assert after == (runs + HITS, memo + HITS, rejected + 2), after
 
 
 def main() -> int:
@@ -301,6 +357,12 @@ def main() -> int:
         grown = len(read_ledger()) - start
         expected += KEEP_ALIVE_HITS
         assert grown == expected, (grown, expected)
+
+        # -- hits: one parse per body, one payload per key --------------
+        hit_phase(server, client, d0)
+        grown = len(read_ledger()) - start
+        expected += HITS
+        assert grown == expected, (grown, expected)
     finally:
         client.close()
         server.close()
@@ -310,7 +372,7 @@ def main() -> int:
         f"{server.url}, ledger {ledger_path()} grew by {grown}, "
         f"one execution per key, both engines agree, specs match "
         f"local runs, a killed pool fails one job, keep-alive hits "
-        f"do not stall"
+        f"do not stall, {HITS} resubmissions serve one payload"
     )
     return 0
 

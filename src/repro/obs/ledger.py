@@ -29,6 +29,7 @@ Properties:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -127,8 +128,11 @@ class LedgerRecord:
         return cls(**data)
 
     def to_json_line(self) -> str:
-        """Canonical single-line JSON form (sorted keys, no newline)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """Canonical single-line JSON form (sorted keys, no newline):
+        ``json.dumps(self.to_dict(), sort_keys=True)``, encoded from the
+        fields themselves.  A frozen record's ``__dict__`` holds exactly
+        its fields, so no copy is made."""
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "LedgerRecord":
@@ -141,6 +145,12 @@ class LedgerRecord:
     @property
     def short_key(self) -> str:
         return self.recipe_key[:8] if self.recipe_key else "--------"
+
+
+@functools.lru_cache(maxsize=None)
+def _host_cpus() -> int:
+    """The host's CPU count, read once per process."""
+    return os.cpu_count() or 1
 
 
 def record_from_result(
@@ -202,7 +212,7 @@ def record_from_result(
         profile_phases=(
             dict(profile.phase_s) if profile is not None else {}
         ),
-        host_cpus=os.cpu_count() or 1,
+        host_cpus=_host_cpus(),
     )
 
 
@@ -212,7 +222,8 @@ def append_record(
     """Atomically append one record; returns whether a line was written.
 
     A single ``write(2)`` on an ``O_APPEND`` descriptor appends the
-    whole line atomically with respect to concurrent appenders.  Any
+    whole line atomically with respect to concurrent appenders.  The
+    directory is created only when the open finds it missing.  Any
     OS-level failure is swallowed: the ledger must never fail a run.
     """
     if not ledger_enabled():
@@ -220,10 +231,13 @@ def append_record(
     target = Path(path) if path is not None else ledger_path()
     line = record.to_json_line() + "\n"
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            target, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644
-        )
+        try:
+            fd = os.open(target, os.O_APPEND | os.O_CREAT | os.O_WRONLY,
+                         0o644)
+        except FileNotFoundError:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(target, os.O_APPEND | os.O_CREAT | os.O_WRONLY,
+                         0o644)
         try:
             os.write(fd, line.encode())
         finally:
@@ -244,6 +258,13 @@ def iter_ledger(
         text = target.read_text()
     except OSError:
         return
+    yield from parse_ledger_lines(text, strict=strict)
+
+
+def parse_ledger_lines(
+    text: str, strict: bool = False
+) -> Iterator[LedgerRecord]:
+    """The records of ledger text, as :func:`iter_ledger` reads them."""
     for line in text.splitlines():
         if not line.strip():
             continue

@@ -17,7 +17,11 @@ CI job.
 from __future__ import annotations
 
 import json
+import threading
+from pathlib import Path
 from typing import Any, Iterable, Optional
+
+from repro.obs.ledger import ledger_path, parse_ledger_lines
 
 _VALID_KINDS = ("counter", "gauge")
 
@@ -85,6 +89,15 @@ class MetricsRegistry:
     def set(self, name: str, labels: Optional[dict] = None,
             value: Any = 0) -> None:
         self._metrics[name].set(_labels(labels), value)
+
+    def copy(self) -> "MetricsRegistry":
+        """An independent registry with the same metrics and samples."""
+        twin = MetricsRegistry()
+        for name, metric in self._metrics.items():
+            twin._declare(name, metric.kind, metric.help).samples.update(
+                metric.samples
+            )
+        return twin
 
     def value(self, name: str, labels: Optional[dict] = None) -> Any:
         """One sample's current value (None when never observed)."""
@@ -185,9 +198,10 @@ def registry_from_ledger(
     """Aggregate ledger records into the standard fleet metrics.
 
     ``registry`` (optional) aggregates into an existing registry
-    instead of a fresh one -- the simulation service's ``/metrics``
-    endpoint folds its own job counters and the ledger aggregation into
-    a single exposition this way."""
+    instead of a fresh one.  Folding more records into the registry
+    this returned continues the aggregate: the result is byte-equal to
+    one call over all the records (:class:`LedgerAggregate` keeps the
+    simulation service's ``/metrics`` current this way)."""
     reg = registry if registry is not None else MetricsRegistry()
     reg.counter("repro_runs_total",
                 "completed runs by resolution source and engine")
@@ -233,5 +247,59 @@ def registry_from_ledger(
             if best is None or rec.accesses_per_s > best:
                 reg.set("repro_best_accesses_per_s", engine,
                         rec.accesses_per_s)
-    reg.set("repro_ledger_records", None, count)
+    reg.inc("repro_ledger_records", None, count)
     return reg
+
+
+class LedgerAggregate:
+    """The ledger's fleet metrics, kept current by folding in only the
+    lines appended since the last look.
+
+    :meth:`snapshot` equals ``registry_from_ledger(read_ledger())`` at
+    the moment it is taken.  The aggregate covers the ledger up to the
+    end of its last complete line and keeps that line's bytes; when
+    they are no longer there (the file shrank, was truncated or
+    replaced, or the ledger moved) it is rebuilt from zero.  A final
+    line without its newline, a torn or unfinished write, waits for
+    it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._path: Optional[Path] = None  # repro-lint: guarded-by[_lock]
+        self._offset = 0  # repro-lint: guarded-by[_lock] (bytes folded)
+        self._last = b""  # repro-lint: guarded-by[_lock] (last line folded)
+        self._registry = registry_from_ledger(())  # repro-lint: guarded-by[_lock]
+
+    def snapshot(self) -> MetricsRegistry:
+        """A registry of the ledger's metrics as of now, for the caller
+        to add to and export."""
+        path = ledger_path()
+        with self._lock:
+            data = _read_from(path, self._offset - len(self._last))
+            if path != self._path or not data.startswith(self._last):
+                self._path, self._offset, self._last = path, 0, b""
+                self._registry = registry_from_ledger(())
+                data = _read_from(path, 0)
+            end = data.rfind(b"\n") + 1
+            if end > len(self._last):
+                new = data[len(self._last):end]
+                # A fold that raises (a line of the wrong shape) leaves
+                # the aggregate to be rebuilt from zero next time.
+                self._path = None
+                registry_from_ledger(parse_ledger_lines(new.decode()),
+                                     registry=self._registry)
+                self._path = path
+                self._offset += len(new)
+                self._last = data[data.rfind(b"\n", 0, end - 1) + 1:end]
+            return self._registry.copy()
+
+
+def _read_from(path: Path, offset: int) -> bytes:
+    """The file's bytes from ``offset`` on (none when it is unreadable,
+    as :func:`~repro.obs.ledger.iter_ledger` reads no records then)."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            return fh.read()
+    except OSError:
+        return b""

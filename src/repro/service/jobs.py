@@ -37,13 +37,14 @@ event log (:meth:`JobManager.events_since`); terminal events carry a
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import itertools
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim import parallel
 
@@ -148,6 +149,7 @@ class JobManager:
         self._outcomes = {name: 0 for name in OUTCOMES}  # repro-lint: guarded-by[_lock]
         self._ledger_failures = 0  # repro-lint: guarded-by[_lock]
         self._last_progress: Optional[dict] = None  # repro-lint: guarded-by[_lock]
+        self._payloads: "dict[str, bytes]" = {}  # repro-lint: guarded-by[_lock] (key -> result payload)
         self._executor: Optional[concurrent.futures.Executor] = None  # repro-lint: guarded-by[_lock]
         self._closed = False  # repro-lint: guarded-by[_lock]
 
@@ -304,33 +306,29 @@ class JobManager:
     # -- progress / events -------------------------------------------------
 
     def _progress(self, job: Job) -> dict:  # repro-lint: holds[_lock]
-        """A :class:`~repro.sim.telemetry.RunProgress`-shaped heartbeat
-        for one resolved job (lock held)."""
-        import dataclasses
-
-        from repro.sim.telemetry import RunProgress
-
+        """A heartbeat for one resolved job (lock held): the fields of a
+        :class:`~repro.sim.telemetry.RunProgress`, as a dict."""
         t = self._tally
         rate = (
             t.fresh_accesses / t.fresh_wall_s if t.fresh_wall_s > 0
             else 0.0
         )
-        return dataclasses.asdict(RunProgress(
-            completed=t.completed,
-            total=t.submitted,
-            label=job.label,
-            source=job.source or "failed",
-            from_memo=self._outcomes["memo"],
-            from_disk=self._outcomes["disk"],
-            simulated=t.simulated,
+        return {
+            "completed": t.completed,
+            "total": t.submitted,
+            "label": job.label,
+            "source": job.source or "failed",
+            "from_memo": self._outcomes["memo"],
+            "from_disk": self._outcomes["disk"],
+            "simulated": t.simulated,
             # Heartbeat wall time: progress reporting, never cached.
-            elapsed_s=time.time() - t.started_ts,  # repro-lint: ignore[determinism]
-            accesses=t.accesses,
-            accesses_per_s=rate,
-            eta_s=None,
-            key=job.key,
-            engine=job.recipe.config.engine,
-        ))
+            "elapsed_s": time.time() - t.started_ts,  # repro-lint: ignore[determinism]
+            "accesses": t.accesses,
+            "accesses_per_s": rate,
+            "eta_s": None,
+            "key": job.key,
+            "engine": job.recipe.config.engine,
+        }
 
     def _publish(self, kind: str, job: Job) -> None:  # repro-lint: holds[_lock]
         """Append one event to the subscriber log (lock held)."""
@@ -375,6 +373,14 @@ class JobManager:
         with self._lock:
             return [job.view() for job in self._jobs.values()]
 
+    def state_counts(self) -> "dict[str, int]":
+        """How many jobs are in each state (states with none are left
+        out)."""
+        with self._lock:
+            return dict(collections.Counter(
+                job.state for job in self._jobs.values()
+            ))
+
     def wait(self, job_id: str, timeout: float = 60.0) -> Optional[dict]:
         """Block until the job reaches a terminal state (or the timeout
         passes); returns the job's view, None for unknown ids."""
@@ -396,6 +402,26 @@ class JobManager:
                 return None
             hit = parallel.lookup_result(job.key)
             return hit[0] if hit is not None else None
+
+    def payload(self, job_id: str,
+                serialize: Callable[[Any], bytes]) -> Optional[bytes]:
+        """The payload of a ``done`` job's result, ``serialize(result)``:
+        fixed by the recipe key, so serialized once per key.  None when
+        the result is no longer stored, even if its payload was served
+        before."""
+        with self._lock:
+            result = self.result(job_id)
+            if result is None:
+                return None
+            key = self._jobs[job_id].key
+            payload = self._payloads.get(key)
+        if payload is None:
+            # Outside the lock: a large result must not hold up other
+            # submissions while it serializes.
+            payload = serialize(result)
+            with self._lock:
+                payload = self._payloads.setdefault(key, payload)
+        return payload
 
     # -- metrics -----------------------------------------------------------
 

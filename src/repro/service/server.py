@@ -36,6 +36,7 @@ structured body.
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import threading
@@ -44,6 +45,7 @@ from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.config_io import RecipeError, recipe_from_dict
+from repro.obs.registry import LedgerAggregate
 from repro.params import ConfigError
 from repro.service.api import result_to_json
 from repro.service.jobs import JobManager
@@ -51,6 +53,11 @@ from repro.service.jobs import JobManager
 #: Bounds on ``?wait=``/``?timeout=`` so a client cannot pin a server
 #: thread forever.
 MAX_WAIT_S = 300.0
+
+#: Bounds on the parsed-body memo: the number of bodies it keeps, and
+#: the size of the largest body it keeps.
+BODY_MEMO_ENTRIES = 1024
+BODY_MEMO_MAX_BYTES = 64 * 1024
 
 
 class _RequestError(Exception):
@@ -62,6 +69,28 @@ class _RequestError(Exception):
         self.status = status
         self.type_ = type_
         self.field = field
+
+
+def _parse_body(body: bytes) -> Any:
+    """The keyed :class:`~repro.sim.parallel.RunRecipe` a ``POST
+    /v1/jobs`` body describes.  A pure function of the bytes, so the
+    server memoizes it; a body it rejects raises the 400 it gets, and
+    nothing is memoized for it."""
+    try:
+        data = json.loads(body)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise _RequestError(
+            400, "BadRequest", f"invalid JSON body: {exc}"
+        ) from exc
+    try:
+        recipe = recipe_from_dict(data)
+    except RecipeError as exc:
+        raise _RequestError(400, "RecipeError", str(exc),
+                            field=exc.field) from exc
+    except ConfigError as exc:
+        raise _RequestError(400, "ConfigError", str(exc)) from exc
+    recipe.key()
+    return recipe
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -128,7 +157,7 @@ class _Handler(BaseHTTPRequestHandler):
                 400, "BadRequest", f"{key} must be a number", field=key
             ) from None
 
-    def _read_json_body(self) -> Any:
+    def _read_body(self) -> bytes:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -138,12 +167,7 @@ class _Handler(BaseHTTPRequestHandler):
                                 "request needs a JSON body")
         raw = self.rfile.read(length)
         self._body_unread = False
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _RequestError(
-                400, "BadRequest", f"invalid JSON body: {exc}"
-            ) from exc
+        return raw
 
     # -- dispatch ----------------------------------------------------------
 
@@ -220,25 +244,20 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _get_health(self) -> None:
-        jobs = self.manager.jobs()
-        states: "dict[str, int]" = {}
-        for view in jobs:
-            states[view["state"]] = states.get(view["state"], 0) + 1
-        self._send_json(200, {"ok": True, "jobs": states,
+        self._send_json(200, {"ok": True,
+                              "jobs": self.manager.state_counts(),
                               "workers": self.manager.workers,
                               "mode": self.manager.mode})
 
     def _post_job(self) -> None:
-        data = self._read_json_body()
         try:
-            recipe = recipe_from_dict(data)
-        except RecipeError as exc:
+            body = self._read_body()
+            parse = (self.server.parse_body  # type: ignore[attr-defined]
+                     if len(body) <= BODY_MEMO_MAX_BYTES else _parse_body)
+            recipe = parse(body)
+        except _RequestError:
             self.manager.record_rejection()
-            raise _RequestError(400, "RecipeError", str(exc),
-                                field=exc.field) from exc
-        except ConfigError as exc:
-            self.manager.record_rejection()
-            raise _RequestError(400, "ConfigError", str(exc)) from exc
+            raise
         view = self.manager.submit(recipe)
         self._send_json(202, {"job": view})
 
@@ -272,13 +291,13 @@ class _Handler(BaseHTTPRequestHandler):
                 409, "JobNotDone",
                 f"job {job_id} is {view['state']}; poll or pass ?wait=S",
             )
-        result = self.manager.result(job_id)
-        if result is None:  # result cache disabled and memo evicted
+        payload = self.manager.payload(job_id, result_to_json)
+        if payload is None:  # result cache disabled and memo evicted
             raise _RequestError(
                 410, "ResultGone",
                 f"result for job {job_id} is no longer stored",
             )
-        self._send_bytes(200, result_to_json(result), "application/json")
+        self._send_bytes(200, payload, "application/json")
 
     def _get_events(self) -> None:
         query = self._query()
@@ -315,12 +334,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.flush()
 
     def _get_metrics(self) -> None:
-        from repro.obs.ledger import read_ledger
-        from repro.obs.registry import MetricsRegistry, registry_from_ledger
-
-        registry = MetricsRegistry()
+        registry = self.server.ledger.snapshot()  # type: ignore[attr-defined]
         self.manager.fill_registry(registry)
-        registry_from_ledger(read_ledger(), registry=registry)
         self._send_bytes(
             200, registry.to_prometheus().encode(),
             "text/plain; version=0.0.4",
@@ -338,6 +353,9 @@ class _HTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.manager = manager
         self.verbose = verbose
+        # Thread-safe; exceptions (rejected bodies) are never cached.
+        self.parse_body = functools.lru_cache(BODY_MEMO_ENTRIES)(_parse_body)
+        self.ledger = LedgerAggregate()
         self.stopping = False
         self._conns_lock = threading.Lock()
         self._conns: "set[socket.socket]" = set()  # repro-lint: guarded-by[_conns_lock]

@@ -3,6 +3,7 @@ the perf-regression gate (`repro.obs`)."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -31,6 +32,7 @@ from repro.obs.profile import (
     resolve_profile,
 )
 from repro.obs.registry import (
+    LedgerAggregate,
     MetricsRegistry,
     parse_prometheus,
     registry_from_ledger,
@@ -116,6 +118,13 @@ class TestLedgerRecord:
         assert LedgerRecord.from_json_line(line) == rec
         assert LedgerRecord.from_json_line(line).to_json_line() == line
         assert "\n" not in line
+
+    @pytest.mark.parametrize("phases", [{}, {"walk": 0.1, "access_loop": 0.25}])
+    def test_json_line_equals_the_asdict_reference(self, phases):
+        rec = make_record(profile_phases=phases, wall_s=0.1,
+                          accesses_per_s=1e6 / 3)
+        assert rec.to_json_line() == json.dumps(dataclasses.asdict(rec),
+                                                sort_keys=True)
 
     def test_from_dict_rejects_unknown_keys(self):
         data = make_record().to_dict()
@@ -307,6 +316,12 @@ class TestLedgerAppends:
         run_workload(tiny_config(), make_workload(), "inclusive")
         assert read_ledger() == []
         assert not ledger_path().exists()
+
+    def test_append_creates_a_missing_directory(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "ledger.jsonl"
+        assert append_record(make_record(), path=path)
+        assert append_record(make_record(ts=2000.0), path=path)
+        assert [r.ts for r in read_ledger(path)] == [1000.0, 2000.0]
 
     def test_malformed_lines_are_skipped_not_fatal(self, obs_cache):
         append_record(make_record())
@@ -537,6 +552,77 @@ class TestRegistry:
         best = data["repro_best_accesses_per_s"]["samples"]
         fast = [s for s in best if s["labels"] == {"engine": "fast"}]
         assert fast[0]["value"] == 710763.125
+
+
+    def test_ledger_aggregate_equals_a_full_fold(self, obs_cache,
+                                                 monkeypatch):
+        """The aggregate behind /metrics parses only the lines appended
+        since its last snapshot, and every snapshot is byte-equal to a
+        full fold of the ledger: after appends, a torn final line, its
+        completion, truncation, replacement and deletion."""
+        import repro.obs.registry as registry_mod
+
+        parsed = []
+        real = registry_mod.parse_ledger_lines
+
+        def counting(text, strict=False):
+            parsed.append(text.count("\n"))
+            return real(text, strict)
+
+        monkeypatch.setattr(registry_mod, "parse_ledger_lines", counting)
+        records = [
+            make_record(ts=1000.0 + i, engine=("fast", "object")[i % 2],
+                        source=("run", "memo")[i % 3 == 2],
+                        cache_hit=i % 3 == 2, wall_s=0.1 * (i + 1),
+                        accesses_per_s=1e5 / (i + 1),
+                        profile_phases={"walk": 0.1 * i} if i % 2 else {})
+            for i in range(9)
+        ]
+        path = ledger_path()
+        aggregate = LedgerAggregate()
+
+        def assert_equal() -> str:
+            text = aggregate.snapshot().to_prometheus()
+            assert text == registry_from_ledger(read_ledger()).to_prometheus()
+            return text
+
+        assert_equal()  # no ledger yet
+        for rec in records[:3]:
+            append_record(rec)
+        assert_equal()
+        assert parsed == [3]
+        append_record(records[3])
+        assert_equal()
+        assert parsed == [3, 1]
+        assert_equal()
+        assert parsed == [3, 1]
+        # A torn final line waits; the append after it completes one
+        # line that does not parse.
+        with open(path, "a") as fh:
+            fh.write(records[4].to_json_line()[:40])
+        assert_equal()
+        assert parsed == [3, 1]
+        append_record(records[5])
+        assert "repro_ledger_records 4" in assert_equal()
+        # Truncation to two records, then growth past the old end.
+        lines = path.read_bytes().splitlines(keepends=True)
+        with open(path, "r+b") as fh:
+            fh.truncate(len(lines[0]) + len(lines[1]))
+        assert "repro_ledger_records 2" in assert_equal()
+        for rec in records[6:]:
+            append_record(rec)
+        append_record(records[0])
+        assert_equal()
+        # A replaced file as long as the old one, and a deleted one.
+        size = path.stat().st_size
+        replacement = path.with_name("next.jsonl")
+        for rec in reversed(records):
+            append_record(rec, path=replacement)
+        assert replacement.stat().st_size >= size
+        os.replace(replacement, path)
+        assert "repro_ledger_records 9" in assert_equal()
+        path.unlink()
+        assert "repro_ledger_records 0" in assert_equal()
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.params import (
     SystemConfig,
 )
 from repro.sim.parallel import RunRecipe, _execute_recipe
+from repro.sim.telemetry import RunProgress
 from repro.workloads import homogeneous_mix
 
 _UNIQUE = itertools.count()
@@ -590,18 +591,41 @@ def test_http_rejects_unsupported_fast_recipes(service):
     assert outcomes.get("failed", 0) == 0
 
 
-def test_http_rejects_malformed_json_body(service):
-    import urllib.error
-    import urllib.request
+def _outcome(client, name: str) -> int:
+    """One ``repro_service_jobs_total`` count from ``/metrics``."""
+    from repro.obs.registry import parse_prometheus
 
-    server, client = service
-    req = urllib.request.Request(
-        server.url + "/v1/jobs", data=b"{not json",
-        headers={"Content-Type": "application/json"}, method="POST",
+    return parse_prometheus(client.metrics()).get(
+        ("repro_service_jobs_total", (("outcome", name),)), 0
     )
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(req, timeout=10)
-    assert excinfo.value.code == 400
+
+
+def _post(server, body: bytes) -> "tuple[int, dict]":
+    """POST raw bytes to /v1/jobs; returns (status, decoded body)."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/jobs", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_http_rejects_malformed_json_body(service):
+    """A body that is no recipe is a 400, and /metrics counts it as
+    rejected, each time it comes."""
+    server, client = service
+    count = 0
+    for body, error in ((b"{not json", "BadRequest"),
+                        (b"\x80 is not UTF-8", "BadRequest"),
+                        (b"[]", "RecipeError"),
+                        (b"", "BadRequest")):
+        for _ in range(2):
+            status, reply = _post(server, body)
+            assert (status, reply["error"]["type"]) == (400, error), body
+            count += 1
+            assert _outcome(client, "rejected") == count, body
 
 
 def test_http_unknown_job_is_404(service):
@@ -635,13 +659,20 @@ def test_http_events_and_health(service):
     assert kinds[-1] == "done"
     done = [e for e in events if e["kind"] == "done"][-1]
     assert done["progress"]["completed"] >= 1
+    assert dataclasses.asdict(RunProgress(**done["progress"])) == \
+        done["progress"]
     assert cursor >= len(events)
     later, _ = client.events(cursor)
     assert later == []
 
 
 def test_http_metrics_expose_service_counters(service):
-    from repro.obs.registry import parse_prometheus
+    from repro.obs.ledger import read_ledger
+    from repro.obs.registry import (
+        MetricsRegistry,
+        parse_prometheus,
+        registry_from_ledger,
+    )
     from repro.service import ServiceError
 
     server, client = service
@@ -664,8 +695,15 @@ def test_http_metrics_expose_service_counters(service):
     assert outcome("memo") >= 1
     assert outcome("rejected") >= 1
     assert metrics[("repro_service_workers", ())] == 2
-    # The ledger aggregation shares the exposition.
+    # The ledger aggregation shares the exposition, and equals a full
+    # fold of the ledger before and after it grows.
     assert ("repro_ledger_records", ()) in metrics
+    for _ in range(2):
+        reference = MetricsRegistry()
+        server.manager.fill_registry(reference)
+        registry_from_ledger(read_ledger(), registry=reference)
+        assert client.metrics() == reference.to_prometheus()
+        client.submit(d)
 
 
 def test_http_failed_ledger_appends_are_counted(service, monkeypatch):
@@ -817,6 +855,172 @@ def test_http_both_engines_resolve(service):
     # The two engines agree on the counters (the differential-oracle
     # contract), so the payloads differ only in profile attribution.
     assert payloads["object"] == payloads["fast"]
+
+
+# ---------------------------------------------------------------------------
+# HTTP hits: what is computed once per body, once per key
+
+
+def test_http_identical_bodies_parse_once(service, monkeypatch):
+    """An accepted body is parsed and keyed once; a rejected one is
+    validated, and counted, every time it comes."""
+    from repro.service import ServiceError
+    from repro.service import server as server_mod
+
+    server, client = service
+    parsed = []
+    real = server_mod.recipe_from_dict
+    monkeypatch.setattr(server_mod, "recipe_from_dict",
+                        lambda data: parsed.append(data) or real(data))
+    d = recipe_to_dict(make_recipe())
+    first = client.wait(client.submit(d)["id"], timeout=30)
+    for _ in range(3):
+        again = client.submit(d)
+        assert (again["key"], again["source"]) == (first["key"], "memo")
+    assert len(parsed) == 1
+    bad = recipe_to_dict(make_recipe(unique=False))
+    bad["config"]["engine"] = "warp"
+    for count in (1, 2, 3):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(bad)
+        assert excinfo.value.field == "config.engine"
+        assert _outcome(client, "rejected") == count
+    assert len(parsed) == 4
+
+
+def test_http_body_memo_is_bounded(service, monkeypatch):
+    """A body over the size bound is parsed every time and never kept,
+    and the memo never holds more bodies than its entry bound."""
+    from repro.service import server as server_mod
+
+    server, client = service
+    memo = server._httpd.parse_body
+    parsed = []
+    real = server_mod.recipe_from_dict
+    monkeypatch.setattr(server_mod, "recipe_from_dict",
+                        lambda data: parsed.append(data) or real(data))
+    body = json.dumps(recipe_to_dict(make_recipe())).encode()
+    big = body + b" " * (server_mod.BODY_MEMO_MAX_BYTES - len(body) + 1)
+    keys = set()
+    for _ in range(2):
+        status, reply = _post(server, big)
+        assert status == 202
+        keys.add(reply["job"]["key"])
+    assert len(parsed) == 2 and len(keys) == 1
+    assert memo.cache_info().currsize == 0
+    at_bound = big[:-1]
+    for _ in range(2):
+        assert _post(server, at_bound)[0] == 202
+    assert len(parsed) == 3
+    assert memo.cache_info().currsize == 1
+    for pad in range(server_mod.BODY_MEMO_ENTRIES + 8):
+        assert memo(body + b" " * pad).key() in keys
+        assert memo.cache_info().currsize <= server_mod.BODY_MEMO_ENTRIES
+    assert memo.cache_info().currsize == server_mod.BODY_MEMO_ENTRIES
+
+
+def test_http_payloads_are_serialized_once_per_key(tmp_path, monkeypatch):
+    """Coalesced, memo and disk hits (after a restart on the same cache
+    directory) all serve ``result_to_json`` of the stored result, and
+    each server serializes it once."""
+    from repro.service import ServiceClient, create_server
+    from repro.service import server as server_mod
+    from repro.service.api import result_to_json
+    from repro.sim import parallel
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    serialized = []
+    monkeypatch.setattr(server_mod, "result_to_json",
+                        lambda r: serialized.append(r) or result_to_json(r))
+    gate = threading.Event()
+
+    def gated(item):
+        assert gate.wait(timeout=30)
+        return _execute_recipe(item)
+
+    monkeypatch.setattr(parallel, "_execute_recipe", gated)
+    recipe = make_recipe()
+    d = recipe_to_dict(recipe)
+    try:
+        with create_server(port=0, workers=1, mode="thread") as server, \
+                ServiceClient(server.url, timeout=30) as client:
+            primary = client.submit(d)
+            waiter = client.submit(d)
+            assert waiter["coalesced_into"] == primary["id"]
+            gate.set()
+            ids = [client.wait(v["id"], timeout=30)["id"]
+                   for v in (primary, waiter)]
+            memo = client.submit(d)
+            assert memo["source"] == "memo"
+            ids.append(memo["id"])
+            stored = result_to_json(parallel.lookup_result(recipe.key())[0])
+            assert {client.result_bytes(i) for i in ids * 2} == {stored}
+            assert len(serialized) == 1
+        parallel.clear_memo()
+        with create_server(port=0, workers=1, mode="thread") as server, \
+                ServiceClient(server.url, timeout=30) as client:
+            disk = client.submit(d)
+            assert disk["source"] == "disk"
+            for _ in range(2):
+                assert client.result_bytes(disk["id"]) == stored
+            assert len(serialized) == 2
+    finally:
+        gate.set()
+        parallel.clear_memo()
+
+
+def test_http_result_no_longer_stored_is_410(service, monkeypatch):
+    """With the disk cache off, a result the memo dropped is gone: a
+    410, even though its payload was served before."""
+    from repro.service import ServiceError
+    from repro.sim import parallel
+
+    server, client = service
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    view = client.wait(client.submit(make_recipe())["id"], timeout=30)
+    assert client.result_bytes(view["id"])
+    parallel.clear_memo()
+    with pytest.raises(ServiceError) as excinfo:
+        client.result_bytes(view["id"])
+    assert (excinfo.value.status, excinfo.value.type) == (410, "ResultGone")
+
+
+def test_http_health_counts_every_state(service, monkeypatch):
+    """/healthz counts the states the job views show, with jobs queued
+    (coalesced), running (gated), done and failed at once."""
+    import collections
+
+    from repro.sim import parallel
+
+    server, client = service
+    gate = threading.Event()
+    held, doomed = make_recipe(), make_recipe()
+
+    def execute(item):
+        if item[0] == doomed.key():
+            raise RuntimeError("engine exploded")
+        if item[0] == held.key():
+            assert gate.wait(timeout=30)
+        return _execute_recipe(item)
+
+    def from_views() -> dict:
+        return dict(collections.Counter(v["state"] for v in client.jobs()))
+
+    monkeypatch.setattr(parallel, "_execute_recipe", execute)
+    try:
+        client.wait(client.submit(make_recipe())["id"], timeout=30)
+        client.wait(client.submit(doomed)["id"], timeout=30)
+        client.submit(held)
+        client.submit(held)
+        expected = {"queued": 1, "running": 1, "done": 1, "failed": 1}
+        assert client.health()["jobs"] == from_views() == expected
+        gate.set()
+        for view in client.jobs():
+            client.wait(view["id"], timeout=30)
+        assert client.health()["jobs"] == from_views() == \
+            {"done": 3, "failed": 1}
+    finally:
+        gate.set()
 
 
 # ---------------------------------------------------------------------------
