@@ -13,7 +13,10 @@ then asserts the observability stack's core guarantees:
   is identical across engines;
 * ``run_regress`` over the fresh ledger produces a report without
   errors (the CI regression *gate* is a separate ``repro obs regress
-  --check`` invocation against the committed BENCH history).
+  --check`` invocation against the committed BENCH history);
+* a ledger line with the right keys and one wrong-typed value is
+  skipped, not fatal: ``repro obs export`` and ``repro obs top`` still
+  succeed, and the export counts exactly one more skipped line.
 
 Exit 0 on success; any assertion failure is a non-zero exit.
 
@@ -24,10 +27,15 @@ Usage::
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.obs.ledger import (  # noqa: E402
     LedgerRecord,
@@ -76,8 +84,16 @@ def small_workload(k: int = 0, length: int = 600) -> Workload:
     return Workload(traces, f"smoke-wl{k}")
 
 
+def repro_cli(*args: str) -> None:
+    """Run ``python -m repro ARGS`` against this checkout; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, "-m", "repro", *args], env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+
+
 def main() -> int:
-    start = len(read_ledger())
+    before = read_ledger()
+    start = len(before)
 
     # -- a small grid on both engines, fresh then cache-resolved -------
     recipes = [
@@ -139,10 +155,25 @@ def main() -> int:
     report = run_regress(ledger_records=read_ledger())
     assert not report.errors, report.errors
 
+    # -- a wrong-typed line is skipped and counted, never fatal ---------
+    bad = records[0].to_dict()
+    bad["profile_phases"] = 5
+    with open(ledger_path(), "a") as fh:
+        fh.write(json.dumps(bad, sort_keys=True) + "\n")
+    repro_cli("obs", "top")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "metrics.prom"
+        repro_cli("obs", "export", "--format", "prometheus",
+                  "--out", str(out))
+        exported = parse_prometheus(out.read_text())
+    skipped = exported[("repro_ledger_skipped_lines", ())] - before.skipped
+    assert skipped == 1, f"export counts {skipped} new skipped lines"
+    assert exported[("repro_ledger_records", ())] == len(read_ledger())
+
     print(
         f"obs smoke: {len(records) + 2} ledger record(s) in "
         f"{ledger_path()}, round-trips exact, profiler live on both "
-        f"engines"
+        f"engines, a wrong-typed line skipped and counted"
     )
     return 0
 

@@ -20,7 +20,10 @@ Properties:
 * **Byte-stable round-trip.**  ``to_json_line`` serialises with sorted
   keys; ``from_json_line(line).to_json_line() == line`` for any line
   the writer produced, and :meth:`LedgerRecord.from_dict` validates
-  keys both ways in the ``config_io`` style.
+  keys both ways in the ``config_io`` style and each value against its
+  field's annotation.  Readers skip a line that fails and count it
+  (:attr:`LedgerRecords.skipped`), so one bad line never breaks an
+  export.
 * **Opt-out.**  ``REPRO_LEDGER=off`` disables appends; reads are
   unaffected.  The path rides ``REPRO_CACHE_DIR``, so test isolation
   of the result cache isolates the ledger for free.
@@ -104,7 +107,7 @@ class LedgerRecord:
     audit_violations: int
     telemetry_samples: int
     telemetry_events: int
-    profile_phases: dict
+    profile_phases: dict[str, float]
     host_cpus: int
 
     def to_dict(self) -> dict:
@@ -125,6 +128,13 @@ class LedgerRecord:
             raise ConfigError(
                 f"ledger record needs keys: {sorted(missing)}"
             )
+        for f in dataclasses.fields(cls):
+            value = data[f.name]
+            if not _ADMITS[f.type](value):
+                raise ConfigError(
+                    f"ledger field {f.name!r} must be {f.type}, got "
+                    f"{type(value).__name__}"
+                )
         return cls(**data)
 
     def to_json_line(self) -> str:
@@ -145,6 +155,23 @@ class LedgerRecord:
     @property
     def short_key(self) -> str:
         return self.recipe_key[:8] if self.recipe_key else "--------"
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: The values each :class:`LedgerRecord` annotation admits: a bool is
+#: not an int, and an int may stand for a float.
+_ADMITS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "dict[str, float]": lambda v: isinstance(v, dict) and all(
+        isinstance(k, str) and _is_number(x) for k, x in v.items()
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,36 +274,52 @@ def append_record(
     return True
 
 
+class LedgerRecords(list):
+    """Ledger records, oldest-first, plus ``skipped``: how many complete
+    lines did not parse as records and were left out."""
+
+    skipped = 0
+
+
 def iter_ledger(
     path: Optional[Path] = None, strict: bool = False
 ) -> Iterator[LedgerRecord]:
-    """Yield records oldest-first; unparsable lines are skipped unless
-    ``strict`` (a torn final line from a crashed writer must not brick
-    the whole ledger)."""
-    target = Path(path) if path is not None else ledger_path()
-    try:
-        text = target.read_text()
-    except OSError:
-        return
-    yield from parse_ledger_lines(text, strict=strict)
+    """Yield records oldest-first (see :func:`read_ledger`)."""
+    yield from read_ledger(path, strict=strict)
 
 
-def parse_ledger_lines(
-    text: str, strict: bool = False
-) -> Iterator[LedgerRecord]:
-    """The records of ledger text, as :func:`iter_ledger` reads them."""
-    for line in text.splitlines():
+def parse_ledger_lines(text: str, strict: bool = False) -> LedgerRecords:
+    """The records of ledger text.  A line that does not parse raises
+    :class:`ConfigError` when ``strict``; otherwise it is skipped and,
+    unless it is a final line still waiting for its newline (an append
+    in progress, or torn by a crash), counted in ``skipped``."""
+    out = LedgerRecords()
+    lines = text.splitlines()
+    complete = text.endswith("\n")
+    for n, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            yield LedgerRecord.from_json_line(line)
+            out.append(LedgerRecord.from_json_line(line))
         except ConfigError:
             if strict:
                 raise
+            if complete or n < len(lines):
+                out.skipped += 1
+    return out
 
 
 def read_ledger(
     path: Optional[Path] = None, strict: bool = False
-) -> list:
-    """All ledger records, oldest-first."""
-    return list(iter_ledger(path, strict=strict))
+) -> LedgerRecords:
+    """All ledger records, oldest-first.  Unparsable lines are skipped
+    unless ``strict``: a torn final line from a crashed writer, or one
+    hand-edited line, must not brick the whole ledger."""
+    target = Path(path) if path is not None else ledger_path()
+    try:
+        # A line that is not UTF-8 decodes to replacement characters,
+        # fails to parse and is counted like any other bad line.
+        text = target.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return LedgerRecords()
+    return parse_ledger_lines(text, strict=strict)

@@ -201,7 +201,11 @@ def registry_from_ledger(
     instead of a fresh one.  Folding more records into the registry
     this returned continues the aggregate: the result is byte-equal to
     one call over all the records (:class:`LedgerAggregate` keeps the
-    simulation service's ``/metrics`` current this way)."""
+    simulation service's ``/metrics`` current this way).  Records from
+    :func:`~repro.obs.ledger.read_ledger` or
+    :func:`~repro.obs.ledger.parse_ledger_lines` also carry the count of
+    ledger lines skipped as unparsable, exported as
+    ``repro_ledger_skipped_lines``."""
     reg = registry if registry is not None else MetricsRegistry()
     reg.counter("repro_runs_total",
                 "completed runs by resolution source and engine")
@@ -221,6 +225,8 @@ def registry_from_ledger(
               "best fresh-run throughput on record, by engine")
     reg.gauge("repro_ledger_records",
               "ledger records aggregated into this export")
+    reg.gauge("repro_ledger_skipped_lines",
+              "ledger lines left out of this export as unparsable")
     count = 0
     for rec in records:
         count += 1
@@ -248,6 +254,8 @@ def registry_from_ledger(
                 reg.set("repro_best_accesses_per_s", engine,
                         rec.accesses_per_s)
     reg.inc("repro_ledger_records", None, count)
+    reg.inc("repro_ledger_skipped_lines", None,
+            getattr(records, "skipped", 0))
     return reg
 
 
@@ -286,8 +294,9 @@ class LedgerAggregate:
                 # A fold that raises (a line of the wrong shape) leaves
                 # the aggregate to be rebuilt from zero next time.
                 self._path = None
-                registry_from_ledger(parse_ledger_lines(new.decode()),
-                                     registry=self._registry)
+                registry_from_ledger(
+                    parse_ledger_lines(new.decode(errors="replace")),
+                    registry=self._registry)
                 self._path = path
                 self._offset += len(new)
                 self._last = data[data.rfind(b"\n", 0, end - 1) + 1:end]

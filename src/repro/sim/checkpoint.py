@@ -38,7 +38,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-CHECKPOINT_VERSION = 2
+#: Bumped whenever the pickled hierarchy's state changes shape (3: the
+#: fast engine's per-set NotInPrC counts and its one-tail kernel).
+CHECKPOINT_VERSION = 3
 
 #: Magic prefix so a checkpoint is recognisable before unpickling.
 _MAGIC = b"ZIVCKPT1\n"

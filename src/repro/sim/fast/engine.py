@@ -20,15 +20,25 @@ integers instead of per-block objects:
   when none).  ZeroDEV spill entries live in the *same* arrays, in slots
   appended past the fixed slice storage and recycled through a free list.
 * **Property vectors** -- the real :class:`PropertyVector` objects (whose
-  packed-integer bits and Algorithm 1 nextRS are already array-state) fed
-  by a single-scan refresh over the packed metadata.
+  packed-integer bits and Algorithm 1 nextRS are already array-state).
+  ZIV hierarchies keep two counts per LLC set, updated wherever a
+  block's NotInPrC bit, RRPV or validity changes: valid NotInPrC blocks
+  (``llc_nip``) and those at the maximum RRPV (``llc_nipmax``).  A
+  refresh reads the ``invalid``, ``notinprc`` and ``maxrrpvnotinprc``
+  bits from the counts in O(1), the way the paper's hardware flips a PV
+  bit only when a block changes state (III-D1); only ``lrunotinprc``
+  scans the set for its LRU block.
 
 Every statement of the object engine's access flow is ported in order:
 counter increments, NRU touches, DRAM request ordering, PV refreshes and
 telemetry events happen at exactly the oracle's sequence points, so
 ``SimStats``/``CoreStats``/energy/audit/telemetry outputs are equal, not
 merely statistically close.  ``repro.sim.differential`` asserts this on
-every supported scheme x policy x workload combination.
+every supported scheme x policy x workload combination.  The access
+flow itself lives in one method, :meth:`FastHierarchy.run_segment`,
+which holds the only copy of every fill step; helper methods cover the
+front of a relocated hit, coherence actions, directory displacement and
+the ZIV relocation path.
 
 The supported envelope is the paper's core grid -- inclusive,
 non-inclusive and the object-property ZIV variants over LRU/SRRIP/NRU --
@@ -223,7 +233,7 @@ class FastHierarchy:
         # -- replacement policy dispatch -----------------------------------
         if llc_policy == "lru":
             self._llc_fill = self._llc_touch = self._touch_pos_lru
-            self._victim = self._victim_lru
+            self._victim = None  # the kernel finds the LRU way inline
         elif llc_policy == "srrip":
             self._llc_fill = self._fill_pos_srrip
             self._llc_touch = self._touch_pos_srrip
@@ -262,7 +272,10 @@ class FastHierarchy:
                 fifo_depth=config.relocation_fifo_depth,
                 nextrs_latency=config.nextrs_latency,
             )
-            self._install = self._install_ziv
+            # Per LLC set: valid NotInPrC blocks, and those of them at
+            # the maximum RRPV (the PV bits' inputs, see _refresh).
+            self.llc_nip = [0] * len(self.llc_vcount)
+            self.llc_nipmax = [0] * len(self.llc_vcount)
             # PropertyTracker.__init__ refreshes every set up front (the
             # all-invalid LLC flips every "invalid" PV bit on); replicate
             # so pv_flips and energy.pv_updates match.
@@ -273,10 +286,7 @@ class FastHierarchy:
             self._ladder = ()
             self._pvs = None
             self._reloc = None
-            # The kernel inlines the baseline installs: only the
-            # non-inclusive forward fill (an inclusive LLC never forwards)
-            # goes through ``_install``.
-            self._install = self._install_noninclusive
+            self.llc_nip = self.llc_nipmax = None
 
         # -- audit/telemetry views ----------------------------------------
         from repro.sim.fast.views import (
@@ -299,6 +309,10 @@ class FastHierarchy:
         self, core: int, addr: int, dpos: int, is_write: bool,
         cycle: int, lat: int,
     ) -> int:
+        """Front part of a hit on a relocated block (paper III-C1): the
+        directory entry ``dpos`` points at it.  Coherence, touch and
+        counters; the kernel's L2-miss tail does the rest.  Returns the
+        access latency."""
         rp = self.d_reloc[dpos]
         if not (self.llc_meta[rp] & 2) or self.llc_tag[rp] != addr:
             raise CoherenceError(
@@ -306,30 +320,12 @@ class FastHierarchy:
             )
         extra = self._coherence_on_miss(core, addr, dpos, is_write, cycle)
         self._llc_touch(rp)
-        if self._ziv:
-            self._refresh(rp // self.llc_ways)
+        self._refresh(rp // self.llc_ways)
         stats = self.stats
         stats.llc_hits += 1
         stats.relocated_hits += 1
         self.energy.llc_data_reads += 1
-        self.d_sharers[dpos] |= 1 << core
-        if is_write:
-            self.d_owner[dpos] = core
-        self._fill_private(core, addr, is_write, cycle)
         return lat + self._data_lat + self._reloc_penalty + extra
-
-    def _forward_fill(
-        self, core: int, addr: int, dpos: int, is_write: bool,
-        cycle: int, lat: int,
-    ) -> int:
-        extra = self._coherence_on_miss(core, addr, dpos, is_write, cycle)
-        self._install(addr, cycle)
-        self.energy.llc_data_writes += 1
-        self.d_sharers[dpos] |= 1 << core
-        if is_write:
-            self.d_owner[dpos] = core
-        self._fill_private(core, addr, is_write, cycle)
-        return lat + self._fwd_lat + extra
 
     # ------------------------------------------------------------- coherence
 
@@ -420,94 +416,13 @@ class FastHierarchy:
             return
         self._writeback(addr, 0)
 
-    # ---------------------------------------------------------- private fills
-
-    def _fill_private(
-        self, core: int, addr: int, is_write: bool, cycle: int
-    ) -> None:
-        l1 = self._l1s[core]
-        l2 = self._l2s[core]
-        n2 = self._fill(l2, l1, addr, is_write)
-        n1 = self._fill(l1, l2, addr, is_write)
-        if n2 is not None:
-            self._handle_notice(core, n2[0], n2[1], cycle)
-        if n1 is not None:
-            self._handle_notice(core, n1[0], n1[1], cycle)
-
-    @staticmethod
-    def _fill(
-        cache: _FlatCache, peer: _FlatCache, addr: int, dirty: bool
-    ) -> Optional[tuple[int, bool]]:
-        """Fill ``addr`` (absent from ``cache``) into one private level,
-        evicting its LRU block if the set is full.  A victim the ``peer``
-        level still holds hands its dirtiness over; otherwise the core no
-        longer caches it and the eviction notice ``(addr, dirty)`` is
-        returned."""
-        s = addr & cache.set_mask
-        base = s * cache.ways
-        notice = None
-        tags = cache.tag
-        if cache.vcount[s] < cache.ways:
-            pos = tags.index(-1, base, base + cache.ways)
-            cache.vcount[s] += 1
-        else:
-            seg = cache.stamp[base:base + cache.ways]
-            pos = base + seg.index(min(seg))
-            old_addr = tags[pos]
-            old_dirty = cache.dirty[pos]
-            del cache.map[old_addr]
-            ppos = peer.map.get(old_addr, -1)
-            if ppos >= 0:
-                if old_dirty:
-                    peer.dirty[ppos] = True
-            else:
-                notice = (old_addr, old_dirty)
-        tags[pos] = addr
-        cache.map[addr] = pos
-        cache.dirty[pos] = dirty
-        cache.clock += 1
-        cache.stamp[pos] = cache.clock
-        return notice
-
-    # ------------------------------------------------------- eviction notices
-
-    def _handle_notice(
-        self, core: int, naddr: int, ndirty: bool, cycle: int
-    ) -> None:
-        stats = self.stats
-        stats.eviction_notices += 1
-        dpos = self._dir_lookup(naddr)
-        if dpos < 0:
-            raise CoherenceError(
-                f"eviction notice for untracked block {naddr:#x}"
-            )
-        sharers = self.d_sharers[dpos] & ~(1 << core)
-        self.d_sharers[dpos] = sharers
-        if self.d_owner[dpos] == core:
-            self.d_owner[dpos] = -1
-        if sharers:
-            return
-        rp = self.d_reloc[dpos]
-        if rp >= 0:
-            self._kill_relocated(rp, naddr, ndirty, cycle)
-            self._dir_free(naddr)
-            return
-        self._dir_free(naddr)
-        hp = self.llc_map.get(naddr, -1)
-        if hp >= 0 and not (self.llc_meta[hp] & 2):
-            m = self.llc_meta[hp] | 4  # not_in_prc = True
-            if ndirty:
-                m |= 1
-                stats.llc_writebacks_in += 1
-            self.llc_meta[hp] = m
-            if self._ziv:
-                self._refresh(hp // self.llc_ways)
-        elif ndirty:
-            self._writeback(naddr, cycle)
+    # ------------------------------------------------------- LLC invalidation
 
     def _kill_relocated(
         self, rp: int, addr: int, notice_dirty: bool, cycle: int
     ) -> None:
+        """The last private copy of a relocated block is gone: the
+        block at ``rp`` dies (paper III-C2).  Only ZIV relocates."""
         m = self.llc_meta[rp]
         if not (m & 2) or self.llc_tag[rp] != addr:
             raise CoherenceError(
@@ -518,10 +433,18 @@ class FastHierarchy:
         self.llc_tag[rp] = -1
         sid = rp // self.llc_ways
         self.llc_vcount[sid] -= 1
+        self._uncount(sid, m)
         if dirty:
             self._writeback(addr, cycle)
-        if self._ziv:
-            self._refresh(sid)
+        self._refresh(sid)
+
+    def _uncount(self, sid: int, m: int) -> None:
+        """A ZIV block with metadata ``m`` leaves set ``sid``: drop it
+        from the set's NotInPrC counts."""
+        if m & 4:
+            self.llc_nip[sid] -= 1
+            if m >> 4 >= _MAX_RRPV:
+                self.llc_nipmax[sid] -= 1
 
     # ------------------------------------------------------ directory storage
 
@@ -545,45 +468,6 @@ class FastHierarchy:
             idx ^= a
             a >>= bits
         return idx & self._dir_set_mask
-
-    def _dir_allocate(self, addr: int, cycle: int) -> int:
-        """Install a tracking entry; handles displacement (MESI
-        back-invalidation or ZeroDEV spill) before returning."""
-        bank = addr & self.llc_bank_mask
-        dsid = bank * self.d_sets + self._dir_set_index(addr)
-        base = dsid * self.d_ways
-        end = base + self.d_ways
-        d_addr = self.d_addr
-        displaced = None
-        if self.d_vcount[dsid] < self.d_ways:
-            pos = d_addr.index(-1, base, end)
-            self.d_vcount[dsid] += 1
-        else:
-            d_nru = self.d_nru
-            try:
-                pos = d_nru.index(False, base, end)
-            except ValueError:
-                d_nru[base:end] = [False] * self.d_ways
-                pos = base
-            displaced = (
-                d_addr[pos],
-                self.d_sharers[pos],
-                self.d_owner[pos],
-                self.d_reloc[pos],
-            )
-            del self.d_map[d_addr[pos]]
-        d_addr[pos] = addr
-        self.d_sharers[pos] = 0
-        self.d_owner[pos] = -1
-        self.d_nru[pos] = True
-        self.d_reloc[pos] = -1
-        self.d_map[addr] = pos
-        if displaced is not None:
-            if self._zerodev:
-                self._spill(displaced)
-            else:
-                self._handle_displaced(displaced, cycle)
-        return pos
 
     def _spill(self, displaced: tuple[int, int, int, int]) -> None:
         """ZeroDEV: the displaced entry moves to the spill region (slots
@@ -650,12 +534,15 @@ class FastHierarchy:
             return
         hp = self.llc_map.get(daddr, -1)
         if hp >= 0 and not (self.llc_meta[hp] & 2):
-            m = self.llc_meta[hp] | 4
-            if dirty:
-                m |= 1
-            self.llc_meta[hp] = m
+            m = self.llc_meta[hp]
+            self.llc_meta[hp] = m | 5 if dirty else m | 4
             if self._ziv:
-                self._refresh(hp // self.llc_ways)
+                sid = hp // self.llc_ways
+                if not (m & 4):
+                    self.llc_nip[sid] += 1
+                    if m >> 4 >= _MAX_RRPV:
+                        self.llc_nipmax[sid] += 1
+                self._refresh(sid)
         elif dirty:
             self._writeback(daddr, cycle)
 
@@ -689,12 +576,15 @@ class FastHierarchy:
     # ------------------------------------------------------------ LLC storage
 
     def _evict_llc(self, pos: int, cycle: int) -> None:
-        """Evict the valid block at ``pos``; dirty data goes to memory."""
+        """Evict the valid block at ``pos`` of a ZIV LLC; dirty data goes
+        to memory.  (The kernel evicts baseline victims inline.)"""
         m = self.llc_meta[pos]
         addr = self.llc_tag[pos]
         del self.llc_map[addr]
         self.llc_tag[pos] = -1
-        self.llc_vcount[pos // self.llc_ways] -= 1
+        sid = pos // self.llc_ways
+        self.llc_vcount[sid] -= 1
+        self._uncount(sid, m)
         if m & 1:
             self._writeback(addr, cycle)
 
@@ -714,23 +604,14 @@ class FastHierarchy:
         self.llc_clock[bank] += 1
         self.llc_stamp[pos] = self.llc_clock[bank]
 
-    def _victim_lru(self, base: int) -> int:
-        stamps = self.llc_stamp
-        pos = base
-        best = stamps[base]
-        for p in range(base + 1, base + self.llc_ways):
-            sp = stamps[p]
-            if sp < best:
-                best = sp
-                pos = p
-        return pos
-
     def _fill_pos_srrip(self, pos: int) -> None:
         # insertion RRPV = max_rrpv - 1 (the RRPV bits are clear on entry)
         self.llc_meta[pos] |= (_MAX_RRPV - 1) << 4
 
     def _touch_pos_srrip(self, pos: int) -> None:
-        self.llc_meta[pos] &= 0xF  # RRPV -> 0
+        # RRPV -> 0.  Only ZIV's relocated hits touch through this port,
+        # and a relocated block is never NotInPrC, so no count moves.
+        self.llc_meta[pos] &= 0xF
 
     def _victim_srrip(self, base: int) -> int:
         metas = self.llc_meta
@@ -745,6 +626,15 @@ class FastHierarchy:
             inc = delta << 4
             for p in range(base, end):
                 metas[p] += inc
+            if self._ziv:
+                # No block was at the maximum before aging; now every
+                # block that held the set's highest RRPV is.
+                tags = self.llc_tag
+                self.llc_nipmax[base // self.llc_ways] = sum(
+                    1 for p in range(base, end)
+                    if tags[p] >= 0 and metas[p] & 4
+                    and metas[p] >> 4 >= _MAX_RRPV
+                )
         for p in range(base, end):
             if (metas[p] >> 4) >= _MAX_RRPV:
                 return p
@@ -768,46 +658,6 @@ class FastHierarchy:
             if not (metas[p] & 8):
                 return p
         return base
-
-    # --------------------------------------------------------- scheme installs
-
-    def _install_noninclusive(self, addr: int, cycle: int) -> None:
-        bank = addr & self.llc_bank_mask
-        sid = (bank * self.llc_spb
-               + ((addr >> self.llc_bank_bits) & self.llc_set_mask))
-        base = sid * self.llc_ways
-        if self.llc_vcount[sid] < self.llc_ways:
-            tags = self.llc_tag
-            pos = base
-            while tags[pos] >= 0:
-                pos += 1
-        else:
-            pos = self._victim(base)
-            self._evict_llc(pos, cycle)
-        self._install_home(pos, sid, addr)
-
-    def _install_ziv(self, addr: int, cycle: int) -> None:
-        bank = addr & self.llc_bank_mask
-        sid = (bank * self.llc_spb
-               + ((addr >> self.llc_bank_bits) & self.llc_set_mask))
-        base = sid * self.llc_ways
-        if self.llc_vcount[sid] < self.llc_ways:
-            tags = self.llc_tag
-            pos = base
-            while tags[pos] >= 0:
-                pos += 1
-            self._install_home(pos, sid, addr)
-            self._refresh(sid)
-            return
-        vpos = self._victim(base)
-        if not self._privately_cached(self.llc_tag[vpos]):
-            # Common case: the baseline victim generates no inclusion
-            # victims, so the ZIV LLC behaves exactly like the baseline.
-            self._evict_llc(vpos, cycle)
-            self._install_home(vpos, sid, addr)
-            self._refresh(sid)
-            return
-        self._relocation_path(bank, sid, vpos, addr, cycle)
 
     # ------------------------------------------------------------ relocation
 
@@ -938,6 +788,7 @@ class FastHierarchy:
         del self.llc_map[maddr]
         tags[src_pos] = -1
         self.llc_vcount[src_sid] -= 1
+        self._uncount(src_sid, mmeta)
         # install relocated: keeps address and dirtiness, Relocated on,
         # replacement state initialised as a normal fill
         tags[dst_pos] = maddr
@@ -983,41 +834,39 @@ class FastHierarchy:
     # ------------------------------------------------------- property vectors
 
     def _refresh(self, sid: int) -> None:
-        """Recompute every tracked property bit of one LLC set (one
-        associativity-wide scan over the packed metadata)."""
+        """Bring every tracked property bit of one LLC set up to date.
+        The ``invalid``, ``notinprc`` and ``maxrrpvnotinprc`` bits come
+        from the set's counts in O(1); ``lrunotinprc`` scans for the
+        set's LRU block, and only when the set holds a NotInPrC block.
+        Every call site of the full rescan is kept, so ``set_bit``
+        sees the same values at the same points and ``flips`` counts
+        the same transitions."""
         bank = sid // self.llc_spb
         set_idx = sid - bank * self.llc_spb
-        base = sid * self.llc_ways
-        tags = self.llc_tag
-        metas = self.llc_meta
-        stamps = self.llc_stamp
-        has_nip = False
-        has_maxrrpv_nip = False
-        lru_pos = -1
-        lru_stamp = 0
-        for p in range(base, base + self.llc_ways):
-            if tags[p] < 0:
-                continue
-            m = metas[p]
-            if m & 4:
-                has_nip = True
-                if (m >> 4) >= _MAX_RRPV:
-                    has_maxrrpv_nip = True
-            sp = stamps[p]
-            if lru_pos < 0 or sp < lru_stamp:
-                lru_pos = p
-                lru_stamp = sp
+        nip = self.llc_nip[sid]
         pv_invalid, pv_nip, pv_lru, pv_maxrrpv = self._fast_pvs[bank]
         if pv_invalid is not None:
             pv_invalid.set_bit(set_idx, self.llc_vcount[sid] < self.llc_ways)
         if pv_nip is not None:
-            pv_nip.set_bit(set_idx, has_nip)
+            pv_nip.set_bit(set_idx, nip > 0)
         if pv_lru is not None:
-            pv_lru.set_bit(
-                set_idx, lru_pos >= 0 and bool(metas[lru_pos] & 4)
-            )
+            value = False
+            if nip:
+                tags = self.llc_tag
+                stamps = self.llc_stamp
+                lru_pos = -1
+                lru_stamp = 0
+                base = sid * self.llc_ways
+                for p in range(base, base + self.llc_ways):
+                    if tags[p] >= 0 and (
+                        lru_pos < 0 or stamps[p] < lru_stamp
+                    ):
+                        lru_pos = p
+                        lru_stamp = stamps[p]
+                value = bool(self.llc_meta[lru_pos] & 4)
+            pv_lru.set_bit(set_idx, value)
         if pv_maxrrpv is not None:
-            pv_maxrrpv.set_bit(set_idx, has_maxrrpv_nip)
+            pv_maxrrpv.set_bit(set_idx, self.llc_nipmax[sid] > 0)
 
     # ------------------------------------------------------------------- DRAM
 
@@ -1118,26 +967,37 @@ class FastHierarchy:
         driver).
 
         Exact port of the generic segment loop
-        (``Simulation._run_segment``) + ``CacheHierarchy.access`` with
-        the dominant paths (private fills, directory allocation, DRAM,
-        the inclusive/non-inclusive LLC install and the eviction-notice
-        handshake) inlined into one loop body.  A timing-mode access
-        issues at its core's ready cycle plus its gap and requeues at
-        ``issue + latency``; a lock-step access issues at its global
-        position and requeues at its core's trace index.  Either way the
-        cursor's heap keeps the generic loop's format, so checkpoints of
-        the two loops are interchangeable.  Address-derived values come
-        precomputed per record in decode windows (:meth:`_window`), and
-        the hot counters are tracked as a handful of per-path tallies
-        from which every stats/energy field is derived at the flush that
-        ends each segment -- so the driver's boundary work (audit
-        sweeps, telemetry samples, checkpoints) always sees exact
-        counters.  Rare paths (relocated hits, coherence forwards, ZIV
-        installs, spills) are helper methods; their direct
-        ``self.stats``/``self.energy`` increments commute with the
-        flush.  Like the generic loop, the kernel stamps a bound
-        telemetry collector with each access's index so events carry
-        it.
+        (``Simulation._run_segment``) + ``CacheHierarchy.access`` in one
+        loop body, which holds the only copy of every fill step.  An L2
+        miss runs the front part of its LLC outcome -- memory fill, home
+        hit, relocated hit (:meth:`_relocated_hit`) or non-inclusive
+        forward fill -- and then one shared tail, in the object engine's
+        order: allocate a directory entry if none exists, add the sharer
+        and the owner, fill the L2 and then the L1, and handle the
+        eviction notices (the L2's, then the L1's).  An L2 hit refills
+        the L1 through the same L1-fill and notice code.  Memory and
+        forward fills share one LLC install block for all three
+        schemes: inclusive back-invalidates a privately cached victim,
+        non-inclusive just evicts it, and ZIV hands it to
+        :meth:`_relocation_path`, installing inline otherwise.
+
+        A timing-mode access issues at its core's ready cycle plus its
+        gap and requeues at ``issue + latency``; a lock-step access
+        issues at its global position and requeues at its core's trace
+        index.  Either way the cursor's heap keeps the generic loop's
+        format, so checkpoints of the two loops are interchangeable.
+        Address-derived values come precomputed per record in decode
+        windows (:meth:`_window`), and the hot counters are tracked as
+        a handful of per-path tallies from which every stats/energy
+        field is derived at the flush that ends each segment -- so the
+        driver's boundary work (audit sweeps, telemetry samples,
+        checkpoints) always sees exact counters.  The helper methods
+        the kernel calls on rare paths (relocated hits, coherence
+        actions, ZIV relocation, directory displacement) bump
+        ``self.stats``/``self.energy`` directly; those increments
+        commute with the flush.  Like the generic loop, the kernel
+        stamps a bound telemetry collector with each access's index so
+        events carry it.
         """
         from heapq import heappop, heappush
 
@@ -1170,13 +1030,14 @@ class FastHierarchy:
         zerodev = self._zerodev
         ziv = self._ziv
         inclusive = self.inclusive
+        llc_nip = self.llc_nip
+        llc_nipmax = self.llc_nipmax
         refresh = self._refresh
         victim = self._victim
-        install = self._install
         pol = self.policy_name
         pol_lru = pol == "lru"
         pol_srrip = pol == "srrip"
-        baseline_install = not ziv  # inline install for inclusive/noninclusive
+        fwd_lat = self._fwd_lat
         dch_mask = self._dram_ch_mask
         dch_shift = self._dram_ch_shift
         dbpc = self._dram_bpc
@@ -1222,12 +1083,12 @@ class FastHierarchy:
         c_l1h = [0] * n_cores
         c_l2h = [0] * n_cores
         c_l2m = [0] * n_cores
-        n_hit = 0  # inline LLC home hits
+        n_hit = 0  # LLC home hits
         n_fill = 0  # memory fills
         n_fwd = 0  # non-inclusive forward fills
         n_wb = 0  # dirty writebacks to DRAM (evict + notice paths)
         n_wb_in = 0  # writebacks absorbed by the LLC home copy
-        n_notice = 0  # eviction notices handled inline
+        n_notice = 0  # eviction notices
 
         for gpos in range(cursor.pos, stop):
             ready, core, idx = heappop(heap)
@@ -1255,6 +1116,7 @@ class FastHierarchy:
             else:
                 l2 = l2s[core]
                 p = l2.map.get(addr, -1)
+                notice2 = None
                 if p >= 0:
                     c_l2h[core] += 1
                     extra = 0
@@ -1264,42 +1126,13 @@ class FastHierarchy:
                         l2.dirty[p] = True
                     l2.clock += 1
                     l2.stamp[p] = l2.clock
-                    # inline L1 fill (addr cannot be in L1 here: the L1
-                    # lookup above missed and the upgrade fills nothing)
-                    t1 = l1.tag
-                    notice1 = None
-                    if l1.vcount[s1] < l1_ways:
-                        fp = t1.index(-1, b1, b1 + l1_ways)
-                        l1.vcount[s1] += 1
-                    else:
-                        seg = l1.stamp[b1:b1 + l1_ways]
-                        fp = b1 + seg.index(min(seg))
-                        old_addr = t1[fp]
-                        old_dirty = l1.dirty[fp]
-                        del l1.map[old_addr]
-                        lp = l2.map.get(old_addr, -1)
-                        if lp >= 0:
-                            if old_dirty:
-                                l2.dirty[lp] = True
-                        else:
-                            notice1 = (old_addr, old_dirty)
-                    t1[fp] = addr
-                    l1.map[addr] = fp
-                    l1.dirty[fp] = is_write
-                    l1.clock += 1
-                    l1.stamp[fp] = l1.clock
-                    if notice1 is not None:
-                        self._handle_notice(
-                            core, notice1[0], notice1[1], issue
-                        )
                     latency = l12_lat + extra
                 else:
                     c_l2m[core] += 1
-                    # ---- LLC access (fused) ------------------------------
+                    # ---- LLC access: the front part of its outcome -------
                     dpos = d_map.get(addr, -1)
                     if 0 <= dpos < d_slice:
                         d_nru[dpos] = True
-                    cbit = 1 << core
                     if dpos >= 0 and d_reloc[dpos] >= 0:
                         latency = self._relocated_hit(
                             core, addr, dpos, is_write, issue, lat
@@ -1307,12 +1140,11 @@ class FastHierarchy:
                     else:
                         hp = llc_map.get(addr, -1)
                         if hp >= 0 and not (llc_meta[hp] & 2):
-                            # LLC home hit (rare on miss-dominated runs:
-                            # delegate the tail to the helper methods)
+                            # ---- home hit: coherence, touch, NotInPrC off
                             extra = 0
                             if dpos >= 0:
                                 if is_write:
-                                    if d_sharers[dpos] & ~cbit:
+                                    if d_sharers[dpos] & ~(1 << core):
                                         extra = self._coherence_on_miss(
                                             core, addr, dpos, is_write, issue
                                         )
@@ -1322,73 +1154,87 @@ class FastHierarchy:
                                         extra = self._coherence_on_miss(
                                             core, addr, dpos, is_write, issue
                                         )
+                            m = llc_meta[hp]
                             if pol_lru:
                                 llc_clock[bank] += 1
                                 llc_stamp[hp] = llc_clock[bank]
+                                llc_meta[hp] = m & ~4
                             elif pol_srrip:
-                                llc_meta[hp] &= 0xF
+                                llc_meta[hp] = m & 0xB  # RRPV -> 0, NIP off
                             else:
-                                llc_meta[hp] |= 8
-                            llc_meta[hp] &= ~4
+                                llc_meta[hp] = (m | 8) & ~4
                             if ziv:
-                                refresh(hp // ways)
+                                if m & 4:
+                                    llc_nip[sid] -= 1
+                                    if m >> 4 >= _MAX_RRPV:
+                                        llc_nipmax[sid] -= 1
+                                refresh(sid)
                             n_hit += 1
-                            if dpos < 0:
-                                dpos = self._dir_allocate(addr, issue)
-                            d_sharers[dpos] |= cbit
-                            if is_write:
-                                d_owner[dpos] = core
-                            self._fill_private(core, addr, is_write, issue)
                             latency = lat + data_lat + extra
-                        elif dpos >= 0:
-                            n_fwd += 1
-                            if inclusive:
-                                raise CoherenceError(
-                                    f"inclusive LLC missed on a directory-"
-                                    f"tracked block {addr:#x}"
-                                )
-                            latency = self._forward_fill(
-                                core, addr, dpos, is_write, issue, lat
-                            )
                         else:
-                            # ---- memory fill (fused hot path) ------------
-                            n_fill += 1
-                            wait = dram_ready[gb] - issue
-                            if wait < 0:
-                                wait = 0
-                            open_row = dram_open[gb]
-                            if open_row == row:
-                                dram_lat = wait + dram_hit
-                            elif open_row < 0:
-                                dram_lat = wait + dram_miss
+                            if dpos >= 0:
+                                # ---- forward fill: the non-inclusive
+                                # fourth case (a sharer supplies the data)
+                                if inclusive:
+                                    raise CoherenceError(
+                                        f"inclusive LLC missed on a "
+                                        f"directory-tracked block {addr:#x}"
+                                    )
+                                n_fwd += 1
+                                latency = lat + fwd_lat + (
+                                    self._coherence_on_miss(
+                                        core, addr, dpos, is_write, issue
+                                    )
+                                )
                             else:
-                                dram_lat = wait + dram_conflict
-                            dram_open[gb] = row
-                            dram_ready[gb] = issue + wait + dram_busy
-                            if baseline_install:
-                                ibase = sid * ways
-                                if llc_vcount[sid] < ways:
-                                    ip = llc_tag.index(-1, ibase,
-                                                       ibase + ways)
-                                    llc_vcount[sid] += 1
+                                # ---- memory fill -------------------------
+                                n_fill += 1
+                                wait = dram_ready[gb] - issue
+                                if wait < 0:
+                                    wait = 0
+                                open_row = dram_open[gb]
+                                if open_row == row:
+                                    latency = lat + wait + dram_hit
+                                elif open_row < 0:
+                                    latency = lat + wait + dram_miss
                                 else:
-                                    # evict + install: the victim's tag
-                                    # and the set's valid count are
-                                    # overwritten below, so neither is
-                                    # reset here
-                                    if pol_lru:
-                                        seg = llc_stamp[ibase:ibase + ways]
-                                        ip = ibase + seg.index(min(seg))
-                                    else:
-                                        ip = victim(ibase)
-                                    vaddr = llc_tag[ip]
-                                    if inclusive:
-                                        vd = d_map.get(vaddr, -1)
-                                        if 0 <= vd < d_slice:
-                                            d_nru[vd] = True
-                                        if vd >= 0 and d_sharers[vd]:
+                                    latency = lat + wait + dram_conflict
+                                dram_open[gb] = row
+                                dram_ready[gb] = issue + wait + dram_busy
+                            # ---- LLC install (every scheme) --------------
+                            ibase = sid * ways
+                            if llc_vcount[sid] < ways:
+                                ip = llc_tag.index(-1, ibase, ibase + ways)
+                                llc_vcount[sid] += 1
+                            else:
+                                if pol_lru:
+                                    seg = llc_stamp[ibase:ibase + ways]
+                                    ip = ibase + seg.index(min(seg))
+                                else:
+                                    ip = victim(ibase)
+                                vaddr = llc_tag[ip]
+                                if inclusive:
+                                    vd = d_map.get(vaddr, -1)
+                                    if 0 <= vd < d_slice:
+                                        d_nru[vd] = True
+                                    if vd >= 0 and d_sharers[vd]:
+                                        if ziv:
+                                            # a privately cached victim:
+                                            # relocation installs addr
+                                            self._relocation_path(
+                                                bank, sid, ip, addr, issue
+                                            )
+                                            ip = -1
+                                        else:
                                             self._back_invalidate(vaddr, vd)
+                                if ip >= 0:
+                                    # evict: the tag and the set's valid
+                                    # count are overwritten below
                                     m = llc_meta[ip]
+                                    if ziv and m & 4:
+                                        llc_nip[sid] -= 1
+                                        if m >> 4 >= _MAX_RRPV:
+                                            llc_nipmax[sid] -= 1
                                     del llc_map[vaddr]
                                     if m & 1:
                                         # dirty writeback: latency is
@@ -1406,6 +1252,7 @@ class FastHierarchy:
                                             issue + vw + dram_busy
                                         )
                                         n_wb += 1
+                            if ip >= 0:
                                 llc_tag[ip] = addr
                                 llc_map[addr] = ip
                                 if pol_lru:
@@ -1418,147 +1265,153 @@ class FastHierarchy:
                                 else:
                                     llc_meta[ip] = 8
                                     llc_stamp[ip] = 0
+                                if ziv:
+                                    refresh(sid)
+                    # ---- one tail for every L2 miss: directory entry,
+                    # sharer and owner, then the L2 fill ------------------
+                    if dpos < 0:
+                        dbase = dsid * d_ways
+                        dend = dbase + d_ways
+                        displaced = None
+                        if d_vcount[dsid] < d_ways:
+                            dpos = d_addr.index(-1, dbase, dend)
+                            d_vcount[dsid] += 1
+                        else:
+                            try:
+                                dpos = d_nru.index(False, dbase, dend)
+                            except ValueError:
+                                d_nru[dbase:dend] = [False] * d_ways
+                                dpos = dbase
+                            displaced = (
+                                d_addr[dpos],
+                                d_sharers[dpos],
+                                d_owner[dpos],
+                                d_reloc[dpos],
+                            )
+                            del d_map[d_addr[dpos]]
+                        d_addr[dpos] = addr
+                        d_sharers[dpos] = 0
+                        d_owner[dpos] = -1
+                        d_nru[dpos] = True
+                        d_reloc[dpos] = -1
+                        d_map[addr] = dpos
+                        if displaced is not None:
+                            if zerodev:
+                                self._spill(displaced)
                             else:
-                                install(addr, issue)
-                            # ---- directory allocate (fused) --------------
-                            dbase = dsid * d_ways
-                            dend = dbase + d_ways
-                            displaced = None
-                            if d_vcount[dsid] < d_ways:
-                                dpos = d_addr.index(-1, dbase, dend)
-                                d_vcount[dsid] += 1
-                            else:
-                                try:
-                                    dpos = d_nru.index(False, dbase, dend)
-                                except ValueError:
-                                    d_nru[dbase:dend] = [False] * d_ways
-                                    dpos = dbase
-                                displaced = (
-                                    d_addr[dpos],
-                                    d_sharers[dpos],
-                                    d_owner[dpos],
-                                    d_reloc[dpos],
-                                )
-                                del d_map[d_addr[dpos]]
-                            d_addr[dpos] = addr
-                            d_sharers[dpos] = 0
-                            d_owner[dpos] = -1
-                            d_nru[dpos] = True
-                            d_reloc[dpos] = -1
-                            d_map[addr] = dpos
-                            if displaced is not None:
-                                if zerodev:
-                                    self._spill(displaced)
-                                else:
-                                    self._handle_displaced(displaced, issue)
-                            d_sharers[dpos] |= cbit
-                            if is_write:
-                                d_owner[dpos] = core
-                            # ---- private fills (fused) -------------------
-                            t2 = l2.tag
-                            notice2 = None
-                            if l2.vcount[s2] < l2_ways:
-                                fp = t2.index(-1, b2, b2 + l2_ways)
-                                l2.vcount[s2] += 1
-                            else:
-                                seg = l2.stamp[b2:b2 + l2_ways]
-                                fp = b2 + seg.index(min(seg))
-                                old_addr = t2[fp]
-                                old_dirty = l2.dirty[fp]
-                                del l2.map[old_addr]
-                                lp = l1.map.get(old_addr, -1)
-                                if lp >= 0:
-                                    if old_dirty:
-                                        l1.dirty[lp] = True
-                                else:
-                                    notice2 = (old_addr, old_dirty)
-                            t2[fp] = addr
-                            l2.map[addr] = fp
-                            l2.dirty[fp] = is_write
-                            l2.clock += 1
-                            l2.stamp[fp] = l2.clock
-                            t1 = l1.tag
-                            notice1 = None
-                            if l1.vcount[s1] < l1_ways:
-                                fp = t1.index(-1, b1, b1 + l1_ways)
-                                l1.vcount[s1] += 1
-                            else:
-                                seg = l1.stamp[b1:b1 + l1_ways]
-                                fp = b1 + seg.index(min(seg))
-                                old_addr = t1[fp]
-                                old_dirty = l1.dirty[fp]
-                                del l1.map[old_addr]
-                                lp = l2.map.get(old_addr, -1)
-                                if lp >= 0:
-                                    if old_dirty:
-                                        l2.dirty[lp] = True
-                                else:
-                                    notice1 = (old_addr, old_dirty)
-                            t1[fp] = addr
-                            l1.map[addr] = fp
-                            l1.dirty[fp] = is_write
-                            l1.clock += 1
-                            l1.stamp[fp] = l1.clock
-                            # ---- eviction notices (fused) ----------------
-                            for notice in (notice2, notice1):
-                                if notice is None:
-                                    continue
-                                naddr, ndirty = notice
-                                n_notice += 1
-                                nd = d_map.get(naddr, -1)
-                                if nd < 0:
-                                    raise CoherenceError(
-                                        f"eviction notice for untracked "
-                                        f"block {naddr:#x}"
-                                    )
-                                if nd < d_slice:
-                                    d_nru[nd] = True
-                                sh = d_sharers[nd] & ~cbit
-                                d_sharers[nd] = sh
-                                if d_owner[nd] == core:
-                                    d_owner[nd] = -1
-                                if sh:
-                                    continue
-                                rp = d_reloc[nd]
-                                if rp >= 0:
-                                    self._kill_relocated(
-                                        rp, naddr, ndirty, issue
-                                    )
-                                    self._dir_free(naddr)
-                                    continue
-                                del d_map[naddr]
-                                if nd >= d_slice:
-                                    del d_spill_addrs[naddr]
-                                    d_spill_free.append(nd)
-                                else:
-                                    d_vcount[nd // d_ways] -= 1
-                                d_addr[nd] = -1
-                                d_sharers[nd] = 0
+                                self._handle_displaced(displaced, issue)
+                    d_sharers[dpos] |= 1 << core
+                    if is_write:
+                        d_owner[dpos] = core
+                    t2 = l2.tag
+                    if l2.vcount[s2] < l2_ways:
+                        fp = t2.index(-1, b2, b2 + l2_ways)
+                        l2.vcount[s2] += 1
+                    else:
+                        seg = l2.stamp[b2:b2 + l2_ways]
+                        fp = b2 + seg.index(min(seg))
+                        old_addr = t2[fp]
+                        old_dirty = l2.dirty[fp]
+                        del l2.map[old_addr]
+                        lp = l1.map.get(old_addr, -1)
+                        if lp >= 0:
+                            if old_dirty:
+                                l1.dirty[lp] = True
+                        else:
+                            notice2 = (old_addr, old_dirty)
+                    t2[fp] = addr
+                    l2.map[addr] = fp
+                    l2.dirty[fp] = is_write
+                    l2.clock += 1
+                    l2.stamp[fp] = l2.clock
+                # ---- L1 fill (after an L2 hit or the L2 fill) -------------
+                t1 = l1.tag
+                notice1 = None
+                if l1.vcount[s1] < l1_ways:
+                    fp = t1.index(-1, b1, b1 + l1_ways)
+                    l1.vcount[s1] += 1
+                else:
+                    seg = l1.stamp[b1:b1 + l1_ways]
+                    fp = b1 + seg.index(min(seg))
+                    old_addr = t1[fp]
+                    old_dirty = l1.dirty[fp]
+                    del l1.map[old_addr]
+                    lp = l2.map.get(old_addr, -1)
+                    if lp >= 0:
+                        if old_dirty:
+                            l2.dirty[lp] = True
+                    else:
+                        notice1 = (old_addr, old_dirty)
+                t1[fp] = addr
+                l1.map[addr] = fp
+                l1.dirty[fp] = is_write
+                l1.clock += 1
+                l1.stamp[fp] = l1.clock
+                # ---- eviction notices: the L2's, then the L1's ------------
+                if notice2 is not None or notice1 is not None:
+                    for notice in (notice2, notice1):
+                        if notice is None:
+                            continue
+                        naddr, ndirty = notice
+                        n_notice += 1
+                        nd = d_map.get(naddr, -1)
+                        if nd < 0:
+                            raise CoherenceError(
+                                f"eviction notice for untracked block "
+                                f"{naddr:#x}"
+                            )
+                        sh = d_sharers[nd] & ~(1 << core)
+                        if sh:
+                            # the entry stays: the lookup's NRU touch and
+                            # the sharer/owner update (a freed entry is
+                            # reset below instead)
+                            if nd < d_slice:
+                                d_nru[nd] = True
+                            d_sharers[nd] = sh
+                            if d_owner[nd] == core:
                                 d_owner[nd] = -1
-                                d_nru[nd] = False
-                                d_reloc[nd] = -1
-                                hp2 = llc_map.get(naddr, -1)
-                                if hp2 >= 0 and not (llc_meta[hp2] & 2):
-                                    m2 = llc_meta[hp2] | 4
-                                    if ndirty:
-                                        m2 |= 1
-                                        n_wb_in += 1
-                                    llc_meta[hp2] = m2
-                                    if ziv:
-                                        refresh(hp2 // ways)
-                                elif ndirty:
-                                    nrest = naddr >> dch_shift
-                                    ngb = ((naddr & dch_mask) * dbpc
-                                           + (nrest & dbk_mask))
-                                    nw = dram_ready[ngb] - issue
-                                    if nw < 0:
-                                        nw = 0
-                                    dram_open[ngb] = (
-                                        (nrest >> dbk_shift) >> drow_bits
-                                    )
-                                    dram_ready[ngb] = issue + nw + dram_busy
-                                    n_wb += 1
-                            latency = lat + dram_lat
+                            continue
+                        rp = d_reloc[nd]
+                        if rp >= 0:
+                            self._kill_relocated(rp, naddr, ndirty, issue)
+                            self._dir_free(naddr)
+                            continue
+                        del d_map[naddr]
+                        if nd >= d_slice:
+                            del d_spill_addrs[naddr]
+                            d_spill_free.append(nd)
+                        else:
+                            d_vcount[nd // d_ways] -= 1
+                        d_addr[nd] = -1
+                        d_sharers[nd] = 0
+                        d_owner[nd] = -1
+                        d_nru[nd] = False
+                        d_reloc[nd] = -1
+                        hp = llc_map.get(naddr, -1)
+                        if hp >= 0 and not (llc_meta[hp] & 2):
+                            m = llc_meta[hp]
+                            if ndirty:
+                                llc_meta[hp] = m | 5
+                                n_wb_in += 1
+                            else:
+                                llc_meta[hp] = m | 4
+                            if ziv:
+                                nsid = hp // ways
+                                if not (m & 4):
+                                    llc_nip[nsid] += 1
+                                    if m >> 4 >= _MAX_RRPV:
+                                        llc_nipmax[nsid] += 1
+                                refresh(nsid)
+                        elif ndirty:
+                            nrest = naddr >> dch_shift
+                            ngb = ((naddr & dch_mask) * dbpc
+                                   + (nrest & dbk_mask))
+                            nw = dram_ready[ngb] - issue
+                            if nw < 0:
+                                nw = 0
+                            dram_open[ngb] = (nrest >> dbk_shift) >> drow_bits
+                            dram_ready[ngb] = issue + nw + dram_busy
+                            n_wb += 1
 
             # ---- bookkeeping (port of the generic loop's tail) ----------
             idx += 1
@@ -1635,7 +1488,7 @@ class FastHierarchy:
         energy.llc_tag_accesses += tot_llc
         energy.dir_accesses += tot_llc
         energy.llc_data_reads += n_hit
-        energy.llc_data_writes += n_fill
+        energy.llc_data_writes += n_fill + n_fwd
         energy.dram_accesses += n_fill + n_wb
 
     # ------------------------------------------------------------ finalisation

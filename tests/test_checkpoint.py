@@ -10,6 +10,7 @@ import pytest
 
 from tests.conftest import tiny_config
 from repro.sim.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     SimulationInterrupted,
     load_checkpoint,
@@ -233,6 +234,25 @@ def test_resume_refuses_wrong_scheduling(tmp_path):
     with pytest.raises(CheckpointError, match="scheduling"):
         run_workload(config, wl, "inclusive", scheduling="lockstep",
                      resume_from=ckpt)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_resume_refuses_other_version(tmp_path, engine):
+    """A checkpoint stamped with another version is refused before any
+    access runs: its hierarchy is left exactly where it stopped."""
+    config = tiny_config(cores=2).replace(engine=engine)
+    ckpt = tmp_path / "run.ckpt"
+    wl = make_workload(seed=11)
+    with pytest.raises(SimulationInterrupted):
+        run_workload(config, wl, "ziv:notinprc", checkpoint_path=ckpt,
+                     checkpoint_every=300, stop_after=600)
+    stale = dataclasses.replace(
+        load_checkpoint(ckpt), version=CHECKPOINT_VERSION - 1
+    )
+    with pytest.raises(CheckpointError,
+                       match=f"version {stale.version} unsupported"):
+        run_workload(config, wl, "ziv:notinprc", resume_from=stale)
+    assert stale.hierarchy.stats.total_accesses == 600
 
 
 def test_load_checkpoint_rejects_garbage(tmp_path):

@@ -14,10 +14,12 @@ environments without any extra installs.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
+from tests.conftest import tiny_config
 from repro.sim.differential import (
     GRID_POLICIES,
     GRID_SCHEMES,
@@ -145,6 +147,130 @@ def test_sampled_and_audited_cells_identical(workloads, scheme):
     fast_events = report.fast_result.telemetry.events
     assert fast_events == report.object_result.telemetry.events
     assert len({e.access_index for e in fast_events}) > 1
+
+
+# ---------------------------------------------------------------------------
+# stress cells: the ZIV relocation machinery under pressure
+# ---------------------------------------------------------------------------
+
+#: Every ZIV rule the fast engine runs.
+ZIV_RULES = tuple(s for s in GRID_SCHEMES if s.startswith("ziv:"))
+
+
+def _columns_workload(streams, name: str, seed: int) -> Workload:
+    """One trace per ``draw`` callable; gaps and 30% writes drawn from a
+    single seeded generator."""
+    rng = random.Random(seed)
+    traces = []
+    for core, (n, draw) in enumerate(streams):
+        addrs = [draw(rng) for _ in range(n)]
+        gaps = [rng.randrange(4) for _ in range(n)]
+        writes = [rng.random() < 0.3 for _ in range(n)]
+        traces.append(CoreTrace.from_columns(
+            gaps, addrs, writes, [0] * n, name=f"{name}{core}"
+        ))
+    return Workload(traces, name=name)
+
+
+#: 4 cores; L1 2x2, L2 2x4, LLC 2 banks x 4 sets x 8 ways, directory
+#: 4 x 8 per slice: 48 private blocks over a 64-block LLC, so the LLC
+#: fills and privately cached victims are relocated all the time.
+STRESS_CONFIG = tiny_config(cores=4, l1=(2, 2), l2=(2, 4), llc=(2, 4, 8),
+                            dir_geom=(4, 8))
+
+
+def stress_workload(cores: int = 4, n: int = 3000) -> Workload:
+    """Each core's accesses go half to its own 6-block hot region and
+    half to a 256-block spray that every core shares.  Sharing the
+    spray is what lets a second core hit a block relocated while the
+    first still caches it (a relocated hit)."""
+    def stream(core):
+        base = 4096 * (core + 1)
+        return lambda rng: (base + rng.randrange(6) if rng.random() < 0.5
+                            else rng.randrange(256))
+
+    return _columns_workload(
+        [(n, stream(core)) for core in range(cores)], "stress", seed=0
+    )
+
+
+#: 2 cores; L1 1x2, L2 1x3, LLC 2 banks x 2 sets x 3 ways, directory
+#: 2 x 8 (``tests/test_ziv.py::TestCrossBank``).
+CROSS_BANK_CONFIG = tiny_config(cores=2, l1=(1, 2), l2=(1, 3),
+                                llc=(2, 2, 3), dir_geom=(2, 8))
+
+
+def cross_bank_workload(n: int = 1500) -> Workload:
+    """Both cores touch even (bank-0) blocks only -- core 0 eight of
+    them, core 1 six -- so bank 0 fills with privately cached blocks and
+    its victims must move to bank 1.  (At the stress geometry the bank
+    and the private set index share the low address bit, so a
+    bank-skewed trace never forces a cross-bank relocation there.)"""
+    return _columns_workload(
+        [(n, lambda rng: rng.randrange(8) * 2),
+         (n, lambda rng: rng.randrange(6) * 2)],
+        "xbank", seed=0,
+    )
+
+
+STRESS_CELLS = [
+    (rule, policy, scheduling, dmode)
+    for rule in ZIV_RULES
+    for policy in GRID_POLICIES
+    for scheduling in ("timing", "lockstep")
+    for dmode in ("mesi", "zerodev")
+]
+CROSS_BANK_CELLS = [(rule, "srrip", "timing", "xbank") for rule in ZIV_RULES]
+
+
+@functools.lru_cache(maxsize=None)
+def _stress_report(rule, policy, scheduling, dmode) -> DiffReport:
+    """One stress cell through both engines (memoised: the path floor
+    below reads the same runs).  A periodic collecting audit checks
+    every invariant, the property-vector bits included, mid-run."""
+    if dmode == "xbank":
+        wl, config = cross_bank_workload(), CROSS_BANK_CONFIG
+    else:
+        wl = stress_workload()
+        config = STRESS_CONFIG.replace(directory_mode=dmode)
+    recipe = make_recipe(wl, rule, policy=policy, scheduling=scheduling,
+                         config=config, audit="1000,collect")
+    return diff_recipe(recipe, keep_results=True)
+
+
+@pytest.mark.parametrize(
+    "cell", STRESS_CELLS + CROSS_BANK_CELLS, ids="-".join
+)
+def test_stress_cell_identical(cell):
+    report = _stress_report(*cell)
+    assert report.ok, report.summary()
+    for result in (report.object_result, report.fast_result):
+        assert result.audit.sweeps > 1
+        assert result.audit.violations == []
+
+
+#: Counters the stress cells must drive above zero, summed over all of
+#: them: each names a path of the ZIV machinery the grid certifies.
+PATH_FLOOR = (
+    "relocations",
+    "relocated_hits",
+    "relocations_rechained",
+    "relocations_cross_bank",
+    "inclusion_victims_dir",
+    "directory_spills",
+)
+
+
+def test_stress_cells_reach_every_relocation_path():
+    """A geometry or workload change that stops reaching a path fails
+    here instead of certifying nothing."""
+    stats = [
+        _stress_report(*cell).fast_result.stats
+        for cell in STRESS_CELLS + CROSS_BANK_CELLS
+    ]
+    sums = {key: sum(getattr(s, key) for s in stats) for key in PATH_FLOOR}
+    assert all(sums.values()), sums
+    assert max(s.relocation_fifo_peak for s in stats) >= 2
 
 
 # ---------------------------------------------------------------------------

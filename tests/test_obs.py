@@ -67,6 +67,17 @@ def make_workload(k: int = 0, cores: int = 2, length: int = 400) -> Workload:
     return Workload(traces, f"obs-wl{k}")
 
 
+#: One wrong-typed value per LedgerRecord annotation: a bool is not an
+#: int, and an int is not a bool.
+WRONG_TYPED = {
+    "int": True,
+    "float": "2.0",
+    "str": 5,
+    "bool": 1,
+    "dict[str, float]": 5,
+}
+
+
 def make_record(**overrides) -> LedgerRecord:
     base = dict(
         version=LEDGER_VERSION,
@@ -137,6 +148,34 @@ class TestLedgerRecord:
         del data["engine"]
         with pytest.raises(ConfigError, match="needs"):
             LedgerRecord.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(LedgerRecord)]
+    )
+    def test_from_dict_rejects_a_wrong_typed_value(self, field):
+        annotation = {
+            f.name: f.type for f in dataclasses.fields(LedgerRecord)
+        }[field]
+        data = make_record().to_dict()
+        data[field] = WRONG_TYPED[annotation]
+        with pytest.raises(ConfigError, match=repr(field)):
+            LedgerRecord.from_dict(data)
+
+    def test_from_dict_checks_phase_seconds(self):
+        data = make_record().to_dict()
+        data["profile_phases"] = {"walk": "slow"}
+        with pytest.raises(ConfigError, match="profile_phases"):
+            LedgerRecord.from_dict(data)
+        data["profile_phases"] = {"walk": True}
+        with pytest.raises(ConfigError, match="profile_phases"):
+            LedgerRecord.from_dict(data)
+
+    def test_an_int_stands_for_a_float(self):
+        data = make_record().to_dict()
+        data.update(wall_s=2, ts=1000, profile_phases={"walk": 1})
+        rec = LedgerRecord.from_dict(data)
+        assert (rec.wall_s, rec.ts, rec.profile_phases) == \
+            (2, 1000, {"walk": 1})
 
     def test_short_key(self):
         assert make_record(recipe_key="0123456789abcdef").short_key == \
@@ -330,9 +369,53 @@ class TestLedgerAppends:
         append_record(make_record(ts=2000.0))
         records = read_ledger()
         assert [r.ts for r in records] == [1000.0, 2000.0]
+        assert records.skipped == 1
         with pytest.raises(ConfigError):
             list(__import__("repro.obs.ledger", fromlist=["iter_ledger"])
                  .iter_ledger(strict=True))
+
+    def test_wrong_typed_lines_are_skipped_and_counted(self, obs_cache):
+        """A line with the right keys and a wrong-typed value is skipped
+        like any unparsable line: the export and the aggregate behind
+        /metrics both succeed and count it.  A final line still waiting
+        for its newline is not counted."""
+        append_record(make_record())
+        bad = make_record().to_dict()
+        bad["profile_phases"] = 5
+        with open(ledger_path(), "a") as fh:
+            fh.write(json.dumps(bad, sort_keys=True) + "\n")
+        append_record(make_record(ts=2000.0))
+        aggregate = LedgerAggregate()
+        for _ in range(2):
+            text = registry_from_ledger(read_ledger()).to_prometheus()
+            parsed = parse_prometheus(text)
+            assert parsed[("repro_ledger_records", ())] == 2
+            assert parsed[("repro_ledger_skipped_lines", ())] == 1
+            assert aggregate.snapshot().to_prometheus() == text
+            with open(ledger_path(), "a") as fh:
+                fh.write("{torn")
+        assert read_ledger().skipped == 1
+
+    def test_non_utf8_lines_are_skipped_and_counted(self, obs_cache,
+                                                    tmp_path):
+        """A line that is not UTF-8 is skipped and counted like any
+        other bad line: it breaks neither ``repro obs export`` nor the
+        aggregate behind /metrics."""
+        from repro.__main__ import main
+
+        append_record(make_record())
+        with open(ledger_path(), "ab") as fh:
+            fh.write(b"\xff\n")
+        append_record(make_record(ts=2000.0))
+        records = read_ledger()
+        assert [r.ts for r in records] == [1000.0, 2000.0]
+        assert records.skipped == 1
+        text = registry_from_ledger(records).to_prometheus()
+        assert parse_prometheus(text)[("repro_ledger_skipped_lines", ())] == 1
+        assert LedgerAggregate().snapshot().to_prometheus() == text
+        out_file = tmp_path / "metrics.prom"
+        assert main(["obs", "export", "--out", str(out_file)]) == 0
+        assert out_file.read_text() == text
 
 
 def _die_on_key(doomed: str, item):

@@ -706,6 +706,47 @@ def test_http_metrics_expose_service_counters(service):
         client.submit(d)
 
 
+def test_http_metrics_skip_and_count_a_wrong_typed_ledger_line(
+    tmp_path, monkeypatch
+):
+    """A ledger line with the right keys and a wrong-typed value used to
+    make every /metrics scrape answer 500; now it is left out and
+    counted."""
+    import json
+
+    from repro.obs.ledger import (
+        LEDGER_VERSION,
+        LedgerRecord,
+        append_record,
+        ledger_path,
+    )
+    from repro.obs.registry import parse_prometheus
+    from repro.service import ServiceClient, create_server
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    record = LedgerRecord(
+        version=LEDGER_VERSION, ts=1.0, recipe_key="", workload="wl",
+        workload_fingerprint="", scheme="inclusive", policy="lru",
+        scheduling="timing", engine="fast", config_digest="",
+        source="direct", cache_hit=False, trace_path="", resumed_from="",
+        wall_s=0.5, accesses=10, accesses_per_s=20.0, cycles=99,
+        audit_violations=0, telemetry_samples=0, telemetry_events=0,
+        profile_phases={}, host_cpus=2,
+    )
+    append_record(record)
+    with open(ledger_path(), "a") as fh:
+        fh.write(json.dumps({**record.to_dict(), "profile_phases": 5},
+                            sort_keys=True) + "\n")
+    server = create_server(port=0, workers=2, mode="thread").start()
+    try:
+        with ServiceClient(server.url, timeout=30) as client:
+            metrics = parse_prometheus(client.metrics())
+    finally:
+        server.close()
+    assert metrics[("repro_ledger_records", ())] == 1
+    assert metrics[("repro_ledger_skipped_lines", ())] == 1
+
+
 def test_http_failed_ledger_appends_are_counted(service, monkeypatch):
     """A full disk under the ledger fails no job: a fresh run and a hit
     both complete and serve their payload, /metrics counts the two

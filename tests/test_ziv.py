@@ -142,6 +142,7 @@ class TestCrossBank:
             else:
                 accesses.append((1, rng.randrange(6) * 2, False))
         h = drive(build("ziv:notinprc", cfg), accesses)
+        assert h.stats.relocations_cross_bank > 0
         assert h.stats.inclusion_victims_llc == 0
         assert h.inclusion_holds()
 
