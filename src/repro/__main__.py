@@ -100,7 +100,6 @@ def _cmd_run(args) -> int:
         result = run_workload(
             config, wl, args.scheme, llc_policy=args.policy,
             audit=args.audit, telemetry=args.telemetry,
-            profile=args.profile,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume_from=resume_from,
@@ -118,7 +117,7 @@ def _cmd_run(args) -> int:
         return 3
     if args.progress:
         sys.stderr.write("\n")
-    print(describe_result(result))
+    print(describe_result(result, config))
     if result.telemetry is not None and args.events_out:
         from repro.sim.telemetry import write_events_jsonl
 
@@ -411,14 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--telemetry=250,events=relocation.  The "
                         "REPRO_TELEMETRY environment variable supplies a "
                         "default spec (see repro.sim.telemetry)")
-    p.add_argument("--profile", nargs="?", const="on", default=None,
-                   metavar="SPEC",
-                   help="enable the deterministic phase profiler "
-                        "('on'/'off'); phase wall times and counter-derived "
-                        "hot-path attribution print with the result and "
-                        "land in the run ledger.  The REPRO_PROFILE "
-                        "environment variable supplies a default spec "
-                        "(see repro.obs.profile)")
     p.add_argument("--events-out", default=None, metavar="FILE.jsonl",
                    help="write traced telemetry events as JSONL")
     p.add_argument("--trace", default=None, metavar="FILE.tracebin",

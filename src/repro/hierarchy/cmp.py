@@ -38,7 +38,7 @@ class CoherenceError(RuntimeError):
 class CacheHierarchy:
     """An assembled CMP memory hierarchy."""
 
-    #: Which engine produced a result (ledger/profile provenance).
+    #: Which engine produced a result (ledger provenance).
     engine_name = "object"
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Rule: telemetry/profiler emission only behind the enabled-predicate.
+"""Rule: telemetry emission only behind the enabled-predicate.
 
 The observability contract (docs/OBSERVABILITY.md, "Overhead") is that a
 disabled run pays **one predicate check** per instrumented site and
@@ -9,17 +9,10 @@ telemetry handle -- the handle is ``None`` whenever no collector is
 bound, so an unguarded call is *also* a latent ``AttributeError`` on
 every untraced run that reaches it.
 
-The phase profiler (:mod:`repro.obs.profile`) follows the same
-discipline: ``<profiler>.enter(...)`` and ``.exit(...)`` sites in
-simulator code must sit behind ``if <profiler> is not None`` --
-the handle is ``None`` on every unprofiled run, and phase brackets must
-cost one predicate per phase *transition*, never per access.
-
-The rule finds calls of the watched methods on a handle-valued
-expression (a bare name or attribute whose name contains ``telemetry``
-resp. ``profil``) and requires an enclosing ``if``/``while``/ternary
-whose test mentions that same kind of handle, either as ``... is not
-None`` or as a plain truthiness check.
+The rule finds ``emit`` calls on a handle-valued expression (a bare
+name or attribute whose name contains ``telemetry``) and requires an
+enclosing ``if``/``while``/ternary whose test mentions a telemetry
+handle, either as ``... is not None`` or as a plain truthiness check.
 """
 
 from __future__ import annotations
@@ -33,40 +26,32 @@ from repro.lint.registry import Rule, register
 from repro.lint.rules.scope import SIMULATOR_SCOPE
 from repro.lint.visitor import LintVisitor, is_none_constant
 
-#: Watched handles: name substring -> method names whose call sites must
-#: be guarded on that handle.
-_HANDLES = {
-    "telemetry": frozenset({"emit"}),
-    "profil": frozenset({"enter", "exit"}),
-}
-
-
-def _is_handle_expr(node: ast.AST, marker: str) -> bool:
+def _is_handle_expr(node: ast.AST) -> bool:
     """Does ``node`` (a call receiver or a guard test) denote the
-    observability handle named by ``marker``?"""
+    telemetry handle?"""
     for n in ast.walk(node):
-        if isinstance(n, ast.Attribute) and marker in n.attr:
+        if isinstance(n, ast.Attribute) and "telemetry" in n.attr:
             return True
-        if isinstance(n, ast.Name) and marker in n.id:
+        if isinstance(n, ast.Name) and "telemetry" in n.id:
             return True
     return False
 
 
-def _test_guards_handle(test: ast.expr, marker: str) -> bool:
+def _test_guards_handle(test: ast.expr) -> bool:
     """Does an ``if`` test establish that the handle is live?"""
     if isinstance(test, ast.Compare):
         if (
             len(test.ops) == 1
             and isinstance(test.ops[0], ast.IsNot)
             and is_none_constant(test.comparators[0])
-            and _is_handle_expr(test.left, marker)
+            and _is_handle_expr(test.left)
         ):
             return True
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(_test_guards_handle(v, marker) for v in test.values)
-    # Plain truthiness: ``if telemetry:`` / ``if self.profiler:``.
+        return any(_test_guards_handle(v) for v in test.values)
+    # Plain truthiness: ``if telemetry:`` / ``if self.telemetry:``.
     if isinstance(test, (ast.Name, ast.Attribute)):
-        return _is_handle_expr(test, marker)
+        return _is_handle_expr(test)
     return False
 
 
@@ -75,28 +60,21 @@ class _GuardVisitor(LintVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute):
-            for marker, methods in _HANDLES.items():
-                if (
-                    func.attr in methods
-                    and _is_handle_expr(func.value, marker)
-                ):
-                    if not self._guarded(node, marker):
-                        kind = (
-                            "telemetry" if marker == "telemetry"
-                            else "profiler"
-                        )
-                        self.report(
-                            node,
-                            f"{kind} {func.attr}() outside an 'is not "
-                            f"None' guard: the disabled path must cost "
-                            f"one predicate check, and the handle is "
-                            f"None on un-instrumented runs",
-                        )
-                    break
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "emit"
+            and _is_handle_expr(func.value)
+            and not self._guarded(node)
+        ):
+            self.report(
+                node,
+                "telemetry emit() outside an 'is not None' guard: the "
+                "disabled path must cost one predicate check, and the "
+                "handle is None on un-instrumented runs",
+            )
         self.generic_visit(node)
 
-    def _guarded(self, node: ast.Call, marker: str) -> bool:
+    def _guarded(self, node: ast.Call) -> bool:
         # Walk the ancestor path outward; a guard only counts when the
         # call lives in the *body* of the guarded branch (an emit in the
         # else-branch of its own guard is still unguarded).
@@ -108,13 +86,13 @@ class _GuardVisitor(LintVisitor):
                 # Guards do not cross function boundaries.
                 return False
             if isinstance(anc, (ast.If, ast.While)):
-                if _test_guards_handle(anc.test, marker) and any(
+                if _test_guards_handle(anc.test) and any(
                     child is stmt for stmt in anc.body
                 ):
                     return True
             elif isinstance(anc, ast.IfExp):
                 if (
-                    _test_guards_handle(anc.test, marker)
+                    _test_guards_handle(anc.test)
                     and child is anc.body
                 ):
                     return True
@@ -125,9 +103,9 @@ class _GuardVisitor(LintVisitor):
 class TelemetryGuardRule(Rule):
     rule_id = "telemetry-guard"
     description = (
-        "every telemetry emit() and profiler enter()/exit() call "
-        "must sit behind the enabled-predicate so the disabled hot path "
-        "stays one check per site"
+        "every telemetry emit() call must sit behind the "
+        "enabled-predicate so the disabled hot path stays one check "
+        "per site"
     )
     scope_dirs = SIMULATOR_SCOPE
 

@@ -1,22 +1,21 @@
-"""Fleet-level observability: run ledger, phase profiler, metrics.
+"""Fleet-level observability: run ledger, metrics, regression checks.
 
 ``repro.obs`` is the observability backbone the simulation-service
 direction needs before any HTTP layer exists (ROADMAP): a provenance
-**ledger** of every completed run (:mod:`repro.obs.ledger`), an opt-in
-deterministic **phase profiler** surfaced as ``SimResult.profile``
-(:mod:`repro.obs.profile`), a **metrics registry** with Prometheus
+**ledger** of every completed run, phase times included
+(:mod:`repro.obs.ledger`), a **metrics registry** with Prometheus
 text-exposition and JSON exporters (:mod:`repro.obs.registry`), and a
 **perf-regression checker** comparing current throughput against the
 committed ``BENCH_*.json`` history and prior ledger entries
 (:mod:`repro.obs.regress`).  The ``repro obs`` CLI
-(:mod:`repro.obs.cli`) fronts all four.
+(:mod:`repro.obs.cli`) fronts all three.
 
 Import discipline: nothing in this package imports ``repro.sim`` at
-module level (the simulation engine imports :mod:`repro.obs.profile`,
-so a module-level back-import would cycle).  Wall-clock reads live
-here, *outside* the simulator scope, which is why the determinism lint
-rule needs no suppressions in this package: timings feed the ledger and
-``SimResult.profile`` only, never a simulated counter.
+module level, so the simulation layers import the ledger at module
+level without a cycle.  The package sits inside the determinism lint scope:
+each wall-clock read here carries a suppression with its reason, and
+timings feed the ledger and the metrics only, never a simulated
+counter.
 """
 
 from repro.obs.ledger import (
@@ -29,13 +28,6 @@ from repro.obs.ledger import (
     ledger_path,
     read_ledger,
     record_from_result,
-)
-from repro.obs.profile import (
-    PROFILE_PHASES,
-    PhaseProfiler,
-    ProfileResult,
-    parse_profile_spec,
-    resolve_profile,
 )
 from repro.obs.registry import (
     MetricsRegistry,
@@ -54,11 +46,6 @@ __all__ = [
     "ledger_path",
     "read_ledger",
     "record_from_result",
-    "PROFILE_PHASES",
-    "PhaseProfiler",
-    "ProfileResult",
-    "parse_profile_spec",
-    "resolve_profile",
     "MetricsRegistry",
     "parse_prometheus",
     "registry_from_ledger",

@@ -169,11 +169,11 @@ def _cmd_top(args) -> int:
                   f"{rec.scheme}/{rec.policy} {rec.workload}")
     phases: dict = {}
     for rec in fresh:
-        for phase, seconds in rec.profile_phases.items():
+        for phase, seconds in rec.phases.items():
             phases[phase] = phases.get(phase, 0.0) + seconds
     if phases:
         peak_phase = max(phases.values())
-        print("\nprofiled phase time (all fresh runs):")
+        print("\nphase time (all fresh runs):")
         for phase in sorted(phases, key=lambda p: -phases[p]):
             print(f"  {phase:12s} {phases[phase]:8.3f}s "
                   f"{_bar(phases[phase], peak_phase)}")

@@ -23,7 +23,8 @@ Properties:
   keys both ways in the ``config_io`` style and each value against its
   field's annotation.  Readers skip a line that fails and count it
   (:attr:`LedgerRecords.skipped`), so one bad line never breaks an
-  export.
+  export.  A version-1 line (written before phase timing was always
+  on) still parses: its ``profile_phases`` is read as ``phases``.
 * **Opt-out.**  ``REPRO_LEDGER=off`` disables appends; reads are
   unaffected.  The path rides ``REPRO_CACHE_DIR``, so test isolation
   of the result cache isolates the ledger for free.
@@ -45,7 +46,9 @@ from repro.params import ConfigError
 
 #: Schema version embedded in every record; bump on field changes so
 #: readers can skip (or upgrade) foreign-era lines explicitly.
-LEDGER_VERSION = 1
+#: 2: ``profile_phases`` (filled only by the opt-in profiler) became
+#: ``phases`` (filled by every fresh run).
+LEDGER_VERSION = 2
 
 _LEDGER_NAME = "ledger.jsonl"
 
@@ -80,10 +83,10 @@ class LedgerRecord:
     ``run_many``/``fetch_or_run``, ``"memo"``/``"disk"`` cache hits,
     ``"direct"`` for a plain ``run_workload`` call); ``cache_hit``
     folds that to a boolean.  ``wall_s``/``accesses_per_s`` are zero
-    for cache hits (the stored result carries no new timing).  No
-    field has a default, so a writer that misses one raises
-    ``TypeError``; ``tests/test_docs.py`` checks the field table in
-    ``docs/OBSERVABILITY.md`` against this dataclass.
+    and ``phases`` is empty for cache hits (the stored result carries
+    no new timing).  No field has a default, so a writer that misses
+    one raises ``TypeError``; ``tests/test_docs.py`` checks the field
+    table in ``docs/OBSERVABILITY.md`` against this dataclass.
     """
 
     version: int
@@ -107,7 +110,7 @@ class LedgerRecord:
     audit_violations: int
     telemetry_samples: int
     telemetry_events: int
-    profile_phases: dict[str, float]
+    phases: dict[str, float]
     host_cpus: int
 
     def to_dict(self) -> dict:
@@ -117,6 +120,9 @@ class LedgerRecord:
     def from_dict(cls, data: dict) -> "LedgerRecord":
         if not isinstance(data, dict):
             raise ConfigError("ledger record must be a JSON object")
+        if data.get("version") == 1 and "profile_phases" in data:
+            data = dict(data)
+            data["phases"] = data.pop("profile_phases")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - names
         if unknown:
@@ -200,7 +206,6 @@ def record_from_result(
     """
     audit = result.audit
     telemetry = result.telemetry
-    profile = result.profile
     accesses = result.stats.total_accesses
     fresh = source in ("run", "direct")
     rate = (
@@ -236,9 +241,7 @@ def record_from_result(
         telemetry_events=(
             len(telemetry.events) if telemetry is not None else 0
         ),
-        profile_phases=(
-            dict(profile.phase_s) if profile is not None else {}
-        ),
+        phases=dict(result.phases) if fresh else {},
         host_cpus=_host_cpus(),
     )
 

@@ -217,8 +217,8 @@ def registry_from_ledger(
                 "invariant-audit violations recorded, by engine")
     reg.counter("repro_telemetry_events_total",
                 "telemetry events traced, by engine")
-    reg.counter("repro_profile_phase_seconds_total",
-                "profiled wall seconds by phase and engine")
+    reg.counter("repro_phase_seconds_total",
+                "wall seconds of fresh runs, by engine and phase")
     reg.gauge("repro_last_accesses_per_s",
               "throughput of the most recent fresh run, by engine")
     reg.gauge("repro_best_accesses_per_s",
@@ -239,13 +239,13 @@ def registry_from_ledger(
         if rec.telemetry_events:
             reg.inc("repro_telemetry_events_total", engine,
                     rec.telemetry_events)
-        for phase, seconds in sorted(rec.profile_phases.items()):
-            reg.inc("repro_profile_phase_seconds_total",
-                    {"engine": rec.engine, "phase": phase}, seconds)
         if rec.cache_hit:
             continue
         reg.inc("repro_simulated_accesses_total", engine, rec.accesses)
         reg.inc("repro_wall_seconds_total", engine, rec.wall_s)
+        for phase, seconds in sorted(rec.phases.items()):
+            reg.inc("repro_phase_seconds_total",
+                    {"engine": rec.engine, "phase": phase}, seconds)
         if rec.accesses_per_s:
             reg.set("repro_last_accesses_per_s", engine,
                     rec.accesses_per_s)

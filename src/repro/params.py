@@ -319,28 +319,6 @@ class TelemetryParams:
 
 
 @dataclass(frozen=True)
-class ProfileParams:
-    """Phase-profiler settings (see :mod:`repro.obs.profile`).
-
-    When enabled, :class:`~repro.sim.engine.Simulation` brackets its
-    coarse phases -- trace decode, the access loop, the audit and
-    telemetry hooks, the end-of-run flush -- with wall-clock timers and
-    derives a deterministic hot-path attribution from the run's own
-    counters, surfaced as ``SimResult.profile``.
-
-    Profile settings are part of :class:`SystemConfig`, so they
-    participate in the parallel runner's recipe cache key exactly like
-    :class:`AuditParams`/:class:`TelemetryParams`: a profiled run never
-    aliases a plain run in the persistent result cache (the timings in a
-    cached profiled result are those of the original execution).  With
-    ``enabled=False`` the simulation adds no per-access work beyond one
-    predicate check.
-    """
-
-    enabled: bool = False
-
-
-@dataclass(frozen=True)
 class CHARParams:
     """Parameters of the adapted CHAR dead-block inference (paper III-D6)."""
 
@@ -405,7 +383,6 @@ class SystemConfig:
     prefetch: PrefetchParams = field(default_factory=PrefetchParams)
     audit: AuditParams = field(default_factory=AuditParams)
     telemetry: TelemetryParams = field(default_factory=TelemetryParams)
-    profile: ProfileParams = field(default_factory=ProfileParams)
     directory_mode: str = "mesi"  # "mesi" (bounded) or "zerodev" (spilling)
     relocation_fifo_depth: int = 8
     nextrs_latency: int = 3  # cycles to recompute decoded nextRS (synthesis)

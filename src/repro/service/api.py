@@ -48,7 +48,9 @@ def result_to_dict(result: Any) -> dict:
     :class:`~repro.sim.stats.SimStats` tree, per-core breakdown
     included); the optional instrumentation attachments collapse to
     their summaries -- the service serves *results*, not transcripts,
-    and the full telemetry/audit objects stay in the result cache."""
+    and the full telemetry/audit objects stay in the result cache.
+    ``phases`` (wall-clock phase times) stays out, so every client of a
+    recipe receives the same bytes."""
     stats = _sanitize(result.stats)
     audit = None
     if result.audit is not None:
@@ -64,13 +66,6 @@ def result_to_dict(result: Any) -> dict:
             "samples": len(result.telemetry.series),
             "events": len(result.telemetry.events),
         }
-    profile = None
-    if result.profile is not None:
-        profile = {
-            "engine": result.profile.engine,
-            "phase_s": _sanitize(dict(result.profile.phase_s)),
-            "attribution": _sanitize(dict(result.profile.attribution)),
-        }
     return {
         "workload": result.workload,
         "scheme": result.scheme,
@@ -83,7 +78,6 @@ def result_to_dict(result: Any) -> dict:
         "energy": _sanitize(result.energy),
         "audit": audit,
         "telemetry": telemetry,
-        "profile": profile,
     }
 
 

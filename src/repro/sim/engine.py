@@ -27,15 +27,23 @@ segment is the fast engine's fused kernel
 modes, and the generic per-access loop (:meth:`Simulation._run_segment`)
 for the object engine.  The fast engine has no per-access entry point:
 it runs only under this driver.  A plain run is one segment.
+
+Every run times its phases into :attr:`SimResult.phases` with one
+clock read per phase transition, never per access: ``decode`` (setup
+and the first trace windows), ``access_loop`` (the segments),
+``audit`` and ``telemetry`` (the sweeps and samples between them),
+``checkpoint`` (boundary work: checkpoint load and save, heartbeats,
+``stop_after``) and ``flush`` (end-of-run statistics).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.profile import PhaseProfiler, ProfileResult, resolve_profile
+from repro.obs import ledger
 from repro.sim.audit import AuditReport, InvariantAuditor, resolve_audit
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
@@ -64,7 +72,12 @@ class SimResult:
     Carries the statistics, the energy ledger, any scheme-specific
     extras (e.g. the ZIV relocation-interval histogram) and the invariant
     audit report (when auditing was enabled) -- but not the hierarchy
-    itself, so results stay small enough to cache in bulk."""
+    itself, so results stay small enough to cache in bulk.
+
+    ``phases`` maps each run phase to the wall seconds it took (see the
+    module docstring).  It is measurement, not outcome: it never enters
+    a comparison, a service payload or a cache key, and a cached copy
+    keeps the phase times of the run that produced it."""
 
     stats: SimStats
     cycles: int
@@ -75,7 +88,7 @@ class SimResult:
     scheme_stats: Optional[dict] = None
     audit: Optional[AuditReport] = None
     telemetry: Optional[TelemetryResult] = None
-    profile: Optional[ProfileResult] = None
+    phases: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def ipc_per_core(self) -> list[float]:
@@ -96,7 +109,6 @@ class Simulation:
         llc_policy_name: Optional[str] = None,
         audit=None,
         telemetry=None,
-        profile=None,
     ) -> None:
         if scheduling not in ("timing", "lockstep"):
             raise ValueError(f"unknown scheduling mode {scheduling!r}")
@@ -117,11 +129,6 @@ class Simulation:
         # order (explicit > REPRO_TELEMETRY > config.telemetry).
         self.telemetry_params = resolve_telemetry(
             telemetry, hierarchy.config.telemetry
-        )
-        # ``profile``: ProfileParams or a spec string ("on"/"off"); same
-        # resolution order (explicit > REPRO_PROFILE > config.profile).
-        self.profile_params = resolve_profile(
-            profile, getattr(hierarchy.config, "profile", None)
         )
 
     def run(
@@ -164,6 +171,19 @@ class Simulation:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
+        phases: dict[str, float] = {}
+        # Phase timing is measurement: it feeds SimResult.phases and the
+        # ledger, never a counter or a cache key.
+        mark = time.perf_counter()  # repro-lint: ignore[determinism]
+
+        def lap(phase: str) -> None:
+            """Charge the time since the previous lap to ``phase``."""
+            nonlocal mark
+            # Phase timing measurement (see ``mark`` above).
+            now = time.perf_counter()  # repro-lint: ignore[determinism]
+            phases[phase] = phases.get(phase, 0.0) + (now - mark)
+            mark = now
+
         state = None
         if resume_from is not None:
             ck = (
@@ -178,6 +198,7 @@ class Simulation:
             auditor = ck.auditor
             collector = ck.collector
             state = ck.scheduler_state
+            lap("checkpoint")
         else:
             auditor = (
                 InvariantAuditor(self.hierarchy, self.audit_params)
@@ -189,16 +210,6 @@ class Simulation:
                 if self.telemetry_params.enabled
                 else None
             )
-        # The phase profiler follows the telemetry discipline exactly:
-        # the handle is None unless profiling was requested, every
-        # engine-side use sits behind one ``is not None`` predicate
-        # (enforced by the telemetry-guard lint rule), and the disabled
-        # path therefore costs one check per phase transition -- never
-        # per access.  Resumed runs profile their own leg only (phase
-        # timers are wall-clock and are deliberately not checkpointed).
-        profiler = (
-            PhaseProfiler() if self.profile_params.enabled else None
-        )
         if collector is not None:
             collector.bind()
         h = self.hierarchy
@@ -252,43 +263,30 @@ class Simulation:
             if stop_after is not None and pos >= stop_after:
                 raise SimulationInterrupted(checkpoint_path, pos, total)
 
-        if profiler is not None:
-            profiler.enter("decode")
         segment(cursor, cursor.pos)  # empty: loads the first windows
-        if profiler is not None:
-            profiler.exit("decode")
+        lap("decode")
         while cursor.pos < total:
             pos = cursor.pos
             stop = min([total] + [(pos // p + 1) * p for p in periods])
-            if profiler is not None:
-                profiler.enter("access_loop")
             segment(cursor, stop)
-            if profiler is not None:
-                profiler.exit("access_loop")
+            lap("access_loop")
             if audit_every and stop % audit_every == 0:
-                if profiler is not None:
-                    profiler.enter("audit")
                 auditor.sweep(stop - 1)
-                if profiler is not None:
-                    profiler.exit("audit")
+                lap("audit")
             if stop == total:
                 break
             if sample_every and stop % sample_every == 0:
-                if profiler is not None:
-                    profiler.enter("telemetry")
                 collector.sample(stop)
-                if profiler is not None:
-                    profiler.exit("telemetry")
+                lap("telemetry")
             if boundary_every and stop % boundary_every == 0:
                 boundary(stop)
+                lap("checkpoint")
         if cursor.lockstep:
             for cs in h.stats.cores:
                 cs.cycles = total  # lockstep mode carries no timing meaning
             cycles = total
         else:
             cycles = max(cursor.finish, default=0)
-        if profiler is not None:
-            profiler.enter("flush")
         h.finalize_stats()
         report = auditor.finalize() if auditor is not None else None
         telemetry_result = (
@@ -296,14 +294,7 @@ class Simulation:
             if collector is not None
             else None
         )
-        profile_result = None
-        if profiler is not None:
-            profiler.exit("flush")
-            profile_result = profiler.finalize(
-                engine=getattr(h, "engine_name", "object"),
-                stats=h.stats,
-                config=h.config,
-            )
+        lap("flush")
         return SimResult(
             stats=h.stats,
             cycles=cycles,
@@ -314,7 +305,7 @@ class Simulation:
             scheme_stats=h.scheme.on_stats(),
             audit=report,
             telemetry=telemetry_result,
-            profile=profile_result,
+            phases=phases,
         )
 
     def _run_segment(self, cursor: "_Cursor", stop: int) -> None:
@@ -439,7 +430,6 @@ def run_workload(
     policy_kwargs: Optional[dict] = None,
     audit=None,
     telemetry=None,
-    profile=None,
     checkpoint_path=None,
     checkpoint_every: Optional[int] = None,
     resume_from=None,
@@ -453,10 +443,7 @@ def run_workload(
     variable and then ``config.audit`` decide.  ``telemetry``
     (TelemetryParams or a spec string like ``"250,events=relocation"``)
     enables interval sampling/event tracing the same way, via
-    ``REPRO_TELEMETRY`` and ``config.telemetry``.  ``profile``
-    (ProfileParams or ``"on"``/``"off"``) enables the phase profiler
-    (``SimResult.profile``) the same way again, via ``REPRO_PROFILE``
-    and ``config.profile``.
+    ``REPRO_TELEMETRY`` and ``config.telemetry``.
 
     Every completed call appends one provenance record to the run
     ledger (see :mod:`repro.obs.ledger`; ``REPRO_LEDGER=off`` opts
@@ -513,14 +500,11 @@ def run_workload(
         llc_policy_name=llc_policy,
         audit=audit,
         telemetry=telemetry,
-        profile=profile,
     )
     # Ledger wall time is observability-only (it feeds the JSONL record,
     # never the SimResult), so the wall-clock reads are suppressed like
     # the ProgressTracker's.
-    import time as _time
-
-    t0 = _time.perf_counter()  # repro-lint: ignore[determinism]
+    t0 = time.perf_counter()  # repro-lint: ignore[determinism]
     result = sim.run(
         checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
@@ -528,7 +512,7 @@ def run_workload(
         stop_after=stop_after,
         progress=progress,
     )
-    wall_s = _time.perf_counter() - t0  # repro-lint: ignore[determinism]
+    wall_s = time.perf_counter() - t0  # repro-lint: ignore[determinism]
     _append_direct_ledger_record(
         sim, config, workload, llc_policy, policy_kwargs, oracle,
         result, wall_s, resume_from,
@@ -553,17 +537,11 @@ def _append_direct_ledger_record(
     ledger must never fail a run that already produced its result.  The
     recipe key is the *same* content hash ``run_many`` would use for an
     equivalent :class:`~repro.sim.parallel.RunRecipe` (with the resolved
-    audit/telemetry/profile settings baked into the config), so direct
+    audit/telemetry settings baked into the config), so direct
     runs and fleet runs of the same work share ledger identity; runs a
     recipe cannot express (custom oracles) get an empty key."""
     try:
-        from repro.obs.ledger import (
-            append_record,
-            ledger_enabled,
-            record_from_result,
-        )
-
-        if not ledger_enabled():
+        if not ledger.ledger_enabled():
             return
         recipe_key = ""
         if oracle is None:
@@ -572,7 +550,6 @@ def _append_direct_ledger_record(
             keyed_config = config.replace(
                 audit=sim.audit_params,
                 telemetry=sim.telemetry_params,
-                profile=sim.profile_params,
             )
             recipe_key = RunRecipe(
                 workload=workload,
@@ -582,7 +559,7 @@ def _append_direct_ledger_record(
                 scheduling=sim.scheduling,
                 policy_kwargs=tuple(sorted((policy_kwargs or {}).items())),
             ).key()
-        append_record(record_from_result(
+        ledger.append_record(ledger.record_from_result(
             recipe_key=recipe_key,
             result=result,
             source="direct",

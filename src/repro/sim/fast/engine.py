@@ -108,7 +108,7 @@ class FastHierarchy:
     verbatim so results compare field-for-field.
     """
 
-    #: Which engine produced a result (ledger/profile provenance).
+    #: Which engine produced a result (ledger provenance).
     engine_name = "fast"
 
     def __init__(

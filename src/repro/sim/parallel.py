@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
+from repro.obs import ledger
 from repro.params import SystemConfig
 from repro.sim.engine import SimResult, Simulation
 from repro.sim.trace import Workload
@@ -76,7 +77,10 @@ from repro.sim.trace import Workload
 #: SystemConfig the ``profile`` section; pre-profile pickles would
 #: deserialise without the attribute, and profiled runs must never
 #: alias entries keyed before the section joined the hash preimage.
-CACHE_VERSION = "6"
+#: "7": SimResult swapped ``profile`` for ``phases`` (every run times
+#: its phases) and SystemConfig lost the ``profile`` section; older
+#: pickles would deserialise without ``phases``.
+CACHE_VERSION = "7"
 
 _DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -182,13 +186,12 @@ class RunRecipe:
                 scheduling=self.scheduling,
                 llc_policy_name=self.policy,
                 # Instrumentation comes from the config (and therefore
-                # from the cache key) alone: REPRO_AUDIT, REPRO_TELEMETRY
-                # and REPRO_PROFILE must never be consulted inside a
+                # from the cache key) alone: REPRO_AUDIT and
+                # REPRO_TELEMETRY must never be consulted inside a
                 # worker, or an instrumented result could be stored
                 # under an uninstrumented key.
                 audit=self.config.audit,
                 telemetry=self.config.telemetry,
-                profile=self.config.profile,
             ).run()
         finally:
             # Close only what resolving opened: a trace file.  A
@@ -428,15 +431,9 @@ def record_resolution(
     :func:`run_many` and the simulation service both record through
     this call; the service counts the misses."""
     try:
-        from repro.obs.ledger import (
-            append_record,
-            ledger_enabled,
-            record_from_result,
-        )
-
-        if not ledger_enabled():
+        if not ledger.ledger_enabled():
             return True
-        return append_record(record_from_result(
+        return ledger.append_record(ledger.record_from_result(
             recipe_key=key,
             result=result,
             source=source,

@@ -157,7 +157,7 @@ def test_sampled_and_audited_cells_identical(workloads, scheme):
 ZIV_RULES = tuple(s for s in GRID_SCHEMES if s.startswith("ziv:"))
 
 
-def _columns_workload(streams, name: str, seed: int) -> Workload:
+def columns_workload(streams, name: str, seed: int) -> Workload:
     """One trace per ``draw`` callable; gaps and 30% writes drawn from a
     single seeded generator."""
     rng = random.Random(seed)
@@ -189,7 +189,7 @@ def stress_workload(cores: int = 4, n: int = 3000) -> Workload:
         return lambda rng: (base + rng.randrange(6) if rng.random() < 0.5
                             else rng.randrange(256))
 
-    return _columns_workload(
+    return columns_workload(
         [(n, stream(core)) for core in range(cores)], "stress", seed=0
     )
 
@@ -206,7 +206,7 @@ def cross_bank_workload(n: int = 1500) -> Workload:
     its victims must move to bank 1.  (At the stress geometry the bank
     and the private set index share the low address bit, so a
     bank-skewed trace never forces a cross-bank relocation there.)"""
-    return _columns_workload(
+    return columns_workload(
         [(n, lambda rng: rng.randrange(8) * 2),
          (n, lambda rng: rng.randrange(6) * 2)],
         "xbank", seed=0,
@@ -320,12 +320,22 @@ def test_report_summary_lists_divergences():
 # ---------------------------------------------------------------------------
 
 
-def random_workload(seed: int, cores: int = CORES, n: int = 350) -> Workload:
+#: Address strides of the random pools.  Trace addresses are block
+#: numbers, so stride 1 spreads a pool over every LLC bank and set, and
+#: stride 64 piles it into one set of bank 0.
+STRIDES = (1, 2, 64)
+
+
+def random_workload(seed: int, stride: int, cores: int = CORES,
+                    n: int = 350) -> Workload:
     """A workload of shared-pool random traces.
 
-    All cores draw block addresses from one small pool so the runs
-    exercise cross-core sharing: directory forwards, eviction notices,
-    write-back merging and (for inclusive designs) back-invalidation."""
+    All cores draw block numbers from one pool of 48 to 160 blocks,
+    ``stride`` apart, so the runs exercise cross-core sharing: directory
+    forwards, eviction notices, write-back merging and (for inclusive
+    designs) back-invalidation.  At ``STRESS_CONFIG`` the 96- and
+    160-block pools over-subscribe the 64-block LLC, and strides 2 and
+    64 crowd any pool into bank 0's 32 blocks or one 8-way set."""
     rng = random.Random(seed)
     blocks = rng.choice((48, 96, 160))
     traces = []
@@ -333,20 +343,35 @@ def random_workload(seed: int, cores: int = CORES, n: int = 350) -> Workload:
         recs = [
             TraceRecord(
                 gap=rng.randrange(4),
-                addr=rng.randrange(blocks) * 64,
+                addr=rng.randrange(blocks) * stride,
                 is_write=rng.random() < 0.3,
                 pc=rng.randrange(32) * 4,
             )
             for _ in range(n)
         ]
         traces.append(CoreTrace(recs, name=f"rand{core}"))
-    return Workload(traces, name=f"rand-s{seed}-b{blocks}")
+    return Workload(traces, name=f"rand-s{seed}-b{blocks}-x{stride}")
 
 
-def _assert_random_cell(seed, scheme, policy, directory_mode):
-    report = _cell(
-        random_workload(seed), scheme, policy, directory_mode=directory_mode
+def test_a_stride_1_pool_reaches_every_llc_set():
+    llc = STRESS_CONFIG.llc
+    homes = {
+        (llc.bank_index(addr), llc.set_index(addr))
+        for trace in random_workload(0, 1) for addr in trace.addrs
+    }
+    assert homes == {
+        (bank, s)
+        for bank in range(llc.banks) for s in range(llc.sets_per_bank)
+    }
+
+
+def _assert_random_cell(seed, stride, scheme, policy, directory_mode):
+    recipe = make_recipe(
+        random_workload(seed, stride), scheme, policy=policy,
+        config=STRESS_CONFIG.replace(directory_mode=directory_mode),
+        audit="end,collect",
     )
+    report = diff_recipe(recipe, keep_results=True)
     assert report.ok, report.summary()
     for result in (report.object_result, report.fast_result):
         assert result.audit.violations == []
@@ -356,13 +381,15 @@ if HAVE_HYPOTHESIS:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        stride=st.sampled_from(STRIDES),
         scheme=st.sampled_from(GRID_SCHEMES),
         policy=st.sampled_from(GRID_POLICIES),
         directory_mode=st.sampled_from(("mesi", "zerodev")),
     )
     @settings(max_examples=12, deadline=None)
-    def test_random_traces_identical(seed, scheme, policy, directory_mode):
-        _assert_random_cell(seed, scheme, policy, directory_mode)
+    def test_random_traces_identical(seed, stride, scheme, policy,
+                                     directory_mode):
+        _assert_random_cell(seed, stride, scheme, policy, directory_mode)
 
 else:
 
@@ -371,6 +398,7 @@ else:
         rng = random.Random(seed * 7919 + 1)
         _assert_random_cell(
             seed,
+            rng.choice(STRIDES),
             rng.choice(GRID_SCHEMES),
             rng.choice(GRID_POLICIES),
             rng.choice(("mesi", "zerodev")),

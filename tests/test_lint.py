@@ -29,7 +29,6 @@ from repro.params import (
     ENGINES,
     AuditParams,
     CacheGeometry,
-    ProfileParams,
     SystemConfig,
     TelemetryParams,
     scaled_config,
@@ -354,21 +353,6 @@ class TestTelemetryGuard:
             ),
         })
         assert rule_ids(findings) == ["telemetry-guard"]
-
-    def test_profiler_phase_brackets_need_the_guard(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/engine.py": (
-                "def run(profiler):\n"
-                "    if profiler is not None:\n"
-                "        profiler.enter('decode')\n"
-                "    profiler.exit('decode')\n"
-                "    profiler.timed('audit', print)\n"
-            ),
-        })
-        # exit() is unguarded; timed() is not a watched method.
-        assert rule_ids(findings) == ["telemetry-guard"]
-        assert findings[0].line == 4
-        assert "profiler exit()" in findings[0].message
 
     def test_non_telemetry_emit_is_ignored(self, tmp_path):
         findings = lint_tree(tmp_path, {
@@ -1322,7 +1306,6 @@ class TestCacheKeyCompleteness:
             scaled_config("256KB"),
             audit=AuditParams(enabled=True),
             telemetry=TelemetryParams(enabled=True),
-            profile=ProfileParams(enabled=True),
         )
         assert leaf_problems(instrumented) == []
 
@@ -1336,16 +1319,16 @@ class TestCacheKeyCompleteness:
             if dataclasses.is_dataclass(getattr(default, f.name))
         }
         assert config_io._SECTIONS == sections
-        assert {"audit", "telemetry", "profile"} <= set(sections)
+        assert {"audit", "telemetry"} <= set(sections)
 
     def test_unregistered_section_fires(self, monkeypatch):
         monkeypatch.setattr(config_io, "_SECTIONS", {
             name: cls for name, cls in config_io._SECTIONS.items()
-            if name != "profile"
+            if name != "telemetry"
         })
         problems = leaf_problems(scaled_config("256KB"))
         assert problems
-        assert all(p.endswith(": profile lost in the round trip")
+        assert all(p.endswith(": telemetry lost in the round trip")
                    for p in problems), problems
 
     def test_missing_scalar_key_fires(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Fleet observability: run ledger, phase profiler, metrics export and
+"""Fleet observability: run ledger, phase times, metrics export and
 the perf-regression gate (`repro.obs`)."""
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -22,14 +23,6 @@ from repro.obs.ledger import (
     ledger_path,
     read_ledger,
     record_from_result,
-)
-from repro.obs.profile import (
-    PROFILE_PHASES,
-    PhaseProfiler,
-    ProfileResult,
-    counter_attribution,
-    parse_profile_spec,
-    resolve_profile,
 )
 from repro.obs.registry import (
     LedgerAggregate,
@@ -45,7 +38,7 @@ from repro.obs.regress import (
     metric_direction,
     run_regress,
 )
-from repro.params import ConfigError, ProfileParams
+from repro.params import ConfigError
 from repro.sim.engine import run_workload
 from repro.sim.parallel import (
     RunRecipe,
@@ -53,6 +46,7 @@ from repro.sim.parallel import (
     clear_memo,
     run_many,
 )
+from repro.sim.report import counter_attribution
 from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
 
@@ -101,7 +95,7 @@ def make_record(**overrides) -> LedgerRecord:
         audit_violations=0,
         telemetry_samples=0,
         telemetry_events=0,
-        profile_phases={},
+        phases={},
         host_cpus=8,
     )
     base.update(overrides)
@@ -124,7 +118,7 @@ def obs_cache(tmp_path, monkeypatch):
 
 class TestLedgerRecord:
     def test_json_line_round_trip_is_bit_identical(self):
-        rec = make_record(profile_phases={"access_loop": 0.25})
+        rec = make_record(phases={"access_loop": 0.25})
         line = rec.to_json_line()
         assert LedgerRecord.from_json_line(line) == rec
         assert LedgerRecord.from_json_line(line).to_json_line() == line
@@ -132,7 +126,7 @@ class TestLedgerRecord:
 
     @pytest.mark.parametrize("phases", [{}, {"walk": 0.1, "access_loop": 0.25}])
     def test_json_line_equals_the_asdict_reference(self, phases):
-        rec = make_record(profile_phases=phases, wall_s=0.1,
+        rec = make_record(phases=phases, wall_s=0.1,
                           accesses_per_s=1e6 / 3)
         assert rec.to_json_line() == json.dumps(dataclasses.asdict(rec),
                                                 sort_keys=True)
@@ -163,19 +157,30 @@ class TestLedgerRecord:
 
     def test_from_dict_checks_phase_seconds(self):
         data = make_record().to_dict()
-        data["profile_phases"] = {"walk": "slow"}
-        with pytest.raises(ConfigError, match="profile_phases"):
+        data["phases"] = {"walk": "slow"}
+        with pytest.raises(ConfigError, match="phases"):
             LedgerRecord.from_dict(data)
-        data["profile_phases"] = {"walk": True}
-        with pytest.raises(ConfigError, match="profile_phases"):
+        data["phases"] = {"walk": True}
+        with pytest.raises(ConfigError, match="phases"):
             LedgerRecord.from_dict(data)
 
     def test_an_int_stands_for_a_float(self):
         data = make_record().to_dict()
-        data.update(wall_s=2, ts=1000, profile_phases={"walk": 1})
+        data.update(wall_s=2, ts=1000, phases={"walk": 1})
         rec = LedgerRecord.from_dict(data)
-        assert (rec.wall_s, rec.ts, rec.profile_phases) == \
+        assert (rec.wall_s, rec.ts, rec.phases) == \
             (2, 1000, {"walk": 1})
+
+    def test_a_version_1_line_reads_profile_phases_as_phases(self):
+        data = make_record(version=1).to_dict()
+        data["profile_phases"] = data.pop("phases")
+        data["profile_phases"]["access_loop"] = 0.5
+        rec = LedgerRecord.from_json_line(json.dumps(data, sort_keys=True))
+        assert (rec.version, rec.phases) == (1, {"access_loop": 0.5})
+        # Only version 1 had the old name.
+        data["version"] = LEDGER_VERSION
+        with pytest.raises(ConfigError, match="profile_phases"):
+            LedgerRecord.from_dict(data)
 
     def test_short_key(self):
         assert make_record(recipe_key="0123456789abcdef").short_key == \
@@ -381,7 +386,7 @@ class TestLedgerAppends:
         for its newline is not counted."""
         append_record(make_record())
         bad = make_record().to_dict()
-        bad["profile_phases"] = 5
+        bad["phases"] = 5
         with open(ledger_path(), "a") as fh:
             fh.write(json.dumps(bad, sort_keys=True) + "\n")
         append_record(make_record(ts=2000.0))
@@ -469,114 +474,108 @@ class TestLedgerAtomicity:
 
 
 # ---------------------------------------------------------------------------
-# Phase profiler
+# Phase times
 # ---------------------------------------------------------------------------
+
+#: Every phase Simulation.run times.
+PHASES = {"decode", "access_loop", "audit", "telemetry", "checkpoint",
+          "flush"}
+
+
+def _assert_fresh_phases(rec, result) -> None:
+    """A fresh record carries its run's phases: the access loop took
+    time, and the phases fit inside the record's wall time."""
+    assert rec.phases == result.phases
+    assert set(rec.phases) <= PHASES
+    assert rec.phases["access_loop"] > 0
+    assert sum(rec.phases.values()) <= rec.wall_s
+
+
+class _CountingClock:
+    """Stands in for the ``time`` module of ``repro.sim.engine``."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def perf_counter(self) -> float:
+        self.reads += 1
+        return time.perf_counter()
 
 
 class TestProfiler:
-    def test_spec_parsing(self):
-        assert parse_profile_spec("on").enabled
-        assert parse_profile_spec("").enabled
-        assert not parse_profile_spec("off").enabled
-        with pytest.raises(ConfigError):
-            parse_profile_spec("sideways")
-
-    def test_resolution_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "on")
-        assert not resolve_profile("off").enabled       # explicit wins
-        assert resolve_profile(None).enabled            # env next
-        monkeypatch.delenv("REPRO_PROFILE")
-        assert resolve_profile(
-            None, ProfileParams(enabled=True)
-        ).enabled                                       # config last
-        assert not resolve_profile(None).enabled        # default off
+    """Every run times its phases; no option turns the timing on."""
 
     @pytest.mark.parametrize("engine", ["object", "fast"])
     def test_profiled_run_reports_phases(self, engine, obs_cache):
         cfg = tiny_config().replace(engine=engine)
+        result = run_workload(cfg, make_workload(), "inclusive")
+        assert set(result.phases) == {"decode", "access_loop", "flush"}
+        _assert_fresh_phases(read_ledger()[-1], result)
+
+    @pytest.mark.parametrize("engine", ["object", "fast"])
+    def test_boundary_work_has_phases_of_its_own(self, engine, obs_cache,
+                                                 tmp_path):
+        cfg = tiny_config().replace(engine=engine)
+        beats = []
         result = run_workload(cfg, make_workload(), "inclusive",
-                              profile="on")
-        p = result.profile
-        assert p is not None
-        assert p.engine == engine
-        assert set(p.phase_s) <= set(PROFILE_PHASES)
-        assert "access_loop" in p.phase_s
-        assert p.phase_s["access_loop"] > 0
-        assert p.total_s >= p.phase_s["access_loop"]
-        assert abs(sum(p.attribution.values()) - 1.0) < 1e-9
-        # The ledger record carries the phase times.
-        rec = read_ledger()[-1]
-        assert rec.profile_phases == p.phase_s
+                              audit="100", telemetry="150",
+                              checkpoint_path=tmp_path / "run.ckpt",
+                              checkpoint_every=200, progress=beats.append)
+        assert beats and set(result.phases) == PHASES
+        _assert_fresh_phases(read_ledger()[-1], result)
 
-    def test_attribution_is_engine_invariant(self, obs_cache):
-        wl = make_workload()
-        obj = run_workload(tiny_config(), wl, "inclusive", profile="on")
-        fast = run_workload(tiny_config().replace(engine="fast"), wl,
-                            "inclusive", profile="on")
-        assert obj.profile.attribution == fast.profile.attribution
+    def test_hits_record_no_phases_and_export_none(self, obs_cache):
+        """One fresh run plus five hits: the hits' records carry no
+        phases, so the export counts the fresh run's phases once."""
+        recipe = RunRecipe(make_workload(), "inclusive", tiny_config())
+        run_many([recipe])
+        for i in range(5):
+            if i % 2:
+                clear_memo()  # resolve from the disk cache instead
+            run_many([recipe])
+        records = read_ledger()
+        assert [r.source for r in records] == \
+            ["run", "memo", "disk", "memo", "disk", "memo"]
+        fresh = records[0]
+        assert fresh.phases["access_loop"] > 0
+        assert all(r.phases == {} for r in records[1:])
+        parsed = parse_prometheus(registry_from_ledger(records).to_prometheus())
+        exported = {
+            dict(labels)["phase"]: value
+            for (name, labels), value in parsed.items()
+            if name == "repro_phase_seconds_total"
+        }
+        assert exported == fresh.phases
 
-    def test_disabled_run_has_no_profile_and_no_profiler(
-        self, obs_cache, monkeypatch
+    @pytest.mark.parametrize("engine", ["object", "fast"])
+    def test_clock_reads_scale_with_segments_not_accesses(
+        self, engine, obs_cache, monkeypatch
     ):
         import repro.sim.engine as engine_mod
 
-        instantiated = []
+        def reads(length: int, **kw) -> int:
+            clock = _CountingClock()
+            monkeypatch.setattr(engine_mod, "time", clock)
+            run_workload(tiny_config().replace(engine=engine),
+                         make_workload(length=length), "inclusive", **kw)
+            return clock.reads
 
-        class CountingProfiler(PhaseProfiler):
-            def __init__(self):
-                instantiated.append(1)
-                super().__init__()
+        plain = reads(200)
+        assert reads(2000) == plain
+        # 2 cores x 2000 accesses in segments of 100: each segment adds
+        # at most an access_loop lap and a telemetry lap.
+        segments = 2 * 2000 // 100
+        sampled = reads(2000, telemetry="100")
+        assert segments < sampled <= plain + 2 * segments
 
-        monkeypatch.setattr(engine_mod, "PhaseProfiler", CountingProfiler)
-        result = run_workload(tiny_config(), make_workload(), "inclusive")
-        assert result.profile is None
-        assert instantiated == []  # disabled path never builds a profiler
-        result = run_workload(tiny_config(), make_workload(1), "inclusive",
-                              profile="on")
-        assert result.profile is not None
-        assert instantiated == [1]
-
-    def test_profile_joins_the_cache_key(self):
-        cfg = tiny_config()
+    def test_attribution_is_engine_invariant(self, obs_cache):
         wl = make_workload()
-        plain = RunRecipe(wl, "inclusive", cfg)
-        profiled = RunRecipe(
-            wl, "inclusive", cfg.replace(profile=ProfileParams(enabled=True))
-        )
-        assert plain.key() != profiled.key()
-
-    @pytest.mark.parametrize("engine", ["object", "fast"])
-    def test_recipe_never_consults_repro_profile(self, engine, monkeypatch):
-        """An unprofiled recipe executes unprofiled even with
-        REPRO_PROFILE set where it runs -- otherwise run_many and the
-        service would store a profiled result under its key."""
-        from repro.sim.parallel import make_recipe
-
-        monkeypatch.setenv("REPRO_PROFILE", "on")
-        recipe = make_recipe(make_workload(), "inclusive",
-                             config=tiny_config().replace(engine=engine))
-        assert not recipe.config.profile.enabled
-        assert recipe.execute().profile is None
-
-    def test_profile_result_round_trip_and_validation(self):
-        p = ProfileResult(engine="fast", phase_s={"decode": 0.5},
-                          phase_calls={"decode": 1},
-                          attribution={"l1_hit": 1.0}, total_s=0.6)
-        assert ProfileResult.from_dict(p.to_dict()) == p
-        with pytest.raises(ConfigError):
-            ProfileResult.from_dict({"engine": "fast"})
-        bad = p.to_dict()
-        bad["mystery"] = 3
-        with pytest.raises(ConfigError):
-            ProfileResult.from_dict(bad)
-
-    def test_unbalanced_exit_is_ignored(self):
-        profiler = PhaseProfiler()
-        profiler.exit("decode")  # never entered
-        assert profiler.phase_s == {}
-        profiler.enter("decode")
-        profiler.exit("decode")
-        assert profiler.phase_calls == {"decode": 1}
+        cfg = tiny_config()
+        obj = run_workload(cfg, wl, "inclusive")
+        fast = run_workload(cfg.replace(engine="fast"), wl, "inclusive")
+        shares = counter_attribution(obj.stats, cfg)
+        assert shares == counter_attribution(fast.stats, cfg)
+        assert abs(sum(shares.values()) - 1.0) < 1e-9
 
     def test_counter_attribution_empty_stats(self):
         class Stats:
@@ -610,12 +609,19 @@ class TestRegistry:
     def test_ledger_aggregation_round_trips_bit_identically(self):
         records = [
             make_record(engine="object", accesses_per_s=128112.25,
-                        wall_s=1.5, profile_phases={"access_loop": 1.25}),
+                        wall_s=1.5, phases={"access_loop": 1.25}),
             make_record(engine="fast", accesses_per_s=710763.125,
                         wall_s=0.25, source="run"),
             make_record(engine="fast", source="memo", cache_hit=True,
                         wall_s=0.0, accesses_per_s=0.0),
         ]
+        # A version-1 hit line copied its run's phases; they count once.
+        v1_hit = make_record(engine="object", source="disk", cache_hit=True,
+                             wall_s=0.0, accesses_per_s=0.0,
+                             version=1).to_dict()
+        del v1_hit["phases"]
+        v1_hit["profile_phases"] = {"access_loop": 1.25}
+        records.append(LedgerRecord.from_dict(v1_hit))
         reg = registry_from_ledger(records)
         parsed = parse_prometheus(reg.to_prometheus())
         assert parsed[
@@ -626,10 +632,10 @@ class TestRegistry:
             ("repro_best_accesses_per_s", (("engine", "fast"),))
         ] == 710763.125
         assert parsed[
-            ("repro_profile_phase_seconds_total",
+            ("repro_phase_seconds_total",
              (("engine", "object"), ("phase", "access_loop")))
         ] == 1.25
-        assert parsed[("repro_ledger_records", ())] == 3
+        assert parsed[("repro_ledger_records", ())] == 4
         # And the JSON exporter agrees with the registry values.
         data = json.loads(reg.to_json())
         best = data["repro_best_accesses_per_s"]["samples"]
@@ -658,7 +664,7 @@ class TestRegistry:
                         source=("run", "memo")[i % 3 == 2],
                         cache_hit=i % 3 == 2, wall_s=0.1 * (i + 1),
                         accesses_per_s=1e5 / (i + 1),
-                        profile_phases={"walk": 0.1 * i} if i % 2 else {})
+                        phases={"walk": 0.1 * i} if i % 2 else {})
             for i in range(9)
         ]
         path = ledger_path()

@@ -63,6 +63,16 @@ class TestDescribe:
         assert "telemetry     :" in out
         assert "events        :" not in out
 
+    def test_phase_times_and_hot_path_on_every_run(self):
+        cfg = tiny_config()
+        lines = describe_result(
+            run_workload(cfg, workload(), "inclusive"), cfg
+        ).splitlines()
+        phases = [ln for ln in lines if ln.startswith("phases        :")]
+        hot = [ln for ln in lines if ln.startswith("hot path      :")]
+        assert len(phases) == 1 and "access_loop" in phases[0]
+        assert len(hot) == 1 and "l1_hit" in hot[0]
+
 
 class TestCompare:
     def test_compare_reports_speedup_and_ratios(self):

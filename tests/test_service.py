@@ -158,9 +158,8 @@ def test_payload_bytes_equal_the_asdict_reference(engine, monkeypatch):
 
     recipe = make_recipe(scheme="ziv:notinprc")
     result = run_workload(tiny_config(engine), recipe.workload,
-                          "ziv:notinprc", audit="end", telemetry="40",
-                          profile="on")
-    assert None not in (result.audit, result.telemetry, result.profile)
+                          "ziv:notinprc", audit="end", telemetry="40")
+    assert None not in (result.audit, result.telemetry)
     payload = api.result_to_json(result)
     monkeypatch.setattr(api, "_sanitize", _asdict_sanitize)
     assert payload == api.result_to_json(result)
@@ -570,6 +569,13 @@ def test_http_rejects_bad_section_key_with_field(service):
         client.submit(d)
     assert excinfo.value.status == 400
     assert excinfo.value.field == "config.llc.warp_factor"
+    # No config has a profile section: every run times its phases.
+    d = recipe_to_dict(make_recipe(unique=False))
+    d["config"]["profile"] = {"enabled": False}
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(d)
+    assert excinfo.value.status == 400
+    assert excinfo.value.field == "config.profile"
 
 
 def test_http_rejects_unsupported_fast_recipes(service):
@@ -731,11 +737,11 @@ def test_http_metrics_skip_and_count_a_wrong_typed_ledger_line(
         source="direct", cache_hit=False, trace_path="", resumed_from="",
         wall_s=0.5, accesses=10, accesses_per_s=20.0, cycles=99,
         audit_violations=0, telemetry_samples=0, telemetry_events=0,
-        profile_phases={}, host_cpus=2,
+        phases={}, host_cpus=2,
     )
     append_record(record)
     with open(ledger_path(), "a") as fh:
-        fh.write(json.dumps({**record.to_dict(), "profile_phases": 5},
+        fh.write(json.dumps({**record.to_dict(), "phases": 5},
                             sort_keys=True) + "\n")
     server = create_server(port=0, workers=2, mode="thread").start()
     try:
@@ -894,7 +900,7 @@ def test_http_both_engines_resolve(service):
         payload = client.result(final["id"])
         payloads[engine] = (payload["cycles"], payload["summary"])
     # The two engines agree on the counters (the differential-oracle
-    # contract), so the payloads differ only in profile attribution.
+    # contract).
     assert payloads["object"] == payloads["fast"]
 
 
