@@ -9,47 +9,56 @@ non-inclusive design and ZIV with the stride prefetcher on and off.
 
 from repro.experiments.common import (
     FigureResult,
-    cached_run,
     get_scale,
     mix_population,
+    resolve,
 )
 from repro.params import PrefetchParams, scaled_config
 from repro.sim.metrics import geomean, mix_speedup
+from repro.sim.parallel import make_recipe
+
+SCHEMES = ("inclusive", "noninclusive", "ziv:mrlikelydead")
 
 
 def run_prefetch_interplay(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
+    mixes = mix_population(get_scale(scale))
+    base_cfg = scaled_config("512KB")
+    prefetch = (
+        ("off", base_cfg),
+        ("stride", base_cfg.replace(
+            prefetch=PrefetchParams(kind="stride", degree=2)
+        )),
+    )
+    grid = {
+        "baseline": [
+            make_recipe(wl, "inclusive", "hawkeye", config=base_cfg)
+            for wl in mixes
+        ]
+    }
+    for pf, cfg in prefetch:
+        for scheme in SCHEMES:
+            grid[pf, scheme] = [
+                make_recipe(wl, scheme, "hawkeye", config=cfg)
+                for wl in mixes
+            ]
+    runs = resolve(grid)
     fig = FigureResult(
         figure="Ablation-G",
         title="Inclusion x prefetching @512KB, Hawkeye (norm. I, pf off)",
         columns=["prefetch", "scheme", "speedup", "incl_victims",
                  "pf_useful_rate"],
     )
-    base_cfg = scaled_config("512KB")
-    baselines = [
-        cached_run(wl, "inclusive", "hawkeye", config=base_cfg)
-        for wl in mixes
-    ]
-    for pf_on in (False, True):
-        cfg = base_cfg
-        if pf_on:
-            cfg = base_cfg.replace(
-                prefetch=PrefetchParams(kind="stride", degree=2)
-            )
-        for scheme in ("inclusive", "noninclusive", "ziv:mrlikelydead"):
-            runs = [
-                cached_run(wl, scheme, "hawkeye", config=cfg)
-                for wl in mixes
-            ]
+    for pf, _cfg in prefetch:
+        for scheme in SCHEMES:
+            results = runs[pf, scheme]
             sp = geomean(
-                mix_speedup(b, r) for b, r in zip(baselines, runs)
+                mix_speedup(b, r) for b, r in zip(runs["baseline"], results)
             )
-            victims = sum(r.stats.inclusion_victims_llc for r in runs)
-            issued = sum(r.stats.prefetches_issued for r in runs)
-            useful = sum(r.stats.prefetch_useful for r in runs)
+            victims = sum(r.stats.inclusion_victims_llc for r in results)
+            issued = sum(r.stats.prefetches_issued for r in results)
+            useful = sum(r.stats.prefetch_useful for r in results)
             fig.add(
-                "stride" if pf_on else "off",
+                pf,
                 scheme,
                 sp,
                 victims,

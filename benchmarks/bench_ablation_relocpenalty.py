@@ -10,37 +10,38 @@ import dataclasses
 
 from repro.experiments.common import (
     FigureResult,
-    cached_run,
     get_scale,
     mt_workload,
+    resolve,
 )
-from repro.params import CoreParams, scaled_config
+from repro.params import scaled_config
 from repro.sim.metrics import geomean, mix_speedup
+from repro.sim.parallel import make_recipe
 from repro.workloads.multithreaded import MT_APP_NAMES
 
 
 def run_penalty_sensitivity(scale=None) -> FigureResult:
     scale = get_scale(scale)
+    normal_cfg = scaled_config("512KB")
+    zero_cfg = normal_cfg.replace(
+        core=dataclasses.replace(normal_cfg.core, relocated_access_penalty=0)
+    )
+    grid = {}
+    for app in MT_APP_NAMES:
+        if app == "tpce":
+            continue
+        wl = mt_workload(app, scale, cores=8)
+        grid[app] = [
+            make_recipe(wl, "ziv:mrlikelydead", "hawkeye", config=cfg)
+            for cfg in (normal_cfg, zero_cfg)
+        ]
     fig = FigureResult(
         figure="Ablation-F",
         title="Relocated-access penalty: 2 cycles vs nullified (MT apps)",
         columns=["app", "speedup_nullified_vs_normal", "relocated_hits"],
     )
     deltas = []
-    for app in MT_APP_NAMES:
-        if app == "tpce":
-            continue
-        wl = mt_workload(app, scale, cores=8)
-        normal_cfg = scaled_config("512KB")
-        zero_cfg = normal_cfg.replace(
-            core=dataclasses.replace(
-                normal_cfg.core, relocated_access_penalty=0
-            )
-        )
-        normal = cached_run(wl, "ziv:mrlikelydead", "hawkeye",
-                            config=normal_cfg, cores=8)
-        zero = cached_run(wl, "ziv:mrlikelydead", "hawkeye",
-                          config=zero_cfg, cores=8)
+    for app, (normal, zero) in resolve(grid).items():
         sp = mix_speedup(normal, zero)
         deltas.append(sp)
         fig.add(app, sp, normal.stats.relocated_hits)

@@ -4,29 +4,35 @@ to the oracle-optimal relocation victim (paper Section VI future work)."""
 from repro.experiments import ablations
 from repro.experiments.common import (
     FigureResult,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
+    resolve,
     speedups_vs_baseline,
 )
+from repro.sim.parallel import make_recipe
+
+TLA_SCHEMES = ("inclusive", "tlh", "eci", "qbs", "ziv:likelydead",
+               "noninclusive")
 
 
 def run_tla_family(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+    mixes = mix_population(get_scale(scale))
+    grid = {"baseline": baseline_recipes(mixes)}
+    for scheme in TLA_SCHEMES:
+        grid[scheme] = [
+            make_recipe(wl, scheme, "lru", l2="512KB") for wl in mixes
+        ]
+    runs = resolve(grid)
     fig = FigureResult(
         figure="Ablation-E",
         title="TLA family vs ZIV @512KB, LRU (norm. I-LRU 256KB)",
         columns=["scheme", "speedup", "incl_victims"],
     )
-    for scheme in ("inclusive", "tlh", "eci", "qbs", "ziv:likelydead",
-                   "noninclusive"):
-        runs = [cached_run(wl, scheme, "lru", l2="512KB") for wl in mixes]
-        s = speedups_vs_baseline(mixes, baseline, runs)
+    for scheme in TLA_SCHEMES:
+        s = speedups_vs_baseline(runs["baseline"], runs[scheme])
         fig.add(scheme, s["mean"],
-                sum(r.stats.inclusion_victims_llc for r in runs))
+                sum(r.stats.inclusion_victims_llc for r in runs[scheme]))
     return fig
 
 

@@ -5,12 +5,12 @@ Usage:  REPRO_SCALE=standard python scripts/run_all_experiments.py \\
             [--jobs N] [outfile]
 
 All experiment modules are imported up front so the run is unaffected by
-concurrent edits to the working tree.  Every module exposes the recipes
-its figure needs, so the script submits the union of all simulations to
-``run_many`` first -- fanned out over ``--jobs`` worker processes (or
-REPRO_JOBS; default: one per CPU) -- and the per-figure loops below then
-resolve entirely from the result cache.  Total wall-clock is roughly the
-longest individual simulation times (grid / cores), not the serial sum.
+concurrent edits to the working tree.  Every printed table declares its
+runs as a grid, so the script submits the union of those grids to
+``run_many`` first -- fanned out over ``--jobs`` worker processes
+(default: one per CPU) -- and each table then resolves its own grid
+entirely from the result cache.  Total wall-clock is roughly the longest
+individual simulation times (grid / cores), not the serial sum.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import importlib
 import os
 import time
 
-from repro.experiments import ALL_FIGURES
+from repro.experiments import ALL_FIGURES, resolve
 from repro.sim.parallel import run_many
 
 MODULES = {
@@ -28,30 +28,41 @@ MODULES = {
 ablations = importlib.import_module("repro.experiments.ablations")
 
 
-def collect_recipes(scale):
-    """Union of every figure's (and the ablations') submissions, deduped
-    by recipe key but kept in first-seen order."""
+def printed_tables(scale):
+    """``(name, grid, table)`` for every table the script prints, in
+    print order: the figures, then the ablation studies."""
+    out = [
+        (name, module.grid(scale), module.table)
+        for name, module in MODULES.items()
+    ]
+    out += [
+        (f"run_{name}", grid(scale), table)
+        for name, (grid, table) in ablations.STUDIES.items()
+    ]
+    return out
+
+
+def collect_recipes(grids):
+    """Union of the grids' recipes, deduped by recipe key but kept in
+    first-seen order."""
     seen = set()
     recipes = []
-    for module in [*MODULES.values(), ablations]:
-        enumerate_ = getattr(module, "recipes", None)
-        if enumerate_ is None:
-            continue
-        for recipe in enumerate_(scale):
-            key = recipe.key()
-            if key not in seen:
-                seen.add(key)
-                recipes.append(recipe)
+    for grid in grids:
+        for cell in grid.values():
+            for recipe in cell:
+                key = recipe.key()
+                if key not in seen:
+                    seen.add(key)
+                    recipes.append(recipe)
     return recipes
 
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--jobs", type=int,
-        default=int(os.environ.get("REPRO_JOBS", "0")),
+        "--jobs", type=int, default=0,
         help="worker processes for the up-front simulation fan-out "
-             "(<=0: one per CPU; default REPRO_JOBS or one per CPU)",
+             "(<=0, the default: one per CPU)",
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -69,7 +80,8 @@ def main() -> None:
     out_path = args.outfile
     t_start = time.time()
 
-    recipes = collect_recipes(scale)
+    tables = printed_tables(scale)
+    recipes = collect_recipes(grid for _name, grid, _table in tables)
     print(f"submitting {len(recipes)} unique simulations "
           f"(jobs={args.jobs if args.jobs > 0 else 'auto'})")
     if args.progress:
@@ -90,31 +102,18 @@ def main() -> None:
 
         emit(f"# ZIV reproduction: all figures at scale={scale}")
         emit()
-        for name in ALL_FIGURES:
+        figures = {}
+        for name, grid, table in tables:
             t0 = time.time()
-            fig = MODULES[name].run(scale)
+            figures[name] = fig = table(resolve(grid))
             emit(fig.format_table())
             emit(f"[{name}: {time.time() - t0:.1f}s]")
-            emit()
-        for fn in (
-            ablations.run_property_ladder,
-            ablations.run_round_robin,
-            ablations.run_char_threshold,
-        ):
-            t0 = time.time()
-            fig = fn(scale)
-            emit(fig.format_table())
-            emit(f"[{fn.__name__}: {time.time() - t0:.1f}s]")
             emit()
         # Shape-at-a-glance charts for the headline comparisons.
         from repro.experiments.ascii_chart import bar_chart
 
-        for name, col in (
-            ("fig08_lru_perf", 2),
-            ("fig11_hawkeye_perf", 2),
-        ):
-            emit(bar_chart(MODULES[name].run(scale), value_col=col,
-                           baseline=1.0))
+        for name in ("fig08_lru_perf", "fig11_hawkeye_perf"):
+            emit(bar_chart(figures[name], value_col=2, baseline=1.0))
             emit()
         emit(f"total: {time.time() - t_start:.0f}s")
 

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     from repro.params import scaled_config
     from repro.sim.checkpoint import SimulationInterrupted
     from repro.sim.engine import run_workload
-    from repro.sim.parallel import RunRecipe, fetch_or_run
+    from repro.sim.parallel import RunRecipe, run_many
     from repro.sim.tracebin import (
         convert_text_trace,
         make_trace_ref,
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
                     ),
                     scheduling=scheduling,
                 )
-                sig = signature(fetch_or_run(recipe))
+                sig = signature(run_many([recipe])[0])
                 if scheduling == "lockstep":
                     lockstep[engine] = sig
                 else:

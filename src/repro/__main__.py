@@ -38,18 +38,17 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    from repro.experiments import figure_recipes, run_figure
+    from repro.experiments import ALL_FIGURES, run_figure
+    from repro.sim.telemetry import ProgressPrinter
 
-    if args.progress:
-        from repro.sim.parallel import run_many
-        from repro.sim.telemetry import ProgressPrinter
-
-        recipes = figure_recipes(args.name, args.scale)
-        if recipes:
-            printer = ProgressPrinter()
-            run_many(recipes, heartbeat=printer)
-            printer.done()
-    result = run_figure(args.name, args.scale)
+    if args.name not in ALL_FIGURES:
+        print(f"unknown figure {args.name!r}; known: "
+              f"{' '.join(ALL_FIGURES)}", file=sys.stderr)
+        return 2
+    printer = ProgressPrinter() if args.progress else None
+    result = run_figure(args.name, args.scale, heartbeat=printer)
+    if printer is not None:
+        printer.done()
     result.print_table()
     return 0
 
@@ -177,9 +176,9 @@ def _cmd_sidechannel(args) -> int:
 
 
 def _cmd_config(_args) -> int:
-    from repro.experiments.table1 import run
+    from repro.experiments import run_figure
 
-    run().print_table()
+    run_figure("table1").print_table()
     return 0
 
 
@@ -407,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "a comma list of an integer interval N, 'ring=N', "
                         "'events[=cat+cat]', 'maxevents=N' or "
                         "'severity=LEVEL' -- e.g. "
-                        "--telemetry=250,events=relocation.  The "
-                        "REPRO_TELEMETRY environment variable supplies a "
-                        "default spec (see repro.sim.telemetry)")
+                        "--telemetry=250,events=relocation (see "
+                        "repro.sim.telemetry)")
     p.add_argument("--events-out", default=None, metavar="FILE.jsonl",
                    help="write traced telemetry events as JSONL")
     p.add_argument("--trace", default=None, metavar="FILE.tracebin",

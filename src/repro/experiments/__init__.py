@@ -1,19 +1,22 @@
 """One module per paper figure/table (see DESIGN.md section 5).
 
-Each module exposes ``run(scale) -> FigureResult``; the ``benchmarks/``
-directory wraps these in pytest-benchmark targets, and running a module as
-a script prints the figure's rows.
+Each module declares its runs once, as ``grid(scale)`` (an ordered
+``label -> list[RunRecipe]`` dict), and formats their results with
+``table(runs) -> FigureResult``.  :func:`run_figure` resolves the grid
+with one ``run_many`` call and returns the table; ``python -m repro
+figure <name>`` prints it, and the ``benchmarks/`` directory wraps it in
+pytest-benchmark targets.
 """
 
 from repro.experiments.common import (
     SCALES,
     FigureResult,
     Scale,
-    cached_run,
     clear_caches,
     get_scale,
     mix_population,
     mt_workload,
+    resolve,
 )
 
 ALL_FIGURES = (
@@ -40,36 +43,23 @@ __all__ = [
     "SCALES",
     "Scale",
     "FigureResult",
-    "cached_run",
     "clear_caches",
     "get_scale",
     "mix_population",
     "mt_workload",
+    "resolve",
     "ALL_FIGURES",
     "run_figure",
 ]
 
 
-def run_figure(name: str, scale=None) -> FigureResult:
-    """Run one figure module by name and return its result."""
+def run_figure(name: str, scale=None, heartbeat=None) -> FigureResult:
+    """Resolve one figure's grid and return its table.  ``heartbeat``
+    gets one :class:`~repro.sim.telemetry.RunProgress` per run (see
+    :func:`repro.sim.parallel.run_many`)."""
     import importlib
 
     if name not in ALL_FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {ALL_FIGURES}")
     mod = importlib.import_module(f"repro.experiments.{name}")
-    return mod.run(scale)
-
-
-def figure_recipes(name: str, scale=None) -> list:
-    """The recipes ``run_figure(name, scale)`` will request, when the
-    figure module enumerates them (``recipes(scale)``); empty otherwise.
-    Lets callers pre-resolve the runs through
-    :func:`repro.sim.parallel.run_many` -- with progress heartbeats or a
-    worker pool -- before the (then memo-served) figure assembly."""
-    import importlib
-
-    if name not in ALL_FIGURES:
-        raise ValueError(f"unknown figure {name!r}; known: {ALL_FIGURES}")
-    mod = importlib.import_module(f"repro.experiments.{name}")
-    recipes = getattr(mod, "recipes", None)
-    return list(recipes(scale)) if recipes is not None else []
+    return mod.table(resolve(mod.grid(scale), heartbeat))

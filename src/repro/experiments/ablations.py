@@ -10,115 +10,77 @@ argues for:
   claims round-robin matters for spreading relocation load uniformly.
 * **CHAR dynamic d** vs fixed thresholds: the adaptation the paper adds to
   CHAR (III-D6).
+
+Like the figures, each of these three studies is a ``grid(scale)`` /
+``table(runs)`` pair (:data:`STUDIES`).  The oracle-gap study
+(:func:`run_oracle_gap`) also runs a live oracle object, which no recipe
+can describe.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
-    recipe_for,
+    resolve,
     speedups_vs_baseline,
 )
 from repro.params import CHARParams, scaled_config
+from repro.sim.parallel import make_recipe
+
+LADDER = (
+    ("lru", "ziv:notinprc"),
+    ("lru", "ziv:lrunotinprc"),
+    ("lru", "ziv:likelydead"),
+    ("hawkeye", "ziv:maxrrpvnotinprc"),
+    ("hawkeye", "ziv:mrlikelydead"),
+)
+NEXT_RS = ((True, "round-robin"), (False, "lowest-bit"))
+CHAR_VARIANTS = (
+    ("dynamic(6->1)", None),
+    ("fixed d=6", CHARParams(initial_d=6, min_d=6)),
+    ("fixed d=3", CHARParams(initial_d=3, min_d=3)),
+    ("fixed d=1", CHARParams(initial_d=1, min_d=1)),
+)
 
 
-def recipes(scale=None) -> list:
-    """Every cacheable run ``main()`` will request (for up-front
-    submission).  The oracle-gap study's OracleZIVScheme runs are excluded:
-    they take a live oracle object and bypass the recipe layer."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    out = baseline_recipes_for(mixes)
-    # Property ladder.
-    for policy, scheme in (
-        ("lru", "ziv:notinprc"),
-        ("lru", "ziv:lrunotinprc"),
-        ("lru", "ziv:likelydead"),
-        ("hawkeye", "ziv:maxrrpvnotinprc"),
-        ("hawkeye", "ziv:mrlikelydead"),
-    ):
-        out += [recipe_for(wl, scheme, policy, l2="512KB") for wl in mixes]
-    # Round-robin nextRS vs lowest-set-bit.
-    for rr in (True, False):
-        out += [
-            recipe_for(
-                wl,
-                "ziv:mrlikelydead",
-                "hawkeye",
-                l2="512KB",
-                scheme_kwargs={"round_robin": rr},
-            )
-            for wl in mixes
-        ]
-    # CHAR threshold variants.
-    for char_params in (
-        None,
-        CHARParams(initial_d=6, min_d=6),
-        CHARParams(initial_d=3, min_d=3),
-        CHARParams(initial_d=1, min_d=1),
-    ):
-        cfg = scaled_config("512KB")
-        if char_params is not None:
-            cfg = cfg.replace(char=char_params)
-        out += [
-            recipe_for(wl, "ziv:likelydead", "lru", config=cfg)
-            for wl in mixes
-        ]
-    # Oracle-gap study: the realisable designs' lock-step runs.
-    for scheme in ("ziv:notinprc", "ziv:likelydead"):
-        out += [
-            recipe_for(wl, scheme, "lru", l2="512KB", scheduling="lockstep")
-            for wl in mixes
+def property_ladder_grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
+    for policy, scheme in LADDER:
+        out[policy, scheme] = [
+            make_recipe(wl, scheme, policy, l2="512KB") for wl in mixes
         ]
     return out
 
 
-def run_property_ladder(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def property_ladder_table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Ablation-A",
         title="ZIV property ladder @512KB (norm. I-LRU 256KB)",
         columns=["policy", "property", "speedup", "relocations", "same_set"],
     )
-    matrix = (
-        ("lru", "ziv:notinprc"),
-        ("lru", "ziv:lrunotinprc"),
-        ("lru", "ziv:likelydead"),
-        ("hawkeye", "ziv:maxrrpvnotinprc"),
-        ("hawkeye", "ziv:mrlikelydead"),
-    )
-    for policy, scheme in matrix:
-        runs = [cached_run(wl, scheme, policy, l2="512KB") for wl in mixes]
-        s = speedups_vs_baseline(mixes, baseline, runs)
+    for policy, scheme in LADDER:
+        results = runs[policy, scheme]
+        s = speedups_vs_baseline(runs["baseline"], results)
         fig.add(
             policy,
             scheme.split(":")[1],
             s["mean"],
-            sum(r.stats.relocations for r in runs),
-            sum(r.stats.relocation_same_set for r in runs),
+            sum(r.stats.relocations for r in results),
+            sum(r.stats.relocation_same_set for r in results),
         )
     return fig
 
 
-def run_round_robin(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
-    fig = FigureResult(
-        figure="Ablation-B",
-        title="Round-robin nextRS vs lowest-set-bit @512KB, Hawkeye",
-        columns=["nextRS", "speedup", "relocations"],
-    )
-    for rr, label in ((True, "round-robin"), (False, "lowest-bit")):
-        runs = [
-            cached_run(
+def round_robin_grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
+    for rr, label in NEXT_RS:
+        out[label] = [
+            make_recipe(
                 wl,
                 "ziv:mrlikelydead",
                 "hawkeye",
@@ -127,39 +89,69 @@ def run_round_robin(scale=None) -> FigureResult:
             )
             for wl in mixes
         ]
-        s = speedups_vs_baseline(mixes, baseline, runs)
-        fig.add(label, s["mean"], sum(r.stats.relocations for r in runs))
+    return out
+
+
+def round_robin_table(runs: dict) -> FigureResult:
+    fig = FigureResult(
+        figure="Ablation-B",
+        title="Round-robin nextRS vs lowest-set-bit @512KB, Hawkeye",
+        columns=["nextRS", "speedup", "relocations"],
+    )
+    for _rr, label in NEXT_RS:
+        results = runs[label]
+        s = speedups_vs_baseline(runs["baseline"], results)
+        fig.add(label, s["mean"], sum(r.stats.relocations for r in results))
     return fig
 
 
-def run_char_threshold(scale=None) -> FigureResult:
+def char_threshold_grid(scale=None) -> dict:
     """Fixed-d CHAR variants vs the paper's dynamic d (init 6, min 1)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
+    for label, char_params in CHAR_VARIANTS:
+        cfg = scaled_config("512KB")
+        if char_params is not None:
+            cfg = cfg.replace(char=char_params)
+        out[label] = [
+            make_recipe(wl, "ziv:likelydead", "lru", config=cfg)
+            for wl in mixes
+        ]
+    return out
+
+
+def char_threshold_table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Ablation-C",
         title="CHAR threshold dynamics @512KB, LRU + ZIV-LikelyDead",
         columns=["d_policy", "speedup", "dead_hints_relocations"],
     )
-    variants = (
-        ("dynamic(6->1)", None),
-        ("fixed d=6", CHARParams(initial_d=6, min_d=6)),
-        ("fixed d=3", CHARParams(initial_d=3, min_d=3)),
-        ("fixed d=1", CHARParams(initial_d=1, min_d=1)),
-    )
-    for label, char_params in variants:
-        runs = []
-        for wl in mixes:
-            cfg = scaled_config("512KB")
-            if char_params is not None:
-                cfg = cfg.replace(char=char_params)
-            runs.append(
-                cached_run(wl, "ziv:likelydead", "lru", config=cfg)
-            )
-        s = speedups_vs_baseline(mixes, baseline, runs)
-        fig.add(label, s["mean"], sum(r.stats.relocations for r in runs))
+    for label, _char_params in CHAR_VARIANTS:
+        results = runs[label]
+        s = speedups_vs_baseline(runs["baseline"], results)
+        fig.add(label, s["mean"], sum(r.stats.relocations for r in results))
     return fig
+
+
+#: The studies ``scripts/run_all_experiments.py`` prints, in order:
+#: name -> ``(grid, table)``.
+STUDIES = {
+    "property_ladder": (property_ladder_grid, property_ladder_table),
+    "round_robin": (round_robin_grid, round_robin_table),
+    "char_threshold": (char_threshold_grid, char_threshold_table),
+}
+
+
+def run_property_ladder(scale=None) -> FigureResult:
+    return property_ladder_table(resolve(property_ladder_grid(scale)))
+
+
+def run_round_robin(scale=None) -> FigureResult:
+    return round_robin_table(resolve(round_robin_grid(scale)))
+
+
+def run_char_threshold(scale=None) -> FigureResult:
+    return char_threshold_table(resolve(char_threshold_grid(scale)))
 
 
 def run_oracle_gap(scale=None) -> FigureResult:
@@ -172,40 +164,31 @@ def run_oracle_gap(scale=None) -> FigureResult:
     from repro.cache.replacement import NextUseOracle
     from repro.core.oracle_ziv import OracleZIVScheme
     from repro.hierarchy.cmp import CacheHierarchy
-    from repro.params import scaled_config
     from repro.sim.engine import Simulation
     from repro.sim.trace import lockstep_stream
 
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
+    mixes = mix_population(get_scale(scale))
+    realisable = resolve({
+        scheme: [
+            make_recipe(wl, scheme, "lru", l2="512KB", scheduling="lockstep")
+            for wl in mixes
+        ]
+        for scheme in ("ziv:notinprc", "ziv:likelydead")
+    })
+    base = 0
+    for wl in mixes:
+        oracle = NextUseOracle(lockstep_stream(wl))
+        h = CacheHierarchy(
+            scaled_config("512KB"), OracleZIVScheme(oracle), llc_policy="lru"
+        )
+        base += Simulation(h, wl, scheduling="lockstep").run().stats.llc_misses
     fig = FigureResult(
         figure="Ablation-D",
         title="Gap to the oracle relocation victim @512KB, LRU (lockstep)",
         columns=["design", "llc_misses", "vs_oracle"],
     )
-    totals = {}
-    for wl in mixes:
-        oracle = NextUseOracle(lockstep_stream(wl))
-        cfg = scaled_config("512KB")
-        h = CacheHierarchy(cfg, OracleZIVScheme(oracle), llc_policy="lru")
-        r = Simulation(h, wl, scheduling="lockstep").run()
-        totals["ziv:oracle"] = totals.get("ziv:oracle", 0) + r.stats.llc_misses
-        for scheme in ("ziv:notinprc", "ziv:likelydead"):
-            rr = cached_run(wl, scheme, "lru", l2="512KB",
-                            scheduling="lockstep")
-            totals[scheme] = totals.get(scheme, 0) + rr.stats.llc_misses
-    base = totals["ziv:oracle"]
-    for name, misses in totals.items():
-        fig.add(name, misses, misses / base if base else 0.0)
+    fig.add("ziv:oracle", base, 1.0 if base else 0.0)
+    for scheme, results in realisable.items():
+        misses = sum(r.stats.llc_misses for r in results)
+        fig.add(scheme, misses, misses / base if base else 0.0)
     return fig
-
-
-def main() -> None:
-    run_property_ladder().print_table()
-    run_round_robin().print_table()
-    run_char_threshold().print_table()
-    run_oracle_gap().print_table()
-
-
-if __name__ == "__main__":
-    main()

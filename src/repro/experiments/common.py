@@ -1,19 +1,23 @@
 """Shared infrastructure for the per-figure experiment modules.
 
-Every figure module exposes ``run(scale) -> FigureResult``.  A *scale*
-selects how many mixes and how many accesses per core the experiment uses:
-``"quick"`` keeps a full-figure regeneration in benchmark-suite territory,
-``"standard"`` tightens the statistics, and ``"full"`` mirrors the paper's
-72-mix population (slow in pure Python).
+Every figure module declares its runs once, as ``grid(scale)``: an
+ordered ``label -> list[RunRecipe]`` dict built with
+:func:`~repro.sim.parallel.make_recipe`.  ``table(runs)`` formats the
+results for the same labels into a :class:`FigureResult` and resolves
+nothing itself; :func:`resolve` turns a grid into those results with one
+:func:`~repro.sim.parallel.run_many` call.  A *scale* selects how many
+mixes and how many accesses per core the experiment uses: ``"quick"``
+keeps a full-figure regeneration in benchmark-suite territory,
+``"standard"`` tightens the statistics, and ``"full"`` mirrors the
+paper's 72-mix population (slow in pure Python).
 
 Simulation results are resolved through the layered cache of
 :mod:`repro.sim.parallel`: an in-process memo (the figures overlap
 heavily -- the I-LRU-256KB baseline appears in every normalisation) that
 reads through to the persistent on-disk result cache, so a recipe that
-completed in *any* session is never simulated again.  Figure modules also
-expose ``recipes(scale)`` enumerating the runs their ``run(scale)`` will
-request, which lets ``scripts/run_all_experiments.py`` submit everything
-up front to :func:`repro.sim.parallel.run_many` and fan out over cores.
+completed in *any* session is never simulated again.  Because the grids
+are plain data, ``scripts/run_all_experiments.py`` submits the union of
+every grid to one ``run_many`` call and fans out over cores.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.params import SystemConfig
 from repro.sim.engine import SimResult
 from repro.sim.metrics import geomean, mix_speedup
-from repro.sim.parallel import RunRecipe, fetch_or_run, make_recipe
+from repro.sim.parallel import RunRecipe, make_recipe, run_many
 from repro.sim.trace import Workload
 from repro.workloads.mixes import heterogeneous_mixes, homogeneous_mixes
 from repro.workloads.multithreaded import multithreaded_workload
@@ -149,71 +152,28 @@ def mt_workload(app: str, scale: Scale, cores: int = 8, seed: int = 7) -> Worklo
     return _MIX_CACHE[key]
 
 
-def recipe_for(
-    workload: Workload,
-    scheme: str,
-    policy: str = "lru",
-    l2: str = "256KB",
-    llc_scale: int = 1,
-    cores: int = 8,
-    directory_mode: str = "mesi",
-    directory_factor: float = 2.0,
-    scheduling: str = "timing",
-    config: SystemConfig | None = None,
-    scheme_kwargs: dict | None = None,
-) -> RunRecipe:
-    """The :class:`RunRecipe` that :func:`cached_run` would execute for
-    these arguments -- used by the figure modules' ``recipes(scale)``
-    enumerations to submit work up front."""
-    return make_recipe(
-        workload,
-        scheme,
-        policy=policy,
-        scheduling=scheduling,
-        config=config,
-        l2=l2,
-        llc_scale=llc_scale,
-        cores=cores,
-        directory_mode=directory_mode,
-        directory_factor=directory_factor,
-        scheme_kwargs=scheme_kwargs,
-    )
+# ---------------------------------------------------------------------------
+# Grids
+# ---------------------------------------------------------------------------
+
+def baseline_recipes(mixes: list[Workload]) -> list[RunRecipe]:
+    """The universal normalisation baseline: I-LRU with the 256KB L2."""
+    return [make_recipe(wl, "inclusive", "lru", l2="256KB") for wl in mixes]
 
 
-def cached_run(
-    workload: Workload,
-    scheme: str,
-    policy: str = "lru",
-    l2: str = "256KB",
-    llc_scale: int = 1,
-    cores: int = 8,
-    directory_mode: str = "mesi",
-    directory_factor: float = 2.0,
-    scheduling: str = "timing",
-    config: SystemConfig | None = None,
-    scheme_kwargs: dict | None = None,
-) -> SimResult:
-    """Run (or fetch) one simulation.
-
-    Resolution order: in-process memo, persistent disk cache, fresh run
-    (see :mod:`repro.sim.parallel`).  ``policy="belady"`` automatically
-    builds the lock-step MIN oracle and forces lock-step scheduling, per
-    the paper's footnote 2."""
-    return fetch_or_run(
-        recipe_for(
-            workload,
-            scheme,
-            policy=policy,
-            l2=l2,
-            llc_scale=llc_scale,
-            cores=cores,
-            directory_mode=directory_mode,
-            directory_factor=directory_factor,
-            scheduling=scheduling,
-            config=config,
-            scheme_kwargs=scheme_kwargs,
-        )
-    )
+def resolve(grid: dict, heartbeat=None) -> dict:
+    """Resolve every recipe of ``grid`` with one
+    :func:`~repro.sim.parallel.run_many` call (memo, then disk cache,
+    then a fresh run; ``heartbeat`` gets one progress report per recipe)
+    and return the results under the same labels, in the same order."""
+    results = iter(run_many(
+        [recipe for recipes in grid.values() for recipe in recipes],
+        heartbeat=heartbeat,
+    ))
+    return {
+        label: [next(results) for _ in recipes]
+        for label, recipes in grid.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +181,6 @@ def cached_run(
 # ---------------------------------------------------------------------------
 
 def speedups_vs_baseline(
-    mixes: list[Workload],
     baseline_runs: list[SimResult],
     candidate_runs: list[SimResult],
 ) -> dict[str, float]:
@@ -235,29 +194,7 @@ def normalized_total(
     counter: str,
 ) -> float:
     def total(runs):
-        if counter == "l2_misses":
-            return sum(r.stats.l2_misses for r in runs)
         return sum(getattr(r.stats, counter) for r in runs)
 
     base = total(baseline_runs)
     return total(candidate_runs) / base if base else 0.0
-
-
-def baseline_runs_for(
-    mixes: list[Workload], cores: int = 8
-) -> list[SimResult]:
-    """The universal normalisation baseline: I-LRU with the 256KB L2."""
-    return [
-        cached_run(wl, "inclusive", "lru", l2="256KB", cores=cores)
-        for wl in mixes
-    ]
-
-
-def baseline_recipes_for(
-    mixes: list[Workload], cores: int = 8
-) -> list[RunRecipe]:
-    """Recipe form of :func:`baseline_runs_for`."""
-    return [
-        recipe_for(wl, "inclusive", "lru", l2="256KB", cores=cores)
-        for wl in mixes
-    ]

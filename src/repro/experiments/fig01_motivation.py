@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
-    recipe_for,
     speedups_vs_baseline,
 )
+from repro.sim.parallel import make_recipe
 
 L2_POINTS = ("256KB", "512KB", "768KB")
 CONFIGS = (
@@ -30,39 +28,25 @@ CONFIGS = (
 )
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    out = baseline_recipes_for(mixes)
+def grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
     for l2 in L2_POINTS:
-        for scheme, policy, _label in CONFIGS:
-            out += [recipe_for(wl, scheme, policy, l2=l2) for wl in mixes]
+        for scheme, policy, label in CONFIGS:
+            out[l2, label] = [
+                make_recipe(wl, scheme, policy, l2=l2) for wl in mixes
+            ]
     return out
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.1",
         title="Inclusive vs non-inclusive LLC speedup (norm. to I-LRU 256KB)",
         columns=["l2", "config", "speedup", "min", "max"],
     )
     for l2 in L2_POINTS:
-        for scheme, policy, label in CONFIGS:
-            runs = [
-                cached_run(wl, scheme, policy, l2=l2) for wl in mixes
-            ]
-            s = speedups_vs_baseline(mixes, baseline, runs)
+        for _scheme, _policy, label in CONFIGS:
+            s = speedups_vs_baseline(runs["baseline"], runs[l2, label])
             fig.add(l2, label, s["mean"], s["min"], s["max"])
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

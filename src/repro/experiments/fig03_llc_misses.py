@@ -7,37 +7,20 @@ hits into LLC misses).
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    FigureResult,
-    baseline_runs_for,
-    cached_run,
-    get_scale,
-    mix_population,
-    normalized_total,
-)
+from repro.experiments.common import FigureResult, normalized_total
 from repro.experiments.fig01_motivation import CONFIGS, L2_POINTS
-from repro.experiments.fig01_motivation import recipes  # noqa: F401  (same grid)
+from repro.experiments.fig01_motivation import grid  # noqa: F401  (same grid)
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.3",
         title="Normalised LLC miss count (norm. to I-LRU 256KB)",
         columns=["l2", "config", "norm_llc_misses"],
     )
     for l2 in L2_POINTS:
-        for scheme, policy, label in CONFIGS:
-            runs = [cached_run(wl, scheme, policy, l2=l2) for wl in mixes]
-            fig.add(l2, label, normalized_total(baseline, runs, "llc_misses"))
+        for _scheme, _policy, label in CONFIGS:
+            fig.add(l2, label, normalized_total(
+                runs["baseline"], runs[l2, label], "llc_misses"
+            ))
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

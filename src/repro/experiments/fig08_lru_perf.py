@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
-    recipe_for,
     speedups_vs_baseline,
 )
+from repro.sim.parallel import make_recipe
 
 L2_POINTS = ("256KB", "512KB", "768KB")
 SCHEMES = (
@@ -37,38 +35,41 @@ SCHEMES = (
 )
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    out = baseline_recipes_for(mixes)
+def scheme_grid(scale, policy: str, schemes) -> dict:
+    """The baseline, then every scheme at every L2 point under
+    ``policy`` (Fig. 11 shares this with its Hawkeye schemes)."""
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
     for l2 in L2_POINTS:
-        for scheme, _label in SCHEMES:
-            out += [recipe_for(wl, scheme, "lru", l2=l2) for wl in mixes]
+        for scheme, label in schemes:
+            out[l2, label] = [
+                make_recipe(wl, scheme, policy, l2=l2) for wl in mixes
+            ]
     return out
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def speedup_table(runs: dict, schemes, figure: str,
+                  title: str) -> FigureResult:
     fig = FigureResult(
-        figure="Fig.8",
-        title="Multi-programmed speedup, LRU baseline (norm. to I-LRU 256KB)",
+        figure=figure,
+        title=title,
         columns=["l2", "scheme", "speedup", "min", "max", "incl_victims"],
     )
     for l2 in L2_POINTS:
-        for scheme, label in SCHEMES:
-            runs = [cached_run(wl, scheme, "lru", l2=l2) for wl in mixes]
-            s = speedups_vs_baseline(mixes, baseline, runs)
-            victims = sum(r.stats.inclusion_victims_llc for r in runs)
+        for _scheme, label in schemes:
+            results = runs[l2, label]
+            s = speedups_vs_baseline(runs["baseline"], results)
+            victims = sum(r.stats.inclusion_victims_llc for r in results)
             fig.add(l2, label, s["mean"], s["min"], s["max"], victims)
     return fig
 
 
-def main() -> None:
-    run().print_table()
+def grid(scale=None) -> dict:
+    return scheme_grid(scale, "lru", SCHEMES)
 
 
-if __name__ == "__main__":
-    main()
+def table(runs: dict) -> FigureResult:
+    return speedup_table(
+        runs, SCHEMES, "Fig.8",
+        "Multi-programmed speedup, LRU baseline (norm. to I-LRU 256KB)",
+    )

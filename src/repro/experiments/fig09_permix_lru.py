@@ -9,47 +9,43 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
-    recipe_for,
 )
 from repro.sim.metrics import geomean, mix_speedup
+from repro.sim.parallel import make_recipe
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    return baseline_recipes_for(mixes) + [
-        recipe_for(wl, "ziv:likelydead", "lru", l2="512KB") for wl in mixes
-    ]
+def grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    return {
+        "baseline": baseline_recipes(mixes),
+        "ZIV-LikelyDead": [
+            make_recipe(wl, "ziv:likelydead", "lru", l2="512KB")
+            for wl in mixes
+        ],
+    }
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.9",
         title="Per-mix speedup of ZIV-LikelyDead @512KB (norm. I-LRU 256KB)",
         columns=["mix", "kind", "speedup", "reloc_per_llc_miss"],
     )
     homo_sp, hetero_sp, reloc_fracs = [], [], []
-    for wl, base in zip(mixes, baseline):
-        run_ = cached_run(wl, "ziv:likelydead", "lru", l2="512KB")
+    for base, run_ in zip(runs["baseline"], runs["ZIV-LikelyDead"]):
         sp = mix_speedup(base, run_)
         frac = (
             run_.stats.relocations / run_.stats.llc_misses
             if run_.stats.llc_misses
             else 0.0
         )
-        kind = "hetero" if wl.name.startswith("hetero") else "homo"
+        kind = "hetero" if run_.workload.startswith("hetero") else "homo"
         (hetero_sp if kind == "hetero" else homo_sp).append(sp)
         reloc_fracs.append(frac)
-        fig.add(wl.name, kind, sp, frac)
+        fig.add(run_.workload, kind, sp, frac)
     if homo_sp:
         fig.add("AVG-homo", "homo", geomean(homo_sp), 0.0)
     if hetero_sp:
@@ -60,11 +56,3 @@ def run(scale=None) -> FigureResult:
         f"max = {max(reloc_fracs):.3f} (paper: avg 0.12, max 0.33)"
     )
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

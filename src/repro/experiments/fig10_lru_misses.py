@@ -8,42 +8,30 @@ misses as NI (they all suppress nearly every inclusion victim).
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    FigureResult,
-    baseline_runs_for,
-    cached_run,
-    get_scale,
-    mix_population,
-    normalized_total,
-)
+from repro.experiments.common import FigureResult, normalized_total
 from repro.experiments.fig08_lru_perf import L2_POINTS, SCHEMES
-from repro.experiments.fig08_lru_perf import recipes  # noqa: F401  (same grid)
+from repro.experiments.fig08_lru_perf import grid  # noqa: F401  (same grid)
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def miss_table(runs: dict, schemes, figure: str, title: str) -> FigureResult:
     fig = FigureResult(
-        figure="Fig.10",
-        title="Normalised LLC and L2 misses, LRU baseline",
+        figure=figure,
+        title=title,
         columns=["l2", "scheme", "norm_llc_misses", "norm_l2_misses"],
     )
     for l2 in L2_POINTS:
-        for scheme, label in SCHEMES:
-            runs = [cached_run(wl, scheme, "lru", l2=l2) for wl in mixes]
+        for _scheme, label in schemes:
+            results = runs[l2, label]
             fig.add(
                 l2,
                 label,
-                normalized_total(baseline, runs, "llc_misses"),
-                normalized_total(baseline, runs, "l2_misses"),
+                normalized_total(runs["baseline"], results, "llc_misses"),
+                normalized_total(runs["baseline"], results, "l2_misses"),
             )
     return fig
 
 
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()
+def table(runs: dict) -> FigureResult:
+    return miss_table(
+        runs, SCHEMES, "Fig.10", "Normalised LLC and L2 misses, LRU baseline"
+    )

@@ -11,18 +11,9 @@ MRNotInPrC; QBS/SHARP clearly behind.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
-    get_scale,
-    mix_population,
-    recipe_for,
-    speedups_vs_baseline,
-)
+from repro.experiments.common import FigureResult
+from repro.experiments.fig08_lru_perf import scheme_grid, speedup_table
 
-L2_POINTS = ("256KB", "512KB", "768KB")
 SCHEMES = (
     ("inclusive", "I"),
     ("noninclusive", "NI"),
@@ -33,38 +24,12 @@ SCHEMES = (
 )
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    out = baseline_recipes_for(mixes)
-    for l2 in L2_POINTS:
-        for scheme, _label in SCHEMES:
-            out += [recipe_for(wl, scheme, "hawkeye", l2=l2) for wl in mixes]
-    return out
+def grid(scale=None) -> dict:
+    return scheme_grid(scale, "hawkeye", SCHEMES)
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
-    fig = FigureResult(
-        figure="Fig.11",
-        title="Multi-programmed speedup, Hawkeye baseline (norm. I-LRU 256KB)",
-        columns=["l2", "scheme", "speedup", "min", "max", "incl_victims"],
+def table(runs: dict) -> FigureResult:
+    return speedup_table(
+        runs, SCHEMES, "Fig.11",
+        "Multi-programmed speedup, Hawkeye baseline (norm. I-LRU 256KB)",
     )
-    for l2 in L2_POINTS:
-        for scheme, label in SCHEMES:
-            runs = [cached_run(wl, scheme, "hawkeye", l2=l2) for wl in mixes]
-            s = speedups_vs_baseline(mixes, baseline, runs)
-            victims = sum(r.stats.inclusion_victims_llc for r in runs)
-            fig.add(l2, label, s["mean"], s["min"], s["max"], victims)
-    return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

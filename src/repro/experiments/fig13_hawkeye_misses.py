@@ -3,42 +3,14 @@ of Fig. 11 (miss-count companion, same expected trends as performance)."""
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    FigureResult,
-    baseline_runs_for,
-    cached_run,
-    get_scale,
-    mix_population,
-    normalized_total,
-)
-from repro.experiments.fig11_hawkeye_perf import L2_POINTS, SCHEMES
-from repro.experiments.fig11_hawkeye_perf import recipes  # noqa: F401  (same grid)
+from repro.experiments.common import FigureResult
+from repro.experiments.fig10_lru_misses import miss_table
+from repro.experiments.fig11_hawkeye_perf import SCHEMES
+from repro.experiments.fig11_hawkeye_perf import grid  # noqa: F401  (same grid)
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
-    fig = FigureResult(
-        figure="Fig.13",
-        title="Normalised LLC and L2 misses, Hawkeye baseline",
-        columns=["l2", "scheme", "norm_llc_misses", "norm_l2_misses"],
+def table(runs: dict) -> FigureResult:
+    return miss_table(
+        runs, SCHEMES, "Fig.13",
+        "Normalised LLC and L2 misses, Hawkeye baseline",
     )
-    for l2 in L2_POINTS:
-        for scheme, label in SCHEMES:
-            runs = [cached_run(wl, scheme, "hawkeye", l2=l2) for wl in mixes]
-            fig.add(
-                l2,
-                label,
-                normalized_total(baseline, runs, "llc_misses"),
-                normalized_total(baseline, runs, "l2_misses"),
-            )
-    return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
-    recipe_for,
     speedups_vs_baseline,
 )
+from repro.sim.parallel import make_recipe
 
 LRU_SCHEMES = (
     ("inclusive", "I"),
@@ -33,45 +31,29 @@ HAWKEYE_SCHEMES = (
     ("ziv:maxrrpvnotinprc", "ZIV-MRNotInPrC"),
     ("ziv:mrlikelydead", "ZIV-MRLikelyDead"),
 )
+POLICIES = (("lru", LRU_SCHEMES), ("hawkeye", HAWKEYE_SCHEMES))
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    out = baseline_recipes_for(mixes)
-    for policy, schemes in (("lru", LRU_SCHEMES), ("hawkeye", HAWKEYE_SCHEMES)):
-        for scheme, _label in schemes:
-            out += [
-                recipe_for(wl, scheme, policy, l2="1MB", llc_scale=2)
+def grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}  # 8MB-scale I-LRU 256KB
+    for policy, schemes in POLICIES:
+        for scheme, label in schemes:
+            out[policy, label] = [
+                make_recipe(wl, scheme, policy, l2="1MB", llc_scale=2)
                 for wl in mixes
             ]
     return out
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)  # 8MB-scale I-LRU 256KB
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.14",
         title="16MB LLC + 1MB L2 sensitivity (norm. to 8MB I-LRU 256KB)",
         columns=["policy", "scheme", "speedup", "min", "max"],
     )
-    for policy, schemes in (("lru", LRU_SCHEMES), ("hawkeye", HAWKEYE_SCHEMES)):
-        for scheme, label in schemes:
-            runs = [
-                cached_run(wl, scheme, policy, l2="1MB", llc_scale=2)
-                for wl in mixes
-            ]
-            s = speedups_vs_baseline(mixes, baseline, runs)
+    for policy, schemes in POLICIES:
+        for _scheme, label in schemes:
+            s = speedups_vs_baseline(runs["baseline"], runs[policy, label])
             fig.add(policy, label, s["mean"], s["min"], s["max"])
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

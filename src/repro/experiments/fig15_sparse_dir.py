@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    baseline_recipes_for,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     get_scale,
     mix_population,
-    recipe_for,
     speedups_vs_baseline,
 )
+from repro.sim.parallel import make_recipe
 
+MODES = ("mesi", "zerodev")
 FACTORS = (2.0, 1.0, 0.5, 0.25)
 SCHEMES = (
     ("inclusive", "I"),
@@ -32,16 +31,14 @@ SCHEMES = (
 )
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    out = baseline_recipes_for(mixes)
-    for mode in ("mesi", "zerodev"):
+def grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
+    for mode in MODES:
         for factor in FACTORS:
-            for scheme, _label in SCHEMES:
-                out += [
-                    recipe_for(
+            for scheme, label in SCHEMES:
+                out[mode, factor, label] = [
+                    make_recipe(
                         wl,
                         scheme,
                         "hawkeye",
@@ -54,42 +51,21 @@ def recipes(scale=None) -> list:
     return out
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    baseline = baseline_runs_for(mixes)
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.15",
         title="Sparse-directory size sensitivity, Hawkeye + 256KB L2",
         columns=["protocol", "dir_factor", "scheme", "speedup",
                  "dir_evictions"],
     )
-    for mode in ("mesi", "zerodev"):
+    for mode in MODES:
         for factor in FACTORS:
-            for scheme, label in SCHEMES:
-                runs = [
-                    cached_run(
-                        wl,
-                        scheme,
-                        "hawkeye",
-                        l2="256KB",
-                        directory_mode=mode,
-                        directory_factor=factor,
-                    )
-                    for wl in mixes
-                ]
-                s = speedups_vs_baseline(mixes, baseline, runs)
+            for _scheme, label in SCHEMES:
+                results = runs[mode, factor, label]
+                s = speedups_vs_baseline(runs["baseline"], results)
                 dev = sum(
                     r.stats.directory_evictions + r.stats.directory_spills
-                    for r in runs
+                    for r in results
                 )
                 fig.add(mode, factor, label, s["mean"], dev)
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -11,15 +11,10 @@ TPC-E favour ZIV-LikelyDead, which beats even NI on them.
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    FigureResult,
-    cached_run,
-    get_scale,
-    mt_workload,
-    recipe_for,
-)
+from repro.experiments.common import FigureResult, get_scale, mt_workload
 from repro.params import scaled_manycore_config
 from repro.sim.metrics import mix_speedup
+from repro.sim.parallel import make_recipe
 
 APPS = ("canneal", "facesim", "vips", "applu")
 SCHEMES = (
@@ -32,42 +27,35 @@ SCHEMES = (
 )
 
 
-def recipes(scale=None, policy: str = "lru", schemes=SCHEMES) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
+def mt_grid(scale, policy: str, schemes) -> dict:
+    """Per app, the I-``policy`` baseline and then every scheme; TPC-E
+    runs on the scaled many-core configuration (Fig. 17 shares this
+    with its Hawkeye schemes)."""
     scale = get_scale(scale)
-    out = []
+    names = ("inclusive", *(scheme for scheme, _label in schemes))
+    out = {}
     for app in APPS:
         wl = mt_workload(app, scale, cores=8)
-        out.append(recipe_for(wl, "inclusive", policy, l2="512KB"))
-        out += [
-            recipe_for(wl, scheme, policy, l2="512KB")
-            for scheme, _label in schemes
+        out[app] = [
+            make_recipe(wl, scheme, policy, l2="512KB") for scheme in names
         ]
     mc_cfg = scaled_manycore_config()
     wl = mt_workload("tpce", scale, cores=mc_cfg.cores)
-    out.append(
-        recipe_for(wl, "inclusive", policy, cores=mc_cfg.cores, config=mc_cfg)
-    )
-    out += [
-        recipe_for(wl, scheme, policy, cores=mc_cfg.cores, config=mc_cfg)
-        for scheme, _label in schemes
+    out["tpce"] = [
+        make_recipe(wl, scheme, policy, cores=mc_cfg.cores, config=mc_cfg)
+        for scheme in names
     ]
     return out
 
 
-def run(scale=None, policy: str = "lru",
-        schemes=SCHEMES, figure: str = "Fig.16") -> FigureResult:
-    scale = get_scale(scale)
+def mt_table(runs: dict, policy: str, schemes, figure: str) -> FigureResult:
     fig = FigureResult(
         figure=figure,
         title=f"Multi-threaded speedup, {policy} baseline (norm. I-{policy})",
         columns=["app", "scheme", "speedup", "incl_victims", "relocations"],
     )
-    for app in APPS:
-        wl = mt_workload(app, scale, cores=8)
-        base = cached_run(wl, "inclusive", policy, l2="512KB")
-        for scheme, label in schemes:
-            r = cached_run(wl, scheme, policy, l2="512KB")
+    for app, (base, *results) in runs.items():
+        for (_scheme, label), r in zip(schemes, results):
             fig.add(
                 app,
                 label,
@@ -75,27 +63,12 @@ def run(scale=None, policy: str = "lru",
                 r.stats.inclusion_victims_llc,
                 r.stats.relocations,
             )
-    # TPC-E on the scaled many-core configuration.
-    mc_cfg = scaled_manycore_config()
-    wl = mt_workload("tpce", scale, cores=mc_cfg.cores)
-    base = cached_run(wl, "inclusive", policy, cores=mc_cfg.cores,
-                      config=mc_cfg)
-    for scheme, label in schemes:
-        cfg = scaled_manycore_config()
-        r = cached_run(wl, scheme, policy, cores=cfg.cores, config=cfg)
-        fig.add(
-            "tpce",
-            label,
-            mix_speedup(base, r),
-            r.stats.inclusion_victims_llc,
-            r.stats.relocations,
-        )
     return fig
 
 
-def main() -> None:
-    run().print_table()
+def grid(scale=None) -> dict:
+    return mt_grid(scale, "lru", SCHEMES)
 
 
-if __name__ == "__main__":
-    main()
+def table(runs: dict) -> FigureResult:
+    return mt_table(runs, "lru", SCHEMES, "Fig.16")

@@ -8,8 +8,8 @@ blocks.
 
 from __future__ import annotations
 
-from repro.experiments.common import FigureResult, get_scale
-from repro.experiments import fig16_mt_lru
+from repro.experiments.common import FigureResult
+from repro.experiments.fig16_mt_lru import mt_grid, mt_table
 
 SCHEMES = (
     ("inclusive", "I"),
@@ -21,25 +21,9 @@ SCHEMES = (
 )
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    return fig16_mt_lru.recipes(
-        scale=get_scale(scale), policy="hawkeye", schemes=SCHEMES
-    )
+def grid(scale=None) -> dict:
+    return mt_grid(scale, "hawkeye", SCHEMES)
 
 
-def run(scale=None) -> FigureResult:
-    return fig16_mt_lru.run(
-        scale=get_scale(scale),
-        policy="hawkeye",
-        schemes=SCHEMES,
-        figure="Fig.17",
-    )
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()
+def table(runs: dict) -> FigureResult:
+    return mt_table(runs, "hawkeye", SCHEMES, "Fig.17")

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     FigureResult,
-    cached_run,
     get_scale,
     mix_population,
     mt_workload,
-    recipe_for,
 )
+from repro.sim.parallel import make_recipe
 from repro.workloads.multithreaded import MT_APP_NAMES
 
 DESIGNS = (
@@ -29,8 +28,7 @@ DESIGNS = (
 )
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
+def grid(scale=None) -> dict:
     scale = get_scale(scale)
     workloads = list(mix_population(scale))
     workloads += [
@@ -38,32 +36,25 @@ def recipes(scale=None) -> list:
         for app in MT_APP_NAMES
         if app != "tpce"
     ]
-    return [
-        recipe_for(wl, scheme, policy, l2="512KB")
-        for scheme, policy, _label in DESIGNS
-        for wl in workloads
-    ]
+    return {
+        label: [
+            make_recipe(wl, scheme, policy, l2="512KB") for wl in workloads
+        ]
+        for scheme, policy, label in DESIGNS
+    }
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    workloads = list(mix_population(scale))
-    workloads += [
-        mt_workload(app, scale, cores=8)
-        for app in MT_APP_NAMES
-        if app != "tpce"
-    ]
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.18",
         title="CDF of relocation intervals (log2 cycles), 512KB L2",
         columns=["design", "log2_interval", "cumulative_fraction"],
     )
-    for scheme, policy, label in DESIGNS:
+    for label, results in runs.items():
         hist: dict[int, int] = {}
         short = 0
         total = 0
-        for wl in workloads:
-            r = cached_run(wl, scheme, policy, l2="512KB")
+        for r in results:
             for bucket, n in r.scheme_stats["interval_histogram"].items():
                 hist[bucket] = hist.get(bucket, 0) + n
             short += r.scheme_stats["short_intervals"]
@@ -78,11 +69,3 @@ def run(scale=None) -> FigureResult:
                 f"3-cycle nextRS latency; "
             )
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -13,32 +13,24 @@ relocations needed) but stays small, and at 512 KB the savings
 from __future__ import annotations
 
 from repro.energy.model import epi_saving_pj
-from repro.experiments.common import (
-    FigureResult,
-    cached_run,
-    get_scale,
-    mix_population,
-    recipe_for,
-)
+from repro.experiments.common import FigureResult, get_scale, mix_population
+from repro.sim.parallel import make_recipe
 
 L2_POINTS = ("256KB", "512KB", "768KB")
 
 
-def recipes(scale=None) -> list:
-    """Every run ``run(scale)`` will request (for up-front submission)."""
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
-    return [
-        recipe_for(wl, scheme, "hawkeye", l2=l2)
+def grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    return {
+        (l2, scheme): [
+            make_recipe(wl, scheme, "hawkeye", l2=l2) for wl in mixes
+        ]
         for l2 in L2_POINTS
         for scheme in ("inclusive", "ziv:mrlikelydead")
-        for wl in mixes
-    ]
+    }
 
 
-def run(scale=None) -> FigureResult:
-    scale = get_scale(scale)
-    mixes = mix_population(scale)
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Fig.19",
         title="Relocation EPI of ZIV-MRLikelyDead (Hawkeye) and EPI savings",
@@ -54,15 +46,14 @@ def run(scale=None) -> FigureResult:
         reloc_epi = 0.0
         saved_hier = 0.0
         saved_dram = 0.0
-        for wl in mixes:
-            base = cached_run(wl, "inclusive", "hawkeye", l2=l2)
-            ziv = cached_run(wl, "ziv:mrlikelydead", "hawkeye", l2=l2)
+        bases = runs[l2, "inclusive"]
+        for base, ziv in zip(bases, runs[l2, "ziv:mrlikelydead"]):
             insts = ziv.stats.total_instructions
             saving = epi_saving_pj(base.energy, ziv.energy, insts)
             reloc_epi += saving["relocation_cost"]
             saved_hier += saving["hierarchy"]
             saved_dram += saving["dram"]
-        n = len(mixes)
+        n = len(bases)
         reloc_epi /= n
         saved_hier /= n
         saved_dram /= n
@@ -74,11 +65,3 @@ def run(scale=None) -> FigureResult:
             saved_hier + saved_dram - reloc_epi,
         )
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,12 @@ from repro.experiments.common import FigureResult
 from repro.params import paper_scale_config, scaled_config
 
 
-def run(scale=None) -> FigureResult:
+def grid(scale=None) -> dict:
+    """Table I simulates nothing."""
+    return {}
+
+
+def table(runs: dict) -> FigureResult:
     fig = FigureResult(
         figure="Table I",
         title="Simulated CMP configuration: paper scale vs scaled model",
@@ -42,11 +47,3 @@ def run(scale=None) -> FigureResult:
     fig.add("LLC policy", "LRU / Hawkeye", "LRU / Hawkeye", "same")
     fig.add("DRAM", "DDR3-2133 x2ch", "event-cost model", "row-buffer+banks")
     return fig
-
-
-def main() -> None:
-    run().print_table()
-
-
-if __name__ == "__main__":
-    main()

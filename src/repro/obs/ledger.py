@@ -80,7 +80,7 @@ class LedgerRecord:
     """One completed run, as recorded in the ledger.
 
     ``source`` is the resolution provenance (``"run"`` fresh under
-    ``run_many``/``fetch_or_run``, ``"memo"``/``"disk"`` cache hits,
+    ``run_many``, ``"memo"``/``"disk"`` cache hits,
     ``"direct"`` for a plain ``run_workload`` call); ``cache_hit``
     folds that to a boolean.  ``wall_s``/``accesses_per_s`` are zero
     and ``phases`` is empty for cache hits (the stored result carries

@@ -125,8 +125,8 @@ class Simulation:
         # hierarchy configuration's audit section (config.audit) so that
         # cached recipes and direct runs agree on whether they audit.
         self.audit_params = resolve_audit(audit, hierarchy.config.audit)
-        # ``telemetry``: TelemetryParams or a spec string; same resolution
-        # order (explicit > REPRO_TELEMETRY > config.telemetry).
+        # ``telemetry``: TelemetryParams or a spec string; defaults to
+        # config.telemetry the same way.
         self.telemetry_params = resolve_telemetry(
             telemetry, hierarchy.config.telemetry
         )
@@ -442,8 +442,8 @@ def run_workload(
     the invariant auditor; when omitted, the ``REPRO_AUDIT`` environment
     variable and then ``config.audit`` decide.  ``telemetry``
     (TelemetryParams or a spec string like ``"250,events=relocation"``)
-    enables interval sampling/event tracing the same way, via
-    ``REPRO_TELEMETRY`` and ``config.telemetry``.
+    enables interval sampling/event tracing; when omitted,
+    ``config.telemetry`` decides.
 
     Every completed call appends one provenance record to the run
     ledger (see :mod:`repro.obs.ledger`; ``REPRO_LEDGER=off`` opts

@@ -186,10 +186,9 @@ class RunRecipe:
                 scheduling=self.scheduling,
                 llc_policy_name=self.policy,
                 # Instrumentation comes from the config (and therefore
-                # from the cache key) alone: REPRO_AUDIT and
-                # REPRO_TELEMETRY must never be consulted inside a
-                # worker, or an instrumented result could be stored
-                # under an uninstrumented key.
+                # from the cache key) alone: REPRO_AUDIT must never be
+                # consulted inside a worker, or an audited result could
+                # be stored under an unaudited key.
                 audit=self.config.audit,
                 telemetry=self.config.telemetry,
             ).run()
@@ -228,8 +227,8 @@ def make_recipe(
     environment variable, else the config's own ``audit`` section) is
     resolved *here*, at recipe-construction time, and baked into the
     config -- and therefore into the recipe's cache key.  ``telemetry``
-    (TelemetryParams or a spec string, default: ``REPRO_TELEMETRY``, else
-    the config's ``telemetry`` section) is resolved the same way."""
+    (TelemetryParams or a spec string, default: the config's
+    ``telemetry`` section) is baked in the same way."""
     from repro.params import scaled_config
     from repro.sim.audit import resolve_audit
     from repro.sim.telemetry import resolve_telemetry
@@ -406,12 +405,6 @@ def publish_result(key: str, result: SimResult) -> None:
     if cache_enabled():
         store_result(key, result)
     _MEMO[key] = result
-
-
-def fetch_or_run(recipe: RunRecipe) -> SimResult:
-    """Resolve one recipe through the cache layers: in-process memo, then
-    disk, then a fresh in-process simulation (``run_many([recipe])``)."""
-    return run_many([recipe])[0]
 
 
 def record_resolution(

@@ -37,9 +37,9 @@ class SweepPoint:
     policy: str = "lru"
 
     def recipe(self, workload: Workload) -> RunRecipe:
-        # make_recipe resolves REPRO_AUDIT and REPRO_TELEMETRY here, in
-        # the submitting process: instrumentation is part of the cache
-        # key and must never be re-read in a worker.
+        # make_recipe resolves REPRO_AUDIT here, in the submitting
+        # process: instrumentation is part of the cache key and must
+        # never be re-read in a worker.
         return make_recipe(workload, self.scheme, policy=self.policy,
                            config=self.config)
 

@@ -30,8 +30,7 @@ dynamics first-class data, in three layers:
 Settings travel as :class:`repro.params.TelemetryParams` inside
 :class:`~repro.params.SystemConfig`, so they are part of the parallel
 runner's recipe cache key (like ``AuditParams``); the compact spec string
-(``--telemetry=250,events=relocation+char`` on the CLI,
-``REPRO_TELEMETRY=1000`` in the environment) is parsed by
+(``--telemetry=250,events=relocation+char`` on the CLI) is parsed by
 :func:`parse_telemetry_spec`.  When telemetry is disabled the engine's
 hot loop pays exactly one predicate check per access and nothing else.
 """
@@ -39,7 +38,6 @@ hot loop pays exactly one predicate check per access and nothing else.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from collections import deque
@@ -55,9 +53,6 @@ from repro.params import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hierarchy.cmp import CacheHierarchy
-
-#: Environment variable holding a default telemetry spec.
-TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 
 _OFF_TOKENS = ("off", "none", "false", "no", "disabled")
 
@@ -134,24 +129,14 @@ def _int_value(token: str) -> int:
     return int(value)
 
 
-def telemetry_params_from_env() -> Optional[TelemetryParams]:
-    """:class:`TelemetryParams` from ``REPRO_TELEMETRY``, or None when the
-    variable is unset/empty."""
-    spec = os.environ.get(TELEMETRY_ENV_VAR)
-    if spec is None or not spec.strip():
-        return None
-    return parse_telemetry_spec(spec)
-
-
 def resolve_telemetry(
     explicit, config_telemetry: Optional[TelemetryParams] = None
 ) -> TelemetryParams:
     """Resolve the telemetry settings for one run.
 
-    Precedence mirrors :func:`repro.sim.audit.resolve_audit`: an explicit
-    argument (a :class:`TelemetryParams` or a spec string) wins; else the
-    ``REPRO_TELEMETRY`` environment variable; else the configuration's own
-    ``telemetry`` field (default: disabled)."""
+    An explicit argument (a :class:`TelemetryParams` or a spec string)
+    wins; else the configuration's own ``telemetry`` field (default:
+    disabled)."""
     if explicit is not None:
         if isinstance(explicit, TelemetryParams):
             return explicit
@@ -161,9 +146,6 @@ def resolve_telemetry(
             f"telemetry must be TelemetryParams or a spec string, "
             f"got {type(explicit).__name__}"
         )
-    env = telemetry_params_from_env()
-    if env is not None:
-        return env
     return (
         config_telemetry if config_telemetry is not None else TelemetryParams()
     )

@@ -31,7 +31,6 @@ from repro.sim.audit import (
 )
 from repro.sim.engine import run_workload
 from repro.sim.parallel import make_recipe
-from repro.sim.telemetry import TELEMETRY_ENV_VAR
 from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
 
@@ -391,22 +390,15 @@ class TestCacheKeys:
         wl = mixing_workload()
         point = SweepPoint("p", tiny_config(), "inclusive")
         monkeypatch.delenv(AUDIT_ENV_VAR, raising=False)
-        monkeypatch.delenv(TELEMETRY_ENV_VAR, raising=False)
         plain = point.recipe(wl)
         assert not plain.config.telemetry.enabled
         monkeypatch.setenv(AUDIT_ENV_VAR, "end")
         audited = point.recipe(wl)
         assert audited.config.audit.enabled
         assert plain.key() != audited.key()
-        # Telemetry resolves the same way, as make_recipe resolves it.
-        monkeypatch.delenv(AUDIT_ENV_VAR)
-        monkeypatch.setenv(TELEMETRY_ENV_VAR, "50")
-        traced = point.recipe(wl)
-        assert traced.config.telemetry.enabled
-        assert traced.config.telemetry.interval == 50
-        assert traced.key() == make_recipe(wl, "inclusive",
-                                           config=tiny_config()).key()
-        assert traced.key() not in (plain.key(), audited.key())
+        # Resolved as make_recipe resolves it.
+        assert audited.key() == make_recipe(wl, "inclusive",
+                                            config=tiny_config()).key()
 
     def test_config_io_roundtrip(self):
         from repro.config_io import config_from_dict, config_to_dict

@@ -33,6 +33,31 @@ class TestCommands:
         assert main(["figure", "table1", "--scale", "smoke"]) == 0
         assert "scaled" in capsys.readouterr().out
 
+    def test_figure_unknown_name_is_a_usage_error(self, capsys):
+        assert main(["figure", "fig99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unknown figure 'fig99'; known: ")
+        assert "fig08_lru_perf" in captured.err
+        assert captured.out == ""
+
+    def test_figure_progress_resolves_its_grid_once(self, capsys):
+        from repro.obs.ledger import read_ledger
+
+        args = ["figure", "fig09_permix_lru", "--scale", "smoke"]
+        before = len(read_ledger())
+        assert main(args + ["--progress"]) == 0
+        with_progress = len(read_ledger()) - before
+        assert main(args) == 0
+        assert len(read_ledger()) - before - with_progress == with_progress
+
+        from repro.experiments.fig09_permix_lru import grid
+
+        recipes = sum(len(cell) for cell in grid("smoke").values())
+        assert with_progress == recipes
+        captured = capsys.readouterr()
+        assert "Fig.9" in captured.out
+        assert f"[{recipes}/{recipes}]" in captured.err
+
     def test_run_reports_stats(self, capsys):
         assert main([
             "run", "--workload", "leela.1", "--scheme", "ziv:notinprc",

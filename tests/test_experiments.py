@@ -5,6 +5,9 @@ yield the row structure its bench prints.  The heavyweight figures reuse
 the process-wide simulation cache, so the whole file stays fast.
 """
 
+import importlib
+import sys
+
 import pytest
 
 from repro.experiments import (
@@ -13,8 +16,11 @@ from repro.experiments import (
     FigureResult,
     clear_caches,
     get_scale,
+    mix_population,
     run_figure,
 )
+from repro.experiments import ablations, common
+from repro.sim.parallel import make_recipe, run_many
 
 # Figures grouped by how heavy they are at smoke scale.
 LIGHT = (
@@ -100,3 +106,72 @@ def test_fig19_energy_rows():
 
 def test_all_figures_listed():
     assert len(ALL_FIGURES) == 17
+
+
+# ---------------------------------------------------------------------------
+# One grid per table
+# ---------------------------------------------------------------------------
+
+FIGURE_MODULES = {
+    name: importlib.import_module(f"repro.experiments.{name}")
+    for name in ALL_FIGURES
+}
+TABLES = {name: (m.grid, m.table) for name, m in FIGURE_MODULES.items()}
+TABLES.update(ablations.STUDIES)
+
+
+@pytest.fixture(scope="module")
+def ziv_result():
+    """One real ZIV result with relocations, so that Fig. 18 has rows."""
+    wl = mix_population(get_scale("smoke"))[-1]
+    [result] = run_many(
+        [make_recipe(wl, "ziv:mrlikelydead", "hawkeye", l2="512KB")]
+    )
+    assert result.scheme_stats["reloc_intervals"] > 0
+    return result
+
+
+def test_every_figure_module_has_one_grid():
+    for module in FIGURE_MODULES.values():
+        assert callable(module.grid) and callable(module.table)
+        for gone in ("run", "recipes", "main"):
+            assert not hasattr(module, gone), (module.__name__, gone)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_table_reads_only_its_grid(name, ziv_result, monkeypatch):
+    grid, table = TABLES[name]
+    runs = {
+        label: [ziv_result] * len(recipes)
+        for label, recipes in grid("smoke").items()
+    }
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError(f"{name}: table() resolved a run")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro.experiments") \
+                or module is sys.modules["repro.sim.parallel"]:
+            for attr in ("resolve", "run_many", "lookup_result"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    result = table(runs)
+    assert result.rows
+    assert all(len(row) == len(result.columns) for row in result.rows)
+
+
+@pytest.mark.parametrize("figure", ALL_FIGURES)
+def test_run_figure_resolves_its_grid_in_one_call(figure, ziv_result,
+                                                  monkeypatch):
+    calls = []
+
+    def spy(recipes, jobs=None, labels=None, heartbeat=None):
+        calls.append([recipe.key() for recipe in recipes])
+        return [ziv_result] * len(recipes)
+
+    monkeypatch.setattr(common, "run_many", spy)
+    run_figure(figure, "smoke")
+    grid = FIGURE_MODULES[figure].grid("smoke")
+    assert calls == [
+        [recipe.key() for recipes in grid.values() for recipe in recipes]
+    ]

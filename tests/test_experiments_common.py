@@ -6,15 +6,16 @@ from repro.experiments.ascii_chart import bar_chart
 from repro.experiments.common import (
     SCALES,
     FigureResult,
-    baseline_runs_for,
-    cached_run,
+    baseline_recipes,
     clear_caches,
     get_scale,
     mix_population,
     mt_workload,
     normalized_total,
+    resolve,
     speedups_vs_baseline,
 )
+from repro.sim.parallel import make_recipe, run_many
 
 
 @pytest.fixture(autouse=True)
@@ -49,45 +50,70 @@ class TestMixPopulation:
         assert len(a[0]) == SMOKE.mt_accesses
 
 
+def run_one(*args, **kwargs):
+    return run_many([make_recipe(*args, **kwargs)])[0]
+
+
 class TestCachedRun:
+    """One figure run: a recipe from ``make_recipe``, resolved through
+    ``run_many``."""
+
     def test_memoised_per_recipe(self):
         wl = mix_population(SMOKE)[0]
-        r1 = cached_run(wl, "inclusive", "lru", l2="256KB")
-        r2 = cached_run(wl, "inclusive", "lru", l2="256KB")
+        r1 = run_one(wl, "inclusive", "lru", l2="256KB")
+        r2 = run_one(wl, "inclusive", "lru", l2="256KB")
         assert r1 is r2
 
     def test_distinct_recipes_distinct_runs(self):
         wl = mix_population(SMOKE)[0]
-        r1 = cached_run(wl, "inclusive", "lru", l2="256KB")
-        r2 = cached_run(wl, "inclusive", "lru", l2="512KB")
+        r1 = run_one(wl, "inclusive", "lru", l2="256KB")
+        r2 = run_one(wl, "inclusive", "lru", l2="512KB")
         assert r1 is not r2
 
     def test_belady_policy_forces_lockstep(self):
         wl = mix_population(SMOKE)[0]
-        r = cached_run(wl, "inclusive", "belady", l2="256KB")
+        r = run_one(wl, "inclusive", "belady", l2="256KB")
         # lockstep: cycles == total accesses
         assert r.cycles == wl.total_accesses()
 
     def test_scheme_kwargs_in_key(self):
         wl = mix_population(SMOKE)[0]
-        r1 = cached_run(wl, "ziv:notinprc", "lru",
-                        scheme_kwargs={"round_robin": True})
-        r2 = cached_run(wl, "ziv:notinprc", "lru",
-                        scheme_kwargs={"round_robin": False})
+        r1 = run_one(wl, "ziv:notinprc", "lru",
+                     scheme_kwargs={"round_robin": True})
+        r2 = run_one(wl, "ziv:notinprc", "lru",
+                     scheme_kwargs={"round_robin": False})
         assert r1 is not r2
+
+
+class TestResolve:
+    def test_results_keep_labels_and_order(self):
+        mixes = mix_population(SMOKE)[:2]
+        grid = {
+            "baseline": baseline_recipes(mixes),
+            "first": baseline_recipes(mixes[:1]),
+        }
+        runs = resolve(grid)
+        assert list(runs) == ["baseline", "first"]
+        assert [r.workload for r in runs["baseline"]] == [
+            wl.name for wl in mixes
+        ]
+        assert runs["first"][0] is runs["baseline"][0]
+
+    def test_empty_grid(self):
+        assert resolve({}) == {}
 
 
 class TestAggregation:
     def test_speedups_vs_baseline_self_is_one(self):
         mixes = mix_population(SMOKE)[:2]
-        runs = baseline_runs_for(mixes)
-        s = speedups_vs_baseline(mixes, runs, runs)
+        runs = run_many(baseline_recipes(mixes))
+        s = speedups_vs_baseline(runs, runs)
         assert s["mean"] == pytest.approx(1.0)
         assert s["min"] == pytest.approx(1.0)
 
     def test_normalized_total_self_is_one(self):
         mixes = mix_population(SMOKE)[:2]
-        runs = baseline_runs_for(mixes)
+        runs = run_many(baseline_recipes(mixes))
         assert normalized_total(runs, runs, "llc_misses") == 1.0
         assert normalized_total(runs, runs, "l2_misses") == 1.0
 

@@ -18,7 +18,6 @@ from repro.sim.parallel import (
     cache_info,
     clear_memo,
     clear_result_cache,
-    fetch_or_run,
     lookup_result,
     make_recipe,
     run_many,
@@ -218,7 +217,7 @@ class TestDiskCache:
                            config=tiny_config())
         clear_memo()
         assert cache_info()["entries"] == 0
-        first = fetch_or_run(recipe)
+        first = run_many([recipe])[0]
         assert cache_info()["entries"] == 1
         # Warm: a fresh process would hit disk; simulate by clearing the
         # memo and forbidding execution.
@@ -227,7 +226,7 @@ class TestDiskCache:
             RunRecipe, "execute",
             lambda self: pytest.fail("cache miss on warm run"),
         )
-        second = fetch_or_run(recipe)
+        second = run_many([recipe])[0]
         assert summarise(first) == summarise(second)
 
     def test_cache_off_bypasses_disk(self, monkeypatch, tmp_path):
@@ -238,7 +237,7 @@ class TestDiskCache:
         recipe = RunRecipe(workload=wl, scheme="inclusive",
                            config=tiny_config())
         clear_memo()
-        fetch_or_run(recipe)
+        run_many([recipe])
         assert cache_info()["entries"] == 0
 
     def test_corrupt_entry_is_dropped(self, monkeypatch, tmp_path):
@@ -250,13 +249,13 @@ class TestDiskCache:
         recipe = RunRecipe(workload=wl, scheme="inclusive",
                            config=tiny_config())
         clear_memo()
-        first = fetch_or_run(recipe)
+        first = run_many([recipe])[0]
         [entry] = cache_dir().glob("*.pkl")
         whole = entry.read_bytes()
         for corrupt in (b"not a pickle", whole[:len(whole) // 2]):
             entry.write_bytes(corrupt)
             clear_memo()
-            result = fetch_or_run(recipe)  # falls back to a fresh run
+            result = run_many([recipe])[0]  # falls back to a fresh run
             assert summarise(result) == summarise(first)
             clear_memo()
             stored, source = lookup_result(recipe.key())
@@ -267,8 +266,8 @@ class TestDiskCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         wl = small_workloads(1)[0]
         clear_memo()
-        fetch_or_run(
-            RunRecipe(workload=wl, scheme="inclusive", config=tiny_config())
+        run_many(
+            [RunRecipe(workload=wl, scheme="inclusive", config=tiny_config())]
         )
         assert clear_result_cache() == 1
         assert cache_info()["entries"] == 0

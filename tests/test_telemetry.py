@@ -26,7 +26,6 @@ from repro.sim.telemetry import (
     events_to_jsonl,
     parse_telemetry_spec,
     resolve_telemetry,
-    telemetry_params_from_env,
 )
 from repro.workloads import homogeneous_mix
 
@@ -92,20 +91,13 @@ class TestSpec:
         with pytest.raises(ConfigError):
             TelemetryParams(enabled=True, interval=0)
 
-    def test_resolve_precedence(self, monkeypatch):
+    def test_resolve_precedence(self):
         explicit = TelemetryParams(enabled=True, interval=7)
         config_p = TelemetryParams(enabled=True, interval=11)
-        monkeypatch.setenv("REPRO_TELEMETRY", "13")
         assert resolve_telemetry(explicit, config_p).interval == 7
         assert resolve_telemetry("5", config_p).interval == 5
-        assert resolve_telemetry(None, config_p).interval == 13
-        monkeypatch.delenv("REPRO_TELEMETRY")
         assert resolve_telemetry(None, config_p).interval == 11
         assert resolve_telemetry(None, None).enabled is False
-
-    def test_env_blank_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "  ")
-        assert telemetry_params_from_env() is None
 
     def test_resolve_rejects_other_types(self):
         with pytest.raises(TypeError):
@@ -296,21 +288,6 @@ class TestCacheKey:
         assert sampled.key() != other.key()
         again = make_recipe(wl, "inclusive", config=cfg, telemetry="100")
         assert sampled.key() == again.key()
-
-    def test_env_spec_resolved_at_construction(self, monkeypatch):
-        wl = homogeneous_mix("mcf.1", cores=2, n_accesses=300)
-        cfg = tiny_config()
-        monkeypatch.setenv("REPRO_TELEMETRY", "100")
-        recipe = make_recipe(wl, "inclusive", config=cfg)
-        monkeypatch.delenv("REPRO_TELEMETRY")
-        # The env var was baked in at construction: the key matches an
-        # explicit spec and the run carries telemetry even though the
-        # variable is gone by execution time.
-        explicit = make_recipe(wl, "inclusive", config=cfg, telemetry="100")
-        assert recipe.key() == explicit.key()
-        result = recipe.execute()
-        assert result.telemetry is not None
-        assert result.telemetry.params.interval == 100
 
     def test_run_many_serial_carries_telemetry(self):
         wl = homogeneous_mix("mcf.1", cores=2, n_accesses=300)
