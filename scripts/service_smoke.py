@@ -30,7 +30,14 @@ the client, end to end:
 * one body resubmitted 200 times over one keep-alive connection gets
   byte-identical payloads and leaves 200 ``memo`` ledger records, and
   ``/metrics`` counts each of them as a memo run and a memo job; a
-  malformed body and an empty one each count as rejected.
+  malformed body and an empty one each count as rejected.  Each reply
+  to ``POST /v1/jobs`` carries the payload ``GET .../result`` serves,
+  byte for byte;
+* the same body resubmitted 200 times through a ``ServiceClient``
+  takes exactly one request per hit (submit and result);
+* 20,000 more hits leave the server holding exactly its bounds of
+  terminal jobs and events, and grow its resident memory by less than
+  5 MB over the last 10,000.
 
 Exit 0 on success; any assertion failure is a non-zero exit.
 
@@ -68,7 +75,9 @@ from repro.service import (  # noqa: E402
     ServiceError,
     create_server,
 )
+from repro.service import server as server_module  # noqa: E402
 from repro.service.api import result_to_json  # noqa: E402
+from repro.service.jobs import KEPT_EVENTS, KEPT_JOBS  # noqa: E402
 from repro.sim.parallel import RunRecipe, make_recipe  # noqa: E402
 from repro.sim.trace import (  # noqa: E402
     CoreTrace,
@@ -87,8 +96,16 @@ SPECS = (("profile", homogeneous_mix, "gcc.1"),
 #: Hit jobs of the keep-alive phase.
 KEEP_ALIVE_HITS = 20
 
-#: Resubmissions of one body in the hit phase.
+#: Resubmissions of one body in the hit phase, and in the client pass.
 HITS = 200
+
+#: Hits of the bound phase: its second half is past the job and event
+#: bounds.
+BOUND_HITS = 20_000
+
+#: How much the bound phase's last half may grow the server's resident
+#: memory.  Without the bounds it grows by about 18 MB.
+BOUND_GROWTH_MB = 5.0
 
 
 def small_config(engine: str = "object") -> SystemConfig:
@@ -148,9 +165,10 @@ def keep_alive_phase(server, body: dict) -> None:
     assert median_ms < 20.0, f"keep-alive hit median {median_ms:.1f} ms"
 
 
-def hit_phase(server, client: ServiceClient, body: dict) -> None:
+def hit_phase(server, client: ServiceClient, body: dict) -> bytes:
     """Resubmit one stored recipe HITS times over one keep-alive
-    connection; then send a malformed body and an empty one."""
+    connection, each reply carrying the payload; then send a malformed
+    body and an empty one.  Returns the payload."""
     data = json.dumps(body).encode()
     headers = {"Content-Type": "application/json"}
 
@@ -180,9 +198,14 @@ def hit_phase(server, client: ServiceClient, body: dict) -> None:
         payloads = set()
         sock = None
         for _ in range(HITS):
-            view = json.loads(call("POST", "/v1/jobs", 202, data))["job"]
+            reply = call("POST", "/v1/jobs", 202, data)
+            view = json.loads(reply)["job"]
             assert (view["state"], view["source"]) == ("done", "memo"), view
-            payloads.add(call("GET", f"/v1/jobs/{view['id']}/result", 200))
+            payload = call("GET", f"/v1/jobs/{view['id']}/result", 200)
+            assert reply == (b'{"job": '
+                             + json.dumps(view, sort_keys=True).encode()
+                             + b', "result": ' + payload + b"}"), reply[:300]
+            payloads.add(payload)
             if sock is None:
                 sock = conn.sock
         assert conn.sock is sock, "the hits took more than one connection"
@@ -195,6 +218,59 @@ def hit_phase(server, client: ServiceClient, body: dict) -> None:
     assert [r.source for r in added] == ["memo"] * HITS, len(added)
     after = counts()
     assert after == (runs + HITS, memo + HITS, rejected + 2), after
+    return payloads.pop()
+
+
+def client_phase(client: ServiceClient, body: dict, payload: bytes) -> None:
+    """Resubmit one stored recipe HITS times through the client, and
+    count the requests the in-process server handles: one per hit."""
+    handled = []
+    dispatch = server_module._Handler._dispatch
+
+    def counting(handler, method: str) -> None:
+        handled.append((method, handler.path))
+        dispatch(handler, method)
+
+    server_module._Handler._dispatch = counting
+    try:
+        for _ in range(HITS):
+            view = client.submit(body)
+            assert client.result_bytes(view["id"]) == payload
+    finally:
+        server_module._Handler._dispatch = dispatch
+    assert handled == [("POST", "/v1/jobs")] * HITS, handled[:4]
+
+
+def vm_rss_mb() -> float:
+    """This process's resident memory (the server runs in it)."""
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmRSS line in /proc/self/status")
+
+
+def bound_phase(server, client: ServiceClient, body: dict) -> None:
+    """Serve BOUND_HITS hits of one stored recipe: the server ends up
+    holding its bounds of terminal jobs and events, and its memory
+    stops growing once they are reached."""
+    rss = []
+    for _ in range(2):
+        for _ in range(BOUND_HITS // 2):
+            client.result_bytes(client.submit(body)["id"])
+        rss.append(vm_rss_mb())
+    growth = rss[1] - rss[0]
+    assert growth < BOUND_GROWTH_MB, \
+        f"{BOUND_HITS // 2} hits past the bounds grew VmRSS by {growth:.1f} MB"
+    assert len(client.jobs()) == KEPT_JOBS
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+    try:
+        conn.request("GET", "/v1/events?since=0")
+        events = json.loads(conn.getresponse().read())
+    finally:
+        conn.close()
+    assert len(events["events"]) == KEPT_EVENTS, len(events["events"])
+    assert events["dropped"] == events["next"] - KEPT_EVENTS, events["dropped"]
 
 
 def main() -> int:
@@ -359,9 +435,18 @@ def main() -> int:
         assert grown == expected, (grown, expected)
 
         # -- hits: one parse per body, one payload per key --------------
-        hit_phase(server, client, d0)
+        payload = hit_phase(server, client, d0)
         grown = len(read_ledger()) - start
         expected += HITS
+        assert grown == expected, (grown, expected)
+
+        # -- hits through the client: one round trip each ---------------
+        client_phase(client, d0, payload)
+
+        # -- bounds: what the server keeps stops growing ----------------
+        bound_phase(server, client, d0)
+        grown = len(read_ledger()) - start
+        expected += HITS + BOUND_HITS
         assert grown == expected, (grown, expected)
     finally:
         client.close()
@@ -372,7 +457,9 @@ def main() -> int:
         f"{server.url}, ledger {ledger_path()} grew by {grown}, "
         f"one execution per key, both engines agree, specs match "
         f"local runs, a killed pool fails one job, keep-alive hits "
-        f"do not stall, {HITS} resubmissions serve one payload"
+        f"do not stall, {HITS} resubmissions serve one payload in "
+        f"their replies, a client hit is one request, and "
+        f"{BOUND_HITS} hits leave the server at its bounds"
     )
     return 0
 

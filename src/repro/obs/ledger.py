@@ -192,7 +192,8 @@ def record_from_result(
     result: Any,
     source: str,
     wall_s: float,
-    config: Any,
+    engine: str,
+    config_digest: str,
     workload_fingerprint: str = "",
     scheduling: str = "timing",
     trace_path: str = "",
@@ -200,9 +201,12 @@ def record_from_result(
 ) -> LedgerRecord:
     """Build the ledger record for one completed run.
 
-    Every :class:`LedgerRecord` field is passed as an explicit keyword
-    below; the dataclass has no defaults, so a new field cannot be added
-    without deciding what this writer records for it.
+    ``config_digest`` is :func:`config_digest` of the run's
+    configuration, which a caller that records one recipe many times
+    computes once.  Every :class:`LedgerRecord` field is passed as an
+    explicit keyword below; the dataclass has no defaults, so a new
+    field cannot be added without deciding what this writer records
+    for it.
     """
     audit = result.audit
     telemetry = result.telemetry
@@ -222,8 +226,8 @@ def record_from_result(
         scheme=result.scheme,
         policy=result.policy,
         scheduling=scheduling,
-        engine=getattr(config, "engine", "object"),
-        config_digest=config_digest(config),
+        engine=engine,
+        config_digest=config_digest,
         source=source,
         cache_hit=not fresh,
         trace_path=trace_path,

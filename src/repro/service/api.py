@@ -3,7 +3,9 @@
 The submission side is :mod:`repro.config_io` (``recipe_from_dict``
 with its field-attributed :class:`~repro.config_io.RecipeError`
 rejections); this module owns the *response* side: a deterministic
-JSON form of :class:`~repro.sim.engine.SimResult`.
+JSON form of :class:`~repro.sim.engine.SimResult`, and the reply to
+``POST /v1/jobs`` that carries it (:func:`job_reply`, read back by
+:func:`split_job_reply`).
 
 Determinism is a contract, not a nicety: the server serialises every
 result with ``json.dumps(..., sort_keys=True)``, and two clients that
@@ -17,7 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any
+from typing import Any, Optional
+
+#: How a ``POST /v1/jobs`` reply opens, and what precedes the result
+#: payload it carries when the job was done at submit.
+_JOB = b'{"job": '
+_RESULT = b', "result": '
+_DECODER = json.JSONDecoder()
 
 
 def _sanitize(value: Any) -> Any:
@@ -87,3 +95,24 @@ def result_to_json(result: Any) -> bytes:
     return json.dumps(
         result_to_dict(result), sort_keys=True, separators=(",", ":")
     ).encode()
+
+
+def job_reply(view: dict, payload: Optional[bytes] = None) -> bytes:
+    """The body of a ``POST /v1/jobs`` reply:
+    ``json.dumps({"job": view, "result": ...}, sort_keys=True)``, with
+    the payload's stored bytes spliced in unparsed ("job" sorts
+    first).  Without a payload, the reply is ``{"job": view}``."""
+    reply = _JOB + json.dumps(view, sort_keys=True).encode()
+    if payload is not None:
+        reply += _RESULT + payload
+    return reply + b"}"
+
+
+def split_job_reply(raw: bytes) -> "tuple[dict, Optional[bytes]]":
+    """The job view of a :func:`job_reply`, and the payload it carries,
+    verbatim (None when it carries none).  The reply is ASCII JSON, so
+    a character offset into it is a byte offset."""
+    view, end = _DECODER.raw_decode(raw.decode(), len(_JOB))
+    if raw.startswith(_RESULT, end):
+        return view, raw[end + len(_RESULT):-1]
+    return view, None

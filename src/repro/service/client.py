@@ -14,6 +14,12 @@ connection, opened on its first request; a forked child opens its
 own.  ``close()``, or leaving a ``with`` block, closes them all.  The
 client connects directly: unlike ``urllib``, it ignores ``http_proxy``.
 
+A job the server resolves from storage is ``done`` at submit, and the
+reply to ``POST /v1/jobs`` carries its payload.  The thread keeps that
+payload for the job until its next ``submit``, and the first
+``result_bytes`` (or ``result``) for that job on the same thread takes
+it without a request: a hit is one round trip.
+
 ``run_recipes`` is the remote-sweep helper: submit a whole recipe grid
 (the server deduplicates and coalesces), then collect payloads in
 submission order -- the client-side analogue of
@@ -31,6 +37,7 @@ from typing import Any, Iterable, Optional
 from urllib.parse import urlsplit
 
 from repro.config_io import recipe_to_dict
+from repro.service.api import split_job_reply
 
 #: How a kept-alive connection fails when the server closed it while it
 #: sat idle (a restart, a dropped connection): sending the request, or
@@ -62,12 +69,16 @@ class ServiceError(Exception):
 
 class _Slot:
     """One thread's connection, tagged with the process that opened
-    it.  Dropped with its thread's local storage (the thread ended, or
-    the client went away), it closes the connection."""
+    it, and the payload its last submission came back with.  Dropped
+    with its thread's local storage (the thread ended, or the client
+    went away), it closes the connection."""
 
     def __init__(self, conn: http.client.HTTPConnection) -> None:
         self.pid = os.getpid()
         self.conn = conn
+        # (job id, payload) of the last submit, until a result_bytes
+        # for that job takes it.
+        self.ready: "Optional[tuple[str, bytes]]" = None
 
     def __del__(self) -> None:
         self.conn.close()
@@ -99,16 +110,16 @@ class ServiceClient:
 
     # -- transport ---------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's connection, created on first use.  A forked
-        child must not share its parent's socket, so it makes its own."""
+    def _slot(self) -> _Slot:
+        """This thread's slot, created on first use.  A forked child
+        must not share its parent's socket, so it makes its own."""
         slot = getattr(self._local, "slot", None)
         if slot is None or slot.pid != os.getpid():
             slot = self._local.slot = _Slot(self._connection_class(
                 self._netloc, timeout=self.timeout))
             with self._lock:
                 self._opened.add(slot.conn)
-        return slot.conn
+        return slot
 
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None) -> bytes:
@@ -117,7 +128,7 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(body).encode()
             headers["Content-Type"] = "application/json"
-        conn = self._connection()
+        conn = self._slot().conn
         # A socket left open by an earlier request.
         reused = conn.sock is not None
 
@@ -178,13 +189,21 @@ class ServiceClient:
     def health(self) -> dict:
         return self._get_json("/healthz")
 
+    def _post_job(self, body: dict) -> "tuple[dict, Optional[bytes]]":
+        """Submit one recipe dict: the job view, and the payload the
+        reply carries when the job is done at submit (else None)."""
+        return split_job_reply(self._request("POST", "/v1/jobs", body=body))
+
     def submit(self, recipe: Any) -> dict:
         """Submit one recipe (a ``RunRecipe`` or an already-serialized
         dict); returns the job view -- possibly already ``done`` when
-        the server had the result cached."""
+        the server had the result cached, in which case this thread
+        holds its payload for the next :meth:`result_bytes`."""
         body = recipe if isinstance(recipe, dict) else recipe_to_dict(recipe)
-        reply = json.loads(self._request("POST", "/v1/jobs", body=body))
-        return reply["job"]
+        view, payload = self._post_job(body)
+        self._slot().ready = (
+            None if payload is None else (view["id"], payload))
+        return view
 
     def job(self, job_id: str) -> dict:
         return self._get_json(f"/v1/jobs/{job_id}")["job"]
@@ -206,7 +225,14 @@ class ServiceClient:
 
     def result_bytes(self, job_id: str, timeout: float = 0.0) -> bytes:
         """The canonical result payload, verbatim -- byte-identical
-        across every client that resolved the same recipe."""
+        across every client that resolved the same recipe.  The payload
+        of this thread's last submission, if it came back with one, is
+        taken without a request, once."""
+        slot = self._slot()
+        if slot.ready is not None and slot.ready[0] == job_id:
+            payload = slot.ready[1]
+            slot.ready = None
+            return payload
         path = f"/v1/jobs/{job_id}/result"
         if timeout > 0:
             path += f"?wait={timeout}"
@@ -235,20 +261,42 @@ class ServiceClient:
 
     def run_recipes(self, recipes: Iterable[Any],
                     timeout: float = 300.0) -> "list[dict]":
-        """Submit every recipe, then wait for all of them; returns the
+        """Submit every recipe, then collect every payload; returns the
         parsed result payloads in submission order.  The server
         deduplicates: a grid with repeated recipes still executes each
-        distinct key once.  Raises :class:`ServiceError` on the first
-        failed job."""
-        views = [self.submit(r) for r in recipes]
-        payloads: "list[dict]" = []
-        for view in views:
-            final = self.wait(view["id"], timeout=timeout)
-            if final["state"] == "failed":
-                raise ServiceError(
-                    500, "JobFailed",
-                    f"job {final['id']} ({final['workload']}) failed: "
-                    f"{final['error']}",
-                )
-            payloads.append(self.result(final["id"]))
-        return payloads
+        distinct key once.  A hit's payload comes with its submit
+        reply; only the other jobs are waited on.  Raises
+        :class:`ServiceError` on the first failed job."""
+        bodies = [r if isinstance(r, dict) else recipe_to_dict(r)
+                  for r in recipes]
+        replies = [self._post_job(body) for body in bodies]
+        return [
+            json.loads(payload if payload is not None
+                       else self._collect(body, view, timeout))
+            for body, (view, payload) in zip(bodies, replies)
+        ]
+
+    def _collect(self, body: dict, view: dict, timeout: float) -> bytes:
+        """The payload of a job whose submit reply carried none.  The
+        server keeps only its newest terminal jobs, so a job done long
+        before this call may be gone (a 404): its body is submitted
+        again, which resolves the same key, in one trip once stored."""
+        try:
+            return self._wait_payload(view["id"], timeout)
+        except ServiceError as err:
+            if err.status != 404:
+                raise
+        view, payload = self._post_job(body)
+        if payload is not None:
+            return payload
+        return self._wait_payload(view["id"], timeout)
+
+    def _wait_payload(self, job_id: str, timeout: float) -> bytes:
+        final = self.wait(job_id, timeout=timeout)
+        if final["state"] == "failed":
+            raise ServiceError(
+                500, "JobFailed",
+                f"job {final['id']} ({final['workload']}) failed: "
+                f"{final['error']}",
+            )
+        return self._request("GET", f"/v1/jobs/{job_id}/result")

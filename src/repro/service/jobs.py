@@ -33,6 +33,10 @@ Subscribers observe the job stream through a monotonically numbered
 event log (:meth:`JobManager.events_since`); terminal events carry a
 :class:`~repro.sim.telemetry.RunProgress` heartbeat, the same shape
 ``run_many`` passes to its ``heartbeat`` locally.
+
+What the manager keeps does not grow with the jobs it serves: the
+newest :data:`KEPT_JOBS` terminal jobs and :data:`KEPT_EVENTS` events,
+oldest first out, plus every job still ``queued`` or ``running``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 #: Submission outcomes counted for ``/metrics``.
 OUTCOMES = ("fresh", "coalesced", "memo", "disk", "failed", "rejected")
+
+#: Bounds on what the manager keeps: terminal (``done``/``failed``)
+#: jobs, and events.  Enough that a client's request right after its
+#: job completes still finds it.
+KEPT_JOBS = 4096
+KEPT_EVENTS = 8192
 
 
 @dataclass
@@ -139,10 +149,11 @@ class JobManager:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._jobs: "dict[str, Job]" = {}  # repro-lint: guarded-by[_lock]
+        # Terminal job ids, oldest first.
+        self._finished: "collections.deque[str]" = collections.deque()  # repro-lint: guarded-by[_lock]
         self._inflight: "dict[str, str]" = {}  # repro-lint: guarded-by[_lock] (key -> primary job id)
         self._waiters: "dict[str, list[str]]" = {}  # repro-lint: guarded-by[_lock] (key -> coalesced ids)
-        self._events: "list[dict]" = []  # repro-lint: guarded-by[_lock]
-        self._seq = itertools.count(1)  # repro-lint: guarded-by[_lock]
+        self._events: "collections.deque[dict]" = collections.deque()  # repro-lint: guarded-by[_lock]
         self._next_seq = 1  # repro-lint: guarded-by[_lock]
         self._job_ids = itertools.count(1)  # repro-lint: guarded-by[_lock]
         self._tally = _Tally()  # repro-lint: guarded-by[_lock]
@@ -331,9 +342,11 @@ class JobManager:
         }
 
     def _publish(self, kind: str, job: Job) -> None:  # repro-lint: holds[_lock]
-        """Append one event to the subscriber log (lock held)."""
+        """Append one event to the subscriber log (lock held); a
+        terminal event also files its job among the kept terminal jobs.
+        Past their bounds, the oldest event and terminal job go."""
         event = {
-            "seq": next(self._seq),
+            "seq": self._next_seq,
             # Event timestamp for SSE consumers; ordering comes from
             # `seq`, so the clock is cosmetic.
             "ts": time.time(),  # repro-lint: ignore[determinism]
@@ -344,27 +357,41 @@ class JobManager:
             progress = self._progress(job)
             event["progress"] = progress
             self._last_progress = progress
+            self._finished.append(job.id)
+            if len(self._finished) > KEPT_JOBS:
+                del self._jobs[self._finished.popleft()]
         self._events.append(event)
-        self._next_seq = event["seq"] + 1
+        if len(self._events) > KEPT_EVENTS:
+            self._events.popleft()
+        self._next_seq += 1
         self._cond.notify_all()
 
     def events_since(self, seq: int = 0, timeout: float = 0.0) \
-            -> "tuple[list[dict], int]":
-        """Events with ``seq`` greater than the cursor, plus the next
-        cursor value.  ``timeout`` > 0 long-polls until at least one
-        new event arrives (or the deadline passes)."""
+            -> "tuple[list[dict], int, int]":
+        """Events with ``seq`` greater than the cursor, the next cursor
+        value, and how many events after the cursor were dropped before
+        this read (the log keeps the newest :data:`KEPT_EVENTS`).
+        ``timeout`` > 0 long-polls until at least one new event arrives
+        (or the deadline passes)."""
         with self._cond:
             if timeout > 0:
                 self._cond.wait_for(
                     lambda: self._next_seq > seq + 1 or self._closed,
                     timeout=timeout,
                 )
-            fresh = [e for e in self._events if e["seq"] > seq]
-            return fresh, self._next_seq - 1
+            # Sequence numbers count up by one from 1, so the events
+            # after the cursor are the newest `behind` ever published.
+            behind = self._next_seq - 1 - max(seq, 0)
+            kept = len(self._events)
+            fresh = list(itertools.islice(reversed(self._events),
+                                          min(max(behind, 0), kept)))
+            fresh.reverse()
+            return fresh, self._next_seq - 1, max(behind - kept, 0)
 
     # -- inspection --------------------------------------------------------
 
     def get(self, job_id: str) -> Optional[dict]:
+        """A kept job's view; None for an id never issued or dropped."""
         with self._lock:
             job = self._jobs.get(job_id)
             return job.view() if job is not None else None
@@ -374,8 +401,9 @@ class JobManager:
             return [job.view() for job in self._jobs.values()]
 
     def state_counts(self) -> "dict[str, int]":
-        """How many jobs are in each state (states with none are left
-        out)."""
+        """How many kept jobs are in each state (states with none are
+        left out): every queued and running job, and the newest
+        :data:`KEPT_JOBS` terminal ones."""
         with self._lock:
             return dict(collections.Counter(
                 job.state for job in self._jobs.values()
@@ -403,22 +431,23 @@ class JobManager:
             hit = parallel.lookup_result(job.key)
             return hit[0] if hit is not None else None
 
-    def payload(self, job_id: str,
+    def payload(self, key: str,
                 serialize: Callable[[Any], bytes]) -> Optional[bytes]:
-        """The payload of a ``done`` job's result, ``serialize(result)``:
-        fixed by the recipe key, so serialized once per key.  None when
-        the result is no longer stored, even if its payload was served
-        before."""
+        """The payload of the stored result for a recipe key (a ``done``
+        job's ``key``), ``serialize(result)``: fixed by the key, so
+        serialized once per key.  None when the result is no longer
+        stored, even if its payload was served before.  It looks up
+        the key, not a job, so a job dropped from the kept ones still
+        has its payload."""
         with self._lock:
-            result = self.result(job_id)
-            if result is None:
+            hit = parallel.lookup_result(key)
+            if hit is None:
                 return None
-            key = self._jobs[job_id].key
             payload = self._payloads.get(key)
         if payload is None:
             # Outside the lock: a large result must not hold up other
             # submissions while it serializes.
-            payload = serialize(result)
+            payload = serialize(hit[0])
             with self._lock:
                 payload = self._payloads.setdefault(key, payload)
         return payload

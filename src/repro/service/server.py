@@ -8,8 +8,10 @@ lives in ``docs/SERVICE.md``:
 ====================================  =====================================
 ``GET  /``                            service + endpoint index
 ``GET  /healthz``                     liveness probe with job tallies
-``POST /v1/jobs``                     submit one recipe dict -> job view
-``GET  /v1/jobs``                     all job views
+``POST /v1/jobs``                     submit one recipe dict -> job view,
+                                      and the result payload when the
+                                      job is done at submit
+``GET  /v1/jobs``                     the kept job views
 ``GET  /v1/jobs/<id>``                one job view (``?wait=S`` blocks
                                       until terminal)
 ``GET  /v1/jobs/<id>/result``         deterministic result payload
@@ -24,7 +26,8 @@ lives in ``docs/SERVICE.md``:
 Connections are HTTP/1.1 keep-alive, with ``TCP_NODELAY`` on every
 accepted socket.  The server closes a connection after a response that
 left request-body bytes unread, after a Server-Sent Events stream, and
-at shutdown.
+at shutdown.  A peer that resets or drops its connection ends it
+quietly: that is no server fault.
 
 Error contract: every non-2xx response is structured JSON --
 ``{"error": {"type", "message", "field"}}`` -- where ``field`` names
@@ -47,7 +50,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.config_io import RecipeError, recipe_from_dict
 from repro.obs.registry import LedgerAggregate
 from repro.params import ConfigError
-from repro.service.api import result_to_json
+from repro.service.api import job_reply, result_to_json
 from repro.service.jobs import JobManager
 
 #: Bounds on ``?wait=``/``?timeout=`` so a client cannot pin a server
@@ -55,9 +58,14 @@ from repro.service.jobs import JobManager
 MAX_WAIT_S = 300.0
 
 #: Bounds on the parsed-body memo: the number of bodies it keeps, and
-#: the size of the largest body it keeps.
+#: the size of the largest body it keeps.  (The job manager's bounds are
+#: ``jobs.KEPT_JOBS`` and ``jobs.KEPT_EVENTS``.)
 BODY_MEMO_ENTRIES = 1024
 BODY_MEMO_MAX_BYTES = 64 * 1024
+
+#: How a connection fails when its peer has gone: reset, aborted, or
+#: closed before a write.
+_PEER_GONE = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
 
 
 class _RequestError(Exception):
@@ -114,6 +122,17 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
+
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except _PEER_GONE:
+            # A client reset an idle keep-alive connection while this
+            # thread waited for its next request, or went away
+            # mid-response: the connection ends, and nothing is
+            # reported.  Any other exception reaches the server's
+            # error handler.
+            self.close_connection = True
 
     def _send_bytes(self, status: int, body: bytes,
                     content_type: str) -> None:
@@ -195,7 +214,7 @@ class _Handler(BaseHTTPRequestHandler):
             handler()
         except _RequestError as err:
             self._send_error_json(err)
-        except BrokenPipeError:  # subscriber went away mid-stream
+        except _PEER_GONE:  # e.g. a subscriber went away mid-stream
             self.close_connection = True
         except Exception as exc:  # noqa: BLE001 - structured 500, not bare
             self._send_error_json(_RequestError(
@@ -259,7 +278,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.manager.record_rejection()
             raise
         view = self.manager.submit(recipe)
-        self._send_json(202, {"job": view})
+        # A job done at submit carries its payload: a hit takes one
+        # round trip.
+        payload = (self.manager.payload(view["key"], result_to_json)
+                   if view["state"] == "done" else None)
+        self._send_bytes(202, job_reply(view, payload), "application/json")
 
     def _get_jobs(self) -> None:
         self._send_json(200, {"jobs": self.manager.jobs()})
@@ -291,7 +314,7 @@ class _Handler(BaseHTTPRequestHandler):
                 409, "JobNotDone",
                 f"job {job_id} is {view['state']}; poll or pass ?wait=S",
             )
-        payload = self.manager.payload(job_id, result_to_json)
+        payload = self.manager.payload(view["key"], result_to_json)
         if payload is None:  # result cache disabled and memo evicted
             raise _RequestError(
                 410, "ResultGone",
@@ -308,8 +331,10 @@ class _Handler(BaseHTTPRequestHandler):
                                 "since must be an integer",
                                 field="since") from None
         timeout = self._wait_seconds(query, "timeout")
-        events, cursor = self.manager.events_since(since, timeout=timeout)
-        self._send_json(200, {"events": events, "next": cursor})
+        events, cursor, dropped = self.manager.events_since(
+            since, timeout=timeout)
+        self._send_json(200, {"events": events, "next": cursor,
+                              "dropped": dropped})
 
     def _get_events_stream(self) -> None:
         """Server-Sent Events: one ``data:`` line per job event, from
@@ -324,7 +349,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.close_connection = True
         while not getattr(self.server, "stopping", False):
-            events, cursor = self.manager.events_since(
+            events, cursor, _ = self.manager.events_since(
                 cursor, timeout=1.0
             )
             for event in events:

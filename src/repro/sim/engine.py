@@ -564,7 +564,8 @@ def _append_direct_ledger_record(
             result=result,
             source="direct",
             wall_s=wall_s,
-            config=config,
+            engine=config.engine,
+            config_digest=ledger.config_digest(config),
             workload_fingerprint=workload.fingerprint(),
             scheduling=sim.scheduling,
             trace_path=str(getattr(workload, "path", "") or ""),

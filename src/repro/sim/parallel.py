@@ -151,6 +151,15 @@ class RunRecipe:
             object.__setattr__(self, "_key", cached)
         return cached
 
+    def config_digest(self) -> str:
+        """The ledger's :func:`~repro.obs.ledger.config_digest` of this
+        recipe's config (cached after the first call, like :meth:`key`)."""
+        cached = getattr(self, "_config_digest", None)
+        if cached is None:
+            cached = ledger.config_digest(self.config)
+            object.__setattr__(self, "_config_digest", cached)
+        return cached
+
     def execute(self) -> SimResult:
         """Run the simulation this recipe describes (no caching)."""
         from repro.hierarchy.cmp import CacheHierarchy
@@ -431,7 +440,8 @@ def record_resolution(
             result=result,
             source=source,
             wall_s=wall_s,
-            config=recipe.config,
+            engine=recipe.config.engine,
+            config_digest=recipe.config_digest(),
             workload_fingerprint=recipe.workload.fingerprint(),
             scheduling=recipe.scheduling,
             trace_path=str(getattr(recipe.workload, "path", "") or ""),

@@ -244,6 +244,54 @@ class TestLedgerAppends:
         assert all(r.wall_s == 0 and r.accesses_per_s == 0
                    for r in again[2:])
 
+    def test_a_hit_record_digests_its_recipe_config_once(self, obs_cache,
+                                                         monkeypatch):
+        """Every field of a hit's record but ``ts`` is fixed by its
+        recipe and result; the config digest is derived once per
+        recipe, not once per record."""
+        from repro.obs import ledger
+
+        cfg = tiny_config()
+        recipe = RunRecipe(make_workload(0), "inclusive", cfg)
+        result = run_many([recipe])[0]
+        expected = config_digest(cfg)
+        digests = []
+        monkeypatch.setattr(
+            ledger, "config_digest",
+            lambda config: digests.append(config) or expected)
+        twin = RunRecipe(make_workload(0), "inclusive", cfg)
+        run_many([recipe, recipe, twin, twin])
+        assert len(digests) == 1
+        hits = read_ledger()[1:]
+        assert [r.source for r in hits] == ["memo"] * 4
+        for hit in hits:
+            line = hit.to_dict()
+            del line["ts"]
+            assert line == {
+                "version": LEDGER_VERSION,
+                "recipe_key": recipe.key(),
+                "workload": result.workload,
+                "workload_fingerprint": recipe.workload.fingerprint(),
+                "scheme": result.scheme,
+                "policy": result.policy,
+                "scheduling": "timing",
+                "engine": cfg.engine,
+                "config_digest": expected,
+                "source": "memo",
+                "cache_hit": True,
+                "trace_path": "",
+                "resumed_from": "",
+                "wall_s": 0.0,
+                "accesses": result.stats.total_accesses,
+                "accesses_per_s": 0.0,
+                "cycles": result.cycles,
+                "audit_violations": 0,
+                "telemetry_samples": 0,
+                "telemetry_events": 0,
+                "phases": {},
+                "host_cpus": os.cpu_count() or 1,
+            }
+
     def test_run_many_parallel_appends_in_parent_only(self, obs_cache):
         cfg = tiny_config()
         recipes = [

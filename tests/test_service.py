@@ -16,7 +16,9 @@ import itertools
 import json
 import os
 import signal
+import socket
 import statistics
+import struct
 import subprocess
 import sys
 import threading
@@ -169,6 +171,25 @@ def test_payload_bytes_equal_the_asdict_reference(engine, monkeypatch):
 # field-attributed rejections (satellite: structured errors, both paths)
 
 
+def test_job_reply_splits_back_verbatim():
+    """A ``POST /v1/jobs`` reply is the canonical JSON of the job view
+    and the payload, and splits back into the view and the payload's
+    bytes verbatim; without a payload it is ``{"job": view}``."""
+    from repro.service.api import job_reply, split_job_reply
+
+    view = {"id": "j1", "state": "done", "workload": "gcc-\u00e9"}
+    payload = b'{"cycles":7,"workload":"gcc-\\u00e9"}'
+    reply = job_reply(view, payload)
+    assert json.loads(reply) == {"job": view, "result": json.loads(payload)}
+    assert reply == (json.dumps({"job": view, "result": None},
+                                sort_keys=True).encode()
+                     .replace(b"null", payload))
+    assert split_job_reply(reply) == (view, payload)
+    assert job_reply(view) == json.dumps({"job": view},
+                                         sort_keys=True).encode()
+    assert split_job_reply(job_reply(view)) == (view, None)
+
+
 def _rejection(data) -> RecipeError:
     with pytest.raises(RecipeError) as excinfo:
         recipe_from_dict(data)
@@ -266,6 +287,29 @@ def test_fast_recipe_validation_leaves_the_engine_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_engine_imports_no_service_module():
+    """The engine, the runner, traces, the ledger and the workloads load
+    no service or HTTP module: every process that simulates, such as
+    a pool worker or a streamed run, would otherwise carry them."""
+    code = (
+        "import json, sys\n"
+        "import repro.sim.engine, repro.sim.parallel, repro.sim.tracebin\n"
+        "import repro.obs.ledger, repro.workloads\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "repro.sim.engine" in loaded
+    assert [m for m in loaded
+            if m.split(".")[0] in ("http", "email", "socketserver")
+            or m.split(".")[:2] == ["repro", "service"]] == []
 
 
 def test_recipe_error_is_a_config_error():
@@ -606,16 +650,22 @@ def _outcome(client, name: str) -> int:
     )
 
 
-def _post(server, body: bytes) -> "tuple[int, dict]":
-    """POST raw bytes to /v1/jobs; returns (status, decoded body)."""
+def _post_raw(server, body: bytes) -> "tuple[int, bytes]":
+    """POST raw bytes to /v1/jobs; returns (status, reply bytes)."""
     conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
     try:
         conn.request("POST", "/v1/jobs", body=body,
                      headers={"Content-Type": "application/json"})
         response = conn.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
     finally:
         conn.close()
+
+
+def _post(server, body: bytes) -> "tuple[int, dict]":
+    """POST raw bytes to /v1/jobs; returns (status, decoded body)."""
+    status, raw = _post_raw(server, body)
+    return status, json.loads(raw)
 
 
 def test_http_rejects_malformed_json_body(service):
@@ -1032,6 +1082,315 @@ def test_http_result_no_longer_stored_is_410(service, monkeypatch):
     assert (excinfo.value.status, excinfo.value.type) == (410, "ResultGone")
 
 
+# ---------------------------------------------------------------------------
+# HTTP hits: one round trip
+
+
+def _count_requests(monkeypatch) -> list:
+    """Record the method and path of each request any server handles
+    from now on."""
+    from repro.service import server as server_mod
+
+    handled: list = []
+    real = server_mod._Handler._dispatch
+
+    def counting(handler, method):
+        handled.append((method, handler.path))
+        real(handler, method)
+
+    monkeypatch.setattr(server_mod._Handler, "_dispatch", counting)
+    return handled
+
+
+def _gate_execution(monkeypatch) -> threading.Event:
+    """Hold every execution until the returned event is set."""
+    from repro.sim import parallel
+
+    gate = threading.Event()
+
+    def gated(item):
+        assert gate.wait(timeout=30)
+        return _execute_recipe(item)
+
+    monkeypatch.setattr(parallel, "_execute_recipe", gated)
+    return gate
+
+
+def test_client_hit_is_one_request(service, monkeypatch):
+    """A fresh job's submit and result take two requests; a hit's take
+    one, and its ledger record derives no config digest."""
+    from repro.obs import ledger
+
+    server, client = service
+    handled = _count_requests(monkeypatch)
+    gate = _gate_execution(monkeypatch)
+    d = recipe_to_dict(make_recipe())
+    try:
+        fresh = client.submit(d)
+        assert fresh["state"] == "running"
+        gate.set()
+        payload = client.result_bytes(fresh["id"], timeout=30)
+    finally:
+        gate.set()
+    assert handled == [("POST", "/v1/jobs"),
+                       ("GET", f"/v1/jobs/{fresh['id']}/result?wait=30")]
+    digests = []
+    monkeypatch.setattr(ledger, "config_digest",
+                        lambda config: digests.append(config))
+    for _ in range(3):
+        del handled[:]
+        hit = client.submit(d)
+        assert (hit["state"], hit["source"]) == ("done", "memo")
+        assert client.result_bytes(hit["id"], timeout=30) == payload
+        assert handled == [("POST", "/v1/jobs")]
+    assert digests == []
+
+
+def test_http_hit_reply_carries_the_stored_payload(tmp_path, monkeypatch):
+    """A memo hit's reply, and a disk hit's after a restart on the same
+    cache directory, is ``{"job": view, "result": payload}`` with the
+    payload spliced in: the bytes ``GET .../result`` serves and a local
+    run serializes to."""
+    from repro.obs.ledger import config_digest, read_ledger
+    from repro.service import ServiceClient, create_server
+    from repro.service.api import result_to_json
+    from repro.sim import parallel
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    recipe = make_recipe()
+    body = json.dumps(recipe_to_dict(recipe)).encode()
+    local = result_to_json(recipe.execute())
+    try:
+        for source in ("memo", "disk"):
+            with create_server(port=0, workers=1, mode="thread") as server, \
+                    ServiceClient(server.url, timeout=30) as client:
+                if source == "memo":
+                    client.wait(client.submit(recipe)["id"], timeout=30)
+                status, raw = _post_raw(server, body)
+                assert status == 202
+                view = json.loads(raw)["job"]
+                assert (view["state"], view["source"]) == ("done", source)
+                assert raw == (b'{"job": '
+                               + json.dumps(view, sort_keys=True).encode()
+                               + b', "result": ' + local + b"}")
+                assert client.result_bytes(view["id"]) == local
+                hit = client.submit(recipe)
+                assert client.result_bytes(hit["id"]) == local
+            parallel.clear_memo()
+    finally:
+        parallel.clear_memo()
+    records = [r for r in read_ledger() if r.recipe_key == recipe.key()]
+    assert [r.source for r in records] == ["run", "memo", "memo", "disk",
+                                           "memo"]
+    assert {r.config_digest for r in records} == \
+        {config_digest(recipe.config)}
+
+
+def test_http_only_a_job_done_at_submit_carries_its_result(service,
+                                                          monkeypatch):
+    """Fresh and coalesced replies carry the job alone, as does a hit
+    whose result is gone by the time its payload would be read (and a
+    GET for it is a 410)."""
+    from repro.service import ServiceError
+    from repro.sim import parallel
+
+    server, client = service
+    gate = _gate_execution(monkeypatch)
+    body = json.dumps(recipe_to_dict(make_recipe())).encode()
+    try:
+        replies = [json.loads(_post_raw(server, body)[1]) for _ in range(2)]
+    finally:
+        gate.set()
+    assert [sorted(r) for r in replies] == [["job"], ["job"]]
+    fresh, waiter = (r["job"] for r in replies)
+    assert (fresh["state"], waiter["state"]) == ("running", "queued")
+    assert waiter["coalesced_into"] == fresh["id"]
+    client.wait(waiter["id"], timeout=30)
+    hit = json.loads(_post_raw(server, body)[1])
+    assert sorted(hit) == ["job", "result"]
+    assert hit["result"]["cycles"] > 0
+    real = parallel.lookup_result
+    lookups = []
+
+    def found_once(key):
+        """Found at submit, gone when its payload is read."""
+        lookups.append(key)
+        return real(key) if len(lookups) == 1 else None
+
+    monkeypatch.setattr(parallel, "lookup_result", found_once)
+    gone = json.loads(_post_raw(server, body)[1])
+    assert sorted(gone) == ["job"]
+    assert (gone["job"]["state"], gone["job"]["source"]) == ("done", "memo")
+    with pytest.raises(ServiceError) as excinfo:
+        client.result_bytes(gone["job"]["id"])
+    assert excinfo.value.status == 410
+
+
+def test_client_holds_a_hit_payload_once_per_thread(service, monkeypatch):
+    """The payload a hit came back with serves one ``result_bytes`` for
+    that job on the submitting thread; another thread, a second call,
+    or a call after the next submission makes a GET."""
+    server, client = service
+    d = recipe_to_dict(make_recipe())
+    payload = client.result_bytes(
+        client.wait(client.submit(d)["id"], timeout=30)["id"])
+    handled = _count_requests(monkeypatch)
+    hit = client.submit(d)
+    result = f"/v1/jobs/{hit['id']}/result"
+    seen = []
+    other = threading.Thread(
+        target=lambda: seen.append(client.result_bytes(hit["id"])))
+    other.start()
+    other.join(timeout=30)
+    assert not other.is_alive()
+    assert handled == [("POST", "/v1/jobs"), ("GET", result)]
+    for _ in range(2):
+        seen.append(client.result_bytes(hit["id"]))
+    assert handled == [("POST", "/v1/jobs"), ("GET", result), ("GET", result)]
+    again = client.submit(d)
+    client.submit(make_recipe())
+    seen.append(client.result_bytes(again["id"], timeout=30))
+    assert handled[-1] == ("GET", f"/v1/jobs/{again['id']}/result?wait=30")
+    assert seen == [payload] * 4
+
+
+# ---------------------------------------------------------------------------
+# What a server keeps
+
+
+def test_http_server_keeps_bounded_jobs_and_events(monkeypatch):
+    """Past its bounds, the server drops the oldest terminal jobs and
+    events: never a queued or running job.  A dropped job is as
+    unknown as one never submitted, a stale event cursor learns how
+    many events it missed, and /metrics still counts every job."""
+    from repro.service import ServiceClient, ServiceError, create_server
+    from repro.service import jobs
+    from repro.sim import parallel
+
+    monkeypatch.setattr(jobs, "KEPT_JOBS", 16)
+    monkeypatch.setattr(jobs, "KEPT_EVENTS", 40)
+    held = make_recipe()
+    gate = threading.Event()
+
+    def execute(item):
+        if item[0] == held.key():
+            assert gate.wait(timeout=30)
+        return _execute_recipe(item)
+
+    monkeypatch.setattr(parallel, "_execute_recipe", execute)
+    d = recipe_to_dict(make_recipe())
+    try:
+        with create_server(port=0, workers=2, mode="thread") as server, \
+                ServiceClient(server.url, timeout=30) as client:
+            first = client.wait(client.submit(d)["id"], timeout=30)
+            running = client.submit(held)
+            queued = client.submit(held)
+            for _ in range(1000):
+                client.result_bytes(client.submit(d)["id"])
+            views = client.jobs()
+            assert len(views) == 16 + 2
+            assert {running["id"], queued["id"]} <= {v["id"] for v in views}
+            assert client.health()["jobs"] == \
+                {"done": 16, "running": 1, "queued": 1}
+            errors = []
+            for job_id in (first["id"], "j999999"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.job(job_id)
+                errors.append((excinfo.value.status, excinfo.value.type,
+                               str(excinfo.value).replace(job_id, "?")))
+            assert errors[0] == errors[1] and errors[0][0] == 404
+            # 2 events for the first job, 2 for the held ones, 1 a hit.
+            published = 2 + 2 + 1000
+            stale = client._get_json("/v1/events?since=0")
+            assert stale["next"] == published
+            assert stale["dropped"] == published - 40
+            assert [e["seq"] for e in stale["events"]] == \
+                list(range(published - 39, published + 1))
+            recent = client._get_json(f"/v1/events?since={published - 5}")
+            assert (len(recent["events"]), recent["dropped"]) == (5, 0)
+            assert recent["events"] == stale["events"][-5:]
+            assert client.events(published) == ([], published)
+            assert _outcome(client, "memo") == 1000
+            gate.set()
+            for view in (running, queued):
+                assert client.wait(view["id"], timeout=30)["state"] == "done"
+            assert client.health()["jobs"] == {"done": 16}
+    finally:
+        gate.set()
+
+
+def test_http_bounded_state_under_concurrent_hits(monkeypatch):
+    """Four client threads (more than the cores) race hits with the
+    bounds patched small and frequent thread switches: every hit gets
+    the stored payload from its own reply, and the server ends at its
+    bounds with every hit counted."""
+    from repro.service import ServiceClient, create_server
+    from repro.service import jobs
+
+    monkeypatch.setattr(jobs, "KEPT_JOBS", 8)
+    monkeypatch.setattr(jobs, "KEPT_EVENTS", 16)
+    d = recipe_to_dict(make_recipe())
+    interval = sys.getswitchinterval()
+    with create_server(port=0, workers=2, mode="thread") as server, \
+            ServiceClient(server.url, timeout=30) as client:
+        payload = client.result_bytes(
+            client.wait(client.submit(d)["id"], timeout=30)["id"])
+        seen: list = []
+
+        def hits() -> None:
+            seen.extend(client.result_bytes(client.submit(d)["id"])
+                        for _ in range(200))
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hits) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [payload] * 800
+        assert client.health()["jobs"] == {"done": 8}
+        assert len(client.events(0)[0]) == 16
+        assert _outcome(client, "memo") == 800
+
+
+def test_client_run_recipes_past_the_job_bound(monkeypatch):
+    """A 20-recipe grid against a server that keeps 8 terminal jobs
+    comes back whole and in order.  Cold, every job is done, and the
+    oldest dropped, before the first wait, so a dropped job's recipe is
+    submitted again; warm, each payload comes with its own submit
+    reply, one request per recipe."""
+    from repro.service import ServiceClient, create_server
+    from repro.service import jobs
+    from repro.service.api import result_to_json
+
+    monkeypatch.setattr(jobs, "KEPT_JOBS", 8)
+    recipes = [make_recipe(accesses=60) for _ in range(20)]
+    local = [json.loads(result_to_json(r.execute())) for r in recipes]
+    with create_server(port=0, workers=2, mode="thread") as server, \
+            ServiceClient(server.url, timeout=30) as client:
+        real_wait = client.wait
+
+        def wait_once_all_are_done(job_id, timeout=60.0):
+            deadline = time.monotonic() + 30
+            while set(server.manager.state_counts()) - {"done"}:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            return real_wait(job_id, timeout=timeout)
+
+        monkeypatch.setattr(client, "wait", wait_once_all_are_done)
+        handled = _count_requests(monkeypatch)
+        assert client.run_recipes(recipes, timeout=30) == local
+        assert ("POST", "/v1/jobs") in handled[20:]
+        del handled[:]
+        assert client.run_recipes(recipes, timeout=30) == local
+        assert handled == [("POST", "/v1/jobs")] * 20
+        assert client.health()["jobs"] == {"done": 8}
+
+
 def test_http_health_counts_every_state(service, monkeypatch):
     """/healthz counts the states the job views show, with jobs queued
     (coalesced), running (gated), done and failed at once."""
@@ -1143,6 +1502,30 @@ def test_http_unread_request_body_ends_the_connection(service, path,
         conn.close()
 
 
+def test_http_peer_reset_is_not_a_server_fault(service, capfd):
+    """A client that resets its idle keep-alive connection ends it: the
+    handler waiting for its next request reports nothing."""
+    server, client = service
+    httpd = server._httpd
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    conn.request("GET", "/healthz")
+    assert conn.getresponse().read()
+    # Closing with a zero linger time sends a reset, not a FIN.
+    conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                         struct.pack("ii", 1, 0))
+    conn.close()
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        with httpd._conns_lock:
+            if not httpd._conns:
+                break
+        time.sleep(0.01)
+    with httpd._conns_lock:
+        assert not httpd._conns, "the reset connection was never closed"
+    assert client.health()["ok"] is True
+    assert capfd.readouterr() == ("", "")
+
+
 def test_client_holds_one_connection_per_thread(service):
     server, client = service
     accepted = _count_accepted(server)
@@ -1190,7 +1573,7 @@ def test_client_reconnects_once_after_the_server_drops_it():
         server = create_server(port=port, workers=1, mode="thread").start()
         try:
             accepted = _count_accepted(server)
-            assert client._connection().sock is not None
+            assert client._slot().conn.sock is not None
             assert client.health()["ok"] is True
             assert len(accepted) == 1
         finally:
