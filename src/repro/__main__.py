@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="static-analysis pass enforcing simulator invariants "
              "(determinism, counter discipline, telemetry guarding, "
-             "lock discipline, lock order, fork safety)",
+             "lock discipline)",
     )
     from repro.lint.cli import add_arguments as _add_lint_arguments
 

@@ -10,7 +10,7 @@ which every design in the paper shares.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.cache.block import CacheBlock
 
@@ -83,9 +83,6 @@ class SetAssociativeCache:
 
     def set_index(self, addr: int) -> int:
         return (addr >> self.index_shift) & self.set_mask
-
-    def ways_of(self, set_idx: int) -> list[CacheBlock]:
-        return self.blocks[set_idx]
 
     # -- lookup -------------------------------------------------------------
 
@@ -221,15 +218,6 @@ class SetAssociativeCache:
 
     def occupancy(self) -> int:
         return sum(1 for _ in self.iter_valid())
-
-    def lru_way(self, set_idx: int) -> Optional[int]:
-        """The policy's most-preferred victim way, or None if empty."""
-        ways = [w for w, b in enumerate(self.blocks[set_idx]) if b.valid]
-        if not ways:
-            return None
-        for way in self.policy.ranked_victims(set_idx, AccessContext()):
-            return way
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -84,11 +84,6 @@ class PrivateHierarchy:
 
     # -- hits ----------------------------------------------------------------
 
-    def hit_l1(self, addr: int, ctx: AccessContext) -> None:
-        l1 = self.l1
-        set_idx = l1.set_index(addr)
-        self.hit_l1_at(set_idx, l1.index[set_idx][addr], ctx)
-
     def hit_l1_at(self, set_idx: int, way: int, ctx: AccessContext) -> None:
         """Fast-path L1 hit when the caller already located the block
         (the hierarchy's access loop probes before dispatching)."""

@@ -17,28 +17,25 @@ rule id                 invariant enforced
                         ``telemetry is not None`` predicate
 ``lock-discipline``     ``guarded-by[lock]``-declared state holds
                         its lock at every access and never escapes
-``lock-order``          the acquires-while-holding graph is acyclic
-``fork-safety``         pool-dispatched workers touch no locks,
-                        files, or the run ledger
 ======================  ================================================
 
 Contracts that a runtime test checks more directly live in the test
 suite instead: every ``SystemConfig`` leaf reaches the cache key
-(``tests/test_config_io.py``), and the event-kind, ledger-field and
-rule tables in the docs match the code (``tests/test_docs.py``).
+(``tests/test_config_io.py``), only the parent process appends to the
+run ledger and stores results, one ``os.write`` per record
+(``tests/test_obs.py``), and the event-kind, ledger-field and rule
+tables in the docs match the code (``tests/test_docs.py``).
 
-The concurrency rules ride a shared-state dataflow layer
-(:mod:`repro.lint.dataflow`) that classifies each attribute of a
-lock-owning class as thread-confined, lock-guarded, or
-immutable-after-publish, with a three-marker contract vocabulary
-(``# repro-lint: guarded-by[lock]`` / ``holds[lock]`` / ``fork-safe``).
+``lock-discipline`` reads a per-class dataflow layer
+(:mod:`repro.lint.dataflow`): which attributes of a lock-owning class
+are locks, which lock each access holds, and the two contract markers
+``# repro-lint: guarded-by[lock]`` and ``holds[lock]``.
 
-Run it as ``python -m repro lint`` (or ``scripts/run_lint.py``); findings
-are plain ``file:line: [rule] message`` lines or JSON.  A finding is
-silenced for one line with a trailing ``# repro-lint: ignore[rule]``
-comment; ``--write-baseline``/``--baseline`` record known findings and
-fail only on new ones.  See docs/STATIC_ANALYSIS.md for the rule
-catalog with the history behind each rule.
+Run it as ``python -m repro lint``; findings are plain
+``file:line: [rule] message`` lines or JSON.  A finding is silenced for
+one line with a trailing ``# repro-lint: ignore[rule]`` comment.  See
+docs/STATIC_ANALYSIS.md for the rule catalog with the history behind
+each rule.
 """
 
 from repro.lint.model import (

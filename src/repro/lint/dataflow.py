@@ -1,10 +1,9 @@
-"""Shared-state dataflow inference for the concurrency rules.
+"""Shared-state dataflow inference for the ``lock-discipline`` rule.
 
-The concurrency rules (``lock-discipline``, ``lock-order``,
-``fork-safety``) all need the same facts about a class: which of its
+The rule needs the same facts about every class: which of its
 attributes are locks, which lock (if any) protects each access to every
 other attribute, and what the code *declares* about that protection.
-This module computes those facts once per file; the rules interpret
+This module computes those facts once per file; the rule interprets
 them.
 
 The analysis is deliberately **lexical**.  An access is "under" a lock
@@ -24,10 +23,7 @@ Contract vocabulary (scanned from trailing comments, like suppressions):
   ``self._lock``;
 * ``# repro-lint: holds[_lock]`` on a ``def`` line -- the method is an
   internal helper only ever called with ``self._lock`` held, so its body
-  is analysed as if the lock were taken at entry;
-* ``# repro-lint: fork-safe`` on a ``def`` line -- the function is
-  exempt from the fork/pool-safety checks (it is *designed* to run in a
-  pool worker).
+  is analysed as if the lock were taken at entry.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from repro.lint.visitor import dotted_name
 
 #: The contract verbs, in documentation order.  ``tests/test_docs.py``
 #: checks the vocabulary table in docs/STATIC_ANALYSIS.md against it.
-CONTRACT_MARKERS: tuple[str, ...] = ("guarded-by", "holds", "fork-safe")
+CONTRACT_MARKERS: tuple[str, ...] = ("guarded-by", "holds")
 
 #: ``threading`` constructors whose result is a lock (or owns one).
 LOCK_CONSTRUCTORS = frozenset(
@@ -79,7 +75,6 @@ MUTATOR_METHODS = frozenset(
 _MARKER = re.compile(
     r"#\s*repro-lint:\s*(?P<verb>guarded-by|holds)\[(?P<args>[^\]]*)\]"
 )
-_FORK_SAFE = re.compile(r"#\s*repro-lint:\s*fork-safe\b")
 
 
 @dataclass(frozen=True)
@@ -106,17 +101,6 @@ def contract_markers(source: str) -> dict[int, Marker]:
     return out
 
 
-def fork_safe_lines(source: str) -> frozenset[int]:
-    """Line numbers carrying a ``# repro-lint: fork-safe`` marker."""
-    if "repro-lint" not in source:
-        return frozenset()
-    return frozenset(
-        lineno
-        for lineno, line in enumerate(source.splitlines(), 1)
-        if _FORK_SAFE.search(line) is not None
-    )
-
-
 # ---------------------------------------------------------------------------
 # Per-class facts
 # ---------------------------------------------------------------------------
@@ -129,30 +113,8 @@ class AttrAccess:
     attr: str
     line: int
     write: bool
-    method: str
     held: frozenset[str]  #: canonical lock names held lexically
     in_init: bool
-    in_closure: bool  #: inside a nested def/lambda
-
-
-@dataclass(frozen=True)
-class AcquireEvent:
-    """One ``with self.<lock>:`` entry and the locks already held."""
-
-    lock: str  #: canonical name of the lock being acquired
-    held: frozenset[str]  #: canonical locks held at the acquire site
-    line: int
-    method: str
-
-
-@dataclass(frozen=True)
-class SelfCall:
-    """One ``self.m(...)`` call (for lock-order call propagation)."""
-
-    callee: str
-    held: frozenset[str]
-    line: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -179,13 +141,12 @@ class CaptureEvent:
 
     attrs: frozenset[str]
     line: int
-    method: str
     api: str  #: the dispatch method name (``submit``, ...)
 
 
 @dataclass
 class ClassState:
-    """Everything the concurrency rules need to know about one class."""
+    """Everything ``lock-discipline`` needs to know about one class."""
 
     name: str
     source: SourceFile
@@ -196,8 +157,6 @@ class ClassState:
     holds: dict[str, frozenset[str]] = field(default_factory=dict)
     method_lines: dict[str, int] = field(default_factory=dict)
     accesses: list[AttrAccess] = field(default_factory=list)
-    acquires: list[AcquireEvent] = field(default_factory=list)
-    self_calls: list[SelfCall] = field(default_factory=list)
     returns: list[ReturnEscape] = field(default_factory=list)
     yields: list[YieldEvent] = field(default_factory=list)
     captures: list[CaptureEvent] = field(default_factory=list)
@@ -243,17 +202,6 @@ def _self_attr(node: ast.expr) -> Optional[str]:
     ):
         return node.attr
     return None
-
-
-def module_locks(tree: ast.Module) -> dict[str, int]:
-    """Module-level names bound to ``threading`` lock constructors."""
-    out: dict[str, int] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and _lock_constructor(stmt.value):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    out[target.id] = stmt.lineno
-    return out
 
 
 def _collect_contracts(
@@ -310,7 +258,7 @@ class _MethodWalker:
         self._aliases: dict[str, str] = {}  #: local name -> self attr
         self._nested: dict[str, _Func] = {}  #: nested def name -> node
         for stmt in func.body:
-            self._visit(stmt, held0, in_closure=False)
+            self._visit(stmt, held0)
 
     # -- helpers ----------------------------------------------------------
 
@@ -337,17 +285,14 @@ class _MethodWalker:
         line: int,
         write: bool,
         held: frozenset[str],
-        in_closure: bool,
     ) -> None:
         self.cls.accesses.append(
             AttrAccess(
                 attr=attr,
                 line=line,
                 write=write,
-                method=self.method,
                 held=held,
                 in_init=self.in_init,
-                in_closure=in_closure,
             )
         )
 
@@ -367,30 +312,20 @@ class _MethodWalker:
 
     # -- the walk ---------------------------------------------------------
 
-    def _visit(
-        self, node: ast.AST, held: frozenset[str], in_closure: bool
-    ) -> None:
+    def _visit(self, node: ast.AST, held: frozenset[str]) -> None:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             acquired = set(held)
             for item in node.items:
                 lock = self._as_lock(item.context_expr)
                 if lock is not None:
-                    self.cls.acquires.append(
-                        AcquireEvent(
-                            lock=lock,
-                            held=frozenset(acquired),
-                            line=item.context_expr.lineno,
-                            method=self.method,
-                        )
-                    )
                     acquired.add(lock)
                 else:
-                    self._visit(item.context_expr, held, in_closure)
+                    self._visit(item.context_expr, held)
                 if item.optional_vars is not None:
-                    self._visit(item.optional_vars, held, in_closure)
+                    self._visit(item.optional_vars, held)
             inner = frozenset(acquired)
             for child in node.body:
-                self._visit(child, inner, in_closure)
+                self._visit(child, inner)
             return
 
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -398,17 +333,9 @@ class _MethodWalker:
             for default in node.args.defaults + [
                 d for d in node.args.kw_defaults if d is not None
             ]:
-                self._visit(default, held, in_closure)
+                self._visit(default, held)
             for child in node.body:
-                self._visit(child, held, in_closure=True)
-            return
-
-        if isinstance(node, ast.Lambda):
-            for default in node.args.defaults + [
-                d for d in node.args.kw_defaults if d is not None
-            ]:
-                self._visit(default, held, in_closure)
-            self._visit(node.body, held, in_closure=True)
+                self._visit(child, held)
             return
 
         if isinstance(node, ast.Attribute):
@@ -423,10 +350,9 @@ class _MethodWalker:
                     node.lineno,
                     write=isinstance(node.ctx, (ast.Store, ast.Del)),
                     held=held,
-                    in_closure=in_closure,
                 )
             for child in ast.iter_child_nodes(node):
-                self._visit(child, held, in_closure)
+                self._visit(child, held)
             return
 
         if isinstance(node, ast.Subscript) and isinstance(
@@ -436,10 +362,7 @@ class _MethodWalker:
             # mutation is a write to the attribute.
             attr = self._plain_attr(node.value)
             if attr is not None:
-                self._record(
-                    attr, node.lineno, write=True, held=held,
-                    in_closure=in_closure,
-                )
+                self._record(attr, node.lineno, write=True, held=held)
 
         if isinstance(node, ast.Assign):
             # Track `x = self.attr` so `return x` counts as an escape of
@@ -452,7 +375,7 @@ class _MethodWalker:
                     else:
                         self._aliases.pop(target.id, None)
             for child in ast.iter_child_nodes(node):
-                self._visit(child, held, in_closure)
+                self._visit(child, held)
             return
 
         if isinstance(node, ast.Return) and node.value is not None:
@@ -469,7 +392,7 @@ class _MethodWalker:
                         attr=escaped, line=node.lineno, method=self.method
                     )
                 )
-            self._visit(node.value, held, in_closure)
+            self._visit(node.value, held)
             return
 
         if isinstance(node, (ast.Yield, ast.YieldFrom)) and held:
@@ -485,22 +408,8 @@ class _MethodWalker:
             ):
                 receiver = self._plain_attr(node.func.value)
                 if receiver is not None:
-                    self._record(
-                        receiver, node.lineno, write=True, held=held,
-                        in_closure=in_closure,
-                    )
-            name = dotted_name(node.func)
-            if name is not None and name.startswith("self."):
-                parts = name.split(".")
-                if len(parts) == 2:
-                    self.cls.self_calls.append(
-                        SelfCall(
-                            callee=parts[1],
-                            held=held,
-                            line=node.lineno,
-                            method=self.method,
-                        )
-                    )
+                    self._record(receiver, node.lineno, write=True,
+                                 held=held)
             if (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in DISPATCH_METHODS
@@ -521,13 +430,12 @@ class _MethodWalker:
                                 CaptureEvent(
                                     attrs=attrs,
                                     line=node.lineno,
-                                    method=self.method,
                                     api=node.func.attr,
                                 )
                             )
 
         for child in ast.iter_child_nodes(node):
-            self._visit(child, held, in_closure)
+            self._visit(child, held)
 
 
 def analyze_file(source_file: SourceFile) -> list[ClassState]:
@@ -547,33 +455,6 @@ def analyze_file(source_file: SourceFile) -> list[ClassState]:
                 _MethodWalker(cls, item)
         out.append(cls)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Attribute classification
-# ---------------------------------------------------------------------------
-
-#: Classification labels (also used in the documentation).
-CONFINED = "thread-confined"
-GUARDED = "lock-guarded"
-IMMUTABLE = "immutable-after-publish"
-
-
-def classify_attr(cls: ClassState, attr: str) -> str:
-    """The inferred sharing class of one attribute.
-
-    ``lock-guarded`` when every access outside ``__init__`` holds a
-    common lock; ``immutable-after-publish`` when the attribute is
-    written only in ``__init__`` and merely read afterwards;
-    ``thread-confined`` otherwise (the default claim: if it were shared,
-    some access would be locked).
-    """
-    outside = [a for a in cls.accesses if a.attr == attr and not a.in_init]
-    if not outside or all(not a.write for a in outside):
-        return IMMUTABLE
-    if common_lock(outside) is not None:
-        return GUARDED
-    return CONFINED
 
 
 def common_lock(accesses: list[AttrAccess]) -> Optional[str]:

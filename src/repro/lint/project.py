@@ -2,11 +2,10 @@
 
 Rules never touch the filesystem themselves; they receive a
 :class:`Project`, which owns file discovery, lazy AST parsing and the
-per-file suppression maps.  Cross-file rules (counter discipline reads
-``stats.py``, fork safety follows calls into other modules) locate
-their anchor files by *basename* through :meth:`Project.find_module`,
-so the same rule code runs unchanged on the real tree and on the
-miniature fixture trees the self-tests build.
+per-file suppression maps.  A cross-file rule (counter discipline reads
+``stats.py``) locates its anchor file by *basename* through
+:meth:`Project.find_module`, so the same rule code runs unchanged on
+the real tree and on the miniature fixture trees the self-tests build.
 """
 
 from __future__ import annotations

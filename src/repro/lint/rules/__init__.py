@@ -8,8 +8,6 @@ from repro.lint.rules.scope import (  # noqa: F401
 from repro.lint.rules import (  # noqa: F401
     counters,
     determinism,
-    fork_safety,
     lock_discipline,
-    lock_order,
     telemetry_guard,
 )

@@ -15,8 +15,8 @@ SIMULATOR_SCOPE = frozenset(
 
 #: Directories holding threaded / forked code: the HTTP job service,
 #: the observability writers it shares with the CLI, and the parallel
-#: runner whose pool workers the service dispatches to.  The
-#: concurrency rules only engage classes that construct a ``threading``
+#: runner whose pool workers the service dispatches to.
+#: ``lock-discipline`` only engages classes that construct a ``threading``
 #: lock, so including all of ``sim`` costs nothing (the simulator core
 #: is single-threaded by design and must stay that way).
 CONCURRENCY_SCOPE = frozenset(("service", "obs", "sim"))

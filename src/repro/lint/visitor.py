@@ -9,7 +9,7 @@ rule here needs and the stdlib visitor lacks:
   node's line in the file under analysis.
 
 Plus module-level expression helpers used across rules: dotted-name
-flattening and "does this expression mention X?" queries.
+flattening, the ``None`` constant and decorator names.
 """
 
 from __future__ import annotations
@@ -70,21 +70,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def mentions_attribute(node: ast.AST, attr: str) -> bool:
-    """True when any attribute access ``<x>.<attr>`` occurs in ``node``."""
-    return any(
-        isinstance(n, ast.Attribute) and n.attr == attr
-        for n in ast.walk(node)
-    )
-
-
-def mentions_name(node: ast.AST, name: str) -> bool:
-    """True when the bare name ``name`` is read anywhere in ``node``."""
-    return any(
-        isinstance(n, ast.Name) and n.id == name for n in ast.walk(node)
-    )
 
 
 def is_none_constant(node: ast.AST) -> bool:

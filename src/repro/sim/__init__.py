@@ -17,7 +17,6 @@ from repro.sim.parallel import (
     run_many,
 )
 from repro.sim.report import compare_results, describe_result
-from repro.sim.sweep import SweepPoint, SweepRow, format_sweep, run_sweep
 from repro.sim.telemetry import (
     ProgressPrinter,
     RunProgress,
@@ -52,10 +51,6 @@ __all__ = [
     "clear_result_cache",
     "describe_result",
     "compare_results",
-    "SweepPoint",
-    "SweepRow",
-    "run_sweep",
-    "format_sweep",
     "save_workload",
     "load_workload",
     "TelemetryCollector",

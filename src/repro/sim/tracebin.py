@@ -409,9 +409,6 @@ class TraceBinReader:
 
     # -- chunk access ------------------------------------------------------
 
-    def chunk_count(self, core: int) -> int:
-        return len(self._chunks[core])
-
     def chunk_bytes(self, core: int, ci: int) -> bytes:
         offset, count, _crc = self._chunks[core][ci]
         return self._mm[offset:offset + count * RECORD_BYTES]

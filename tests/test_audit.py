@@ -385,20 +385,27 @@ class TestCacheKeys:
         assert result.audit is None
 
     def test_sweep_points_resolve_env_at_construction(self, monkeypatch):
-        from repro.sim.sweep import SweepPoint
+        """A figure's grid reads REPRO_AUDIT when it is built, point by
+        point, as ``make_recipe`` does: resolved later, under another
+        environment, it still runs what it declared."""
+        from repro.experiments import fig09_permix_lru as fig
 
-        wl = mixing_workload()
-        point = SweepPoint("p", tiny_config(), "inclusive")
+        def points():
+            return [r for rs in fig.grid("smoke").values() for r in rs]
+
         monkeypatch.delenv(AUDIT_ENV_VAR, raising=False)
-        plain = point.recipe(wl)
-        assert not plain.config.telemetry.enabled
+        plain = points()
         monkeypatch.setenv(AUDIT_ENV_VAR, "end")
-        audited = point.recipe(wl)
-        assert audited.config.audit.enabled
-        assert plain.key() != audited.key()
+        audited = points()
+        monkeypatch.delenv(AUDIT_ENV_VAR)
+        assert not any(r.config.audit.enabled for r in plain)
+        assert all(r.config.audit.enabled for r in audited)
+        assert len(plain) == len(audited) > 1
+        assert all(p.key() != a.key() for p, a in zip(plain, audited))
         # Resolved as make_recipe resolves it.
-        assert audited.key() == make_recipe(wl, "inclusive",
-                                            config=tiny_config()).key()
+        base = audited[0]
+        assert base.key() == make_recipe(base.workload, "inclusive", "lru",
+                                         l2="256KB", audit="end").key()
 
     def test_config_io_roundtrip(self):
         from repro.config_io import config_from_dict, config_to_dict

@@ -1,13 +1,15 @@
 """The static-analysis pass: every rule fires on a violating fixture,
 stays quiet on a clean one, suppressions work, JSON round-trips, and the
-shipped tree itself lints clean.  The schema contracts that left lint
-still catch each defect their old rules' fixtures planted."""
+shipped tree itself lints clean.  The contracts that left lint still
+catch each defect their old rules' fixtures planted."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
+import re
 
 import pytest
 
@@ -33,21 +35,28 @@ from repro.params import (
     TelemetryParams,
     scaled_config,
 )
-from repro.sim import telemetry
+from repro.obs import ledger
+from repro.sim import parallel, telemetry
 from repro.sim.engine import run_workload
+from repro.sim.parallel import (
+    RunRecipe,
+    _execute_recipe,
+    lookup_result,
+    publish_result,
+    record_resolution,
+)
 from repro.workloads import homogeneous_mix
 from tests.conftest import tiny_config
 from tests.test_config_io import leaf_problems
 from tests.test_docs import kind_table_drift
+from tests.test_obs import append_problems, make_record, parent_only_problems
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 EXPECTED_RULES = (
     "counter-discipline",
     "determinism",
-    "fork-safety",
     "lock-discipline",
-    "lock-order",
     "telemetry-guard",
 )
 
@@ -728,304 +737,6 @@ class TestLockDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# Concurrency contracts: lock-order
-# ---------------------------------------------------------------------------
-
-
-class TestLockOrder:
-    def test_two_lock_inversion_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/two.py": (
-                "import threading\n"
-                "class Two:\n"
-                "    def __init__(self):\n"
-                "        self._a = threading.Lock()\n"
-                "        self._b = threading.Lock()\n"
-                "    def ab(self):\n"
-                "        with self._a:\n"
-                "            with self._b:\n"
-                "                pass\n"
-                "    def ba(self):\n"
-                "        with self._b:\n"
-                "            with self._a:\n"
-                "                pass\n"
-            ),
-        }, rules=["lock-order"])
-        assert len(findings) == 1
-        assert "lock-order cycle _a -> _b -> _a" in findings[0].message
-
-    def test_consistent_order_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/two.py": (
-                "import threading\n"
-                "class Two:\n"
-                "    def __init__(self):\n"
-                "        self._a = threading.Lock()\n"
-                "        self._b = threading.Lock()\n"
-                "    def one(self):\n"
-                "        with self._a:\n"
-                "            with self._b:\n"
-                "                pass\n"
-                "    def other(self):\n"
-                "        with self._a:\n"
-                "            with self._b:\n"
-                "                pass\n"
-            ),
-        }, rules=["lock-order"])
-        assert findings == []
-
-    def test_cycle_through_helper_call_fires(self, tmp_path):
-        """Call propagation: an inversion split across a helper method
-        is still a cycle."""
-        findings = lint_tree(tmp_path, {
-            "service/two.py": (
-                "import threading\n"
-                "class Two:\n"
-                "    def __init__(self):\n"
-                "        self._a = threading.Lock()\n"
-                "        self._b = threading.Lock()\n"
-                "    def outer(self):\n"
-                "        with self._a:\n"
-                "            self._inner()\n"
-                "    def _inner(self):\n"
-                "        with self._b:\n"
-                "            pass\n"
-                "    def rev(self):\n"
-                "        with self._b:\n"
-                "            with self._a:\n"
-                "                pass\n"
-            ),
-        }, rules=["lock-order"])
-        assert len(findings) == 1
-        assert "cycle" in findings[0].message
-
-    def test_rlock_reentrancy_is_not_a_cycle(self, tmp_path):
-        """Re-taking the same RLock (the JobManager callback pattern)
-        is a self-edge, not an inversion."""
-        findings = lint_tree(tmp_path, {
-            "service/re.py": (
-                "import threading\n"
-                "class Re:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.RLock()\n"
-                "        self._cond = threading.Condition(self._lock)\n"
-                "    def outer(self):\n"
-                "        with self._lock:\n"
-                "            with self._cond:\n"
-                "                pass\n"
-            ),
-        }, rules=["lock-order"])
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# Concurrency contracts: fork-safety
-# ---------------------------------------------------------------------------
-
-
-class TestForkSafety:
-    def test_lock_across_fork_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "import threading\n"
-                "LOCK = threading.Lock()\n"
-                "def work(item):\n"
-                "    with LOCK:\n"
-                "        return item\n"
-                "def run(pool, items):\n"
-                "    return pool.map(work, items)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert len(findings) == 1
-        assert "with LOCK:" in findings[0].message
-        assert findings[0].line == 4
-
-    def test_file_handle_in_worker_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "def work(item):\n"
-                "    return open(item).read()\n"
-                "def run(pool, items):\n"
-                "    return pool.imap(work, items)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert len(findings) == 1
-        assert "opens a file handle" in findings[0].message
-
-    def test_fork_safe_marker_whitelists(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "def work(item):  # repro-lint: fork-safe\n"
-                "    return open(item).read()\n"
-                "def run(pool, items):\n"
-                "    return pool.imap(work, items)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert findings == []
-
-    def test_pure_worker_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "def work(item):\n"
-                "    return item * 2\n"
-                "def run(pool, items):\n"
-                "    return pool.map(work, items)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert findings == []
-
-    def test_transitive_callee_is_walked(self, tmp_path):
-        """A violation two calls deep (and across modules) still fires."""
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "from service import disk\n"
-                "def work(item):\n"
-                "    return disk.load(item)\n"
-                "def run(pool, items):\n"
-                "    return pool.map(work, items)\n"
-            ),
-            "service/disk.py": (
-                "def load(path):\n"
-                "    return open(path).read()\n"
-            ),
-        }, rules=["fork-safety"])
-        assert len(findings) == 1
-        assert findings[0].file.endswith("service/disk.py")
-
-    def test_pool_initializer_is_a_dispatch_site(self, tmp_path):
-        """An initializer runs in every worker: its lock and its file
-        handle are reported like a dispatched task's."""
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "import concurrent.futures\n"
-                "import threading\n"
-                "LOCK = threading.Lock()\n"
-                "def probe(path):\n"
-                "    with LOCK:\n"
-                "        return open(path).read()\n"
-                "def run(path):\n"
-                "    return concurrent.futures.ProcessPoolExecutor(\n"
-                "        max_workers=2, initializer=probe, initargs=(path,))\n"
-            ),
-        }, rules=["fork-safety"])
-        assert sorted(f.line for f in findings) == [5, 6]
-        assert all("ProcessPoolExecutor(initializer=)" in f.message
-                   for f in findings)
-
-    def test_pure_pool_initializer_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "ITEMS = []\n"
-                "def adopt(items):\n"
-                "    global ITEMS\n"
-                "    ITEMS = items\n"
-                "def run(ctx, items):\n"
-                "    return ctx.Pool(2, initializer=adopt, initargs=(items,))\n"
-            ),
-        }, rules=["fork-safety"])
-        assert findings == []
-
-    def test_worker_reaching_ledger_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "from repro.obs.ledger import append_record\n"
-                "def work(item):\n"
-                "    append_record(item)\n"
-                "    return item\n"
-                "def run(pool, items):\n"
-                "    return pool.map(work, items)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert any("parent-process-only" in f.message for f in findings)
-
-    def test_worker_recording_a_resolution_fires(self, tmp_path):
-        """``record_resolution`` appends to the ledger, so a pool task
-        that calls it is reported like one calling ``append_record``."""
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "from repro.sim.parallel import record_resolution\n"
-                "def work(item):\n"
-                "    record_resolution(*item)\n"
-                "    return item\n"
-                "def run(executor, item):\n"
-                "    return executor.submit(work, item)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert [f.line for f in findings] == [3]
-        assert "record_resolution()" in findings[0].message
-        assert "parent-process-only" in findings[0].message
-
-    def test_pool_builder_initializer_is_a_dispatch_site(self, tmp_path):
-        """``parallel.process_pool(initializer=f)`` runs ``f`` in every
-        worker, like the executor it builds."""
-        findings = lint_tree(tmp_path, {
-            "service/worker.py": (
-                "from repro.sim import parallel\n"
-                "def probe(path):\n"
-                "    return open(path).read()\n"
-                "def run(path):\n"
-                "    return parallel.process_pool(\n"
-                "        2, initializer=probe, initargs=(path,))\n"
-            ),
-        }, rules=["fork-safety"])
-        assert [f.line for f in findings] == [3]
-        assert "process_pool(initializer=)" in findings[0].message
-
-    def test_ledger_two_writes_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "obs/ledger.py": (
-                "import os\n"
-                "def append_record(rec):\n"
-                "    fd = os.open('l', os.O_APPEND | os.O_WRONLY)\n"
-                "    os.write(fd, b'a')\n"
-                "    os.write(fd, b'b')\n"
-                "    os.close(fd)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert len(findings) == 1
-        assert "exactly one write" in findings[0].message
-
-    def test_ledger_missing_o_append_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "obs/ledger.py": (
-                "import os\n"
-                "def append_record(rec):\n"
-                "    fd = os.open('l', os.O_WRONLY)\n"
-                "    os.write(fd, rec)\n"
-                "    os.close(fd)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert len(findings) == 1
-        assert "without O_APPEND" in findings[0].message
-
-    def test_ledger_buffered_append_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "obs/ledger.py": (
-                "def append_record(rec):\n"
-                "    with open('l', 'a') as fh:\n"
-                "        fh.write(rec)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert findings
-        assert any("os.open" in f.message for f in findings)
-
-    def test_disciplined_ledger_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "obs/ledger.py": (
-                "import os\n"
-                "def append_record(rec):\n"
-                "    fd = os.open('l', os.O_APPEND | os.O_CREAT "
-                "| os.O_WRONLY)\n"
-                "    try:\n"
-                "        os.write(fd, rec)\n"
-                "    finally:\n"
-                "        os.close(fd)\n"
-            ),
-        }, rules=["fork-safety"])
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # The dataflow layer itself
 # ---------------------------------------------------------------------------
 
@@ -1039,28 +750,6 @@ class TestDataflow:
         (p / "m.py").write_text(source)
         project = Project([str(p)], root=str(tmp_path))
         return analyze_file(project.files[0])
-
-    def test_classification_three_ways(self, tmp_path):
-        from repro.lint.dataflow import (
-            CONFINED, GUARDED, IMMUTABLE, classify_attr,
-        )
-
-        (cls,) = self.analyze(tmp_path, (
-            "import threading\n"
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.frozen = 1\n"
-            "        self.guarded = 2\n"
-            "        self.local = 3\n"
-            "    def use(self):\n"
-            "        with self._lock:\n"
-            "            self.guarded += 1\n"
-            "        self.local += self.frozen\n"
-        ))
-        assert classify_attr(cls, "frozen") == IMMUTABLE
-        assert classify_attr(cls, "guarded") == GUARDED
-        assert classify_attr(cls, "local") == CONFINED
 
     def test_condition_alias_canonicalises(self, tmp_path):
         (cls,) = self.analyze(tmp_path, (
@@ -1089,17 +778,14 @@ class TestDataflow:
         ))
         (access,) = [a for a in cls.accesses if not a.in_init]
         assert access.attr == "_seq"
-        assert access.in_closure
         assert "_lock" in access.held
 
     def test_marker_parsing(self):
-        from repro.lint.dataflow import contract_markers, fork_safe_lines
+        from repro.lint.dataflow import contract_markers
 
         src = (
             "a = 1  # repro-lint: guarded-by[_lock]\n"
             "def f():  # repro-lint: holds[_a, _b]\n"
-            "    pass\n"
-            "def g():  # repro-lint: fork-safe\n"
             "    pass\n"
         )
         markers = contract_markers(src)
@@ -1107,7 +793,6 @@ class TestDataflow:
         assert markers[1].args == ("_lock",)
         assert markers[2].verb == "holds"
         assert markers[2].args == ("_a", "_b")
-        assert fork_safe_lines(src) == frozenset((4,))
 
     def test_real_jobmanager_contract_is_live(self, monkeypatch):
         """Non-vacuity: the shipped JobManager is a lock-bearing class
@@ -1128,105 +813,6 @@ class TestDataflow:
         assert any(
             a.attr == "_jobs" and "_lock" in a.held for a in mgr.accesses
         )
-
-
-# ---------------------------------------------------------------------------
-# Baseline record/compare
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    BAD = "import time\nT = time.time()\n"
-
-    def _tree(self, tmp_path):
-        sim = tmp_path / "sim"
-        sim.mkdir(exist_ok=True)
-        (sim / "bad.py").write_text(self.BAD)
-
-    def test_known_findings_pass_new_findings_fail(self, capsys,
-                                                   monkeypatch, tmp_path):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        self._tree(tmp_path)
-        assert main(["lint", "sim", "--write-baseline", "base.json"]) == 0
-        capsys.readouterr()
-        # The recorded violation no longer fails the run...
-        assert main(["lint", "sim", "--baseline", "base.json"]) == 0
-        err = capsys.readouterr().err
-        assert "1 known finding(s), 0 new, 0 fixed" in err
-        # ...but a new one does, and is the only one reported.
-        (tmp_path / "sim" / "worse.py").write_text(self.BAD)
-        assert main(["lint", "sim", "--baseline", "base.json"]) == 1
-        captured = capsys.readouterr()
-        assert "worse.py" in captured.out
-        assert "bad.py" not in captured.out
-        assert "1 known finding(s), 1 new, 0 fixed" in captured.err
-
-    def test_line_shifts_do_not_defeat_the_baseline(self, capsys,
-                                                    monkeypatch, tmp_path):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        self._tree(tmp_path)
-        assert main(["lint", "sim", "--write-baseline", "base.json"]) == 0
-        (tmp_path / "sim" / "bad.py").write_text("# pushed down\n" + self.BAD)
-        assert main(["lint", "sim", "--baseline", "base.json"]) == 0
-
-    def test_fixed_findings_are_counted(self, capsys, monkeypatch,
-                                        tmp_path):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        self._tree(tmp_path)
-        assert main(["lint", "sim", "--write-baseline", "base.json"]) == 0
-        (tmp_path / "sim" / "bad.py").write_text("CLEAN = 1\n")
-        assert main(["lint", "sim", "--baseline", "base.json"]) == 0
-        assert "0 known finding(s), 0 new, 1 fixed" in capsys.readouterr().err
-
-    def test_json_format_reports_only_new(self, capsys, monkeypatch,
-                                          tmp_path):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        self._tree(tmp_path)
-        assert main(["lint", "sim", "--write-baseline", "base.json"]) == 0
-        (tmp_path / "sim" / "worse.py").write_text(self.BAD)
-        capsys.readouterr()
-        assert main(
-            ["lint", "sim", "--format", "json", "--baseline", "base.json"]
-        ) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["count"] == 1
-        assert doc["findings"][0]["file"].endswith("worse.py")
-
-    def test_flags_are_mutually_exclusive(self, capsys, monkeypatch,
-                                          tmp_path):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        self._tree(tmp_path)
-        assert main(["lint", "sim", "--baseline", "b.json",
-                     "--write-baseline", "b.json"]) == 2
-
-    def test_missing_baseline_is_usage_error(self, capsys, monkeypatch,
-                                             tmp_path):
-        from repro.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        self._tree(tmp_path)
-        assert main(["lint", "sim", "--baseline", "missing.json"]) == 2
-
-    def test_committed_baseline_is_empty_and_current(self, monkeypatch):
-        """The shipped lint_baseline.json records a clean tree -- when
-        this fails, re-record it (and ask why the tree regressed)."""
-        from repro.lint.baseline import compare, load_baseline
-
-        monkeypatch.chdir(REPO_ROOT)
-        baseline = load_baseline("lint_baseline.json")
-        assert baseline == []
-        delta = compare(lint_paths(["src/repro"]), baseline)
-        assert delta.new == ()
 
 
 # ---------------------------------------------------------------------------
@@ -1424,3 +1010,166 @@ class TestEventSchemaSync:
         # run time, a kind no static pass could resolve; the emit call
         # checks it all the same.
         _run_without_kind(monkeypatch, "relocation", "ziv:notinprc")
+
+
+# The fork-safety rule walked the module functions a pool dispatch site
+# names.  It found no module lock in the tree, and it missed a ledger
+# append one method call below those functions, in RunRecipe.execute.
+# parent_only_problems and append_problems (tests/test_obs.py) run the
+# real worker paths and the real append instead.
+
+
+def _execute_and_record(item):
+    """``parallel._execute_recipe`` that records its own resolution in
+    the worker.  Module level, so the service's pool pickles it by
+    name."""
+    key, result, wall_s = _execute_recipe(item)
+    record_resolution(item[1], key, result, "run", wall_s)
+    return key, result, wall_s
+
+
+def _append_then_init(initializer, initargs) -> None:
+    """Pool initializer that appends a ledger record, then runs the
+    builder's own ``initializer``."""
+    ledger.append_record(make_record())
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _plant_in_execute(monkeypatch, extra) -> None:
+    """Make every worker call ``extra(recipe, result)`` after running a
+    recipe (forked workers inherit the patched method)."""
+    real = RunRecipe.execute
+
+    def execute(self):
+        result = real(self)
+        extra(self, result)
+        return result
+
+    monkeypatch.setattr(RunRecipe, "execute", execute)
+
+
+def _masked(problems: list[str]) -> list[str]:
+    """``problems`` without worker pids, sorted and deduplicated."""
+    return sorted({re.sub(r"pid \d+", "pid N", p) for p in problems})
+
+
+def _in_workers(name: str, made: int, want: int) -> list[str]:
+    """What ``parent_only_problems`` reports, pids masked, when each
+    fresh run also calls ``name`` in its worker."""
+    return sorted(
+        line
+        for via in ("JobManager", "run_many")
+        for line in (f"{via}: {made} {name} calls, want {want}",
+                     f"{via}: {name} ran in worker pid N")
+    )
+
+
+def _write_line(record, path, flags, chunks) -> None:
+    """Append ``record`` to ``path`` as ``chunks`` os.write calls on a
+    descriptor opened with ``flags``."""
+    line = (record.to_json_line() + "\n").encode()
+    fd = os.open(path, flags, 0o644)
+    try:
+        for part in range(chunks):
+            os.write(fd, line[part * len(line) // chunks:
+                              (part + 1) * len(line) // chunks])
+    finally:
+        os.close(fd)
+
+
+class TestForkSafety:
+    def test_worker_recording_a_resolution_fires(self, monkeypatch,
+                                                 tmp_path):
+        """The dispatched function records a resolution: the rule
+        caught this one."""
+        monkeypatch.setattr(parallel, "_execute_recipe", _execute_and_record)
+        assert _masked(parent_only_problems(monkeypatch, tmp_path)) == \
+            _in_workers("append_record", 7, 4)
+
+    def test_worker_reaching_ledger_fires(self, monkeypatch, tmp_path):
+        """``RunRecipe.execute`` records a resolution: a method call
+        below the dispatched function, which the rule never walked."""
+        _plant_in_execute(monkeypatch, lambda recipe, result:
+                          record_resolution(recipe, recipe.key(), result,
+                                            "run", 0.0))
+        assert _masked(parent_only_problems(monkeypatch, tmp_path)) == \
+            _in_workers("append_record", 7, 4)
+
+    def test_transitive_callee_is_walked(self, monkeypatch, tmp_path):
+        """A result store two calls below ``RunRecipe.execute``
+        (``publish_result``, then ``store_result``) is reported too."""
+        _plant_in_execute(monkeypatch, lambda recipe, result:
+                          publish_result(recipe.key(), result))
+        assert _masked(parent_only_problems(monkeypatch, tmp_path)) == \
+            _in_workers("store_result", 6, 3)
+
+    def test_pool_initializer_is_a_dispatch_site(self, monkeypatch,
+                                                 tmp_path):
+        """``run_many``'s pool initializer runs in every worker, so a
+        ledger append there is reported like a dispatched task's."""
+        real = parallel._adopt_pending
+
+        def adopt_and_append(items):
+            real(items)
+            ledger.append_record(make_record())
+
+        monkeypatch.setattr(parallel, "_adopt_pending", adopt_and_append)
+        problems = _masked(parent_only_problems(monkeypatch, tmp_path))
+        assert "run_many: append_record ran in worker pid N" in problems
+        assert not any(p.startswith("JobManager") for p in problems)
+
+    def test_pool_builder_initializer_is_a_dispatch_site(self, monkeypatch,
+                                                         tmp_path):
+        """``parallel.process_pool(initializer=f)`` runs ``f`` in every
+        worker, like the executor it builds: a ledger append in the
+        initializer the builder installs is reported on both paths that
+        build their pool through it."""
+        real = parallel.process_pool
+
+        def builder(workers, initializer=None, initargs=()):
+            return real(workers, initializer=_append_then_init,
+                        initargs=(initializer, initargs))
+
+        monkeypatch.setattr(parallel, "process_pool", builder)
+        problems = _masked(parent_only_problems(monkeypatch, tmp_path))
+        assert "run_many: append_record ran in worker pid N" in problems
+        assert "JobManager: append_record ran in worker pid N" in problems
+
+    def test_pure_worker_stays_quiet(self, monkeypatch, tmp_path):
+        """A worker that reads the cache and the ledger writes neither."""
+        _plant_in_execute(monkeypatch, lambda recipe, result:
+                          (lookup_result(recipe.key()),
+                           ledger.read_ledger()))
+        assert parent_only_problems(monkeypatch, tmp_path) == []
+
+    def test_ledger_two_writes_fires(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ledger, "append_record", lambda rec, path: (
+            _write_line(rec, path, os.O_APPEND | os.O_CREAT | os.O_WRONLY,
+                        chunks=2)))
+        assert append_problems(monkeypatch, tmp_path) == [
+            "2 os.write calls for one record"
+        ]
+
+    def test_ledger_missing_o_append_fires(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ledger, "append_record", lambda rec, path: (
+            _write_line(rec, path, os.O_CREAT | os.O_WRONLY, chunks=1)))
+        assert append_problems(monkeypatch, tmp_path) == [
+            "os.write on a descriptor opened without O_APPEND"
+        ]
+
+    def test_ledger_buffered_append_fires(self, monkeypatch, tmp_path):
+        def buffered(rec, path):
+            with open(path, "a") as fh:
+                fh.write(rec.to_json_line() + "\n")
+
+        monkeypatch.setattr(ledger, "append_record", buffered)
+        assert append_problems(monkeypatch, tmp_path) == [
+            "0 os.write calls for one record"
+        ]
+
+    def test_disciplined_ledger_stays_quiet(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ledger, "append_record", lambda rec, path: (
+            _write_line(rec, path, os.O_APPEND | os.O_CREAT | os.O_WRONLY,
+                        chunks=1)))
+        assert append_problems(monkeypatch, tmp_path) == []

@@ -522,6 +522,132 @@ class TestLedgerAtomicity:
 
 
 # ---------------------------------------------------------------------------
+# Parent-only ledger and cache writes
+# ---------------------------------------------------------------------------
+
+
+def _noting(log: str, name: str, real, *args, **kwargs):
+    """Note ``name`` and this process's pid in ``log``, then call
+    ``real``.  One write on an O_APPEND descriptor, so the notes of
+    forked workers land whole beside the parent's."""
+    fd = os.open(log, os.O_APPEND | os.O_CREAT | os.O_WRONLY)
+    try:
+        os.write(fd, f"{name} {os.getpid()}\n".encode())
+    finally:
+        os.close(fd)
+    return real(*args, **kwargs)
+
+
+def _resolve_on_service_workers(recipes) -> None:
+    """Submit ``recipes`` to a two-worker process-mode ``JobManager`` and
+    wait for every job to finish."""
+    from repro.service.jobs import JobManager
+
+    manager = JobManager(workers=2, mode="process")
+    try:
+        ids = [manager.submit(recipe)["id"] for recipe in recipes]
+        for job_id in ids:
+            view = manager.wait(job_id, timeout=60)
+            assert view["state"] == "done", view["error"]
+    finally:
+        manager.close()
+
+
+def parent_only_problems(monkeypatch, tmp_path) -> list[str]:
+    """Resolve three recipes, one of them twice, through ``run_many``
+    and through ``JobManager(mode="process")``, each on two forked
+    workers; one message for every ``ledger.append_record`` or
+    ``parallel.store_result`` call made outside this process, and for
+    every count other than one append per resolution and one store per
+    fresh run."""
+    from repro.obs import ledger
+    from repro.sim import parallel
+
+    monkeypatch.setenv("REPRO_MP_START", "fork")
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_LEDGER", raising=False)
+    cfg = tiny_config()
+    unique = [RunRecipe(make_workload(k, length=200), "inclusive", cfg)
+              for k in range(3)]
+    recipes = unique + unique[:1]
+    want = {"append_record": len(recipes), "store_result": len(unique)}
+    problems = []
+    for via, resolve in (
+        ("run_many", functools.partial(run_many, jobs=2)),
+        ("JobManager", _resolve_on_service_workers),
+    ):
+        log = tmp_path / f"{via}.calls"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / via))
+        clear_memo()
+        with monkeypatch.context() as m:
+            for module, name in ((ledger, "append_record"),
+                                 (parallel, "store_result")):
+                m.setattr(module, name, functools.partial(
+                    _noting, str(log), name, getattr(module, name)))
+            resolve(recipes)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        problems += [f"{via}: {name} ran in worker pid {pid}"
+                     for name, pid in calls if int(pid) != os.getpid()]
+        for name, n in want.items():
+            made = sum(1 for called, _ in calls if called == name)
+            if made != n:
+                problems.append(f"{via}: {made} {name} calls, want {n}")
+    clear_memo()
+    return problems
+
+
+def append_problems(monkeypatch, tmp_path) -> list[str]:
+    """Append one record through ``ledger.append_record`` with
+    ``os.open`` and ``os.write`` watched; one message for every way the
+    append differs from a single ``os.write`` of the whole line on an
+    ``O_APPEND`` descriptor."""
+    from repro.obs import ledger
+
+    monkeypatch.delenv("REPRO_LEDGER", raising=False)
+    record = make_record()
+    flags: dict[int, int] = {}
+    writes: list[tuple[int, bytes]] = []
+    real_open, real_write = os.open, os.write
+
+    def watched_open(path, flag, *args, **kwargs):
+        fd = real_open(path, flag, *args, **kwargs)
+        flags[fd] = flag
+        return fd
+
+    def watched_write(fd, data):
+        writes.append((fd, bytes(data)))
+        return real_write(fd, data)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "open", watched_open)
+        m.setattr(os, "write", watched_write)
+        ledger.append_record(record, tmp_path / "ledger.jsonl")
+    problems = []
+    if len(writes) != 1:
+        problems.append(f"{len(writes)} os.write calls for one record")
+    problems += ["os.write on a descriptor opened without O_APPEND"
+                 for fd, _ in writes if not flags.get(fd, 0) & os.O_APPEND]
+    line = (record.to_json_line() + "\n").encode()
+    if len(writes) == 1 and writes[0][1] != line:
+        problems.append("the write is not the whole record line")
+    return problems
+
+
+class TestParentOnlyWrites:
+    """Pool workers compute; the parent appends each ledger record and
+    stores each result, so every resolution is recorded exactly once
+    and concurrent appends never tear a line."""
+
+    def test_workers_never_append_or_store(self, monkeypatch, tmp_path):
+        assert parent_only_problems(monkeypatch, tmp_path) == []
+
+    def test_append_is_one_write_on_an_o_append_descriptor(
+        self, monkeypatch, tmp_path
+    ):
+        assert append_problems(monkeypatch, tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
 # Phase times
 # ---------------------------------------------------------------------------
 

@@ -93,11 +93,14 @@ class TestDeterminism:
 
     def test_duplicate_recipes_share_one_result(self, monkeypatch,
                                                  tmp_path):
-        """A duplicate shares its primary's result and resolves as
-        "memo" right after it, whatever ``jobs`` is: one ledger record
-        and one heartbeat per submitted recipe."""
+        """A duplicate -- a distinct recipe object with the same content
+        -- shares its primary's result and resolves as "memo" right
+        after it, whatever ``jobs`` is: one ledger record and one
+        heartbeat, carrying its own label, per submitted recipe."""
         wl_a, wl_b = small_workloads(2)
         a = RunRecipe(workload=wl_a, scheme="inclusive", config=tiny_config())
+        a_again = RunRecipe(workload=wl_a, scheme="inclusive",
+                            config=tiny_config())
         b = RunRecipe(workload=wl_b, scheme="inclusive", config=tiny_config())
         want = {a.key(): ["run", "memo"], b.key(): ["run"]}
 
@@ -111,9 +114,11 @@ class TestDeterminism:
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / str(jobs)))
             clear_memo()
             beats = []
-            first, again, other = run_many([a, a, b], jobs=jobs,
+            first, again, other = run_many([a, a_again, b], jobs=jobs,
+                                            labels=["a", "a again", "b"],
                                             heartbeat=beats.append)
             assert first is again and other is not first
+            assert sorted(p.label for p in beats) == ["a", "a again", "b"]
             assert by_key((r.recipe_key, r.source)
                           for r in read_ledger()) == want, jobs
             assert by_key((p.key, p.source) for p in beats) == want, jobs

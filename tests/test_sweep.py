@@ -1,65 +1,49 @@
-"""The parameter-sweep utility."""
-
-import pytest
+"""A parameter sweep: points built by ``make_recipe`` and resolved by one
+``run_many`` call, which reports progress once per point."""
 
 from tests.conftest import tiny_config
 
-from repro.sim.sweep import SweepPoint, format_sweep, run_sweep
+from repro.sim.parallel import clear_memo, make_recipe, run_many
 from repro.sim.trace import CoreTrace, TraceRecord, Workload
 
 
-def workloads(n=2):
-    out = []
-    for k in range(n):
-        traces = [
-            CoreTrace(
-                [TraceRecord(1, (c + 1) * 256 + (i * (k + 1)) % 30,
-                             False, i % 4) for i in range(250)]
-            )
-            for c in range(2)
-        ]
-        out.append(Workload(traces, f"wl{k}"))
-    return out
+def workload():
+    traces = [
+        CoreTrace(
+            [TraceRecord(1, (c + 1) * 256 + i % 30, False, i % 4)
+             for i in range(250)]
+        )
+        for c in range(2)
+    ]
+    return Workload(traces, "wl0")
 
 
 def points():
+    wl = workload()
     return [
-        SweepPoint("I-LRU", tiny_config(), "inclusive", "lru"),
-        SweepPoint("ZIV", tiny_config(), "ziv:notinprc", "lru"),
+        make_recipe(wl, "inclusive", "lru", config=tiny_config()),
+        make_recipe(wl, "ziv:notinprc", "lru", config=tiny_config()),
     ]
 
 
 class TestRunSweep:
-    def test_baseline_speedup_is_one(self):
-        rows = run_sweep(points(), workloads())
-        assert rows[0].speedup == pytest.approx(1.0)
-        assert rows[0].speedup_min == pytest.approx(1.0)
-
-    def test_row_fields_populated(self):
-        rows = run_sweep(points(), workloads())
-        ziv = rows[1]
-        assert ziv.scheme == "ziv:notinprc"
-        assert ziv.inclusion_victims == 0
-        assert ziv.llc_misses > 0
-        assert len(ziv.results) == 2
-
-    def test_progress_callback(self):
+    def test_progress_callback(self, monkeypatch, tmp_path):
+        """Each point sends one heartbeat, labelled by ``labels=`` or,
+        without it, by its scheme, policy and workload."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        clear_memo()
         seen = []
-        run_sweep(points(), workloads(1), progress=seen.append)
-        assert any("ZIV" in s for s in seen)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_sweep([], workloads())
-        with pytest.raises(ValueError):
-            run_sweep(points(), [])
-
-    def test_explicit_baseline(self):
-        pts = points()
-        rows = run_sweep(pts, workloads(), baseline=pts[1])
-        assert rows[1].speedup == pytest.approx(1.0)
-
-    def test_format(self):
-        rows = run_sweep(points(), workloads(1))
-        out = format_sweep(rows)
-        assert "I-LRU" in out and "ZIV" in out and "speedup" in out
+        run_many(points(), heartbeat=seen.append)
+        assert [p.label for p in seen] == [
+            "inclusive/lru: wl0",
+            "ziv:notinprc/lru: wl0",
+        ]
+        assert [p.completed for p in seen] == [1, 2]
+        seen.clear()
+        run_many(points(), labels=["I-LRU", "ZIV"], heartbeat=seen.append)
+        assert [(p.label, p.source) for p in seen] == [
+            ("I-LRU", "memo"),
+            ("ZIV", "memo"),
+        ]
+        clear_memo()
