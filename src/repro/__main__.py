@@ -467,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="static-analysis pass enforcing simulator invariants "
-             "(determinism, counter discipline, telemetry guarding, "
-             "lock discipline)",
+             "(determinism, lock discipline)",
     )
     from repro.lint.cli import add_arguments as _add_lint_arguments
 

@@ -354,7 +354,8 @@ class CacheHierarchy:
         extra = 0
         others = entry.sharers & ~(1 << core)
         if others:
-            self._invalidate_sharers(others, addr)
+            victims, _dirty = self._invalidate_sharers(others, addr)
+            self.stats.coherence_invalidations += victims
             entry.sharers = 1 << core
             extra = self.config.core.coherence_forward_latency
         entry.owner = core
@@ -370,7 +371,8 @@ class CacheHierarchy:
         if ctx.is_write:
             others = entry.sharers & ~(1 << core)
             if others:
-                self._invalidate_sharers(others, addr)
+                victims, _dirty = self._invalidate_sharers(others, addr)
+                self.stats.coherence_invalidations += victims
                 entry.sharers &= 1 << core
                 entry.owner = -1
                 extra = self.config.core.coherence_forward_latency
@@ -382,15 +384,22 @@ class CacheHierarchy:
             extra = self.config.core.coherence_forward_latency
         return extra
 
-    def _invalidate_sharers(self, mask: int, addr: int) -> None:
+    def _invalidate_sharers(self, mask: int, addr: int) -> tuple[int, bool]:
+        """Kill the private copies of ``addr`` in every core of ``mask``.
+        Returns ``(victims, dirty)``: how many cores held a copy (each
+        caller adds them to its own counter) and whether any was dirty."""
+        victims = 0
+        dirty = False
         core = 0
         while mask:
             if mask & 1:
-                copies, _dirty = self.private[core].invalidate(addr)
+                copies, was_dirty = self.private[core].invalidate(addr)
                 if copies:
-                    self.stats.coherence_invalidations += 1
+                    victims += 1
+                dirty = dirty or was_dirty
             mask >>= 1
             core += 1
+        return victims, dirty
 
     def _merge_dirty_data(self, addr: int) -> None:
         """Dirty data written back from a private cache: update the LLC
@@ -490,19 +499,8 @@ class CacheHierarchy:
         self.stats.directory_evictions += 1
         self.stats.back_invalidations_dir += 1
         addr = displaced.addr
-        dirty_any = False
-        victims = 0
-        mask = displaced.sharers
-        core = 0
-        while mask:
-            if mask & 1:
-                copies, dirty = self.private[core].invalidate(addr)
-                if copies:
-                    victims += 1
-                    self.stats.inclusion_victims_dir += 1
-                dirty_any = dirty_any or dirty
-            mask >>= 1
-            core += 1
+        victims, dirty_any = self._invalidate_sharers(displaced.sharers, addr)
+        self.stats.inclusion_victims_dir += victims
         if self.telemetry is not None:
             self.telemetry.emit(
                 "directory_eviction",
@@ -544,7 +542,7 @@ class CacheHierarchy:
         entry = self.directory.lookup(addr)
         return entry.sharers if entry is not None else 0
 
-    def back_invalidate(self, addr: int, reason: str = "llc") -> None:
+    def back_invalidate(self, addr: int) -> None:
         """Forcefully invalidate every private copy of ``addr`` and free
         its directory entry -- the inclusion-victim generator.  If a dirty
         private copy existed, the LLC copy (which the caller is about to
@@ -552,36 +550,19 @@ class CacheHierarchy:
         entry = self.directory.lookup(addr)
         if entry is None or entry.sharers == 0:
             return
-        if reason == "llc":
-            self.stats.back_invalidations_llc += 1
-        else:
-            self.stats.back_invalidations_dir += 1
-        dirty_any = False
-        victims = 0
-        mask = entry.sharers
-        core = 0
-        while mask:
-            if mask & 1:
-                copies, dirty = self.private[core].invalidate(addr)
-                if copies:
-                    victims += 1
-                    if reason == "llc":
-                        self.stats.inclusion_victims_llc += 1
-                    else:
-                        self.stats.inclusion_victims_dir += 1
-                dirty_any = dirty_any or dirty
-            mask >>= 1
-            core += 1
+        self.stats.back_invalidations_llc += 1
+        victims, dirty = self._invalidate_sharers(entry.sharers, addr)
+        self.stats.inclusion_victims_llc += victims
         if self.telemetry is not None:
             self.telemetry.emit(
                 "back_invalidation",
                 addr=addr,
-                trigger=reason,
+                trigger="llc",
                 sharers=entry.sharers,
                 victims=victims,
             )
         self.directory.free(addr)
-        if dirty_any:
+        if dirty:
             b, s, way = self.llc.location(addr)
             if way >= 0:
                 self.llc.block(b, s, way).dirty = True

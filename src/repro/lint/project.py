@@ -2,10 +2,8 @@
 
 Rules never touch the filesystem themselves; they receive a
 :class:`Project`, which owns file discovery, lazy AST parsing and the
-per-file suppression maps.  A cross-file rule (counter discipline reads
-``stats.py``) locates its anchor file by *basename* through
-:meth:`Project.find_module`, so the same rule code runs unchanged on
-the real tree and on the miniature fixture trees the self-tests build.
+per-file suppression maps, so the same rule code runs unchanged on the
+real tree and on the miniature fixture trees the self-tests build.
 """
 
 from __future__ import annotations
@@ -88,17 +86,6 @@ class Project:
         for path in sorted(p.rglob("*.py")):
             if "__pycache__" not in path.parts:
                 yield path
-
-    # -- lookups rules use -------------------------------------------------
-
-    def find_module(self, basename: str) -> Optional[SourceFile]:
-        """The unique source file named ``basename`` (e.g. ``params.py``);
-        None when absent, the shortest path when several match (the real
-        module beats a fixture nested deeper)."""
-        hits = [f for f in self.files if f.path.name == basename]
-        if not hits:
-            return None
-        return min(hits, key=lambda f: (len(Path(f.rel).parts), f.rel))
 
     def scoped(self, dirs: frozenset[str]) -> Iterator[SourceFile]:
         """Source files whose directory path intersects ``dirs``."""

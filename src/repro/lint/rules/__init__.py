@@ -5,9 +5,4 @@ from repro.lint.rules.scope import (  # noqa: F401
     DETERMINISM_SCOPE,
     SIMULATOR_SCOPE,
 )
-from repro.lint.rules import (  # noqa: F401
-    counters,
-    determinism,
-    lock_discipline,
-    telemetry_guard,
-)
+from repro.lint.rules import determinism, lock_discipline  # noqa: F401

@@ -82,6 +82,6 @@ class InclusionScheme:
             way = cache.policy.victim(set_idx, ctx)
             victim = cache.blocks[set_idx][way]
             if back_invalidate:
-                self.cmp.back_invalidate(victim.addr, reason="llc")
+                self.cmp.back_invalidate(victim.addr)
             self._evict_clean_or_writeback(bank, set_idx, way, ctx)
         return self._install_into(bank, set_idx, way, addr, ctx)

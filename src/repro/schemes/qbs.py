@@ -48,6 +48,6 @@ class QBSScheme(InclusionScheme):
             chosen = candidates[0]
             cmp.stats.qbs_failures += 1
             victim = cache.blocks[set_idx][chosen]
-            cmp.back_invalidate(victim.addr, reason="llc")
+            cmp.back_invalidate(victim.addr)
         self._evict_clean_or_writeback(bank, set_idx, chosen, ctx)
         return self._install_into(bank, set_idx, chosen, addr, ctx)

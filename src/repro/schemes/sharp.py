@@ -58,6 +58,6 @@ class SHARPScheme(InclusionScheme):
             chosen = self._rng.choice(candidates)
             cmp.stats.sharp_alarms += 1
         victim = cache.blocks[set_idx][chosen]
-        cmp.back_invalidate(victim.addr, reason="llc")
+        cmp.back_invalidate(victim.addr)
         self._evict_clean_or_writeback(bank, set_idx, chosen, ctx)
         return self._install_into(bank, set_idx, chosen, addr, ctx)

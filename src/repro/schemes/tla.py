@@ -88,7 +88,7 @@ class ECIScheme(InclusionScheme):
             return self._install_into(bank, set_idx, way, addr, ctx)
         way = cache.policy.victim(set_idx, ctx)
         victim = cache.blocks[set_idx][way]
-        cmp.back_invalidate(victim.addr, reason="llc")
+        cmp.back_invalidate(victim.addr)
         self._evict_clean_or_writeback(bank, set_idx, way, ctx)
         blk = self._install_into(bank, set_idx, way, addr, ctx)
         self._early_invalidate_next(bank, set_idx, ctx, exclude_way=way)
@@ -105,7 +105,7 @@ class ECIScheme(InclusionScheme):
             if self.cmp.privately_cached(candidate.addr):
                 # Early invalidation: kill the private copies but KEEP the
                 # LLC copy so a live block can still earn an LLC hit.
-                self.cmp.back_invalidate(candidate.addr, reason="llc")
+                self.cmp.back_invalidate(candidate.addr)
                 candidate.not_in_prc = True
                 self.early_invalidations += 1
             break

@@ -6,10 +6,12 @@ catch each defect their old rules' fixtures planted."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
 import re
+import textwrap
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.lint.model import Finding as ModelFinding
 from repro.lint.project import LintError, Project
 from repro.lint.runner import PARSE_ERROR_RULE, format_findings
 from repro.lint.suppress import suppressions_for_line
+from repro.hierarchy.cmp import CacheHierarchy
 from repro.params import (
     ENGINES,
     AuditParams,
@@ -38,6 +41,7 @@ from repro.params import (
 from repro.obs import ledger
 from repro.sim import parallel, telemetry
 from repro.sim.engine import run_workload
+from repro.sim.fast import FastHierarchy
 from repro.sim.parallel import (
     RunRecipe,
     _execute_recipe,
@@ -53,12 +57,7 @@ from tests.test_obs import append_problems, make_record, parent_only_problems
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-EXPECTED_RULES = (
-    "counter-discipline",
-    "determinism",
-    "lock-discipline",
-    "telemetry-guard",
-)
+EXPECTED_RULES = ("determinism", "lock-discipline")
 
 
 def lint_tree(tmp_path, tree: dict[str, str], rules=None) -> list[Finding]:
@@ -167,93 +166,6 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# counter discipline
-# ---------------------------------------------------------------------------
-
-_STATS_FIXTURE = """\
-from dataclasses import dataclass, field
-
-@dataclass(slots=True)
-class CoreStats:
-    accesses: int = 0
-    l1_hits: int = 0
-
-@dataclass(slots=True)
-class SimStats:
-    cores: list = field(default_factory=list)
-    llc_hits: int = 0
-    llc_misses: int = 0
-
-    @property
-    def total_accesses(self):
-        return sum(c.accesses for c in self.cores)
-"""
-
-
-class TestCounterDiscipline:
-    def test_declared_counters_stay_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/stats.py": _STATS_FIXTURE,
-            "hierarchy/cmp.py": (
-                "class H:\n"
-                "    def access(self, core):\n"
-                "        self.stats.llc_hits += 1\n"
-                "        cs = self.stats.cores[core]\n"
-                "        cs.accesses += 1\n"
-            ),
-        })
-        assert findings == []
-
-    def test_typoed_counter_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/stats.py": _STATS_FIXTURE,
-            "hierarchy/cmp.py": (
-                "class H:\n"
-                "    def access(self):\n"
-                "        self.stats.llc_hitz += 1\n"
-            ),
-        })
-        assert rule_ids(findings) == ["counter-discipline"]
-        assert "'llc_hitz'" in findings[0].message
-
-    def test_hoisted_alias_chain_is_tracked(self, tmp_path):
-        # The engine idiom: stats -> cores list -> per-core local.
-        findings = lint_tree(tmp_path, {
-            "sim/stats.py": _STATS_FIXTURE,
-            "sim/engine.py": (
-                "def run(h, core):\n"
-                "    core_stats = h.stats.cores\n"
-                "    cs = core_stats[core]\n"
-                "    cs.l1_hitz += 1\n"
-            ),
-        })
-        assert rule_ids(findings) == ["counter-discipline"]
-        assert "'l1_hitz'" in findings[0].message
-        assert findings[0].line == 4
-
-    def test_property_increment_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/stats.py": _STATS_FIXTURE,
-            "sim/engine.py": (
-                "def run(stats):\n"
-                "    stats.total_accesses += 1\n"
-            ),
-        })
-        assert rule_ids(findings) == ["counter-discipline"]
-        assert "read-only" in findings[0].message
-
-    def test_non_stats_objects_are_ignored(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/stats.py": _STATS_FIXTURE,
-            "sim/energy.py": (
-                "def tally(energy):\n"
-                "    energy.whatever_counter += 1\n"
-            ),
-        })
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # scope: the array-state fast engine
 # ---------------------------------------------------------------------------
 
@@ -280,22 +192,9 @@ class TestFastEngineScope:
         assert rule_ids(findings) == ["determinism"]
         assert "wall-clock" in findings[0].message
 
-    def test_counter_discipline_covers_fast_package(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/stats.py": _STATS_FIXTURE,
-            "sim/fast/engine.py": (
-                "class FastHierarchy:\n"
-                "    def _flush(self):\n"
-                "        self.stats.llc_hitz += 1\n"
-            ),
-        })
-        assert rule_ids(findings) == ["counter-discipline"]
-        assert "'llc_hitz'" in findings[0].message
-
     def test_shipped_fast_package_is_clean(self, monkeypatch):
         """The fast engine and the differential harness ship without a
-        single finding (the full tree is linted so cross-file rules see
-        the schema registry and docs)."""
+        single finding (the full tree is linted, as CI does)."""
         monkeypatch.chdir(REPO_ROOT)
         findings = lint_paths(["src/repro"])
         fast = [
@@ -303,73 +202,6 @@ class TestFastEngineScope:
             if "sim/fast" in f.file or f.file.endswith("differential.py")
         ]
         assert fast == []
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# telemetry guarding
-# ---------------------------------------------------------------------------
-
-
-class TestTelemetryGuard:
-    def test_guarded_emit_stays_quiet(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "hierarchy/cmp.py": (
-                "class H:\n"
-                "    def kill(self, addr):\n"
-                "        if self.telemetry is not None:\n"
-                "            self.telemetry.emit('back_invalidation',\n"
-                "                                addr=addr)\n"
-                "    def move(self, addr):\n"
-                "        telemetry = self.telemetry\n"
-                "        if telemetry is not None:\n"
-                "            telemetry.emit('relocation', addr=addr)\n"
-            ),
-        })
-        assert findings == []
-
-    def test_unguarded_emit_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "core/ziv.py": (
-                "class Scheme:\n"
-                "    def relocate(self, addr):\n"
-                "        self.cmp.telemetry.emit('relocation', addr=addr)\n"
-            ),
-        })
-        assert rule_ids(findings) == ["telemetry-guard"]
-        assert "one predicate check" in findings[0].message
-
-    def test_emit_in_else_branch_of_guard_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "core/char.py": (
-                "def f(self):\n"
-                "    if self.telemetry is not None:\n"
-                "        pass\n"
-                "    else:\n"
-                "        self.telemetry.emit('tau_reset', d=1)\n"
-            ),
-        })
-        assert rule_ids(findings) == ["telemetry-guard"]
-
-    def test_guard_does_not_cross_function_boundary(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "core/char.py": (
-                "def f(self):\n"
-                "    if self.telemetry is not None:\n"
-                "        def emit_later():\n"
-                "            self.telemetry.emit('tau_reset', d=1)\n"
-                "        emit_later()\n"
-            ),
-        })
-        assert rule_ids(findings) == ["telemetry-guard"]
-
-    def test_non_telemetry_emit_is_ignored(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "sim/bus.py": (
-                "def f(signal):\n"
-                "    signal.emit('edge')\n"
-            ),
-        })
         assert findings == []
 
 
@@ -404,7 +236,7 @@ class TestSuppressions:
     def test_other_rule_ignore_does_not_suppress(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "sim/clock.py": self.BAD.format(
-                comment="  # repro-lint: ignore[telemetry-guard]"
+                comment="  # repro-lint: ignore[lock-discipline]"
             ),
         })
         assert rule_ids(findings) == ["determinism"]
@@ -420,9 +252,9 @@ class TestSuppressions:
 
     def test_parser_accepts_multiple_rules(self):
         ids = suppressions_for_line(
-            "x = 1  # repro-lint: ignore[determinism, counter-discipline]"
+            "x = 1  # repro-lint: ignore[determinism, lock-discipline]"
         )
-        assert ids == frozenset(("determinism", "counter-discipline"))
+        assert ids == frozenset(("determinism", "lock-discipline"))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +267,7 @@ class TestOutput:
         return [
             Finding(file="src/a.py", line=3, rule_id="determinism",
                     message="m1"),
-            Finding(file="src/b.py", line=1, rule_id="telemetry-guard",
+            Finding(file="src/b.py", line=1, rule_id="lock-discipline",
                     message="m2"),
         ]
 
@@ -447,7 +279,7 @@ class TestOutput:
         doc = json.loads(findings_to_json(self.sample()))
         assert doc["count"] == 2
         assert {f["rule_id"] for f in doc["findings"]} == {
-            "determinism", "telemetry-guard"
+            "determinism", "lock-discipline"
         }
 
     def test_human_format(self):
@@ -859,15 +691,6 @@ class TestExitCodes:
 
 
 class TestProject:
-    def test_find_module_prefers_shortest_path(self, tmp_path):
-        (tmp_path / "params.py").write_text("A = 1\n")
-        nested = tmp_path / "deep" / "nested"
-        nested.mkdir(parents=True)
-        (nested / "params.py").write_text("B = 2\n")
-        project = Project([str(tmp_path)], root=str(tmp_path))
-        found = project.find_module("params.py")
-        assert found is not None and found.rel == "params.py"
-
     def test_missing_path_raises(self):
         with pytest.raises(LintError, match="no such file"):
             lint_paths(["definitely/not/here"])
@@ -1173,3 +996,168 @@ class TestForkSafety:
             _write_line(rec, path, os.O_APPEND | os.O_CREAT | os.O_WRONLY,
                         chunks=1)))
         assert append_problems(monkeypatch, tmp_path) == []
+
+
+# The counter-discipline rule checked every stats increment against the
+# fields of SimStats and CoreStats, and the telemetry-guard rule checked
+# that every emit sits under its ``is not None`` guard.  Both faults raise
+# at run time: ``+=`` reads the attribute before it writes it, the
+# aggregates are setter-less properties, and the telemetry handle is None
+# on an untraced run.  A line trace of the test suite shows every site the
+# two rules inspected running with its error armed, so each test below
+# rewrites one line of a real engine method and runs it.
+
+#: Per engine, the ``(class, method, line)`` of sites an inclusive run
+#: reaches: a SimStats increment, a per-core increment through a hoisted
+#: alias, an energy increment and the guard of the back-invalidation emit.
+_SITES = {
+    "object": {
+        "stats": (CacheHierarchy, "_llc_access", "self.stats.llc_misses += 1"),
+        "core": (CacheHierarchy, "access", "cs.l1_misses += 1"),
+        "energy": (CacheHierarchy, "access", "energy.l1_accesses += 1"),
+        "guard": (CacheHierarchy, "back_invalidate",
+                  "if self.telemetry is not None:"),
+    },
+    "fast": {
+        "stats": (FastHierarchy, "run_segment",
+                  "stats.llc_misses += n_fill + n_fwd"),
+        "core": (FastHierarchy, "run_segment", "cs.l1_misses += l2h + l2m"),
+        "energy": (FastHierarchy, "run_segment",
+                   "energy.l1_accesses += tot_acc"),
+        "guard": (FastHierarchy, "_back_invalidate",
+                  "if telemetry is not None:"),
+    },
+}
+
+
+def _run_inclusive(engine: str, telemetry=None):
+    workload = homogeneous_mix("mcf.1", cores=2, n_accesses=600)
+    config = dataclasses.replace(tiny_config(), engine=engine)
+    return run_workload(config, workload, "inclusive", llc_policy="lru",
+                        telemetry=telemetry)
+
+
+def _plant(monkeypatch, owner, method: str, old: str, new: str) -> None:
+    """Replace ``owner.method`` with its own source, its one ``old`` line
+    rewritten as ``new``."""
+    func = getattr(owner, method)
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, (method, old)
+    code = compile(source.replace(old, new), inspect.getsourcefile(func),
+                   "exec")
+    namespace: dict = {}
+    exec(code, func.__globals__, namespace)
+    monkeypatch.setattr(owner, method, namespace[method])
+
+
+def _planted_errors(monkeypatch, site: str, rewrite) -> dict[str, str]:
+    """The AttributeError an untraced inclusive run raises on each engine
+    with ``site``'s line rewritten by ``rewrite``."""
+    errors = {}
+    for engine in ENGINES:
+        owner, method, line = _SITES[engine][site]
+        with monkeypatch.context() as m:
+            _plant(m, owner, method, line, rewrite(line))
+            with pytest.raises(AttributeError) as err:
+                _run_inclusive(engine)
+        errors[engine] = str(err.value)
+    return errors
+
+
+class TestCounterDiscipline:
+    def test_declared_counters_stay_quiet(self):
+        for engine in ENGINES:
+            stats = _run_inclusive(engine).stats
+            assert stats.llc_misses > 0
+            assert stats.cores[0].l1_misses > 0
+
+    def test_typoed_counter_fires(self, monkeypatch):
+        errors = _planted_errors(monkeypatch, "stats", lambda line: (
+            line.replace("llc_misses", "llc_missez")))
+        assert errors == dict.fromkeys(
+            ENGINES, "'SimStats' object has no attribute 'llc_missez'")
+
+    def test_hoisted_alias_chain_is_tracked(self, monkeypatch):
+        """The rule tracked ``cs = stats.cores[core]`` chains but missed
+        the fast engine's, whose per-core list is ``self._core_stats``."""
+        errors = _planted_errors(monkeypatch, "core", lambda line: (
+            line.replace("l1_misses", "l1_missez")))
+        assert errors == dict.fromkeys(
+            ENGINES, "'CoreStats' object has no attribute 'l1_missez'")
+
+    def test_property_increment_fires(self, monkeypatch):
+        errors = _planted_errors(monkeypatch, "stats", lambda line: (
+            line.replace("llc_misses", "l2_misses")))
+        assert list(errors) == list(ENGINES)
+        for message in errors.values():
+            assert "'l2_misses'" in message
+
+    def test_non_stats_objects_raise_too(self, monkeypatch):
+        """The rule skipped every object but stats; a misspelt energy
+        counter raises all the same."""
+        errors = _planted_errors(monkeypatch, "energy", lambda line: (
+            line.replace("l1_accesses", "l1_accessez")))
+        assert list(errors) == list(ENGINES)
+        for message in errors.values():
+            assert message.endswith("has no attribute 'l1_accessez'")
+
+
+class TestTelemetryGuard:
+    def test_guarded_emit_stays_quiet(self):
+        traced = TelemetryParams(enabled=True, events="coherence")
+        for engine in ENGINES:
+            assert _run_inclusive(engine).stats.back_invalidations_llc > 0
+            kinds = {e.kind for e in
+                     _run_inclusive(engine, traced).telemetry.events}
+            assert "back_invalidation" in kinds
+
+    def test_unguarded_emit_fires(self, monkeypatch):
+        errors = _planted_errors(monkeypatch, "guard",
+                                 lambda line: "if True:")
+        assert errors == dict.fromkeys(
+            ENGINES, "'NoneType' object has no attribute 'emit'")
+
+    def test_emit_in_else_branch_of_guard_fires(self, monkeypatch):
+        errors = _planted_errors(monkeypatch, "guard", lambda line: (
+            line.replace(" is not None", " is None")))
+        assert errors == dict.fromkeys(
+            ENGINES, "'NoneType' object has no attribute 'emit'")
+
+    def test_guard_does_not_cross_function_boundary(self, monkeypatch):
+        """The rule did not let a check in one function guard an emit in
+        another.  Moved into a lambda the ``if`` never calls, the check
+        guards nothing: the ``if`` tests the function object."""
+        errors = _planted_errors(monkeypatch, "guard", lambda line: (
+            f"if (lambda: {line[len('if '):-1]}):"))
+        assert errors == dict.fromkeys(
+            ENGINES, "'NoneType' object has no attribute 'emit'")
+
+    def test_non_telemetry_emit_is_ignored(self, monkeypatch):
+        """The rule skipped an ``emit`` on anything but the telemetry
+        handle.  The unguarded emit raises only because that handle is
+        None: with a plain recorder bound in its place, it runs."""
+
+        class Recorder:
+            def __init__(self):
+                self.triggers = []
+
+            def emit(self, kind, **data):
+                if kind == "back_invalidation":
+                    self.triggers.append(data["trigger"])
+
+        for engine in ENGINES:
+            owner, method, line = _SITES[engine]["guard"]
+            recorder = Recorder()
+            init = owner.__init__
+
+            def bind(self, *args, init=init, recorder=recorder, **kwargs):
+                init(self, *args, **kwargs)
+                self.telemetry = recorder
+
+            with monkeypatch.context() as m:
+                _plant(m, owner, method, line, "if True:")
+                m.setattr(owner, "__init__", bind)
+                stats = _run_inclusive(engine).stats
+            assert stats.back_invalidations_llc > 0
+            assert recorder.triggers == (
+                ["llc"] * stats.back_invalidations_llc)

@@ -1,5 +1,7 @@
 """Oracle-assisted ZIV (the paper's Section VI future-work oracle)."""
 
+import random
+
 from tests.conftest import tiny_config
 
 from repro.cache.replacement import NextUseOracle
@@ -18,6 +20,17 @@ def circular_workload(cores=2, n=2000, footprint=12):
         ]
         traces.append(CoreTrace(recs, f"circ{c}"))
     return Workload(traces, "circ")
+
+
+def random_workload(seed):
+    """Two cores, 400 reads each, over 24 blocks."""
+    rng = random.Random(seed)
+    traces = [
+        CoreTrace([TraceRecord(1, 4096 + rng.randrange(24), False, 3)
+                   for _ in range(400)], f"rand{c}")
+        for c in range(2)
+    ]
+    return Workload(traces, "rand")
 
 
 def run_oracle(cfg=None, wl=None):
@@ -56,6 +69,19 @@ class TestOracleZIV:
         )
         assert result.stats.inclusion_victims_llc == 0
         assert h.inclusion_holds()
+
+    def test_every_relocation_branch_is_reached(self):
+        """The oracle's pick sits in the victim's own set (evicted in
+        place), a relocated block is moved again, and a full home bank
+        falls back to the other bank."""
+        result, h = run_oracle(wl=random_workload(seed=4))
+        stats = result.stats
+        assert stats.relocation_same_set > 0
+        assert stats.relocations_rechained > 0
+        assert stats.relocations_cross_bank > 0
+        assert stats.inclusion_victims_llc == 0
+        assert h.inclusion_holds()
+        assert h.directory_consistent()
 
     def test_directory_consistent(self):
         _result, h = run_oracle()
