@@ -37,7 +37,10 @@ the client, end to end:
   takes exactly one request per hit (submit and result);
 * 20,000 more hits leave the server holding exactly its bounds of
   terminal jobs and events, and grow its resident memory by less than
-  5 MB over the last 10,000.
+  5 MB over the last 10,000;
+* 6,144 distinct fresh recipes, more than the server keeps results and
+  payloads for, leave it holding exactly those bounds, and grow its
+  resident memory by less than 3 MB over the last 2,048.
 
 Exit 0 on success; any assertion failure is a non-zero exit.
 
@@ -49,6 +52,7 @@ Usage::
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import multiprocessing
 import os
@@ -78,6 +82,7 @@ from repro.service import (  # noqa: E402
 from repro.service import server as server_module  # noqa: E402
 from repro.service.api import result_to_json  # noqa: E402
 from repro.service.jobs import KEPT_EVENTS, KEPT_JOBS  # noqa: E402
+from repro.sim import parallel  # noqa: E402
 from repro.sim.parallel import RunRecipe, make_recipe  # noqa: E402
 from repro.sim.trace import (  # noqa: E402
     CoreTrace,
@@ -106,6 +111,16 @@ BOUND_HITS = 20_000
 #: How much the bound phase's last half may grow the server's resident
 #: memory.  Without the bounds it grows by about 18 MB.
 BOUND_GROWTH_MB = 5.0
+
+#: Distinct fresh recipes in each half of the memo phase.  The first
+#: half replaces every kept job, so the second starts with every bound
+#: reached and evicts a result and a payload per key.
+MEMO_KEYS = (KEPT_JOBS, 2048)
+
+#: How much the memo phase's second half may grow the server's resident
+#: memory.  Without the result and payload bounds it grows by about
+#: 8.5 MB (4.2 KB a key).
+MEMO_GROWTH_MB = 3.0
 
 
 def small_config(engine: str = "object") -> SystemConfig:
@@ -271,6 +286,30 @@ def bound_phase(server, client: ServiceClient, body: dict) -> None:
         conn.close()
     assert len(events["events"]) == KEPT_EVENTS, len(events["events"])
     assert events["dropped"] == events["next"] - KEPT_EVENTS, events["dropped"]
+
+
+def memo_phase(server, client: ServiceClient) -> None:
+    """Resolve sum(MEMO_KEYS) distinct fresh recipes: the server ends
+    up holding its bounds of results and payloads, and its memory stops
+    growing once they are reached."""
+    config = config_to_dict(small_config("fast"))
+    seeds = itertools.count(1)
+    rss = []
+    for keys in MEMO_KEYS:
+        for _ in range(0, keys, 256):
+            client.run_recipes([
+                {"workload": {"kind": "profile", "app": "gcc.1", "cores": 2,
+                              "accesses": 20, "seed": next(seeds)},
+                 "scheme": "inclusive", "config": config}
+                for _ in range(256)
+            ])
+        rss.append(vm_rss_mb())
+    growth = rss[1] - rss[0]
+    assert growth < MEMO_GROWTH_MB, \
+        f"{MEMO_KEYS[1]} fresh keys past the memo bounds grew VmRSS by " \
+        f"{growth:.1f} MB"
+    assert len(parallel._MEMO) == parallel.MEMO_ENTRIES
+    assert len(server.manager._payloads) == parallel.MEMO_ENTRIES
 
 
 def main() -> int:
@@ -448,6 +487,12 @@ def main() -> int:
         grown = len(read_ledger()) - start
         expected += HITS + BOUND_HITS
         assert grown == expected, (grown, expected)
+
+        # -- memos: results and payloads of fresh keys stay bounded -----
+        memo_phase(server, client)
+        grown = len(read_ledger()) - start
+        expected += sum(MEMO_KEYS)
+        assert grown == expected, (grown, expected)
     finally:
         client.close()
         server.close()
@@ -458,8 +503,9 @@ def main() -> int:
         f"one execution per key, both engines agree, specs match "
         f"local runs, a killed pool fails one job, keep-alive hits "
         f"do not stall, {HITS} resubmissions serve one payload in "
-        f"their replies, a client hit is one request, and "
-        f"{BOUND_HITS} hits leave the server at its bounds"
+        f"their replies, a client hit is one request, "
+        f"{BOUND_HITS} hits leave the server at its bounds, and "
+        f"{sum(MEMO_KEYS)} fresh keys leave its memos at theirs"
     )
     return 0
 

@@ -308,9 +308,15 @@ def workload_from_dict(data: dict[str, Any]) -> Any:
                 f"quadruples ({exc})",
                 field=f"cores.{i}.records",
             ) from exc
-        traces.append(CoreTrace.from_columns(
+        trace = CoreTrace.from_columns(
             gaps, addrs, writes, pcs, name=core.get("name", "app")
-        ))
+        )
+        try:
+            trace.fingerprint()
+        except ValueError as exc:  # a field out of its packed range
+            raise RecipeError(f"core {i}: {exc}",
+                              field=f"cores.{i}.records") from exc
+        traces.append(trace)
     return Workload(traces, name=data.get("name", "mix"))
 
 

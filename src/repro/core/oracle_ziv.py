@@ -8,10 +8,11 @@
 This module implements that oracle: a ZIV variant that, when a relocation
 is needed, evicts the **NotInPrC block with the furthest next use in the
 global access stream** anywhere in the home bank (falling back across
-banks), using the same lock-step Belady oracle as the I-MIN study.  It
-upper-bounds what any realisable relocation-set property can achieve and
-lets the ablation bench measure how close ``LikelyDead``/``MRLikelyDead``
-come (see ``benchmarks/bench_ablation_oracle.py``).
+banks, where an invalid set again comes first), using the same
+lock-step Belady oracle as the I-MIN study.  It upper-bounds what any
+realisable relocation-set property can achieve and lets the ablation
+bench measure how close ``LikelyDead``/``MRLikelyDead`` come (see
+``benchmarks/bench_ablation_tla_oracle.py``).
 """
 
 from __future__ import annotations
@@ -50,32 +51,30 @@ class OracleZIVScheme(ZIVScheme):
     def _relocation_path(self, bank, set_idx, victim_way, addr, ctx):
         cmp = self.cmp
         self.tracker.refresh(bank, set_idx)
-        # Invalid sets first, as in every ZIV design.
-        rs = self.tracker.pick_global(bank, "invalid")
-        if rs >= 0:
-            cmp.stats.count_property_hit("global:invalid")
-            self._relocate(bank, set_idx, victim_way, bank, rs, ctx,
-                           level="invalid")
-            return self._install_into(bank, set_idx, victim_way, addr, ctx)
-        target = self._find_oracle_victim(bank, ctx.global_pos)
-        search_banks = [bank]
-        if target is None:
-            banks = cmp.llc.geometry.banks
-            search_banks = [(bank + d) % banks for d in range(1, banks)]
-            for b in search_banks:
-                target = self._find_oracle_victim(b, ctx.global_pos)
-                if target is not None:
-                    bank_t = b
-                    break
-            else:
-                raise ZIVInvariantError(
-                    "no NotInPrC block exists in any bank"
-                )
+        # The home bank, then the others in the cross-bank fallback's
+        # order (III-D1); in each, an invalid set first, as in every ZIV
+        # design, then the oracle's NotInPrC pick.
+        for bank_t in [bank] + self._other_banks(bank):
+            cross_bank = bank_t != bank
+            rs = self.tracker.pick_global(bank_t, "invalid")
+            if rs >= 0:
+                cmp.stats.count_property_hit("global:invalid")
+                if cross_bank:
+                    cmp.stats.relocations_cross_bank += 1
+                self._relocate(bank, set_idx, victim_way, bank_t, rs, ctx,
+                               level="invalid", cross_bank=cross_bank)
+                return self._install_into(bank, set_idx, victim_way, addr,
+                                          ctx)
+            target = self._find_oracle_victim(bank_t, ctx.global_pos)
+            if target is not None:
+                break
         else:
-            bank_t = bank
+            raise ZIVInvariantError(
+                "no invalid set or NotInPrC block exists in any bank"
+            )
         rs, dst_way = target
         cmp.stats.count_property_hit("global:oracle")
-        if rs == set_idx and bank_t == bank:
+        if rs == set_idx and not cross_bank:
             # The oracle's choice lives in the original set: evict it
             # in place of the baseline victim, no relocation needed.
             cmp.stats.relocation_same_set += 1

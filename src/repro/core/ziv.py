@@ -154,17 +154,22 @@ class ZIVScheme(InclusionScheme):
                        level=level, cross_bank=True)
         return self._install_into(bank, set_idx, victim_way, addr, ctx)
 
-    def _find_cross_bank_target(
-        self, bank: int
-    ) -> tuple[int, int, str] | None:
-        """One-hop neighbours first, then the remaining banks.  Returns
-        (bank, relocation set, satisfied property level)."""
+    def _other_banks(self, bank: int) -> list[int]:
+        """The banks a cross-bank relocation tries, in order: one-hop
+        neighbours first, then the remaining banks."""
         banks = self.cmp.llc.geometry.banks
         order = []
         if banks > 1:
             order = [(bank + 1) % banks, (bank - 1) % banks]
             order += [b for b in range(banks) if b != bank and b not in order]
-        for b in order:
+        return order
+
+    def _find_cross_bank_target(
+        self, bank: int
+    ) -> tuple[int, int, str] | None:
+        """The first bank of :meth:`_other_banks` with a relocation set.
+        Returns (bank, relocation set, satisfied property level)."""
+        for b in self._other_banks(bank):
             for level in self.ladder:
                 rs = self.tracker.pick_global(b, level)
                 if rs >= 0:

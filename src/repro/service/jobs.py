@@ -35,8 +35,9 @@ event log (:meth:`JobManager.events_since`); terminal events carry a
 ``run_many`` passes to its ``heartbeat`` locally.
 
 What the manager keeps does not grow with the jobs it serves: the
-newest :data:`KEPT_JOBS` terminal jobs and :data:`KEPT_EVENTS` events,
-oldest first out, plus every job still ``queued`` or ``running``.
+newest :data:`KEPT_JOBS` terminal jobs, :data:`KEPT_EVENTS` events and
+the payloads of as many keys as ``parallel.MEMO_ENTRIES`` keeps results
+for, oldest first out, plus every job still ``queued`` or ``running``.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class JobManager:
         self._outcomes = {name: 0 for name in OUTCOMES}  # repro-lint: guarded-by[_lock]
         self._ledger_failures = 0  # repro-lint: guarded-by[_lock]
         self._last_progress: Optional[dict] = None  # repro-lint: guarded-by[_lock]
-        self._payloads: "dict[str, bytes]" = {}  # repro-lint: guarded-by[_lock] (key -> result payload)
+        self._payloads = collections.OrderedDict()  # repro-lint: guarded-by[_lock] (key -> result payload)
         self._executor: Optional[concurrent.futures.Executor] = None  # repro-lint: guarded-by[_lock]
         self._closed = False  # repro-lint: guarded-by[_lock]
 
@@ -435,10 +436,11 @@ class JobManager:
                 serialize: Callable[[Any], bytes]) -> Optional[bytes]:
         """The payload of the stored result for a recipe key (a ``done``
         job's ``key``), ``serialize(result)``: fixed by the key, so
-        serialized once per key.  None when the result is no longer
-        stored, even if its payload was served before.  It looks up
-        the key, not a job, so a job dropped from the kept ones still
-        has its payload."""
+        serialized once per key while it is among the newest
+        ``parallel.MEMO_ENTRIES``.  None when the result is no longer
+        stored, even if its payload was served before.  It looks up the
+        key, not a job, so a job dropped from the kept ones still has
+        its payload."""
         with self._lock:
             hit = parallel.lookup_result(key)
             if hit is None:
@@ -449,7 +451,8 @@ class JobManager:
             # submissions while it serializes.
             payload = serialize(hit[0])
             with self._lock:
-                payload = self._payloads.setdefault(key, payload)
+                parallel._remember(self._payloads, key, payload,
+                                   parallel.MEMO_ENTRIES)
         return payload
 
     # -- metrics -----------------------------------------------------------

@@ -38,9 +38,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-#: Bumped whenever the pickled hierarchy's state changes shape (3: the
-#: fast engine's per-set NotInPrC counts and its one-tail kernel).
-CHECKPOINT_VERSION = 3
+#: Bumped whenever the pickled hierarchy's state changes shape or a
+#: stored field changes meaning (3: the fast engine's per-set NotInPrC
+#: counts and its one-tail kernel; 4: workload fingerprints hash packed
+#: records, so a version-3 checkpoint's fingerprint matches no workload
+#: this build fingerprints).
+CHECKPOINT_VERSION = 4
 
 #: Magic prefix so a checkpoint is recognisable before unpickling.
 _MAGIC = b"ZIVCKPT1\n"

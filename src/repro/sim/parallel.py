@@ -49,6 +49,7 @@ import os
 import pickle
 import tempfile
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -80,7 +81,10 @@ from repro.sim.trace import Workload
 #: "7": SimResult swapped ``profile`` for ``phases`` (every run times
 #: its phases) and SystemConfig lost the ``profile`` section; older
 #: pickles would deserialise without ``phases``.
-CACHE_VERSION = "7"
+#: "8": a trace's fingerprint hashes its records packed in the tracebin
+#: body layout, not as decimal text (tracebin format 2), so no key or
+#: ledger fingerprint matches one taken before.
+CACHE_VERSION = "8"
 
 _DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -273,8 +277,35 @@ def make_recipe(
 # In-process memo + next-use-oracle memo
 # ---------------------------------------------------------------------------
 
-_MEMO: dict = {}  # recipe key -> SimResult
-_ORACLE_MEMO: dict = {}  # workload fingerprint -> NextUseOracle
+#: Bounds on the in-process memos, oldest entry out first, so a
+#: long-lived process (the simulation service) stays bounded whatever
+#: it resolves.  The result memo holds more than the union of every
+#: table's grid at quick scale (748 recipes), so a table resolving runs
+#: another already resolved still hits it; an evicted key comes back
+#: from the disk cache as a ``disk`` hit (with ``REPRO_CACHE=off``, it
+#: runs again).  One oracle serves every Belady run of one workload
+#: while it is kept.  Fig. 2 runs each mix's Belady recipe at three L2
+#: sizes with every other mix between, so it rebuilds each oracle per
+#: size once it has more mixes than this bound (24 at standard scale,
+#: 72 at full).  That trade is measured: a build took 19 ms (standard)
+#: and 35 ms (full), within the run-to-run noise of the 0.76 s and
+#: 1.9 s Belady runs that need it, while a kept oracle holds 1.5 MB
+#: and 3.3 MB, about the size of its mix.
+MEMO_ENTRIES = 1024
+ORACLE_MEMO_ENTRIES = 8
+
+_MEMO: OrderedDict = OrderedDict()  # recipe key -> SimResult
+_ORACLE_MEMO: OrderedDict = OrderedDict()  # fingerprint -> NextUseOracle
+
+
+def _remember(memo: OrderedDict, key, value, bound: int) -> None:
+    """File ``value`` under ``key``, dropping the oldest entries past
+    ``bound``.  Each drop is one ``popitem`` call, so threads that run
+    recipes side by side (a thread-mode service) never see an entry
+    half gone."""
+    memo[key] = value
+    while len(memo) > bound:
+        memo.popitem(last=False)
 
 
 def _oracle_for(workload: Workload):
@@ -284,7 +315,8 @@ def _oracle_for(workload: Workload):
     fp = workload.fingerprint()
     oracle = _ORACLE_MEMO.get(fp)
     if oracle is None:
-        oracle = _ORACLE_MEMO[fp] = NextUseOracle(lockstep_stream(workload))
+        oracle = NextUseOracle(lockstep_stream(workload))
+        _remember(_ORACLE_MEMO, fp, oracle, ORACLE_MEMO_ENTRIES)
     return oracle
 
 
@@ -394,14 +426,15 @@ def lookup_result(key: str) -> "Optional[tuple[SimResult, str]]":
     ``(result, source)`` with source ``"memo"`` or ``"disk"``, or None
     on a miss.  No simulation, no ledger append -- callers that resolve
     a submission through this layer own the provenance record (see
-    :func:`record_resolution`).  Disk hits are promoted into the memo."""
+    :func:`record_resolution`).  Disk hits are promoted into the memo
+    (at most :data:`MEMO_ENTRIES` results, oldest out first)."""
     result = _MEMO.get(key)
     if result is not None:
         return result, "memo"
     if cache_enabled():
         result = load_result(key)
         if result is not None:
-            _MEMO[key] = result
+            _remember(_MEMO, key, result, MEMO_ENTRIES)
             return result, "disk"
     return None
 
@@ -413,7 +446,7 @@ def publish_result(key: str, result: SimResult) -> None:
     nothing serves a result the cache does not hold."""
     if cache_enabled():
         store_result(key, result)
-    _MEMO[key] = result
+    _remember(_MEMO, key, result, MEMO_ENTRIES)
 
 
 def record_resolution(

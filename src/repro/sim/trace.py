@@ -15,6 +15,7 @@ are built on demand for tools and tests.
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Iterable, Iterator, Sequence
 
 
@@ -43,33 +44,55 @@ class TraceRecord:
         )
 
 
-#: Records hashed per ``update`` call by :func:`hash_columns`: bounds
-#: the transient preimage (about 30 bytes a record) whatever the length.
-HASH_SLICE = 4096
+#: One packed record, little-endian: gap ``u32``, block address ``u64``,
+#: PC ``u64``, the write flag as 0 or 1 (any true value packs as 1),
+#: 3 pad bytes -- 24 bytes.  A trace's fingerprint hashes its records in
+#: this layout, and a tracebin file (:mod:`repro.sim.tracebin`) stores
+#: them in it, so a file's chunks are its fingerprint preimage.
+RECORD = struct.Struct("<IQQ?3x")
 
-_PREIMAGE = b"%d,%d,%d,%d;"
+#: Records per :data:`_BLOCK` call of :func:`packed_records`.  One fixed
+#: block ``Struct`` (33 KB) serves every length; the tail packs record
+#: by record.
+PACK_BLOCK = 256
+_BLOCK = struct.Struct("<" + RECORD.format[1:] * PACK_BLOCK)
 
 
-def hash_columns(h, gaps: Sequence[int], addrs: Sequence[int],
-                 writes: Sequence, pcs: Sequence[int]) -> None:
-    """Feed parallel record columns to the hash ``h`` in the fingerprint
-    preimage: ``b"%d,%d,%d,%d;" % (gap, addr, is_write, pc)`` per record,
-    the write flag as 0 or 1.
+def packed_records(gaps: Sequence[int], addrs: Sequence[int],
+                   writes: Sequence, pcs: Sequence[int], first: int = 0,
+                   owner: str = "trace") -> Iterator[bytes]:
+    """The records of four parallel columns in the :data:`RECORD`
+    layout: one ``bytes`` block per :data:`PACK_BLOCK` records, then the
+    tail.  The one packer: :meth:`CoreTrace.fingerprint` hashes its
+    blocks and the tracebin writer joins them into the chunk it writes
+    and hashes.
 
-    The one owner of that preimage: :meth:`CoreTrace.fingerprint`, the
-    tracebin writer and :meth:`~repro.sim.tracebin.TraceBinReader.verify`
-    all hash through here, so an in-memory trace and its binary file
-    share their fingerprint.  Works :data:`HASH_SLICE` records at a time,
-    one formatting call per slice."""
+    A field outside its range raises :class:`ValueError` naming the
+    record as ``record <first + i> of <owner>``."""
     n = len(addrs)
-    for lo in range(0, n, HASH_SLICE):
-        hi = min(lo + HASH_SLICE, n)
-        flat: list = [0] * (4 * (hi - lo))
-        flat[0::4] = gaps[lo:hi]
-        flat[1::4] = addrs[lo:hi]
-        flat[2::4] = writes[lo:hi]
-        flat[3::4] = pcs[lo:hi]
-        h.update(_PREIMAGE * (hi - lo) % tuple(flat))
+    full = n - n % PACK_BLOCK
+    flat: list = [0] * (4 * PACK_BLOCK) if full else []
+    try:
+        for lo in range(0, full, PACK_BLOCK):
+            hi = lo + PACK_BLOCK
+            flat[0::4] = gaps[lo:hi]
+            flat[1::4] = addrs[lo:hi]
+            flat[2::4] = pcs[lo:hi]
+            flat[3::4] = writes[lo:hi]
+            yield _BLOCK.pack(*flat)
+        yield b"".join(map(RECORD.pack, gaps[full:], addrs[full:],
+                           pcs[full:], writes[full:]))
+    except struct.error:
+        # Find the record at fault, for the message.
+        for i, fields in enumerate(zip(gaps, addrs, pcs, writes)):
+            try:
+                RECORD.pack(*fields)
+            except struct.error as exc:
+                raise ValueError(
+                    f"record {first + i} of {owner}: field out of range "
+                    f"(gap < 2**32, addr and pc < 2**64 required): {exc}"
+                ) from exc
+        raise
 
 
 class CoreTrace:
@@ -144,13 +167,16 @@ class CoreTrace:
         return len(set(self.addrs))
 
     def fingerprint(self) -> str:
-        """Content hash of the trace (name + every record).
+        """Content hash of the trace: SHA-256 of the name, then every
+        record packed in the :data:`RECORD` layout.
 
         Stable across processes and sessions -- the building block of the
-        persistent result-cache keys in :mod:`repro.sim.parallel`."""
-        h = hashlib.sha256()
-        h.update(self.name.encode())
-        hash_columns(h, self.gaps, self.addrs, self.writes, self.pcs)
+        persistent result-cache keys in :mod:`repro.sim.parallel`.  A
+        field out of its packed range raises :class:`ValueError`."""
+        h = hashlib.sha256(self.name.encode())
+        for block in packed_records(self.gaps, self.addrs, self.writes,
+                                    self.pcs, owner=f"trace {self.name!r}"):
+            h.update(block)
         return h.hexdigest()
 
 

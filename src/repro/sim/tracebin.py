@@ -6,8 +6,9 @@ a compact on-disk format built for the paper's multi-billion-access
 TPC-E/SPEC segments:
 
 * **Fixed-width little-endian records** (24 bytes: gap ``u32``, block
-  address ``u64``, PC ``u64``, flags ``u8`` with bit 0 = write), grouped
-  *per core* so no record needs a core id.
+  address ``u64``, PC ``u64``, write flag ``u8`` as 0 or 1, 3 pad
+  bytes: :data:`repro.sim.trace.RECORD`), grouped *per core* so no
+  record needs a core id.
 * **Chunked layout with a seekable index** -- each core's stream is
   split into chunks of ``chunk_records`` records; a per-chunk index
   entry (file offset, record count, CRC-32 of the raw bytes) lets
@@ -20,9 +21,11 @@ TPC-E/SPEC segments:
   :data:`WINDOW_RECORDS` records per core straight from the mapping into
   the four trace columns (:meth:`BinCoreTrace.window`).
 * **Streaming content fingerprint** -- the header stores the workload's
-  SHA-256 fingerprint computed with *exactly* the same preimage as
-  :meth:`Workload.fingerprint`, so a streamed binary trace and the same
-  workload held in memory hash identically and share recipe-cache
+  :meth:`Workload.fingerprint`.  A core's fingerprint is SHA-256 over
+  its name and its records in the body layout, so the writer hashes the
+  chunk bytes it writes and :meth:`TraceBinReader.verify` hashes the
+  mapped chunks without decoding them.  A streamed binary trace and the
+  same workload held in memory hash identically and share recipe-cache
   entries (:mod:`repro.sim.parallel`).
 
 Importers convert the existing gzip text format
@@ -60,7 +63,13 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from repro.sim.trace import CoreTrace, TraceRecord, Workload, hash_columns
+from repro.sim.trace import (
+    RECORD,
+    CoreTrace,
+    TraceRecord,
+    Workload,
+    packed_records,
+)
 from repro.sim.tracefile import (
     TraceFormatError,
     default_workload_name,
@@ -68,19 +77,17 @@ from repro.sim.tracefile import (
 )
 
 MAGIC = b"ZIVT"
-FORMAT_VERSION = 1
+#: 2: the write flag byte holds 0 or 1 and the fingerprint hashes the
+#: packed records; a version-1 file's fingerprint hashed decimal text.
+FORMAT_VERSION = 2
 
 #: Default records per chunk (24 B/record -> 1.5 MiB chunks).
 DEFAULT_CHUNK_RECORDS = 65536
 
 _HEADER = struct.Struct("<4sHHIIIQQQQ64s12x")  # 128 bytes
 assert _HEADER.size == 128
-_RECORD = struct.Struct("<IQQB3x")  # gap, addr, pc, flags -> 24 bytes
-RECORD_BYTES = _RECORD.size
+RECORD_BYTES = RECORD.size
 _INDEX_ENTRY = struct.Struct("<QII")  # offset, count, crc32
-
-_U32_MAX = (1 << 32) - 1
-_U64_MAX = (1 << 64) - 1
 
 #: Most records of one core a streamed decode window holds, whatever
 #: the file's ``chunk_records``.
@@ -90,7 +97,7 @@ WINDOW_RECORDS = 4096
 @functools.lru_cache(maxsize=4)
 def _window_struct(n: int) -> struct.Struct:
     """``n`` packed records unpacked in one call (one flat tuple)."""
-    return struct.Struct("<" + _RECORD.format[1:] * n)
+    return struct.Struct("<" + RECORD.format[1:] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +150,9 @@ class TraceBinWriter:
     call order) with a :class:`CoreTrace`, whose columns it writes chunk
     by chunk, or any iterable of records -- a list, or a lazy generator
     draining a multi-gigabyte source.  Nothing beyond one chunk's
-    columns is held in memory.  The file appears at ``path`` atomically
-    on :meth:`close` (temp file + rename); an abandoned writer leaves no
-    partial file behind.
+    columns and packed bytes is held in memory.  The file appears at
+    ``path`` atomically on :meth:`close` (temp file + rename); an
+    abandoned writer leaves no partial file behind.
     """
 
     def __init__(
@@ -188,37 +195,24 @@ class TraceBinWriter:
         for gaps, addrs, writes, pcs in _column_batches(
             records, self.chunk_records
         ):
-            # The flags byte and the fingerprint take the flag as 0 or 1.
-            writes = list(map(bool, writes))
-            self._write_chunk(core, count, gaps, addrs, writes, pcs)
-            hash_columns(h, gaps, addrs, writes, pcs)
+            # Packed once: the chunk's bytes are also its share of the
+            # core's fingerprint preimage.
+            try:
+                data = b"".join(packed_records(
+                    gaps, addrs, writes, pcs, first=count,
+                    owner=f"core {core}",
+                ))
+            except ValueError as exc:
+                raise TraceFormatError(str(exc)) from exc
+            self._index.append((self._offset, len(addrs), zlib.crc32(data)))
+            self._f.write(data)
+            self._offset += len(data)
+            h.update(data)
             count += len(addrs)
         self.core_names.append(name)
         self.core_counts.append(count)
         self.core_digests.append(h.hexdigest())
         return count
-
-    def _write_chunk(self, core: int, first: int, gaps, addrs, writes,
-                     pcs) -> None:
-        """Pack one chunk (records ``first``... of ``core``) and index it."""
-        pack = _RECORD.pack
-        try:
-            data = b"".join(map(pack, gaps, addrs, pcs, writes))
-        except struct.error:
-            # Find the record at fault, for the message.
-            for i, fields in enumerate(zip(gaps, addrs, pcs, writes)):
-                try:
-                    pack(*fields)
-                except struct.error as exc:
-                    raise TraceFormatError(
-                        f"record {first + i} of core {core}: field out of "
-                        f"range (gap<{_U32_MAX + 1}, addr/pc<2**64 "
-                        f"required): {exc}"
-                    ) from exc
-            raise
-        self._index.append((self._offset, len(addrs), zlib.crc32(data)))
-        self._f.write(data)
-        self._offset += len(data)
 
     # -- finalisation ------------------------------------------------------
 
@@ -353,7 +347,8 @@ class TraceBinReader:
         if version != FORMAT_VERSION:
             raise TraceFormatError(
                 f"{self.path}: format version {version} unsupported "
-                f"(reader speaks {FORMAT_VERSION})"
+                f"(reader speaks {FORMAT_VERSION}); re-create the file "
+                f"from its source, e.g. with `repro trace convert`"
             )
         self.cores = cores
         self.chunk_records = chunk_records
@@ -416,13 +411,13 @@ class TraceBinReader:
     def chunk(self, core: int, ci: int) -> list[TraceRecord]:
         """Decode one chunk into :class:`TraceRecord` objects."""
         return [
-            TraceRecord(gap, addr, bool(flags & 1), pc)
-            for gap, addr, pc, flags in _RECORD.iter_unpack(
+            TraceRecord(gap, addr, is_write, pc)
+            for gap, addr, pc, is_write in RECORD.iter_unpack(
                 self.chunk_bytes(core, ci)
             )
         ]
 
-    def window(self, core: int, start: int) -> tuple[tuple, tuple, list,
+    def window(self, core: int, start: int) -> tuple[tuple, tuple, tuple,
                                                       tuple]:
         """Columns ``(gaps, addrs, writes, pcs)`` of one core's records
         from ``start``: at most :data:`WINDOW_RECORDS` of them, never past
@@ -433,20 +428,20 @@ class TraceBinReader:
         return self._columns(offset + off * RECORD_BYTES,
                              min(WINDOW_RECORDS, count - off))
 
-    def _columns(self, at: int, n: int) -> tuple[tuple, tuple, list, tuple]:
+    def _columns(self, at: int, n: int) -> tuple[tuple, tuple, tuple,
+                                                 tuple]:
         """The four columns of ``n`` packed records at byte ``at``."""
         flat = _window_struct(n).unpack_from(self._mm, at)
-        return (flat[0::4], flat[1::4], [f & 1 == 1 for f in flat[3::4]],
-                flat[2::4])
+        return flat[0::4], flat[1::4], flat[3::4], flat[2::4]
 
     def record(self, core: int, i: int) -> TraceRecord:
         """Record ``i`` of one core, unpacked on its own."""
         ci, off = divmod(i, self.chunk_records)
         offset, _count, _crc = self._chunks[core][ci]
-        gap, addr, pc, flags = _RECORD.unpack_from(
+        gap, addr, pc, is_write = RECORD.unpack_from(
             self._mm, offset + off * RECORD_BYTES
         )
-        return TraceRecord(gap, addr, bool(flags & 1), pc)
+        return TraceRecord(gap, addr, is_write, pc)
 
     def records(self, core: int) -> Iterator[TraceRecord]:
         """All records of one core, chunk by chunk."""
@@ -458,9 +453,11 @@ class TraceBinReader:
     def verify(self) -> dict:
         """Recompute every chunk CRC and the content fingerprint.
 
-        Raises :class:`TraceFormatError` naming the first corrupt chunk
-        (bit flips are localised by the per-chunk CRC-32) or the
-        fingerprint mismatch; returns a summary dict when clean."""
+        The body is the fingerprint preimage, so each mapped chunk is
+        hashed as it lies, after its CRC check, with no decode.  Raises
+        :class:`TraceFormatError` naming the first corrupt chunk (bit
+        flips are localised by the per-chunk CRC-32) or the fingerprint
+        mismatch; returns a summary dict when clean."""
         chunks_checked = 0
         digests = []
         for core in range(self.cores):
@@ -472,11 +469,7 @@ class TraceBinReader:
                         f"{self.path}: CRC mismatch in chunk {ci} of core "
                         f"{core} (offset {offset}): the file is corrupt"
                     )
-                for lo in range(0, count, WINDOW_RECORDS):
-                    hash_columns(h, *self._columns(
-                        offset + lo * RECORD_BYTES,
-                        min(WINDOW_RECORDS, count - lo),
-                    ))
+                h.update(data)
                 chunks_checked += 1
             digest = h.hexdigest()
             if digest != self.core_fingerprints[core]:
@@ -747,10 +740,8 @@ class _CoreSpool:
         if f is None:
             f = self._files[core] = tempfile.TemporaryFile()
             self.counts[core] = 0
-        f.write(_RECORD.pack(
-            record.gap, record.addr, record.pc,
-            1 if record.is_write else 0,
-        ))
+        f.write(RECORD.pack(record.gap, record.addr, record.pc,
+                            record.is_write))
         self.counts[core] += 1
 
     def declare(self, core: int) -> None:
@@ -765,8 +756,8 @@ class _CoreSpool:
             block = f.read(RECORD_BYTES * 4096)
             if not block:
                 return
-            for gap, addr, pc, flags in _RECORD.iter_unpack(block):
-                yield TraceRecord(gap, addr, bool(flags & 1), pc)
+            for gap, addr, pc, is_write in RECORD.iter_unpack(block):
+                yield TraceRecord(gap, addr, is_write, pc)
 
     def close(self) -> None:
         for f in self._files.values():

@@ -255,6 +255,22 @@ def test_resume_refuses_other_version(tmp_path, engine):
     assert stale.hierarchy.stats.total_accesses == 600
 
 
+def test_resume_refuses_a_version_3_checkpoint_by_its_version(tmp_path):
+    """A version-3 checkpoint names its workload by the fingerprint of
+    its day, which hashed records as decimal text: it is refused for its
+    version, not reported as a checkpoint of another workload."""
+    config = tiny_config(cores=2)
+    ckpt = tmp_path / "run.ckpt"
+    wl = make_workload(seed=12)
+    with pytest.raises(SimulationInterrupted):
+        run_workload(config, wl, "inclusive", checkpoint_path=ckpt,
+                     checkpoint_every=300, stop_after=600)
+    old = dataclasses.replace(load_checkpoint(ckpt), version=3,
+                              workload_fingerprint="0" * 64)
+    with pytest.raises(CheckpointError, match="version 3 unsupported"):
+        run_workload(config, wl, "inclusive", resume_from=old)
+
+
 def test_load_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"definitely not a checkpoint")

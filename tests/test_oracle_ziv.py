@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from tests.conftest import tiny_config
 
 from repro.cache.replacement import NextUseOracle
@@ -80,6 +82,27 @@ class TestOracleZIV:
         assert stats.relocations_rechained > 0
         assert stats.relocations_cross_bank > 0
         assert stats.inclusion_victims_llc == 0
+        assert h.inclusion_holds()
+        assert h.directory_consistent()
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_cross_bank_fallback_takes_an_invalid_set_first(self, seed):
+        """Four one-set banks of two ways: a home bank whose blocks are
+        all privately cached falls back across banks, to an invalid set
+        where one exists and else to the oracle's NotInPrC pick, as
+        ``ziv:notinprc`` does.  Looking for NotInPrC blocks alone, these
+        workloads find none in any bank."""
+        cfg = tiny_config(cores=2, l1=(1, 1), l2=(1, 2), llc=(4, 1, 2))
+        wl = random_workload(seed)
+        h = CacheHierarchy(cfg, OracleZIVScheme(
+            NextUseOracle(lockstep_stream(wl))), llc_policy="lru")
+        result = Simulation(h, wl, scheduling="lockstep",
+                            telemetry="100,events=relocation").run()
+        fallbacks = {e.data["property"] for e in result.telemetry.events
+                     if e.kind == "cross_bank_fallback"}
+        assert fallbacks == {"invalid", "oracle"}
+        assert result.stats.relocations_cross_bank > 0
+        assert result.stats.inclusion_victims_llc == 0
         assert h.inclusion_holds()
         assert h.directory_consistent()
 

@@ -245,6 +245,70 @@ class TestDiskCache:
         run_many([recipe])
         assert cache_info()["entries"] == 0
 
+    def test_evicted_key_resolves_from_disk(self, monkeypatch, tmp_path):
+        """Past ``MEMO_ENTRIES`` the oldest result leaves the memo: it
+        comes back from the disk cache as a ``disk`` resolution, and
+        with the disk cache off it runs again."""
+        from repro.sim import parallel
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(parallel, "MEMO_ENTRIES", 2)
+        clear_memo()
+        recipes = [RunRecipe(workload=wl, scheme="inclusive",
+                             config=tiny_config())
+                   for wl in small_workloads(3)]
+        keys = [r.key() for r in recipes]
+        first = run_many(recipes)
+        assert list(parallel._MEMO) == keys[1:]
+        again = run_many(recipes[:1])
+        assert summarise(again[0]) == summarise(first[0])
+        assert read_ledger()[-1].source == "disk"
+        assert list(parallel._MEMO) == [keys[2], keys[0]]
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        ran = []
+        execute = parallel._execute_recipe
+        monkeypatch.setattr(parallel, "_execute_recipe",
+                            lambda item: ran.append(item[0]) or execute(item))
+        assert summarise(run_many(recipes[1:2])[0]) == summarise(first[1])
+        assert ran == keys[1:2]
+        clear_memo()
+
+    def test_memo_bound_holds_under_racing_threads(self):
+        """Threads that file entries side by side, more of them than
+        cores and switching often (as thread-mode service workers build
+        Belady oracles), never fail a drop and leave the memo within
+        its bound."""
+        import sys
+        import threading
+        from collections import OrderedDict
+
+        from repro.sim.parallel import _remember
+
+        memo: OrderedDict = OrderedDict()
+        errors: list = []
+
+        def fill(t: int) -> None:
+            try:
+                for i in range(2000):
+                    _remember(memo, (t, i), i, 8)
+            except Exception as exc:  # noqa: BLE001 - the test reports it
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(t,))
+                       for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memo) <= 8
+
     def test_corrupt_entry_is_dropped(self, monkeypatch, tmp_path):
         """An unreadable entry -- garbage, or a real result pickle cut
         short -- is a miss: the recipe runs fresh and its result

@@ -381,6 +381,42 @@ def test_manager_resolves_memo_hits_without_execution(monkeypatch):
         manager.close()
 
 
+def test_manager_memos_stay_bounded(tmp_path, monkeypatch):
+    """With the bounds patched low, the result, oracle and payload memos
+    keep their newest entries, and an evicted key comes back from the
+    disk cache as a ``disk`` hit with the payload bytes it had."""
+    from repro.service import jobs
+    from repro.service.api import result_to_json
+    from repro.sim import parallel
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(parallel, "MEMO_ENTRIES", 3)
+    monkeypatch.setattr(parallel, "ORACLE_MEMO_ENTRIES", 2)
+    parallel.clear_memo()
+    recipes = [dataclasses.replace(make_recipe(policy="belady"),
+                                   scheduling="lockstep") for _ in range(5)]
+    keys = [r.key() for r in recipes]
+    manager = jobs.JobManager(workers=1, mode="thread")
+    try:
+        payloads = []
+        for recipe in recipes:
+            view = manager.wait(manager.submit(recipe)["id"], timeout=30)
+            assert (view["state"], view["source"]) == ("done", "run")
+            payloads.append(manager.payload(view["key"], result_to_json))
+        assert list(parallel._MEMO) == keys[2:]
+        assert list(parallel._ORACLE_MEMO) == \
+            [r.workload.fingerprint() for r in recipes[3:]]
+        assert list(manager._payloads) == keys[2:]
+        again = manager.submit(recipes[0])
+        assert (again["state"], again["source"]) == ("done", "disk")
+        assert manager.payload(keys[0], result_to_json) == payloads[0]
+        assert list(parallel._MEMO) == keys[3:] + keys[:1]
+        assert list(manager._payloads) == keys[3:] + keys[:1]
+    finally:
+        manager.close()
+        parallel.clear_memo()
+
+
 def test_manager_records_failures(monkeypatch):
     from repro.service.jobs import JobManager
     from repro.sim import parallel
@@ -935,6 +971,28 @@ def test_http_rejects_negative_accesses_with_field(service):
     assert excinfo.value.status == 400
     assert excinfo.value.type == "RecipeError"
     assert excinfo.value.field == "workload.accesses"
+
+
+def test_http_rejects_an_out_of_range_record_with_field(service):
+    # A records workload is keyed by its packed records, so a field
+    # outside its range is a 400 naming the core and record, not a 500.
+    from repro.service import ServiceError
+
+    server, client = service
+    body = {
+        "workload": {"kind": "records", "cores": [
+            {"name": "ok", "records": [[0, 5, 1, 2]]},
+            {"name": "bad", "records": [[1, 5, 0, 2], [2**32, 3, 0, 0]]},
+        ]},
+        "scheme": "inclusive",
+        "config": config_to_dict(tiny_config()),
+    }
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(body)
+    assert (excinfo.value.status, excinfo.value.type,
+            excinfo.value.field) == (400, "RecipeError",
+                                     "workload.cores.1.records")
+    assert "core 1: record 1 of trace 'bad'" in str(excinfo.value)
 
 
 def test_http_both_engines_resolve(service):

@@ -1,11 +1,13 @@
 """SynthRef: a synthesized workload carried as its generator spec.
 
-The fingerprints below were taken from the generators before recipes
-carried specs in place of records.  A fingerprint is the workload's
-share of every result-cache key, so they pin two things: what each
-generator builds, and that a spec keys a recipe exactly as the records
-it stands for -- cache entries written from records still hit."""
+The digests below were taken from the generators before recipes carried
+specs in place of records, with the fingerprint of that time, which
+hashed each record as decimal text.  The fingerprint now hashes packed
+records, so :func:`decimal_digest`, a copy of that old hash kept here,
+checks them: they pin what each generator builds.  The tests also check
+that a spec keys a recipe exactly as the records it stands for."""
 
+import hashlib
 import json
 import pickle
 
@@ -24,8 +26,23 @@ from tests.conftest import tiny_config
 
 GENERATORS = {"profile": homogeneous_mix, "mt": multithreaded_workload}
 
-#: ``Workload.fingerprint()`` of every generator at cores=2, 64 accesses
-#: per core, seed 3.
+
+def decimal_digest(workload) -> str:
+    """The workload content hash the digests below were taken with:
+    SHA-256 of the workload name and each core's hex digest, a core's
+    digest hashing its name and then ``b"%d,%d,%d,%d;" % (gap, addr,
+    write, pc)`` per record, the write flag as 0 or 1."""
+    h = hashlib.sha256(workload.name.encode())
+    for t in workload:
+        core = hashlib.sha256(t.name.encode())
+        for r in zip(t.gaps, t.addrs, map(bool, t.writes), t.pcs):
+            core.update(b"%d,%d,%d,%d;" % r)
+        h.update(core.hexdigest().encode())
+    return h.hexdigest()
+
+
+#: :func:`decimal_digest` of every generator at cores=2, 64 accesses per
+#: core, seed 3.
 FINGERPRINTS = {
     "profile": {
         "bwaves.1":
@@ -115,8 +132,8 @@ FINGERPRINTS = {
     },
 }
 
-#: ``Workload.fingerprint()`` of every generator at cores=2, 5000 accesses
-#: per core, seed 11, taken from the record-at-a-time generators.  At this
+#: :func:`decimal_digest` of every generator at cores=2, 5000 accesses per
+#: core, seed 11, taken from the record-at-a-time generators.  At this
 #: length every streaming region wraps and every pointer chase finishes
 #: a lap, which the 64-access table above never reaches.
 LONG_FINGERPRINTS = {
@@ -215,11 +232,10 @@ SPECS = ([("profile", app) for app in ALL_PROFILE_NAMES]
 @pytest.mark.parametrize("kind,app", SPECS,
                          ids=[f"{kind}-{app}" for kind, app in SPECS])
 def test_synthesized_content_is_pinned(kind, app):
-    pinned = FINGERPRINTS[kind][app]
     built = GENERATORS[kind](app, cores=2, n_accesses=64, seed=3)
-    assert built.fingerprint() == pinned
+    assert decimal_digest(built) == FINGERPRINTS[kind][app]
     ref = SynthRef(kind, app, cores=2, accesses=64, seed=3)
-    assert ref.fingerprint() == pinned
+    assert ref.fingerprint() == built.fingerprint()
     by_records = make_recipe(built, "inclusive", config=tiny_config())
     by_spec = recipe_from_dict({
         "workload": {"kind": kind, "app": app, "cores": 2, "accesses": 64,
@@ -235,7 +251,7 @@ def test_synthesized_content_is_pinned(kind, app):
                          ids=[f"{kind}-{app}" for kind, app in SPECS])
 def test_long_synthesized_content_is_pinned(kind, app):
     built = GENERATORS[kind](app, cores=2, n_accesses=5000, seed=11)
-    assert built.fingerprint() == LONG_FINGERPRINTS[kind][app]
+    assert decimal_digest(built) == LONG_FINGERPRINTS[kind][app]
 
 
 def test_ref_names_and_builds_what_its_generator_builds():

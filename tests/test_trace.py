@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.sim.trace import (
-    HASH_SLICE,
+    PACK_BLOCK,
     CoreTrace,
     TraceRecord,
     Workload,
@@ -17,6 +17,14 @@ from repro.sim.trace import (
 
 def trace(addrs, name="t"):
     return CoreTrace([TraceRecord(1, a, False, 0) for a in addrs], name)
+
+
+def packed(r: TraceRecord) -> bytes:
+    """One record of the fingerprint preimage, built by hand: gap u32,
+    addr u64, pc u64, the write flag as one 0/1 byte and 3 zero bytes,
+    little-endian."""
+    return (r.gap.to_bytes(4, "little") + r.addr.to_bytes(8, "little")
+            + r.pc.to_bytes(8, "little") + bytes([bool(r.is_write), 0, 0, 0]))
 
 
 class TestCoreTrace:
@@ -92,21 +100,39 @@ class TestColumns:
 
     def test_fingerprint_preimage_is_unchanged(self):
         t = CoreTrace.from_columns(*self.data(), name="t")
-        preimage = b"t" + b"".join(
-            b"%d,%d,%d,%d;" % (r.gap, r.addr, r.is_write, r.pc)
-            for r in t.records
-        )
-        assert t.fingerprint() == hashlib.sha256(preimage).hexdigest()
+        preimage = b"t" + b"".join(map(packed, t.records))
+        assert t.fingerprint() == hashlib.sha256(preimage).hexdigest() == \
+            "f84357d4373ff60bb3615ad85a154de6c6a9b51852461b18177b5dc941355776"
 
     def test_long_fingerprint_hashes_in_slices(self):
-        n = 2 * HASH_SLICE + 5
-        t = CoreTrace.from_columns(list(range(n)), list(range(n)),
-                                   [i % 3 == 0 for i in range(n)],
-                                   [7] * n, name="long")
-        h = hashlib.sha256(b"long")
-        for r in t.records:
-            h.update(b"%d,%d,%d,%d;" % (r.gap, r.addr, r.is_write, r.pc))
-        assert t.fingerprint() == h.hexdigest()
+        # Whole blocks and a tail hash as one stream of packed records,
+        # on either side of a block boundary; a write flag of 2 packs
+        # as 1.
+        for n in (PACK_BLOCK - 1, PACK_BLOCK, PACK_BLOCK + 1,
+                  2 * PACK_BLOCK + 5):
+            t = CoreTrace.from_columns(list(range(n)), list(range(n)),
+                                       [i % 3 for i in range(n)],
+                                       [7] * n, name="long")
+            h = hashlib.sha256(b"long")
+            for r in t.records:
+                h.update(packed(r))
+            assert t.fingerprint() == h.hexdigest(), n
+
+    @pytest.mark.parametrize("at,field,value", [
+        (1, "gaps", 2**32), (PACK_BLOCK + 44, "addrs", -1),
+        (2 * PACK_BLOCK + 3, "pcs", 2**64),
+    ])
+    def test_fingerprint_rejects_a_field_out_of_range(self, at, field,
+                                                      value):
+        n = 2 * PACK_BLOCK + 5
+        columns = {"gaps": [0] * n, "addrs": [1] * n,
+                   "writes": [False] * n, "pcs": [2] * n}
+        columns[field][at] = value
+        t = CoreTrace.from_columns(**columns, name="big")
+        with pytest.raises(ValueError,
+                           match=rf"record {at} of trace 'big': field out "
+                                 rf"of range"):
+            t.fingerprint()
 
     def test_pickle_carries_the_columns_only(self):
         for t in (CoreTrace([TraceRecord(*r) for r in zip(*self.data())]),

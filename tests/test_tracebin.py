@@ -247,9 +247,9 @@ def test_window_carries_the_pc_column(tmp_path):
 
 
 def test_synthesized_mix_with_a_partial_last_chunk(tmp_path):
-    # One hasher owns the preimage: the writer hashes per chunk and
-    # verify per window, and both must land on the in-memory value when
-    # a core's length is not a multiple of the chunk size.
+    # The writer hashes the chunks it writes and verify() the mapped
+    # chunks; both must land on the in-memory value when a core's
+    # length is not a multiple of the chunk size.
     from repro.workloads import heterogeneous_mixes
 
     wl = heterogeneous_mixes(n_mixes=1, cores=3, n_accesses=1000, seed=5)[0]
@@ -263,6 +263,29 @@ def test_synthesized_mix_with_a_partial_last_chunk(tmp_path):
     back = load_workload_bin(path)
     assert [(t.gaps, t.addrs, t.writes, t.pcs) for t in back] == \
         [(t.gaps, t.addrs, t.writes, t.pcs) for t in wl]
+
+
+@pytest.mark.parametrize("chunk_records", [100, 300, 65536])
+def test_every_fingerprint_path_agrees(tmp_path, chunk_records):
+    # The in-memory fingerprint, the writer's header, verify() and a
+    # TraceRef agree on either side of a packing block boundary (255,
+    # 256 and 257 records), for an empty core and a write flag of 2,
+    # with chunks that cut the blocks.
+    traces = [
+        CoreTrace.from_columns(list(range(n)), [3 * i for i in range(n)],
+                               [i % 3 for i in range(n)], [7] * n,
+                               name=f"c{n}")
+        for n in (255, 256, 257, 0)
+    ]
+    wl = Workload(traces, "parity")
+    path = tmp_path / "wl.tracebin"
+    written = save_workload_bin(wl, path, chunk_records=chunk_records)
+    with TraceBinReader(path) as reader:
+        verified = reader.verify()["fingerprint"]
+        assert reader.core_fingerprints == [t.fingerprint() for t in traces]
+    assert written == wl.fingerprint() == verified == \
+        make_trace_ref(path).fingerprint()
+    assert load_workload_bin(path).fingerprint() == wl.fingerprint()
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
@@ -373,6 +396,20 @@ def test_not_a_tracebin_file(tmp_path):
         TraceBinReader(path)
 
 
+def test_version_1_file_is_refused_with_a_remedy(tmp_path):
+    # A version-1 header's fingerprint hashed decimal text: no recipe
+    # key this build makes can name it, so the reader refuses it.
+    path = tmp_path / "wl.tracebin"
+    save_workload_bin(make_workload(seed=4, n=50), path)
+    data = bytearray(path.read_bytes())
+    data[4:6] = (1).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceFormatError,
+                       match="version 1 .*re-create the file from its "
+                             "source"):
+        TraceBinReader(path)
+
+
 def test_writer_rejects_out_of_range_fields(tmp_path):
     with TraceBinWriter(tmp_path / "wl.tracebin") as w:
         with pytest.raises(TraceFormatError, match="out of range"):
@@ -381,14 +418,16 @@ def test_writer_rejects_out_of_range_fields(tmp_path):
 
 
 def test_writer_stores_any_true_flag_as_a_write(tmp_path):
-    # The flags byte keeps bit 0 only, so a write flag of 2 is written,
-    # hashed and read back as a plain write.
+    # The flag byte holds 0 or 1, so a write flag of 2 is written,
+    # hashed and read back as a plain write, and the file fingerprints
+    # as the trace in memory does.
     wl = Workload([CoreTrace([TraceRecord(0, 1, 2, 3),
                               TraceRecord(1, 2, 0, 3)], "c")], "flags")
     path = tmp_path / "wl.tracebin"
     save_workload_bin(wl, path)
     with TraceBinReader(path) as reader:
-        reader.verify()
+        assert reader.verify()["fingerprint"] == wl.fingerprint()
+    assert path.read_bytes()[128 + 20] == 1
     assert load_workload_bin(path)[0].writes == [True, False]
 
 
