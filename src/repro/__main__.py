@@ -5,7 +5,6 @@ Commands
 ``list``                 available schemes, policies, profiles, figures
 ``figure <name>``        regenerate one paper figure (e.g. fig08_lru_perf)
 ``run``                  run one workload/scheme/policy combination
-``telemetry``            run with interval sampling, chart a counter
 ``sidechannel``          prime+probe campaign across designs
 ``config``               print the scaled and paper-scale configurations
 ``cache``                inspect or clear the persistent result cache
@@ -95,10 +94,13 @@ def _cmd_run(args) -> int:
             print("--resume requires --checkpoint", file=sys.stderr)
             return 2
         resume_from = args.checkpoint
+    telemetry = args.telemetry
+    if args.chart and telemetry is None:
+        telemetry = "on"  # sample at the default interval
     try:
         result = run_workload(
             config, wl, args.scheme, llc_policy=args.policy,
-            audit=args.audit, telemetry=args.telemetry,
+            audit=args.audit, telemetry=telemetry,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume_from=resume_from,
@@ -117,6 +119,19 @@ def _cmd_run(args) -> int:
     if args.progress:
         sys.stderr.write("\n")
     print(describe_result(result, config))
+    if args.chart:
+        from repro.experiments.ascii_chart import series_chart
+
+        t = result.telemetry  # None only under --telemetry=off
+        columns = t.series.columns if t is not None else []
+        for column in args.chart:
+            if column not in columns:
+                print(f"unknown series column {column!r}; available: "
+                      f"{' '.join(columns)}")
+                return 2
+            print(series_chart(
+                t.series, column, title=f"{column} -- {result.scheme}/"
+                f"{result.policy} on {result.workload}"))
     if result.telemetry is not None and args.events_out:
         from repro.sim.telemetry import write_events_jsonl
 
@@ -126,39 +141,6 @@ def _cmd_run(args) -> int:
         print(result.audit.summary())
         if not result.audit.ok:
             return 1
-    return 0
-
-
-def _cmd_telemetry(args) -> int:
-    """Run one simulation with interval sampling on, then chart one or
-    more sampled columns as ASCII time series."""
-    from repro.experiments.ascii_chart import series_chart
-    from repro.params import TelemetryParams, scaled_config
-    from repro.sim.engine import run_workload
-    from repro.workloads import SynthRef
-
-    config = scaled_config(args.l2)
-    wl = SynthRef.parse(args.workload, config.cores, args.accesses)
-    params = TelemetryParams(
-        enabled=True, interval=args.interval, events=args.events or ""
-    )
-    result = run_workload(
-        config, wl, args.scheme, llc_policy=args.policy, telemetry=params
-    )
-    t = result.telemetry
-    title_base = f"{result.scheme}/{result.policy} on {result.workload}"
-    for column in args.series:
-        if column not in t.series.columns:
-            print(f"unknown series column {column!r}; available: "
-                  f"{' '.join(t.series.columns)}")
-            return 2
-        print(series_chart(t.series, column, width=args.width,
-                           title=f"{column} -- {title_base}"))
-    if args.events_out:
-        from repro.sim.telemetry import write_events_jsonl
-
-        n = write_events_jsonl(t.events, args.events_out)
-        print(f"wrote {n} event(s) to {args.events_out}")
     return 0
 
 
@@ -408,6 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "'severity=LEVEL' -- e.g. "
                         "--telemetry=250,events=relocation (see "
                         "repro.sim.telemetry)")
+    p.add_argument("--chart", nargs="+", default=None, metavar="COLUMN",
+                   help="after the run, chart these sampled columns "
+                        "(e.g. relocations) as ASCII time series; "
+                        "samples at the default interval unless "
+                        "--telemetry gives a spec")
     p.add_argument("--events-out", default=None, metavar="FILE.jsonl",
                    help="write traced telemetry events as JSONL")
     p.add_argument("--trace", default=None, metavar="FILE.tracebin",
@@ -429,30 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "boundary at or beyond N total accesses")
     p.add_argument("--progress", action="store_true",
                    help="print chunk-position heartbeats to stderr")
-
-    p = sub.add_parser(
-        "telemetry",
-        help="run one simulation with sampling on and chart a counter",
-    )
-    p.add_argument("--workload", default="xalancbmk.2",
-                   help="profile name, or mt:<app> for multi-threaded")
-    p.add_argument("--scheme", default="ziv:likelydead")
-    p.add_argument("--policy", default="lru")
-    p.add_argument("--l2", default="512KB",
-                   choices=("256KB", "512KB", "768KB", "1MB"))
-    p.add_argument("--accesses", type=int, default=4000)
-    p.add_argument("--interval", type=int, default=1000,
-                   help="sampling interval in accesses (default 1000)")
-    p.add_argument("--series", nargs="+", default=["relocations"],
-                   metavar="COLUMN",
-                   help="sampled column(s) to chart (default: relocations)")
-    p.add_argument("--events", default=None, metavar="CATS",
-                   help="also trace events: 'all' or a '+'-joined subset "
-                        "of relocation/coherence/directory/char")
-    p.add_argument("--events-out", default=None, metavar="FILE.jsonl",
-                   help="write traced events as JSONL")
-    p.add_argument("--width", type=int, default=48,
-                   help="chart width in characters")
 
     p = sub.add_parser("sidechannel", help="prime+probe campaign")
     p.add_argument("--trials", type=int, default=48)
@@ -558,7 +521,6 @@ def main(argv=None) -> int:
         "list": _cmd_list,
         "figure": _cmd_figure,
         "run": _cmd_run,
-        "telemetry": _cmd_telemetry,
         "sidechannel": _cmd_sidechannel,
         "config": _cmd_config,
         "cache": _cmd_cache,

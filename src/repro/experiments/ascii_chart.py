@@ -4,7 +4,7 @@ The paper's figures are bar charts; ``run_all_experiments.py`` and the
 CLI can render a :class:`FigureResult` as ASCII bars so the shape of each
 result is visible without plotting libraries.  :func:`series_chart` does
 the same for a telemetry :class:`~repro.sim.telemetry.TimeSeries`
-(``python -m repro telemetry``), so counter dynamics over a run are
+(``python -m repro run --chart COLUMN``), so counter dynamics over a run are
 inspectable in the terminal too.
 """
 

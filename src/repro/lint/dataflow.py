@@ -127,6 +127,17 @@ class ReturnEscape:
 
 
 @dataclass(frozen=True)
+class LocalEscape:
+    """A local bound to a guarded attribute inside its critical section
+    and used after the section ends."""
+
+    attr: str
+    name: str
+    line: int
+    method: str
+
+
+@dataclass(frozen=True)
 class YieldEvent:
     """A ``yield`` reached while a lock is held lexically."""
 
@@ -158,6 +169,7 @@ class ClassState:
     method_lines: dict[str, int] = field(default_factory=dict)
     accesses: list[AttrAccess] = field(default_factory=list)
     returns: list[ReturnEscape] = field(default_factory=list)
+    local_escapes: list[LocalEscape] = field(default_factory=list)
     yields: list[YieldEvent] = field(default_factory=list)
     captures: list[CaptureEvent] = field(default_factory=list)
 
@@ -255,7 +267,11 @@ class _MethodWalker:
         held0 = frozenset(
             cls.canonical(lk) for lk in cls.holds.get(func.name, frozenset())
         )
-        self._aliases: dict[str, str] = {}  #: local name -> self attr
+        #: local name -> (self attr, line of the binding)
+        self._aliases: dict[str, tuple[str, int]] = {}
+        #: local name -> (guarded attr, its lock) for a binding that left
+        #: the attr's critical section
+        self._escaped: dict[str, tuple[str, str]] = {}
         self._nested: dict[str, _Func] = {}  #: nested def name -> node
         for stmt in func.body:
             self._visit(stmt, held0)
@@ -310,6 +326,28 @@ class _MethodWalker:
             and n.attr not in self.cls.method_lines
         )
 
+    def _leave(self, block: ast.AST, released: frozenset[str]) -> None:
+        """Mark the locals ``block`` bound to state guarded by a lock it
+        ``released``: a use after the block reaches that state unlocked.
+        A block that also rebinds the attribute has moved the object
+        out (``executor = self._executor; self._executor = None``), so
+        its local is no escape."""
+        if not released:
+            return
+        moved = {
+            _self_attr(n) for n in ast.walk(block)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        }
+        for name, (attr, line) in self._aliases.items():
+            decl = self.cls.declared.get(attr)
+            if (
+                decl is not None
+                and block.lineno <= line <= block.end_lineno
+                and self.cls.canonical(decl[0]) in released
+                and attr not in moved
+            ):
+                self._escaped[name] = (attr, self.cls.canonical(decl[0]))
+
     # -- the walk ---------------------------------------------------------
 
     def _visit(self, node: ast.AST, held: frozenset[str]) -> None:
@@ -326,6 +364,7 @@ class _MethodWalker:
             inner = frozenset(acquired)
             for child in node.body:
                 self._visit(child, inner)
+            self._leave(node, inner - held)
             return
 
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -366,22 +405,39 @@ class _MethodWalker:
 
         if isinstance(node, ast.Assign):
             # Track `x = self.attr` so `return x` counts as an escape of
-            # self.attr, not of an anonymous local.
+            # self.attr, not of an anonymous local.  The value is read
+            # before the targets are bound.
+            self._visit(node.value, held)
             value_attr = _self_attr(node.value)
             for target in node.targets:
+                self._visit(target, held)
                 if isinstance(target, ast.Name):
                     if value_attr is not None:
-                        self._aliases[target.id] = value_attr
+                        self._aliases[target.id] = (value_attr, node.lineno)
                     else:
                         self._aliases.pop(target.id, None)
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, held)
+            return
+
+        if isinstance(node, ast.Name):
+            escaped = self._escaped.get(node.id)
+            if escaped is None:
+                return
+            if not isinstance(node.ctx, ast.Load):
+                del self._escaped[node.id]  # rebound
+            elif escaped[1] not in held:
+                del self._escaped[node.id]  # reported once
+                self.cls.local_escapes.append(LocalEscape(
+                    attr=escaped[0], name=node.id, line=node.lineno,
+                    method=self.method,
+                ))
             return
 
         if isinstance(node, ast.Return) and node.value is not None:
             escaped = _self_attr(node.value)
             if escaped is None and isinstance(node.value, ast.Name):
-                escaped = self._aliases.get(node.value.id)
+                escaped, _line = self._aliases.get(node.value.id, (None, 0))
+                # The return escape below reports it, once.
+                self._escaped.pop(node.value.id, None)
             if (
                 escaped is not None
                 and escaped not in self.cls.locks

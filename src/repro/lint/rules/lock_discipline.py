@@ -11,8 +11,10 @@ argument into a checked contract:
   at **every** access outside ``__init__``;
 * a guarded object must not *escape* its critical section: returned
   bare (unless the method is a ``holds`` helper, i.e. the caller owns
-  the lock), yielded to a generator consumer while the lock is held, or
-  captured by a closure handed to an executor / future callback;
+  the lock), bound to a local inside the section and used after it
+  (unless the section rebinds the attribute, moving the object out),
+  yielded to a generator consumer while the lock is held, or captured
+  by a closure handed to an executor / future callback;
 * staleness both ways is a finding: a declaration whose attribute is
   never accessed outside ``__init__`` is dead
   (``declared-but-never-guarded``), and an undeclared attribute that is
@@ -122,6 +124,15 @@ class _ClassChecker:
                 f"{ret.method}() returns guarded attribute {ret.attr!r} "
                 f"to a caller outside the {decl[0]} critical section; "
                 f"return a copy/snapshot instead",
+            )
+        for esc in cls.local_escapes:
+            lock = cls.declared[esc.attr][0]
+            yield self._finding(
+                esc.line,
+                f"{esc.method}() uses guarded attribute {esc.attr!r} "
+                f"through local {esc.name!r} after the {lock} critical "
+                f"section that bound it; copy it under the lock, or "
+                f"rebind the attribute there to move the object out",
             )
         for y in cls.yields:
             locks = ", ".join(sorted(y.held))

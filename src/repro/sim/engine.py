@@ -43,8 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs import ledger
-from repro.sim.audit import AuditReport, InvariantAuditor, resolve_audit
+from repro.sim.audit import AuditReport, InvariantAuditor
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     SimCheckpoint,
@@ -57,7 +56,6 @@ from repro.sim.telemetry import (
     StreamProgress,
     TelemetryCollector,
     TelemetryResult,
-    resolve_telemetry,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -99,7 +97,11 @@ class SimResult:
 
 
 class Simulation:
-    """Drives a workload through a :class:`CacheHierarchy`."""
+    """Drives a workload through a :class:`CacheHierarchy`.
+
+    The hierarchy's configuration says whether the run audits
+    (``config.audit``) and samples (``config.telemetry``); nothing else
+    is consulted, so a run does what its recipe's cache key says."""
 
     def __init__(
         self,
@@ -107,8 +109,6 @@ class Simulation:
         workload: Workload,
         scheduling: str = "timing",
         llc_policy_name: Optional[str] = None,
-        audit=None,
-        telemetry=None,
     ) -> None:
         if scheduling not in ("timing", "lockstep"):
             raise ValueError(f"unknown scheduling mode {scheduling!r}")
@@ -121,15 +121,6 @@ class Simulation:
         self.workload = workload
         self.scheduling = scheduling
         self.llc_policy_name = llc_policy_name or hierarchy.llc.policy_name
-        # ``audit``: AuditParams or a spec string; defaults to the
-        # hierarchy configuration's audit section (config.audit) so that
-        # cached recipes and direct runs agree on whether they audit.
-        self.audit_params = resolve_audit(audit, hierarchy.config.audit)
-        # ``telemetry``: TelemetryParams or a spec string; defaults to
-        # config.telemetry the same way.
-        self.telemetry_params = resolve_telemetry(
-            telemetry, hierarchy.config.telemetry
-        )
 
     def run(
         self,
@@ -200,14 +191,15 @@ class Simulation:
             state = ck.scheduler_state
             lap("checkpoint")
         else:
+            config = self.hierarchy.config
             auditor = (
-                InvariantAuditor(self.hierarchy, self.audit_params)
-                if self.audit_params.enabled
+                InvariantAuditor(self.hierarchy, config.audit)
+                if config.audit.enabled
                 else None
             )
             collector = (
-                TelemetryCollector(self.hierarchy, self.telemetry_params)
-                if self.telemetry_params.enabled
+                TelemetryCollector(self.hierarchy, config.telemetry)
+                if config.telemetry.enabled
                 else None
             )
         if collector is not None:
@@ -426,7 +418,6 @@ def run_workload(
     scheme_name: str,
     llc_policy: str = "lru",
     scheduling: str = "timing",
-    oracle=None,
     policy_kwargs: Optional[dict] = None,
     audit=None,
     telemetry=None,
@@ -436,146 +427,60 @@ def run_workload(
     stop_after: Optional[int] = None,
     progress=None,
 ) -> SimResult:
-    """Convenience one-call runner: build hierarchy + scheme, simulate.
+    """Convenience one-call runner: run the recipe
+    :func:`~repro.sim.parallel.make_recipe` builds from these arguments,
+    here and now.
 
-    ``audit`` (AuditParams or a spec string like ``"end,fail"``) enables
-    the invariant auditor; when omitted, the ``REPRO_AUDIT`` environment
-    variable and then ``config.audit`` decide.  ``telemetry``
-    (TelemetryParams or a spec string like ``"250,events=relocation"``)
-    enables interval sampling/event tracing; when omitted,
-    ``config.telemetry`` decides.
-
-    Every completed call appends one provenance record to the run
-    ledger (see :mod:`repro.obs.ledger`; ``REPRO_LEDGER=off`` opts
-    out).  Interrupted runs (``stop_after`` checkpoints) do not
-    append -- the resumed completion does, carrying its checkpoint
-    lineage in ``resumed_from``.
-
-    ``config.engine`` selects the implementation: ``"object"`` (default)
-    builds the reference :class:`~repro.hierarchy.cmp.CacheHierarchy`;
-    ``"fast"`` builds the array-state
-    :class:`~repro.sim.fast.FastHierarchy`, which produces identical
-    statistics (the differential harness enforces this) but does not
-    support replacement oracles.
-
-    ``workload`` may also be a :class:`~repro.sim.tracebin.TraceRef`
-    (resolved -- and fingerprint-verified -- to a streaming
-    :class:`~repro.sim.tracebin.BinWorkload` here), and the
+    The run takes the recipe path without its result cache: the
+    workload resolves once (a :class:`~repro.sim.tracebin.TraceRef`
+    opens and verifies its file, closed after the run; a
+    :class:`~repro.workloads.SynthRef` synthesizes), ``make_recipe``
+    turns ``audit``/``telemetry`` and the ``REPRO_AUDIT`` environment
+    variable into config fields, and :meth:`RunRecipe.execute
+    <repro.sim.parallel.RunRecipe.execute>` builds the hierarchy that
+    ``config.engine`` names.  A ``"belady"`` run is lock-step and builds
+    its own next-use oracle from the canonical stream.  The
     checkpoint/streaming keywords (``checkpoint_path``,
     ``checkpoint_every``, ``resume_from``, ``stop_after``, ``progress``)
-    pass straight through to :meth:`Simulation.run`."""
-    from repro.hierarchy.cmp import CacheHierarchy
-    from repro.schemes import make_scheme
-    from repro.sim.tracebin import resolve_workload
+    pass straight through to :meth:`Simulation.run`.
 
-    workload = resolve_workload(workload)
+    Every completed call appends one ``"direct"`` provenance record to
+    the run ledger under the recipe's key and config digest (see
+    :mod:`repro.obs.ledger`; ``REPRO_LEDGER=off`` opts out).
+    Interrupted runs (``stop_after`` checkpoints) do not append -- the
+    resumed completion does, carrying its checkpoint lineage in
+    ``resumed_from``."""
+    from repro.sim.parallel import make_recipe, record_resolution
+    from repro.sim.tracebin import TraceRef, resolve_workload
 
-    if getattr(config, "engine", "object") == "fast":
-        from repro.sim.fast import FastHierarchy
-
-        if oracle is not None:
-            raise ValueError(
-                "replacement oracles require the object engine; "
-                "set engine='object' to use oracle="
-            )
-        hierarchy = FastHierarchy(
-            config,
-            scheme_name,
-            llc_policy=llc_policy,
-            policy_kwargs=policy_kwargs,
+    resolved = resolve_workload(workload)
+    try:
+        recipe = make_recipe(
+            resolved, scheme_name, llc_policy, scheduling, config=config,
+            policy_kwargs=policy_kwargs, audit=audit, telemetry=telemetry,
         )
-    else:
-        scheme = make_scheme(scheme_name)
-        hierarchy = CacheHierarchy(
-            config,
-            scheme,
-            llc_policy=llc_policy,
-            oracle=oracle,
-            policy_kwargs=policy_kwargs,
+        key = recipe.key()
+        # Ledger wall time is observability-only (it feeds the JSONL
+        # record, never the SimResult).
+        t0 = time.perf_counter()  # repro-lint: ignore[determinism]
+        result = recipe.execute(
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            resume_from=resume_from,
+            stop_after=stop_after,
+            progress=progress,
         )
-    sim = Simulation(
-        hierarchy,
-        workload,
-        scheduling=scheduling,
-        llc_policy_name=llc_policy,
-        audit=audit,
-        telemetry=telemetry,
-    )
-    # Ledger wall time is observability-only (it feeds the JSONL record,
-    # never the SimResult), so the wall-clock reads are suppressed like
-    # the ProgressTracker's.
-    t0 = time.perf_counter()  # repro-lint: ignore[determinism]
-    result = sim.run(
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        resume_from=resume_from,
-        stop_after=stop_after,
-        progress=progress,
-    )
-    wall_s = time.perf_counter() - t0  # repro-lint: ignore[determinism]
-    _append_direct_ledger_record(
-        sim, config, workload, llc_policy, policy_kwargs, oracle,
-        result, wall_s, resume_from,
+        wall_s = time.perf_counter() - t0  # repro-lint: ignore[determinism]
+    finally:
+        if isinstance(workload, TraceRef):
+            resolved.close()
+    record_resolution(
+        recipe, key, result, "direct", wall_s,
+        resumed_from=(
+            "" if resume_from is None
+            else "<checkpoint object>"
+            if isinstance(resume_from, SimCheckpoint)
+            else str(resume_from)
+        ),
     )
     return result
-
-
-def _append_direct_ledger_record(
-    sim: Simulation,
-    config,
-    workload,
-    llc_policy: str,
-    policy_kwargs: Optional[dict],
-    oracle,
-    result: SimResult,
-    wall_s: float,
-    resume_from,
-) -> None:
-    """Record one completed :func:`run_workload` call in the run ledger.
-
-    Best-effort by contract: any failure here is swallowed, because the
-    ledger must never fail a run that already produced its result.  The
-    recipe key is the *same* content hash ``run_many`` would use for an
-    equivalent :class:`~repro.sim.parallel.RunRecipe` (with the resolved
-    audit/telemetry settings baked into the config), so direct
-    runs and fleet runs of the same work share ledger identity; runs a
-    recipe cannot express (custom oracles) get an empty key."""
-    try:
-        if not ledger.ledger_enabled():
-            return
-        recipe_key = ""
-        if oracle is None:
-            from repro.sim.parallel import RunRecipe
-
-            keyed_config = config.replace(
-                audit=sim.audit_params,
-                telemetry=sim.telemetry_params,
-            )
-            recipe_key = RunRecipe(
-                workload=workload,
-                scheme=result.scheme,
-                config=keyed_config,
-                policy=llc_policy,
-                scheduling=sim.scheduling,
-                policy_kwargs=tuple(sorted((policy_kwargs or {}).items())),
-            ).key()
-        ledger.append_record(ledger.record_from_result(
-            recipe_key=recipe_key,
-            result=result,
-            source="direct",
-            wall_s=wall_s,
-            engine=config.engine,
-            config_digest=ledger.config_digest(config),
-            workload_fingerprint=workload.fingerprint(),
-            scheduling=sim.scheduling,
-            trace_path=str(getattr(workload, "path", "") or ""),
-            resumed_from=(
-                "" if resume_from is None
-                else "<checkpoint object>"
-                if isinstance(resume_from, SimCheckpoint)
-                else str(resume_from)
-            ),
-        ))
-    except Exception:
-        # Observability must never break the simulation result path.
-        pass

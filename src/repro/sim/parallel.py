@@ -164,8 +164,10 @@ class RunRecipe:
             object.__setattr__(self, "_config_digest", cached)
         return cached
 
-    def execute(self) -> SimResult:
-        """Run the simulation this recipe describes (no caching)."""
+    def execute(self, **run) -> SimResult:
+        """Run the simulation this recipe describes (no caching): the one
+        place a run's hierarchy is built.  Keywords (the checkpoint and
+        streaming options) pass to :meth:`Simulation.run`."""
         from repro.hierarchy.cmp import CacheHierarchy
         from repro.schemes import make_scheme
         from repro.sim.tracebin import TraceRef, resolve_workload
@@ -193,18 +195,16 @@ class RunRecipe:
                     oracle=oracle,
                     policy_kwargs=dict(self.policy_kwargs) or None,
                 )
+            # Instrumentation comes from the config (and therefore from
+            # the cache key) alone: REPRO_AUDIT is never consulted inside
+            # a worker, or an audited result could be stored under an
+            # unaudited key.
             return Simulation(
                 hierarchy,
                 workload,
                 scheduling=self.scheduling,
                 llc_policy_name=self.policy,
-                # Instrumentation comes from the config (and therefore
-                # from the cache key) alone: REPRO_AUDIT must never be
-                # consulted inside a worker, or an audited result could
-                # be stored under an unaudited key.
-                audit=self.config.audit,
-                telemetry=self.config.telemetry,
-            ).run()
+            ).run(**run)
         finally:
             # Close only what resolving opened: a trace file.  A
             # synthesized workload holds nothing to close.
@@ -455,16 +455,20 @@ def record_resolution(
     result: SimResult,
     source: str,
     wall_s: float,
+    resumed_from: str = "",
 ) -> bool:
     """Append the run-ledger provenance record for one resolved
     submission: ``"run"`` for a fresh execution, ``"memo"``/``"disk"``
-    for a deduplicated or cache-resolved one.  Best-effort (the ledger
+    for a deduplicated or cache-resolved one, ``"direct"`` for a
+    :func:`~repro.sim.engine.run_workload` call (``resumed_from`` names
+    the checkpoint it continued from).  Best-effort (the ledger
     must never fail a run): returns False when the ledger is on but
     did not get the record (a full disk), True otherwise.  Only ever
     called in the parent process: pool workers return their wall time
     instead, so each resolution is recorded exactly once.
-    :func:`run_many` and the simulation service both record through
-    this call; the service counts the misses."""
+    :func:`run_many`, :func:`~repro.sim.engine.run_workload` and the
+    simulation service all record through this call; the service counts
+    the misses."""
     try:
         if not ledger.ledger_enabled():
             return True
@@ -478,7 +482,7 @@ def record_resolution(
             workload_fingerprint=recipe.workload.fingerprint(),
             scheduling=recipe.scheduling,
             trace_path=str(getattr(recipe.workload, "path", "") or ""),
-            resumed_from="",
+            resumed_from=resumed_from,
         ))
     except Exception:
         return False

@@ -384,6 +384,26 @@ class TestCacheKeys:
         result = recipe.execute()
         assert result.audit is None
 
+    def test_simulation_runs_what_its_config_says(self, monkeypatch):
+        """``REPRO_AUDIT`` becomes a config field in ``make_recipe``
+        alone: a hand-built simulation of an unaudited config runs
+        unaudited under it, while ``run_workload`` (a recipe front)
+        audits."""
+        from repro.hierarchy.cmp import CacheHierarchy
+        from repro.schemes import make_scheme
+        from repro.sim.engine import Simulation
+
+        monkeypatch.setenv(AUDIT_ENV_VAR, "end,fail")
+        cfg = tiny_config()
+        assert not cfg.audit.enabled
+        wl = mixing_workload(length=40)
+        h = CacheHierarchy(cfg, make_scheme("ziv:notinprc"))
+        assert Simulation(h, wl).run().audit is None
+        direct = run_workload(cfg, wl, "ziv:notinprc")
+        assert direct.audit is not None and direct.audit.ok
+        assert direct.audit.params == AuditParams(enabled=True,
+                                                  fail_fast=True)
+
     def test_sweep_points_resolve_env_at_construction(self, monkeypatch):
         """A figure's grid reads REPRO_AUDIT when it is built, point by
         point, as ``make_recipe`` does: resolved later, under another

@@ -96,6 +96,38 @@ class TestCommands:
         ]) == 0
         assert "vips" in capsys.readouterr().out
 
+    def test_run_charts_sampled_columns(self, capsys):
+        assert main([
+            "run", "--workload", "leela.1", "--scheme", "ziv:notinprc",
+            "--accesses", "500", "--chart", "relocations", "llc_misses",
+        ]) == 0
+        out = capsys.readouterr().out
+        # 8 cores x 500 accesses, sampled at the default interval of 1000
+        assert "telemetry     : 4 sample(s) at interval 1000" in out
+        assert "== relocations -- ziv:notinprc/lru on homo-leela.1 ==" in out
+        assert "(access index vs. llc_misses, 4 samples)" in out
+
+    def test_run_chart_takes_the_telemetry_spec(self, capsys, tmp_path):
+        events = tmp_path / "events.jsonl"
+        assert main([
+            "run", "--workload", "leela.1", "--accesses", "300",
+            "--telemetry=600,events=relocation", "--chart", "llc_misses",
+            "--events-out", str(events),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(access index vs. llc_misses, 4 samples)" in out
+        assert events.exists()
+
+    def test_run_chart_unknown_column_lists_the_columns(self, capsys):
+        assert main([
+            "run", "--workload", "leela.1", "--accesses", "300",
+            "--chart", "nope",
+        ]) == 2
+        out = capsys.readouterr().out
+        assert "unknown series column 'nope'; available: access_index " \
+            in out
+        assert " relocations " in out
+
     def test_sidechannel(self, capsys):
         assert main(["sidechannel", "--trials", "8"]) == 0
         out = capsys.readouterr().out

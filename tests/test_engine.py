@@ -121,14 +121,17 @@ class TestRunWorkload:
         assert r.stats.inclusion_victims_llc == 0
 
     def test_belady_with_oracle(self):
-        from repro.cache.replacement import NextUseOracle
-        from repro.sim.trace import lockstep_stream
+        """A direct Belady run builds the canonical lock-step MIN oracle
+        (paper footnote 2) that a ``run_many`` recipe of the same run
+        builds, so the two count alike."""
+        from repro.sim.parallel import make_recipe, run_many
 
         cfg = tiny_config()
         wl = workload()
-        oracle = NextUseOracle(lockstep_stream(wl))
-        r = run_workload(
-            cfg, wl, "inclusive", llc_policy="belady",
-            scheduling="lockstep", oracle=oracle,
-        )
-        assert r.stats.llc_misses > 0
+        direct = run_workload(cfg, wl, "inclusive", llc_policy="belady",
+                              scheduling="lockstep")
+        [recipe] = run_many([make_recipe(wl, "inclusive", "belady",
+                                         config=cfg)])
+        assert direct.stats == recipe.stats
+        assert direct.cycles == recipe.cycles
+        assert direct.stats.llc_misses > 0

@@ -60,9 +60,6 @@ class TestEndToEnd:
     def test_min_generates_more_inclusion_victims_than_lru(self):
         """The paper's core motivation (Fig. 2): optimal-leaning policies
         victimise recently used blocks, which are privately cached."""
-        from repro.cache.replacement import NextUseOracle
-        from repro.sim.trace import lockstep_stream
-
         cfg = scaled_config("512KB")
         wl = Workload(
             [
@@ -74,9 +71,8 @@ class TestEndToEnd:
         )
         lru = run_workload(cfg, wl, "inclusive", "lru",
                            scheduling="lockstep")
-        oracle = NextUseOracle(lockstep_stream(wl))
         mn = run_workload(cfg, wl, "inclusive", "belady",
-                          scheduling="lockstep", oracle=oracle)
+                          scheduling="lockstep")
         assert (
             mn.stats.inclusion_victims_llc
             > lru.stats.inclusion_victims_llc
@@ -85,16 +81,12 @@ class TestEndToEnd:
     def test_min_has_fewest_llc_misses(self):
         """Sanity: even paying inclusion victims, MIN's LLC miss count on
         the oracle stream beats LRU's."""
-        from repro.cache.replacement import NextUseOracle
-        from repro.sim.trace import lockstep_stream
-
         cfg = scaled_config("512KB")
         wl = small_mix(n=2000, seed=2)
         lru = run_workload(cfg, wl, "inclusive", "lru",
                            scheduling="lockstep")
-        oracle = NextUseOracle(lockstep_stream(wl))
         mn = run_workload(cfg, wl, "inclusive", "belady",
-                          scheduling="lockstep", oracle=oracle)
+                          scheduling="lockstep")
         assert mn.stats.llc_misses <= lru.stats.llc_misses
 
 

@@ -519,6 +519,43 @@ class TestLockDiscipline:
         }, rules=["lock-discipline"])
         assert findings == []
 
+    def test_escape_through_a_local_fires(self, tmp_path):
+        findings = lint_tree(tmp_path, {
+            "service/mgr.py": _MGR_HEADER + (
+                "    def snapshot(self):\n"
+                "        with self._lock:\n"
+                "            jobs = self._jobs\n"
+                "        return list(jobs.values())\n"
+            ),
+        }, rules=["lock-discipline"])
+        assert [(f.line, f.message) for f in findings] == [(
+            9,
+            "Manager: snapshot() uses guarded attribute '_jobs' through "
+            "local 'jobs' after the _lock critical section that bound "
+            "it; copy it under the lock, or rebind the attribute there "
+            "to move the object out",
+        )]
+
+    def test_local_moved_out_of_its_section_stays_quiet(self, tmp_path):
+        """``JobManager.close`` and ``ServiceServer.close`` take their
+        executor and thread out this way: once the attribute is rebound
+        no other thread reaches the object through it."""
+        findings = lint_tree(tmp_path, {
+            "service/mgr.py": _MGR_HEADER + (
+                "    def close(self):\n"
+                "        with self._lock:\n"
+                "            jobs = self._jobs\n"
+                "            self._jobs = {}\n"
+                "        jobs.clear()\n"
+                "    def size(self):\n"
+                "        with self._lock:\n"
+                "            jobs = self._jobs\n"
+                "            n = len(jobs)\n"
+                "        return n\n"
+            ),
+        }, rules=["lock-discipline"])
+        assert findings == []
+
     def test_yield_inside_critical_section_fires(self, tmp_path):
         findings = lint_tree(tmp_path, {
             "service/mgr.py": (

@@ -38,12 +38,13 @@ from repro.obs.regress import (
     metric_direction,
     run_regress,
 )
-from repro.params import ConfigError
+from repro.params import ConfigError, TelemetryParams
 from repro.sim.engine import run_workload
 from repro.sim.parallel import (
     RunRecipe,
     _execute_recipe,
     clear_memo,
+    make_recipe,
     run_many,
 )
 from repro.sim.report import counter_attribution
@@ -217,10 +218,27 @@ class TestLedgerAppends:
         assert rec.cycles == result.cycles
         assert rec.wall_s > 0
         assert rec.accesses_per_s > 0
-        assert rec.recipe_key  # keyed: no oracle involved
+        assert rec.recipe_key
         assert rec.config_digest == config_digest(cfg)
         assert rec.version == LEDGER_VERSION
         assert rec.host_cpus == (os.cpu_count() or 1)
+
+    def test_direct_and_recipe_lines_agree_on_what_ran(self, obs_cache):
+        """A direct run's line and the ``run_many`` line of the same
+        recipe carry one recipe key and one config digest: both digest
+        the config with its telemetry baked in."""
+        cfg = tiny_config()
+        wl = make_workload()
+        telemetry = TelemetryParams(enabled=True, interval=500)
+        run_workload(cfg, wl, "inclusive", telemetry=telemetry)
+        run_many([make_recipe(wl, "inclusive", config=cfg,
+                              telemetry=telemetry)])
+        direct, fleet = read_ledger()
+        assert (direct.source, fleet.source) == ("direct", "run")
+        assert direct.recipe_key == fleet.recipe_key
+        assert direct.config_digest == fleet.config_digest
+        assert direct.config_digest == config_digest(
+            cfg.replace(telemetry=telemetry))
 
     def test_run_many_appends_run_then_memo_records(self, obs_cache):
         cfg = tiny_config()

@@ -10,6 +10,7 @@ from repro.cache.replacement import NextUseOracle
 from repro.core.oracle_ziv import OracleZIVScheme
 from repro.hierarchy.cmp import CacheHierarchy
 from repro.sim.engine import Simulation
+from repro.sim.telemetry import parse_telemetry_spec
 from repro.sim.trace import CoreTrace, TraceRecord, Workload, lockstep_stream
 
 
@@ -93,11 +94,12 @@ class TestOracleZIV:
         ``ziv:notinprc`` does.  Looking for NotInPrC blocks alone, these
         workloads find none in any bank."""
         cfg = tiny_config(cores=2, l1=(1, 1), l2=(1, 2), llc=(4, 1, 2))
+        cfg = cfg.replace(
+            telemetry=parse_telemetry_spec("100,events=relocation"))
         wl = random_workload(seed)
         h = CacheHierarchy(cfg, OracleZIVScheme(
             NextUseOracle(lockstep_stream(wl))), llc_policy="lru")
-        result = Simulation(h, wl, scheduling="lockstep",
-                            telemetry="100,events=relocation").run()
+        result = Simulation(h, wl, scheduling="lockstep").run()
         fallbacks = {e.data["property"] for e in result.telemetry.events
                      if e.kind == "cross_bank_fallback"}
         assert fallbacks == {"invalid", "oracle"}

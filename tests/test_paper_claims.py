@@ -9,11 +9,9 @@ after a change, the reproduction no longer tells the paper's story.
 
 import pytest
 
-from repro.cache.replacement import NextUseOracle
 from repro.params import scaled_config
 from repro.sim.engine import run_workload
 from repro.sim.metrics import geomean, mix_speedup
-from repro.sim.trace import lockstep_stream
 from repro.workloads import heterogeneous_mixes
 
 
@@ -47,9 +45,8 @@ class TestMotivation:
         cfg = scaled_config("512KB")
         total_min, total_lru = 0, 0
         for wl in mixes:
-            oracle = NextUseOracle(lockstep_stream(wl))
             mn = run_workload(cfg, wl, "inclusive", "belady",
-                              scheduling="lockstep", oracle=oracle)
+                              scheduling="lockstep")
             lru = run_workload(cfg, wl, "inclusive", "lru",
                                scheduling="lockstep")
             total_min += mn.stats.inclusion_victims_llc

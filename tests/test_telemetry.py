@@ -179,14 +179,14 @@ class TestSampling:
         assert back.dropped == series.dropped
 
     def test_collector_detaches_after_run(self):
-        cfg = tiny_config()
+        cfg = tiny_config().replace(telemetry=parse_telemetry_spec("50"))
         wl = homogeneous_mix("mcf.1", cores=2, n_accesses=300)
         from repro.hierarchy.cmp import CacheHierarchy
         from repro.schemes import make_scheme
 
         h = CacheHierarchy(cfg, make_scheme("ziv:likelydead"))
-        sim = Simulation(h, wl, telemetry="50")
-        sim.run()
+        sim = Simulation(h, wl)
+        assert sim.run().telemetry is not None
         assert h.telemetry is None
         assert h.char.telemetry is None
 
