@@ -23,13 +23,16 @@ import sys
 
 
 def _cmd_list(_args) -> int:
+    from repro.cache.replacement import POLICIES
     from repro.core.properties import PROPERTY_LADDERS
     from repro.experiments import ALL_FIGURES
+    from repro.schemes import SCHEMES
     from repro.workloads import ALL_PROFILE_NAMES, MT_APP_NAMES
 
-    print("schemes: inclusive noninclusive qbs sharp charonbase tlh eci")
-    print("         " + " ".join(f"ziv:{p}" for p in sorted(PROPERTY_LADDERS)))
-    print("policies: lru nru random srrip brrip drrip ship hawkeye belady")
+    ziv = [f"ziv:{p}" for p in sorted(PROPERTY_LADDERS)] + ["ziv:oracle"]
+    print("schemes:", " ".join(SCHEMES))
+    print("        ", " ".join(ziv))
+    print("policies:", " ".join([*POLICIES, "belady"]))
     print("figures:", " ".join(ALL_FIGURES))
     print("profiles:", " ".join(ALL_PROFILE_NAMES))
     print("multithreaded:", " ".join(MT_APP_NAMES))

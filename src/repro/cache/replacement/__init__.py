@@ -37,10 +37,13 @@ __all__ = [
     "HawkeyePolicy",
     "BeladyPolicy",
     "NextUseOracle",
+    "POLICIES",
     "make_policy",
 ]
 
-_FACTORY = {
+#: The policies :func:`make_policy` builds by name.  ``belady`` is not
+#: among them: the LLC builds it around a next-use oracle.
+POLICIES = {
     "lru": LRUPolicy,
     "nru": NRUPolicy,
     "random": RandomPolicy,
@@ -59,9 +62,9 @@ _FACTORY = {
 def make_policy(name: str, **kwargs) -> ReplacementPolicy:
     """Build a replacement policy by name ("lru", "hawkeye", ...)."""
     try:
-        cls = _FACTORY[name]
+        cls = POLICIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown replacement policy {name!r}; known: {sorted(_FACTORY)}"
+            f"unknown replacement policy {name!r}; known: {sorted(POLICIES)}"
         ) from None
     return cls(**kwargs)

@@ -362,10 +362,10 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
     the config constructs through :func:`config_from_dict`, the scheme
     and policy names must exist, a ``fast``-engine recipe must be one
     :func:`repro.params.fast_supports` (checked without loading the
-    engine), and ``policy="belady"`` forces lock-step scheduling exactly
-    as :func:`~repro.sim.parallel.make_recipe` does.  Rejections raise
+    engine), and a run that :func:`~repro.sim.parallel.needs_oracle` is
+    lock-step exactly as :func:`~repro.sim.parallel.make_recipe` makes it.  Rejections raise
     :class:`RecipeError` with ``field`` naming the offending key."""
-    from repro.sim.parallel import RunRecipe
+    from repro.sim.parallel import RunRecipe, needs_oracle
 
     if not isinstance(data, dict):
         raise RecipeError("recipe must be a JSON object")
@@ -428,7 +428,7 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
             f"submit it with engine 'object'",
             field="config.engine",
         )
-    if policy == "belady":
+    if needs_oracle(scheme, policy):
         scheduling = "lockstep"
     return RunRecipe(
         workload=workload,

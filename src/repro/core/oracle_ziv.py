@@ -13,12 +13,16 @@ lock-step Belady oracle as the I-MIN study.  It upper-bounds what any
 realisable relocation-set property can achieve and lets the ablation
 bench measure how close ``LikelyDead``/``MRLikelyDead`` come (see
 ``benchmarks/bench_ablation_tla_oracle.py``).
+
+A recipe names it ``ziv:oracle``: it then runs lock-step, and
+:meth:`RunRecipe.execute <repro.sim.parallel.RunRecipe.execute>` hands
+it the memoized next-use oracle of the workload's lock-step stream, as
+it does a Belady LLC.
 """
 
 from __future__ import annotations
 
 from repro.cache.replacement.belady import NextUseOracle
-from repro.cache.set_assoc import AccessContext
 from repro.core.ziv import ZIVInvariantError, ZIVScheme
 
 
@@ -26,12 +30,21 @@ class OracleZIVScheme(ZIVScheme):
     """ZIV whose relocation victim is Belady-optimal among NotInPrC blocks.
 
     Requires lock-step scheduling (the oracle consumes the canonical
-    global stream) -- exactly like the I-MIN motivation runs."""
+    global stream) -- exactly like the I-MIN motivation runs.  It builds
+    without an oracle, so a recipe naming it can be validated, but binds
+    to a hierarchy only with one."""
 
-    def __init__(self, oracle: NextUseOracle) -> None:
+    def __init__(self, oracle: NextUseOracle | None = None) -> None:
+        if oracle is not None and not isinstance(oracle, NextUseOracle):
+            raise TypeError("ziv:oracle takes a NextUseOracle as oracle")
         super().__init__(property_name="notinprc")
         self.name = "ziv:oracle"
         self.oracle = oracle
+
+    def bind(self, cmp) -> None:
+        if self.oracle is None:
+            raise ValueError("ziv:oracle requires a next-use oracle")
+        super().bind(cmp)
 
     def _find_oracle_victim(self, bank: int, pos: int):
         """(set, way) of the NotInPrC block with the furthest next use in
@@ -48,23 +61,19 @@ class OracleZIVScheme(ZIVScheme):
                         best_next = nxt
         return best
 
-    def _relocation_path(self, bank, set_idx, victim_way, addr, ctx):
+    def _relocation_path(self, bank, set_idx, victim_way, ctx):
         cmp = self.cmp
         self.tracker.refresh(bank, set_idx)
         # The home bank, then the others in the cross-bank fallback's
         # order (III-D1); in each, an invalid set first, as in every ZIV
         # design, then the oracle's NotInPrC pick.
         for bank_t in [bank] + self._other_banks(bank):
-            cross_bank = bank_t != bank
             rs = self.tracker.pick_global(bank_t, "invalid")
             if rs >= 0:
                 cmp.stats.count_property_hit("global:invalid")
-                if cross_bank:
-                    cmp.stats.relocations_cross_bank += 1
                 self._relocate(bank, set_idx, victim_way, bank_t, rs, ctx,
-                               level="invalid", cross_bank=cross_bank)
-                return self._install_into(bank, set_idx, victim_way, addr,
-                                          ctx)
+                               "invalid")
+                return victim_way
             target = self._find_oracle_victim(bank_t, ctx.global_pos)
             if target is not None:
                 break
@@ -74,56 +83,11 @@ class OracleZIVScheme(ZIVScheme):
             )
         rs, dst_way = target
         cmp.stats.count_property_hit("global:oracle")
-        if rs == set_idx and not cross_bank:
-            # The oracle's choice lives in the original set: evict it
-            # in place of the baseline victim, no relocation needed.
+        if bank_t == bank and rs == set_idx:
+            # The oracle's choice lives in the original set: the fill
+            # takes its way, no relocation needed.
             cmp.stats.relocation_same_set += 1
-            self._evict_clean_or_writeback(bank, set_idx, dst_way, ctx)
-            return self._install_into(bank, set_idx, dst_way, addr, ctx)
-        self._relocate_to_way(bank, set_idx, victim_way, bank_t, rs,
-                              dst_way, ctx)
-        return self._install_into(bank, set_idx, victim_way, addr, ctx)
-
-    def _relocate_to_way(self, src_bank, src_set, src_way, dst_bank,
-                         dst_set, dst_way, ctx: AccessContext) -> None:
-        """Like :meth:`_relocate` but with the destination way chosen by
-        the oracle instead of the property-driven selector."""
-        cmp = self.cmp
-        dst_cache = cmp.llc.banks[dst_bank]
-        if dst_cache.blocks[dst_set][dst_way].valid:
-            self._assert_clean_victim(dst_bank, dst_set, dst_way)
-            self._evict_clean_or_writeback(dst_bank, dst_set, dst_way, ctx)
-        moving = cmp.llc.banks[src_bank].extract_way(src_set, src_way)
-        was_relocated = moving.relocated
-        dst_cache.install_relocated(dst_set, dst_way, moving, ctx)
-        entry = cmp.directory.lookup(moving.addr)
-        if entry is None:
-            raise ZIVInvariantError(
-                f"relocating {moving.addr:#x} with no directory entry"
-            )
-        entry.set_relocation(dst_bank, dst_set, dst_way)
-        cmp.stats.relocations += 1
-        if was_relocated:
-            cmp.stats.relocations_rechained += 1
-        if dst_bank != src_bank:
-            cmp.stats.relocations_cross_bank += 1
-        cmp.energy.record_relocation()
-        self.reloc.record(src_bank, ctx.cycle)
-        telemetry = cmp.telemetry
-        if telemetry is not None:
-            kind = (
-                "cross_bank_fallback" if dst_bank != src_bank
-                else "re_relocation" if was_relocated
-                else "relocation"
-            )
-            telemetry.emit(
-                kind,
-                addr=moving.addr,
-                src=[src_bank, src_set, src_way],
-                dst=[dst_bank, dst_set, dst_way],
-                property="oracle",
-                rechained=was_relocated,
-                cross_bank=dst_bank != src_bank,
-            )
-        self.after_set_update(src_bank, src_set)
-        self.after_set_update(dst_bank, dst_set)
+            return dst_way
+        self._relocate(bank, set_idx, victim_way, bank_t, rs, ctx, "oracle",
+                       dst_way)
+        return victim_way

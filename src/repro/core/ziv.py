@@ -25,7 +25,6 @@ Variants (``property_name``):
 
 from __future__ import annotations
 
-from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import AccessContext
 from repro.core.properties import PROPERTY_LADDERS, PropertyTracker
 from repro.core.relocation import RelocationTracker
@@ -82,35 +81,27 @@ class ZIVScheme(InclusionScheme):
     def after_set_update(self, bank: int, set_idx: int) -> None:
         self.tracker.refresh(bank, set_idx)
 
-    # -- the fill path -------------------------------------------------------------
+    # -- the victim rule -------------------------------------------------------------
 
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
+    def victim(self, bank: int, set_idx: int, ctx: AccessContext) -> int:
         cmp = self.cmp
-        bank = cmp.llc.bank_of(addr)
-        set_idx = cmp.llc.set_of(addr)
         cache = cmp.llc.banks[bank]
-        way = cache.find_invalid_way(set_idx)
-        if way >= 0:
-            return self._install_into(bank, set_idx, way, addr, ctx)
-
         victim_way = cache.policy.victim(set_idx, ctx)
-        victim = cache.blocks[set_idx][victim_way]
-        if not cmp.privately_cached(victim.addr):
+        if not cmp.privately_cached(cache.blocks[set_idx][victim_way].addr):
             # The common case: the baseline victim generates no inclusion
             # victims, so the ZIV LLC behaves exactly like the baseline.
-            self._evict_clean_or_writeback(bank, set_idx, victim_way, ctx)
-            return self._install_into(bank, set_idx, victim_way, addr, ctx)
-
-        return self._relocation_path(bank, set_idx, victim_way, addr, ctx)
+            return victim_way
+        return self._relocation_path(bank, set_idx, victim_way, ctx)
 
     # -- relocation machinery ---------------------------------------------------------
 
     def _relocation_path(
-        self, bank: int, set_idx: int, victim_way: int, addr: int,
-        ctx: AccessContext,
-    ) -> CacheBlock:
+        self, bank: int, set_idx: int, victim_way: int, ctx: AccessContext
+    ) -> int:
         """The baseline victim is privately cached: walk the property
-        ladder (original set first, then global, per level)."""
+        ladder (original set first, then global, per level).  Returns the
+        way the fill takes: another block of the set, or the victim's
+        way once the victim has moved."""
         cmp = self.cmp
         # Victim selection may have aged replacement state (e.g. SRRIP), so
         # make sure the original set's property bits are current.
@@ -126,16 +117,13 @@ class ZIVScheme(InclusionScheme):
                     self._assert_clean_victim(bank, set_idx, way)
                     cmp.stats.relocation_same_set += 1
                     cmp.stats.count_property_hit(f"local:{level}")
-                    if cmp.llc.banks[bank].blocks[set_idx][way].valid:
-                        self._evict_clean_or_writeback(bank, set_idx, way, ctx)
-                    return self._install_into(bank, set_idx, way, addr, ctx)
+                    return way
             # (b) Global relocation set through the PV's nextRS.
             rs = self.tracker.pick_global(bank, level)
             if rs >= 0:
                 cmp.stats.count_property_hit(f"global:{level}")
-                self._relocate(bank, set_idx, victim_way, bank, rs, ctx,
-                               level=level)
-                return self._install_into(bank, set_idx, victim_way, addr, ctx)
+                self._relocate(bank, set_idx, victim_way, bank, rs, ctx, level)
+                return victim_way
             if level == "likelydeadnotinprc" and cmp.char is not None:
                 # Empty LikelyDeadNotInPrC PV: ask CHAR to lower d.
                 cmp.char.on_pv_empty(bank)
@@ -149,10 +137,8 @@ class ZIVScheme(InclusionScheme):
                 "capacity must exceed the LLC capacity"
             )
         rbank, rs, level = target
-        cmp.stats.relocations_cross_bank += 1
-        self._relocate(bank, set_idx, victim_way, rbank, rs, ctx,
-                       level=level, cross_bank=True)
-        return self._install_into(bank, set_idx, victim_way, addr, ctx)
+        self._relocate(bank, set_idx, victim_way, rbank, rs, ctx, level)
+        return victim_way
 
     def _other_banks(self, bank: int) -> list[int]:
         """The banks a cross-bank relocation tries, in order: one-hop
@@ -184,25 +170,28 @@ class ZIVScheme(InclusionScheme):
         dst_bank: int,
         dst_set: int,
         ctx: AccessContext,
-        level: str | None = None,
-        cross_bank: bool = False,
+        level: str,
+        dst_way: int = -1,
     ) -> None:
         """Move the block at (src_bank, src_set, src_way) into the chosen
-        relocation set, evicting an inclusion-victim-free block there.
+        relocation set, evicting an inclusion-victim-free block there:
+        ``dst_way`` when the caller chose it (the oracle design), else
+        the way the property-driven selector picks.  A move to another
+        bank is the III-D1 fallback and counts as a cross-bank relocation.
 
-        ``level`` names the property-ladder rung that supplied the
-        relocation set and ``cross_bank`` flags the III-D1 fallback; both
-        exist only to label the telemetry event."""
+        ``level`` names the property-ladder rung (or the oracle) that
+        supplied the relocation set; it only labels the telemetry event."""
         cmp = self.cmp
         dst_cache = cmp.llc.banks[dst_bank]
-        dst_way = self.tracker.select_relocation_victim(
-            dst_bank, dst_set, self.property_name
-        )
         if dst_way < 0:
-            raise ZIVInvariantError(
-                f"relocation set {dst_set} of bank {dst_bank} has no "
-                "evictable block despite its property bit"
+            dst_way = self.tracker.select_relocation_victim(
+                dst_bank, dst_set, self.property_name
             )
+            if dst_way < 0:
+                raise ZIVInvariantError(
+                    f"relocation set {dst_set} of bank {dst_bank} has no "
+                    "evictable block despite its property bit"
+                )
         if dst_cache.blocks[dst_set][dst_way].valid:
             self._assert_clean_victim(dst_bank, dst_set, dst_way)
             self._evict_clean_or_writeback(dst_bank, dst_set, dst_way, ctx)
@@ -226,6 +215,9 @@ class ZIVScheme(InclusionScheme):
         cmp.stats.relocations += 1
         if was_relocated:
             cmp.stats.relocations_rechained += 1
+        cross_bank = dst_bank != src_bank
+        if cross_bank:
+            cmp.stats.relocations_cross_bank += 1
         cmp.energy.record_relocation()
         self.reloc.record(src_bank, ctx.cycle)
         cmp.stats.relocation_fifo_peak = max(

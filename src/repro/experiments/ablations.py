@@ -12,9 +12,9 @@ argues for:
   CHAR (III-D6).
 
 Like the figures, each of these three studies is a ``grid(scale)`` /
-``table(runs)`` pair (:data:`STUDIES`).  The oracle-gap study
-(:func:`run_oracle_gap`) also runs a live oracle object, which no recipe
-can describe.
+``table(runs)`` pair (:data:`STUDIES`), and so is the oracle-gap study
+(:func:`run_oracle_gap`), which ``benchmarks/bench_ablation_tla_oracle.py``
+runs.
 """
 
 from __future__ import annotations
@@ -154,41 +154,39 @@ def run_char_threshold(scale=None) -> FigureResult:
     return char_threshold_table(resolve(char_threshold_grid(scale)))
 
 
-def run_oracle_gap(scale=None) -> FigureResult:
-    """How close do the realisable relocation properties come to the
-    oracle-optimal relocation victim (paper Section VI future work)?
+#: The oracle-gap study's designs, the oracle first: all under LRU.
+ORACLE_GAP = ("ziv:oracle", "ziv:notinprc", "ziv:likelydead")
 
-    All runs use lock-step scheduling so the Belady oracle is well
-    defined; speedups are therefore reported as LLC-miss ratios (lock-step
-    carries no timing), normalised to the oracle design."""
-    from repro.cache.replacement import NextUseOracle
-    from repro.core.oracle_ziv import OracleZIVScheme
-    from repro.hierarchy.cmp import CacheHierarchy
-    from repro.sim.engine import Simulation
-    from repro.sim.trace import lockstep_stream
 
+def oracle_gap_grid(scale=None) -> dict:
+    """Every design of :data:`ORACLE_GAP` on every mix, lock-step (the
+    oracle's next-use stream is the lock-step one)."""
     mixes = mix_population(get_scale(scale))
-    realisable = resolve({
+    return {
         scheme: [
             make_recipe(wl, scheme, "lru", l2="512KB", scheduling="lockstep")
             for wl in mixes
         ]
-        for scheme in ("ziv:notinprc", "ziv:likelydead")
-    })
-    base = 0
-    for wl in mixes:
-        oracle = NextUseOracle(lockstep_stream(wl))
-        h = CacheHierarchy(
-            scaled_config("512KB"), OracleZIVScheme(oracle), llc_policy="lru"
-        )
-        base += Simulation(h, wl, scheduling="lockstep").run().stats.llc_misses
+        for scheme in ORACLE_GAP
+    }
+
+
+def oracle_gap_table(runs: dict) -> FigureResult:
+    """How close do the realisable relocation properties come to the
+    oracle-optimal relocation victim (paper Section VI future work)?
+    Lock-step carries no timing, so the designs compare by LLC misses,
+    normalised to the oracle design."""
     fig = FigureResult(
         figure="Ablation-D",
         title="Gap to the oracle relocation victim @512KB, LRU (lockstep)",
         columns=["design", "llc_misses", "vs_oracle"],
     )
-    fig.add("ziv:oracle", base, 1.0 if base else 0.0)
-    for scheme, results in realisable.items():
-        misses = sum(r.stats.llc_misses for r in results)
+    base = sum(r.stats.llc_misses for r in runs[ORACLE_GAP[0]])
+    for scheme in ORACLE_GAP:
+        misses = sum(r.stats.llc_misses for r in runs[scheme])
         fig.add(scheme, misses, misses / base if base else 0.0)
     return fig
+
+
+def run_oracle_gap(scale=None) -> FigureResult:
+    return oracle_gap_table(resolve(oracle_gap_grid(scale)))

@@ -166,6 +166,9 @@ class CacheHierarchy:
         )
 
     def _llc_access(self, core: int, addr: int, ctx: AccessContext) -> int:
+        """An L2 miss: one of four LLC outcomes runs its front part and
+        returns its latency beyond the base; then the one tail every
+        outcome shares fills the private caches."""
         priv = self.private[core]
         llc = self.llc
         self.energy.llc_tag_accesses += 1
@@ -174,26 +177,32 @@ class CacheHierarchy:
         lat = self._llc_base_latency(priv, core, llc.bank_of(addr))
 
         if entry is not None and entry.relocated:
-            return self._relocated_hit(core, addr, entry, ctx, lat)
+            lat += self._relocated_hit(core, addr, entry, ctx)
+            fill_hit = True
+        else:
+            bank, set_idx, way = llc.location(addr)
+            fill_hit = way >= 0
+            if fill_hit:
+                lat += self._llc_hit(core, addr, entry, bank, set_idx, way,
+                                     ctx)
+            else:
+                self.stats.llc_misses += 1
+                if entry is None:
+                    lat += self._memory_fill(addr, ctx)
+                else:
+                    lat += self._forward_fill(core, addr, entry, ctx)
 
-        bank, set_idx, way = llc.location(addr)
-        if way >= 0:
-            return self._llc_hit(core, addr, entry, bank, set_idx, way, ctx, lat)
-
-        self.stats.llc_misses += 1
-        if entry is not None:
-            # The "fourth case": directory hit, LLC miss.  Possible only in
-            # a non-inclusive hierarchy; data is forwarded from a sharer.
-            if self.scheme.inclusive:
-                raise CoherenceError(
-                    f"inclusive LLC missed on a directory-tracked block "
-                    f"{addr:#x}"
-                )
-            return self._forward_fill(core, addr, entry, ctx, lat)
-        return self._memory_fill(core, addr, ctx, lat)
+        if entry is None:
+            entry = self._allocate_directory_entry(addr, ctx)
+        entry.add_sharer(core)
+        if ctx.is_write:
+            entry.owner = core
+        notices = priv.fill(addr, ctx, fill_hit=fill_hit)
+        self._process_notices(core, notices, ctx)
+        return lat
 
     def _relocated_hit(
-        self, core: int, addr: int, entry, ctx: AccessContext, lat: int
+        self, core: int, addr: int, entry, ctx: AccessContext
     ) -> int:
         """Access to a block in the Relocated state (paper III-C1): the
         directory entry supplies the <bank, set, way> location."""
@@ -212,20 +221,14 @@ class CacheHierarchy:
         self.stats.llc_hits += 1
         self.stats.relocated_hits += 1
         self.energy.llc_data_reads += 1
-        entry.add_sharer(core)
-        if ctx.is_write:
-            entry.owner = core
-        notices = self.private[core].fill(addr, ctx, fill_hit=True)
-        self._process_notices(core, notices, ctx)
         return (
-            lat
-            + self.config.llc.data_latency
+            self.config.llc.data_latency
             + self.config.core.relocated_access_penalty
             + extra
         )
 
     def _llc_hit(
-        self, core, addr, entry, bank, set_idx, way, ctx, lat
+        self, core, addr, entry, bank, set_idx, way, ctx
     ) -> int:
         llc = self.llc
         blk = llc.block(bank, set_idx, way)
@@ -239,46 +242,32 @@ class CacheHierarchy:
         self.scheme.after_set_update(bank, set_idx)
         self.stats.llc_hits += 1
         self.energy.llc_data_reads += 1
-        if entry is None:
-            entry = self._allocate_directory_entry(addr, ctx)
-        entry.add_sharer(core)
-        if ctx.is_write:
-            entry.owner = core
-        notices = self.private[core].fill(addr, ctx, fill_hit=True)
-        self._process_notices(core, notices, ctx)
-        return lat + self.config.llc.data_latency + extra
+        return self.config.llc.data_latency + extra
 
     def _forward_fill(
-        self, core: int, addr: int, entry, ctx: AccessContext, lat: int
+        self, core: int, addr: int, entry, ctx: AccessContext
     ) -> int:
-        """Non-inclusive fourth case: a sharer core supplies the data; the
+        """The "fourth case": directory hit, LLC miss.  Possible only in a
+        non-inclusive hierarchy: a sharer core supplies the data, and the
         block is re-filled into the LLC."""
+        if self.scheme.inclusive:
+            raise CoherenceError(
+                f"inclusive LLC missed on a directory-tracked block "
+                f"{addr:#x}"
+            )
         extra = self._coherence_on_miss(core, addr, entry, ctx)
         self.scheme.install(addr, ctx)
         self.energy.llc_data_writes += 1
-        entry.add_sharer(core)
-        if ctx.is_write:
-            entry.owner = core
-        notices = self.private[core].fill(addr, ctx, fill_hit=False)
-        self._process_notices(core, notices, ctx)
-        return lat + self.config.core.coherence_forward_latency + extra
+        return self.config.core.coherence_forward_latency + extra
 
-    def _memory_fill(
-        self, core: int, addr: int, ctx: AccessContext, lat: int
-    ) -> int:
+    def _memory_fill(self, addr: int, ctx: AccessContext) -> int:
         dram_lat = self.dram.access(addr, ctx.cycle)
         self.stats.dram_reads += 1
         self.energy.dram_accesses += 1
         self.scheme.install(addr, ctx)
         self.stats.llc_fills += 1
         self.energy.llc_data_writes += 1
-        entry = self._allocate_directory_entry(addr, ctx)
-        entry.add_sharer(core)
-        if ctx.is_write:
-            entry.owner = core
-        notices = self.private[core].fill(addr, ctx, fill_hit=False)
-        self._process_notices(core, notices, ctx)
-        return lat + dram_lat
+        return dram_lat
 
     # ------------------------------------------------------------ prefetching
 

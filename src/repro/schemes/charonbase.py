@@ -10,7 +10,6 @@ not enough: ZIV's global relocation-set selection beats it as the L2 grows.
 
 from __future__ import annotations
 
-from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import AccessContext
 from repro.schemes.base import InclusionScheme
 
@@ -20,22 +19,14 @@ class CHAROnBaseScheme(InclusionScheme):
     inclusive = True
     needs_char = True
 
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
+    def victim(self, bank: int, set_idx: int, ctx: AccessContext) -> int:
         cmp = self.cmp
-        bank = cmp.llc.bank_of(addr)
-        set_idx = cmp.llc.set_of(addr)
         cache = cmp.llc.banks[bank]
-        way = cache.find_invalid_way(set_idx)
-        if way >= 0:
-            return self._install_into(bank, set_idx, way, addr, ctx)
-
         chosen = cache.policy.victim(set_idx, ctx)
         if cmp.privately_cached(cache.blocks[set_idx][chosen].addr):
             for way in cache.ranked_victims(set_idx, ctx):
                 if cache.blocks[set_idx][way].likely_dead:
                     chosen = way
                     break
-        victim = cache.blocks[set_idx][chosen]
-        cmp.back_invalidate(victim.addr)
-        self._evict_clean_or_writeback(bank, set_idx, chosen, ctx)
-        return self._install_into(bank, set_idx, chosen, addr, ctx)
+        cmp.back_invalidate(cache.blocks[set_idx][chosen].addr)
+        return chosen

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import AccessContext
 from repro.schemes.base import InclusionScheme
 
@@ -19,7 +18,8 @@ class InclusiveScheme(InclusionScheme):
     name = "inclusive"
     inclusive = True
 
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
-        bank = self.cmp.llc.bank_of(addr)
-        set_idx = self.cmp.llc.set_of(addr)
-        return self._baseline_fill(bank, set_idx, addr, ctx, back_invalidate=True)
+    def victim(self, bank: int, set_idx: int, ctx: AccessContext) -> int:
+        cache = self.cmp.llc.banks[bank]
+        way = cache.policy.victim(set_idx, ctx)
+        self.cmp.back_invalidate(cache.blocks[set_idx][way].addr)
+        return way

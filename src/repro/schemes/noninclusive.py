@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro.cache.block import CacheBlock
-from repro.cache.set_assoc import AccessContext
 from repro.schemes.base import InclusionScheme
 
 
@@ -11,7 +9,8 @@ class NonInclusiveScheme(InclusionScheme):
     """The paper's non-inclusive comparison point (Section I).
 
     Implements the first inclusion action (allocate on fill) but not the
-    second (no back-invalidation).  The hierarchy handles the resulting
+    second (no back-invalidation): its victim is the baseline policy's,
+    whatever the private caches hold.  The hierarchy handles the resulting
     "fourth case" -- directory hit with LLC miss -- by forwarding data from
     a sharer core, which is exactly the coherence complication the paper
     credits inclusive designs with avoiding.
@@ -19,8 +18,3 @@ class NonInclusiveScheme(InclusionScheme):
 
     name = "noninclusive"
     inclusive = False
-
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
-        bank = self.cmp.llc.bank_of(addr)
-        set_idx = self.cmp.llc.set_of(addr)
-        return self._baseline_fill(bank, set_idx, addr, ctx, back_invalidate=False)

@@ -12,7 +12,6 @@ generated (these fall out as ``qbs_failures``).
 
 from __future__ import annotations
 
-from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import AccessContext
 from repro.schemes.base import InclusionScheme
 
@@ -21,33 +20,19 @@ class QBSScheme(InclusionScheme):
     name = "qbs"
     inclusive = True
 
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
+    def victim(self, bank: int, set_idx: int, ctx: AccessContext) -> int:
         cmp = self.cmp
-        bank = cmp.llc.bank_of(addr)
-        set_idx = cmp.llc.set_of(addr)
         cache = cmp.llc.banks[bank]
-        way = cache.find_invalid_way(set_idx)
-        if way >= 0:
-            return self._install_into(bank, set_idx, way, addr, ctx)
-
         candidates = list(cache.ranked_victims(set_idx, ctx))
-        chosen = -1
         for way in candidates:
-            victim = cache.blocks[set_idx][way]
-            if cmp.privately_cached(victim.addr):
-                # Query says resident: protect the block by promotion and
-                # try the next candidate.
-                cache.promote(set_idx, way, ctx)
-                cmp.stats.qbs_retries += 1
-            else:
-                chosen = way
-                break
-        if chosen < 0:
-            # Every block in the set is privately cached: fall back to the
-            # baseline victim and pay the inclusion victims.
-            chosen = candidates[0]
-            cmp.stats.qbs_failures += 1
-            victim = cache.blocks[set_idx][chosen]
-            cmp.back_invalidate(victim.addr)
-        self._evict_clean_or_writeback(bank, set_idx, chosen, ctx)
-        return self._install_into(bank, set_idx, chosen, addr, ctx)
+            if not cmp.privately_cached(cache.blocks[set_idx][way].addr):
+                return way
+            # Query says resident: protect the block by promotion and try
+            # the next candidate.
+            cache.promote(set_idx, way, ctx)
+            cmp.stats.qbs_retries += 1
+        # Every block in the set is privately cached: fall back to the
+        # baseline victim and pay the inclusion victims.
+        cmp.stats.qbs_failures += 1
+        cmp.back_invalidate(cache.blocks[set_idx][candidates[0]].addr)
+        return candidates[0]

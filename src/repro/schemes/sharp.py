@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 
-from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import AccessContext
 from repro.schemes.base import InclusionScheme
 
@@ -29,15 +28,9 @@ class SHARPScheme(InclusionScheme):
         super().__init__()
         self._rng = random.Random(seed)
 
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
+    def victim(self, bank: int, set_idx: int, ctx: AccessContext) -> int:
         cmp = self.cmp
-        bank = cmp.llc.bank_of(addr)
-        set_idx = cmp.llc.set_of(addr)
         cache = cmp.llc.banks[bank]
-        way = cache.find_invalid_way(set_idx)
-        if way >= 0:
-            return self._install_into(bank, set_idx, way, addr, ctx)
-
         candidates = list(cache.ranked_victims(set_idx, ctx))
         requester_mask = 1 << ctx.core
         chosen = -1
@@ -57,7 +50,5 @@ class SHARPScheme(InclusionScheme):
             # Step 3: random victim; raises the alarm counter.
             chosen = self._rng.choice(candidates)
             cmp.stats.sharp_alarms += 1
-        victim = cache.blocks[set_idx][chosen]
-        cmp.back_invalidate(victim.addr)
-        self._evict_clean_or_writeback(bank, set_idx, chosen, ctx)
-        return self._install_into(bank, set_idx, chosen, addr, ctx)
+        cmp.back_invalidate(cache.blocks[set_idx][chosen].addr)
+        return chosen

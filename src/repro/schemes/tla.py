@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import random
 
-from repro.cache.block import CacheBlock
 from repro.cache.set_assoc import AccessContext
-from repro.schemes.base import InclusionScheme
+from repro.schemes.inclusive import InclusiveScheme
 
 
-class TLHScheme(InclusionScheme):
+class TLHScheme(InclusiveScheme):
     """Inclusive LLC with temporal-locality hints from the private caches.
 
     The hierarchy calls :meth:`on_private_hit` for every private-cache hit
@@ -33,7 +32,6 @@ class TLHScheme(InclusionScheme):
     probability ``hint_rate``."""
 
     name = "tlh"
-    inclusive = True
     wants_private_hit_hints = True
 
     def __init__(self, hint_rate: float = 1.0, seed: int = 0x71A) -> None:
@@ -43,12 +41,6 @@ class TLHScheme(InclusionScheme):
         self.hint_rate = hint_rate
         self._rng = random.Random(seed)
         self.hints_sent = 0
-
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
-        bank = self.cmp.llc.bank_of(addr)
-        set_idx = self.cmp.llc.set_of(addr)
-        return self._baseline_fill(bank, set_idx, addr, ctx,
-                                   back_invalidate=True)
 
     def on_private_hit(self, addr: int, ctx: AccessContext) -> None:
         if self.hint_rate < 1.0 and self._rng.random() >= self.hint_rate:
@@ -62,7 +54,7 @@ class TLHScheme(InclusionScheme):
         return {"hints_sent": self.hints_sent}
 
 
-class ECIScheme(InclusionScheme):
+class ECIScheme(InclusiveScheme):
     """Inclusive LLC with early core invalidation.
 
     After the normal (back-invalidating) replacement, the next victim
@@ -72,36 +64,19 @@ class ECIScheme(InclusionScheme):
     otherwise follow."""
 
     name = "eci"
-    inclusive = True
 
     def __init__(self) -> None:
         super().__init__()
         self.early_invalidations = 0
 
-    def install(self, addr: int, ctx: AccessContext) -> CacheBlock:
-        cmp = self.cmp
-        bank = cmp.llc.bank_of(addr)
-        set_idx = cmp.llc.set_of(addr)
-        cache = cmp.llc.banks[bank]
-        way = cache.find_invalid_way(set_idx)
-        if way >= 0:
-            return self._install_into(bank, set_idx, way, addr, ctx)
-        way = cache.policy.victim(set_idx, ctx)
-        victim = cache.blocks[set_idx][way]
-        cmp.back_invalidate(victim.addr)
-        self._evict_clean_or_writeback(bank, set_idx, way, ctx)
-        blk = self._install_into(bank, set_idx, way, addr, ctx)
-        self._early_invalidate_next(bank, set_idx, ctx, exclude_way=way)
-        return blk
-
-    def _early_invalidate_next(
-        self, bank: int, set_idx: int, ctx: AccessContext, exclude_way: int
+    def after_replacement(
+        self, bank: int, set_idx: int, way: int, ctx: AccessContext
     ) -> None:
         cache = self.cmp.llc.banks[bank]
-        for way in cache.ranked_victims(set_idx, ctx):
-            if way == exclude_way:
+        for candidate_way in cache.ranked_victims(set_idx, ctx):
+            if candidate_way == way:
                 continue
-            candidate = cache.blocks[set_idx][way]
+            candidate = cache.blocks[set_idx][candidate_way]
             if self.cmp.privately_cached(candidate.addr):
                 # Early invalidation: kill the private copies but KEEP the
                 # LLC copy so a live block can still earn an LLC hit.

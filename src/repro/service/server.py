@@ -176,6 +176,15 @@ class _Handler(BaseHTTPRequestHandler):
                 400, "BadRequest", f"{key} must be a number", field=key
             ) from None
 
+    def _since(self, query: "dict[str, str]") -> int:
+        """The event cursor both event endpoints take (default 0)."""
+        try:
+            return int(query.get("since", "0"))
+        except ValueError:
+            raise _RequestError(400, "BadRequest",
+                                "since must be an integer",
+                                field="since") from None
+
     def _read_body(self) -> bytes:
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -324,12 +333,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_events(self) -> None:
         query = self._query()
-        try:
-            since = int(query.get("since", "0"))
-        except ValueError:
-            raise _RequestError(400, "BadRequest",
-                                "since must be an integer",
-                                field="since") from None
+        since = self._since(query)
         timeout = self._wait_seconds(query, "timeout")
         events, cursor, dropped = self.manager.events_since(
             since, timeout=timeout)
@@ -340,8 +344,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Server-Sent Events: one ``data:`` line per job event, from
         the ``since`` cursor onward, until the client disconnects or
         the server shuts down."""
-        query = self._query()
-        cursor = int(query.get("since", "0") or 0)
+        cursor = self._since(self._query())
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")

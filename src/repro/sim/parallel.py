@@ -101,7 +101,8 @@ class RunRecipe:
     Carries everything a worker process needs to rebuild the hierarchy
     from scratch: the (frozen, picklable) :class:`SystemConfig`, the
     scheme/policy names plus keyword arguments as sorted item tuples, the
-    scheduling mode, and the workload itself.  ``policy="belady"`` recipes
+    scheduling mode, and the workload itself.  A recipe that
+    :func:`needs_oracle` (``policy="belady"`` or scheme ``ziv:oracle``)
     must use ``scheduling="lockstep"``; the worker rebuilds the next-use
     oracle from the workload's canonical lock-step stream.
 
@@ -185,12 +186,15 @@ class RunRecipe:
                     policy_kwargs=dict(self.policy_kwargs) or None,
                 )
             else:
+                scheme_kwargs = dict(self.scheme_kwargs)
                 oracle = None
-                if self.policy == "belady":
+                if needs_oracle(self.scheme, self.policy):
                     oracle = _oracle_for(workload)
+                    if self.scheme == "ziv:oracle":
+                        scheme_kwargs["oracle"] = oracle
                 hierarchy = CacheHierarchy(
                     self.config,
-                    make_scheme(self.scheme, **dict(self.scheme_kwargs)),
+                    make_scheme(self.scheme, **scheme_kwargs),
                     llc_policy=self.policy,
                     oracle=oracle,
                     policy_kwargs=dict(self.policy_kwargs) or None,
@@ -210,6 +214,16 @@ class RunRecipe:
             # synthesized workload holds nothing to close.
             if isinstance(self.workload, TraceRef):
                 workload.close()
+
+
+def needs_oracle(scheme: str, policy: str) -> bool:
+    """Whether a run needs its workload's next-use oracle: a Belady LLC
+    (the I-MIN study) or the oracle ZIV design (paper Section VI).  The
+    oracle is only defined on the canonical lock-step stream (paper
+    footnote 2), so :func:`make_recipe` and
+    :func:`~repro.config_io.recipe_from_dict` make such a run lock-step
+    whatever scheduling it asked for."""
+    return policy == "belady" or scheme == "ziv:oracle"
 
 
 def make_recipe(
@@ -232,9 +246,8 @@ def make_recipe(
     modules use.
 
     ``config`` wins when given; otherwise a scaled configuration is built
-    from the ``l2``/``cores``/directory knobs.  ``policy="belady"``
-    forces lock-step scheduling (the MIN oracle is only defined on the
-    canonical lock-step stream, paper footnote 2).
+    from the ``l2``/``cores``/directory knobs.  A run that
+    :func:`needs_oracle` is lock-step.
 
     ``audit`` (AuditParams or a spec string, default: the ``REPRO_AUDIT``
     environment variable, else the config's own ``audit`` section) is
@@ -260,7 +273,7 @@ def make_recipe(
     telemetry_params = resolve_telemetry(telemetry, config.telemetry)
     if telemetry_params != config.telemetry:
         config = config.replace(telemetry=telemetry_params)
-    if policy == "belady":
+    if needs_oracle(scheme, policy):
         scheduling = "lockstep"
     return RunRecipe(
         workload=workload,

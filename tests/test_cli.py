@@ -25,6 +25,34 @@ class TestCommands:
         assert "hawkeye" in out
         assert "fig08_lru_perf" in out
 
+    def test_list_names_exactly_what_builds(self, capsys):
+        """Every scheme and policy ``repro list`` names builds, and every
+        name the factories build is listed."""
+        from repro.cache.replacement import (
+            POLICIES,
+            BeladyPolicy,
+            NextUseOracle,
+            make_policy,
+        )
+        from repro.core.properties import PROPERTY_LADDERS
+        from repro.schemes import SCHEMES, make_scheme
+
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        schemes = (lines[0].split(":", 1)[1] + lines[1]).split()
+        policies = lines[2].split(":", 1)[1].split()
+        assert sorted(schemes) == sorted(
+            [*SCHEMES, "ziv:oracle"]
+            + [f"ziv:{p}" for p in PROPERTY_LADDERS])
+        assert sorted(policies) == sorted([*POLICIES, "belady"])
+        for name in schemes:
+            make_scheme(name)
+        for name in policies:
+            if name == "belady":
+                BeladyPolicy(NextUseOracle([]))
+            else:
+                make_policy(name)
+
     def test_config(self, capsys):
         assert main(["config"]) == 0
         assert "Table I" in capsys.readouterr().out

@@ -118,6 +118,7 @@ FIGURE_MODULES = {
 }
 TABLES = {name: (m.grid, m.table) for name, m in FIGURE_MODULES.items()}
 TABLES.update(ablations.STUDIES)
+TABLES["oracle_gap"] = (ablations.oracle_gap_grid, ablations.oracle_gap_table)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +176,29 @@ def test_run_figure_resolves_its_grid_in_one_call(figure, ziv_result,
     assert calls == [
         [recipe.key() for recipes in grid.values() for recipe in recipes]
     ]
+
+
+def test_oracle_gap_is_a_lockstep_grid_of_recipes(tmp_path, monkeypatch):
+    """The oracle design runs from a recipe like the designs it is
+    compared with: one ``run_many`` call, lock-step throughout, and a
+    second resolution simulates nothing."""
+    from repro.obs.ledger import read_ledger
+    from repro.sim.parallel import clear_memo
+
+    grid = ablations.oracle_gap_grid("smoke")
+    assert list(grid) == list(ablations.ORACLE_GAP)
+    assert {r.scheduling for recipes in grid.values() for r in recipes} \
+        == {"lockstep"}
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    clear_memo()
+    try:
+        first = ablations.run_oracle_gap("smoke")
+        fresh = len(read_ledger())
+        assert fresh == sum(len(recipes) for recipes in grid.values())
+        clear_memo()
+        assert ablations.run_oracle_gap("smoke").rows == first.rows
+        assert ablations.run_oracle_gap("smoke").rows == first.rows
+        again = [record.source for record in read_ledger()][fresh:]
+        assert sorted(set(again)) == ["disk", "memo"]
+    finally:
+        clear_memo()

@@ -27,6 +27,14 @@ GOLDEN = {
     ("homo", "ziv:mrlikelydead", "hawkeye"): (202707, 5695, 5580, 11275, 0, 1477, 10151),
     ("homo", "qbs", "lru"): (300371, 2098, 9176, 11274, 0, 0, 10220),
     ("homo", "sharp", "hawkeye"): (220191, 5381, 5890, 11271, 0, 0, 10212),
+    ("homo", "charonbase", "lru"): (294719, 2243, 9055, 11298, 176, 0, 10182),
+    ("homo", "tlh", "lru"): (272292, 3315, 7957, 11272, 106, 0, 10224),
+    ("homo", "eci", "lru"): (299354, 2290, 9025, 11315, 243, 0, 10162),
+    ("homo", "ziv:notinprc", "lru"): (316574, 1060, 10212, 11272, 0, 8, 10219),
+    ("homo", "ziv:lrunotinprc", "lru"): (306266, 1933, 9342, 11275, 0, 215, 10188),
+    ("homo", "ziv:maxrrpvnotinprc", "hawkeye"): (203742, 5603, 5669, 11272, 0, 1619, 10231),
+    # Lock-step (the oracle's only mode), so cycles count the accesses.
+    ("homo", "ziv:oracle", "lru"): (12000, 1069, 10207, 11276, 0, 112, 10184),
     ("hetero", "inclusive", "lru"): (340709, 165, 5822, 5987, 492, 0, 5102),
     ("hetero", "noninclusive", "hawkeye"): (314354, 757, 5216, 5973, 0, 0, 5110),
     ("hetero", "ziv:likelydead", "lru"): (339232, 178, 5795, 5973, 0, 86, 5110),

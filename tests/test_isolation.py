@@ -12,6 +12,15 @@ this.  An inclusive LLC breaks the relation (its victims
 back-invalidate), and the test checks that it does, so it cannot pass
 vacuously.  arXiv 1307.6406 analyses such inclusive-hierarchy
 relations under LLC replacement.
+
+With shared data a second relation holds.  In lock-step scheduling the
+global access order is fixed whatever the latencies, so under a ZIV LLC
+(no inclusion victims) and a ZeroDEV directory (no directory victims)
+what reaches a private cache is its core's own accesses plus the other
+cores' coherence traffic, and that traffic is the same under a
+non-inclusive LLC: each core's private counters must equal the
+non-inclusive run's.  Shared blocks are what make relocated hits, so
+only these cells see a relocated hit that skips its private fill.
 """
 
 from __future__ import annotations
@@ -20,7 +29,11 @@ import functools
 
 import pytest
 
-from tests.test_differential import STRESS_CONFIG, columns_workload
+from tests.test_differential import (
+    STRESS_CONFIG,
+    columns_workload,
+    stress_workload,
+)
 from repro.params import fast_supports
 from repro.sim.parallel import make_recipe
 from repro.sim.trace import Workload
@@ -104,3 +117,52 @@ def test_an_inclusive_llc_does_not_isolate():
 
 def test_a_noninclusive_llc_isolates():
     assert differing_cores("noninclusive")[0] == []
+
+
+#: Every ZIV rule under its natural policy, each on every engine that
+#: models it, plus the oracle design (object engine only).
+SHARED_CELLS = [
+    pytest.param(scheme, policy, engine, id=f"{scheme}-{policy}-{engine}")
+    for scheme, policy in ZIV_CELLS + (("ziv:oracle", "lru"),)
+    for engine in ("object", "fast")
+    if engine == "object" or fast_supports(CONFIG, scheme, policy)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def shared_run(scheme, policy="lru", engine="object"):
+    """The lock-step ZeroDEV run of :func:`stress_workload`, whose
+    256-block spray every core shares."""
+    return make_recipe(stress_workload(), scheme, policy=policy,
+                       scheduling="lockstep",
+                       config=CONFIG.replace(engine=engine)).execute()
+
+
+def shared_differing_cores(scheme, policy="lru", engine="object") -> list:
+    """The cores whose private counters differ from the non-inclusive
+    lock-step run's."""
+    result = shared_run(scheme, policy, engine)
+    base = shared_run("noninclusive")
+    return [core for core in range(len(result.stats.cores))
+            if private_counts(result, core) != private_counts(base, core)]
+
+
+@pytest.mark.parametrize("scheme,policy,engine", SHARED_CELLS)
+def test_ziv_matches_noninclusive_on_shared_data(scheme, policy, engine):
+    differ = shared_differing_cores(scheme, policy, engine)
+    assert differ == [], f"cores {differ} differ from the non-inclusive run"
+    assert shared_run(scheme, policy, engine).stats.inclusion_victims_llc == 0
+
+
+def test_shared_cells_reach_relocated_hits():
+    """Else the cells would pass a relocated hit that skips its fill."""
+    hits = [shared_run(*cell.values).stats.relocated_hits
+            for cell in SHARED_CELLS]
+    assert sum(hits) > 0, hits
+
+
+def test_an_inclusive_llc_differs_on_shared_data():
+    """The control: inclusion victims reach the private caches."""
+    assert shared_run("inclusive").stats.inclusion_victims_llc > 0
+    assert shared_differing_cores("inclusive"), (
+        "inclusive LRU matched the non-inclusive run on every core")

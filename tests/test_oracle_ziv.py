@@ -7,9 +7,12 @@ import pytest
 from tests.conftest import tiny_config
 
 from repro.cache.replacement import NextUseOracle
+from repro.config_io import RecipeError, recipe_from_dict, recipe_to_dict
 from repro.core.oracle_ziv import OracleZIVScheme
 from repro.hierarchy.cmp import CacheHierarchy
+from repro.schemes import make_scheme
 from repro.sim.engine import Simulation
+from repro.sim.parallel import make_recipe
 from repro.sim.telemetry import parse_telemetry_spec
 from repro.sim.trace import CoreTrace, TraceRecord, Workload, lockstep_stream
 
@@ -126,3 +129,61 @@ class TestOracleZIV:
         wl2 = circular_workload(n=4000, footprint=14)
         base = Simulation(h2, wl2, scheduling="lockstep").run()
         assert result.stats.llc_misses <= base.stats.llc_misses * 1.1
+
+    def test_fifo_peak_reaches_the_stats(self):
+        """Every relocation updates the stats' FIFO peak, those to a way
+        the oracle picked included."""
+        rng = random.Random(25)
+        wl = Workload([
+            CoreTrace([TraceRecord(1, 4096 + rng.randrange(17),
+                                   rng.random() < 0.2, 3)
+                       for _ in range(300)], f"fifo{c}")
+            for c in range(2)
+        ], "fifo")
+        cfg = tiny_config(cores=2, l1=(1, 1), l2=(2, 2), llc=(1, 4, 4))
+        result, _h = run_oracle(cfg, wl)
+        assert result.scheme_stats["fifo_peak"] > 0
+        assert (result.stats.relocation_fifo_peak
+                == result.scheme_stats["fifo_peak"])
+
+
+class TestOracleRecipe:
+    """``ziv:oracle`` is a scheme name a recipe carries."""
+
+    CONFIG = tiny_config(cores=2, l2=(1, 3), llc=(2, 2, 3))
+
+    def test_it_needs_an_oracle_to_bind(self):
+        scheme = make_scheme("ziv:oracle")
+        with pytest.raises(ValueError, match="next-use oracle"):
+            CacheHierarchy(self.CONFIG, scheme)
+
+    def test_a_submitted_oracle_keyword_is_rejected(self):
+        data = recipe_to_dict(make_recipe(circular_workload(), "ziv:oracle",
+                                          config=self.CONFIG))
+        data["scheme_kwargs"] = {"oracle": 5}
+        with pytest.raises(RecipeError) as excinfo:
+            recipe_from_dict(data)
+        assert excinfo.value.field == "scheme"
+
+    def test_every_builder_makes_it_lockstep(self):
+        recipe = make_recipe(circular_workload(), "ziv:oracle",
+                             scheduling="timing", config=self.CONFIG)
+        assert recipe.scheduling == "lockstep"
+        data = recipe_to_dict(recipe)
+        data["scheduling"] = "timing"
+        rebuilt = recipe_from_dict(data)
+        assert rebuilt.scheduling == "lockstep"
+        assert rebuilt.key() == recipe.key()
+
+    def test_a_submitted_audit_section_stays_as_submitted(self, monkeypatch):
+        data = recipe_to_dict(make_recipe(circular_workload(), "ziv:oracle",
+                                          config=self.CONFIG))
+        key = recipe_from_dict(data).key()
+        monkeypatch.setenv("REPRO_AUDIT", "end")
+        assert recipe_from_dict(data).key() == key
+
+    def test_the_recipe_runs_the_hand_built_design(self):
+        result, _h = run_oracle()
+        recipe = make_recipe(circular_workload(), "ziv:oracle",
+                             config=self.CONFIG)
+        assert recipe.execute().stats == result.stats

@@ -758,6 +758,23 @@ def test_http_events_and_health(service):
     assert later == []
 
 
+@pytest.mark.parametrize("path", ["/v1/events", "/v1/events/stream"])
+def test_http_rejects_a_bad_event_cursor_with_field(service, path):
+    """Both event endpoints read ``since`` the same way: a cursor that
+    is no integer is a 400 naming the field, not a 500."""
+    server, _client = service
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("GET", f"{path}?since=abc")
+        resp = conn.getresponse()
+        reply = json.loads(resp.read())
+    finally:
+        conn.close()
+    assert resp.status == 400
+    assert reply["error"]["type"] == "BadRequest"
+    assert reply["error"]["field"] == "since"
+
+
 def test_http_metrics_expose_service_counters(service):
     from repro.obs.ledger import read_ledger
     from repro.obs.registry import (
