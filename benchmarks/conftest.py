@@ -1,10 +1,10 @@
 """Benchmark-suite configuration.
 
-Each bench regenerates one paper figure/table through its experiment
-module and prints the rows.  Simulations are memoised process-wide (the
-figures overlap heavily), so the suite's total cost is far below the sum
-of its parts.  Set REPRO_SCALE=smoke|quick|standard|full to trade fidelity
-for time (default: quick).
+``bench_figures.py`` regenerates each paper figure, table and ablation
+study and prints its rows.  Simulations are memoised process-wide (the
+tables overlap heavily), so the suite's total cost is far below the sum
+of its parts.  Set REPRO_SCALE=smoke|quick|standard|full to trade
+fidelity for time (default: quick).
 """
 
 import os
@@ -15,14 +15,3 @@ import pytest
 @pytest.fixture(scope="session")
 def scale():
     return os.environ.get("REPRO_SCALE", "quick")
-
-
-def run_and_print(benchmark, figure_name, scale):
-    from repro.experiments import run_figure
-
-    result = benchmark.pedantic(
-        lambda: run_figure(figure_name, scale), rounds=1, iterations=1
-    )
-    print()
-    result.print_table()
-    return result

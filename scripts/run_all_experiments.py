@@ -1,45 +1,25 @@
 #!/usr/bin/env python3
-"""Regenerate every paper figure (plus the ablations) and dump the tables.
+"""Regenerate every paper figure and ablation study and dump the tables.
 
 Usage:  REPRO_SCALE=standard python scripts/run_all_experiments.py \\
             [--jobs N] [outfile]
 
-All experiment modules are imported up front so the run is unaffected by
-concurrent edits to the working tree.  Every printed table declares its
-runs as a grid, so the script submits the union of those grids to
-``run_many`` first -- fanned out over ``--jobs`` worker processes
-(default: one per CPU) -- and each table then resolves its own grid
-entirely from the result cache.  Total wall-clock is roughly the longest
-individual simulation times (grid / cores), not the serial sum.
+The tables are the entries of ``repro.experiments.TABLES``, printed in
+its order; importing it imports every experiment module up front, so the
+run is unaffected by concurrent edits to the working tree.  Every table
+declares its runs as a grid, so the script submits the union of those
+grids to ``run_many`` first -- fanned out over ``--jobs`` worker
+processes (default: one per CPU) -- and each table then resolves its own
+grid entirely from the result cache.  Total wall-clock is roughly the
+longest individual simulation times (grid / cores), not the serial sum.
 """
 
 import argparse
-import importlib
 import os
 import time
 
-from repro.experiments import ALL_FIGURES, resolve
+from repro.experiments import TABLES, resolve
 from repro.sim.parallel import run_many
-
-MODULES = {
-    name: importlib.import_module(f"repro.experiments.{name}")
-    for name in ALL_FIGURES
-}
-ablations = importlib.import_module("repro.experiments.ablations")
-
-
-def printed_tables(scale):
-    """``(name, grid, table)`` for every table the script prints, in
-    print order: the figures, then the ablation studies."""
-    out = [
-        (name, module.grid(scale), module.table)
-        for name, module in MODULES.items()
-    ]
-    out += [
-        (f"run_{name}", grid(scale), table)
-        for name, (grid, table) in ablations.STUDIES.items()
-    ]
-    return out
 
 
 def collect_recipes(grids):
@@ -80,8 +60,8 @@ def main() -> None:
     out_path = args.outfile
     t_start = time.time()
 
-    tables = printed_tables(scale)
-    recipes = collect_recipes(grid for _name, grid, _table in tables)
+    grids = {name: grid(scale) for name, (grid, _table) in TABLES.items()}
+    recipes = collect_recipes(grids.values())
     print(f"submitting {len(recipes)} unique simulations "
           f"(jobs={args.jobs if args.jobs > 0 else 'auto'})")
     if args.progress:
@@ -103,9 +83,9 @@ def main() -> None:
         emit(f"# ZIV reproduction: all figures at scale={scale}")
         emit()
         figures = {}
-        for name, grid, table in tables:
+        for name, (_grid, table) in TABLES.items():
             t0 = time.time()
-            figures[name] = fig = table(resolve(grid))
+            figures[name] = fig = table(resolve(grids[name]))
             emit(fig.format_table())
             emit(f"[{name}: {time.time() - t0:.1f}s]")
             emit()

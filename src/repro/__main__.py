@@ -3,7 +3,7 @@
 Commands
 --------
 ``list``                 available schemes, policies, profiles, figures
-``figure <name>``        regenerate one paper figure (e.g. fig08_lru_perf)
+``figure <name>``        regenerate one figure or ablation (e.g. fig08_lru_perf)
 ``run``                  run one workload/scheme/policy combination
 ``sidechannel``          prime+probe campaign across designs
 ``config``               print the scaled and paper-scale configurations
@@ -25,7 +25,7 @@ import sys
 def _cmd_list(_args) -> int:
     from repro.cache.replacement import POLICIES
     from repro.core.properties import PROPERTY_LADDERS
-    from repro.experiments import ALL_FIGURES
+    from repro.experiments import TABLES
     from repro.schemes import SCHEMES
     from repro.workloads import ALL_PROFILE_NAMES, MT_APP_NAMES
 
@@ -33,19 +33,19 @@ def _cmd_list(_args) -> int:
     print("schemes:", " ".join(SCHEMES))
     print("        ", " ".join(ziv))
     print("policies:", " ".join([*POLICIES, "belady"]))
-    print("figures:", " ".join(ALL_FIGURES))
+    print("figures:", " ".join(TABLES))
     print("profiles:", " ".join(ALL_PROFILE_NAMES))
     print("multithreaded:", " ".join(MT_APP_NAMES))
     return 0
 
 
 def _cmd_figure(args) -> int:
-    from repro.experiments import ALL_FIGURES, run_figure
+    from repro.experiments import TABLES, run_figure
     from repro.sim.telemetry import ProgressPrinter
 
-    if args.name not in ALL_FIGURES:
+    if args.name not in TABLES:
         print(f"unknown figure {args.name!r}; known: "
-              f"{' '.join(ALL_FIGURES)}", file=sys.stderr)
+              f"{' '.join(TABLES)}", file=sys.stderr)
         return 2
     printer = ProgressPrinter() if args.progress else None
     result = run_figure(args.name, args.scale, heartbeat=printer)
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list schemes/policies/profiles/figures")
 
-    p = sub.add_parser("figure", help="regenerate one paper figure")
+    p = sub.add_parser("figure",
+                       help="regenerate one paper figure or ablation study")
     p.add_argument("name")
     p.add_argument("--scale", default=None,
                    choices=("smoke", "quick", "standard", "full"))

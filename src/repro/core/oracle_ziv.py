@@ -10,9 +10,9 @@ is needed, evicts the **NotInPrC block with the furthest next use in the
 global access stream** anywhere in the home bank (falling back across
 banks, where an invalid set again comes first), using the same
 lock-step Belady oracle as the I-MIN study.  It upper-bounds what any
-realisable relocation-set property can achieve and lets the ablation
-bench measure how close ``LikelyDead``/``MRLikelyDead`` come (see
-``benchmarks/bench_ablation_tla_oracle.py``).
+realisable relocation-set property can achieve and lets the oracle-gap
+ablation measure how close ``NotInPrC``/``LikelyDead`` come (see
+``oracle_gap`` in :mod:`repro.experiments.ablations`).
 
 A recipe names it ``ziv:oracle``: it then runs lock-step, and
 :meth:`RunRecipe.execute <repro.sim.parallel.RunRecipe.execute>` hands

@@ -1,34 +1,43 @@
 """Ablation studies of the ZIV design choices (DESIGN.md §7).
 
 Not figures from the paper -- these probe the design decisions the paper
-argues for:
+argues for and the claims it makes in passing:
 
-* **Property ladder**: all five ZIV variants under one configuration; the
-  relocation-set property is "the primary performance determinant"
+* **A. Property ladder**: all five ZIV variants under one configuration;
+  the relocation-set property is "the primary performance determinant"
   (paper III-G).
-* **Round-robin nextRS** vs a fixed lowest-set-bit choice: the paper
+* **B. Round-robin nextRS** vs a fixed lowest-set-bit choice: the paper
   claims round-robin matters for spreading relocation load uniformly.
-* **CHAR dynamic d** vs fixed thresholds: the adaptation the paper adds to
-  CHAR (III-D6).
+* **C. CHAR dynamic d** vs fixed thresholds: the adaptation the paper
+  adds to CHAR (III-D6).
+* **D. Oracle gap**: the realisable properties against the
+  oracle-optimal relocation victim (paper Section VI future work).
+* **E. TLA family**: TLH, ECI and QBS against ZIV.
+* **F. Relocated-access penalty**: nullifying it changes performance by
+  "a negligible amount" (paper V-B).
+* **G. Prefetch interplay**: inclusion victims with the stride
+  prefetcher off and on.
 
-Like the figures, each of these three studies is a ``grid(scale)`` /
-``table(runs)`` pair (:data:`STUDIES`), and so is the oracle-gap study
-(:func:`run_oracle_gap`), which ``benchmarks/bench_ablation_tla_oracle.py``
-runs.
+Like the figures, each study is a ``grid(scale)`` / ``table(runs)``
+pair, reached by name through :data:`repro.experiments.TABLES`.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.experiments.common import (
     FigureResult,
     baseline_recipes,
     get_scale,
     mix_population,
-    resolve,
+    mt_workload,
     speedups_vs_baseline,
 )
-from repro.params import CHARParams, scaled_config
+from repro.params import CHARParams, PrefetchParams, scaled_config
+from repro.sim.metrics import geomean, mix_speedup
 from repro.sim.parallel import make_recipe
+from repro.workloads.multithreaded import MT_APP_NAMES
 
 LADDER = (
     ("lru", "ziv:notinprc"),
@@ -133,27 +142,6 @@ def char_threshold_table(runs: dict) -> FigureResult:
     return fig
 
 
-#: The studies ``scripts/run_all_experiments.py`` prints, in order:
-#: name -> ``(grid, table)``.
-STUDIES = {
-    "property_ladder": (property_ladder_grid, property_ladder_table),
-    "round_robin": (round_robin_grid, round_robin_table),
-    "char_threshold": (char_threshold_grid, char_threshold_table),
-}
-
-
-def run_property_ladder(scale=None) -> FigureResult:
-    return property_ladder_table(resolve(property_ladder_grid(scale)))
-
-
-def run_round_robin(scale=None) -> FigureResult:
-    return round_robin_table(resolve(round_robin_grid(scale)))
-
-
-def run_char_threshold(scale=None) -> FigureResult:
-    return char_threshold_table(resolve(char_threshold_grid(scale)))
-
-
 #: The oracle-gap study's designs, the oracle first: all under LRU.
 ORACLE_GAP = ("ziv:oracle", "ziv:notinprc", "ziv:likelydead")
 
@@ -188,5 +176,112 @@ def oracle_gap_table(runs: dict) -> FigureResult:
     return fig
 
 
-def run_oracle_gap(scale=None) -> FigureResult:
-    return oracle_gap_table(resolve(oracle_gap_grid(scale)))
+#: Ablation-E's designs under LRU: the TLA family (TLH, ECI, QBS; Jaleel
+#: et al., MICRO 2010) between the inclusive and non-inclusive bounds.
+TLA_SCHEMES = ("inclusive", "tlh", "eci", "qbs", "ziv:likelydead",
+               "noninclusive")
+
+
+def tla_family_grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    out = {"baseline": baseline_recipes(mixes)}
+    for scheme in TLA_SCHEMES:
+        out[scheme] = [
+            make_recipe(wl, scheme, "lru", l2="512KB") for wl in mixes
+        ]
+    return out
+
+
+def tla_family_table(runs: dict) -> FigureResult:
+    fig = FigureResult(
+        figure="Ablation-E",
+        title="TLA family vs ZIV @512KB, LRU (norm. I-LRU 256KB)",
+        columns=["scheme", "speedup", "incl_victims"],
+    )
+    for scheme in TLA_SCHEMES:
+        results = runs[scheme]
+        s = speedups_vs_baseline(runs["baseline"], results)
+        fig.add(scheme, s["mean"],
+                sum(r.stats.inclusion_victims_llc for r in results))
+    return fig
+
+
+def penalty_sensitivity_grid(scale=None) -> dict:
+    """ZIV-MRLikelyDead on each 8-core multi-threaded app (TPC-E runs on
+    Fig. 16's 16-core machine), with the relocated-access penalty as
+    configured and nullified (paper V-B)."""
+    scale = get_scale(scale)
+    normal = scaled_config("512KB")
+    nullified = normal.replace(
+        core=dataclasses.replace(normal.core, relocated_access_penalty=0)
+    )
+    return {
+        app: [
+            make_recipe(mt_workload(app, scale, cores=8), "ziv:mrlikelydead",
+                        "hawkeye", config=cfg)
+            for cfg in (normal, nullified)
+        ]
+        for app in MT_APP_NAMES
+        if app != "tpce"
+    }
+
+
+def penalty_sensitivity_table(runs: dict) -> FigureResult:
+    fig = FigureResult(
+        figure="Ablation-F",
+        title="Relocated-access penalty: 2 cycles vs nullified (MT apps)",
+        columns=["app", "speedup_nullified_vs_normal", "relocated_hits"],
+    )
+    deltas = []
+    for app, (normal, nullified) in runs.items():
+        sp = mix_speedup(normal, nullified)
+        deltas.append(sp)
+        fig.add(app, sp, normal.stats.relocated_hits)
+    fig.notes = (
+        f"geomean impact of nullifying the penalty: {geomean(deltas):.4f} "
+        "(paper: negligible)"
+    )
+    return fig
+
+
+#: Ablation-G's designs under Hawkeye, each with the stride prefetcher
+#: off and on.
+PREFETCH_SCHEMES = ("inclusive", "noninclusive", "ziv:mrlikelydead")
+
+
+def prefetch_interplay_grid(scale=None) -> dict:
+    mixes = mix_population(get_scale(scale))
+    off = scaled_config("512KB")
+    stride = off.replace(prefetch=PrefetchParams(kind="stride", degree=2))
+    return {
+        (pf, scheme): [
+            make_recipe(wl, scheme, "hawkeye", config=cfg) for wl in mixes
+        ]
+        for pf, cfg in (("off", off), ("stride", stride))
+        for scheme in PREFETCH_SCHEMES
+    }
+
+
+def prefetch_interplay_table(runs: dict) -> FigureResult:
+    """Backes & Jimenez (MEMSYS 2019, the paper's [1]): LLC policies lose
+    their gains in inclusive LLCs to inclusion victims, and prefetching
+    adds to the pressure.  The baseline is inclusive, prefetcher off."""
+    fig = FigureResult(
+        figure="Ablation-G",
+        title="Inclusion x prefetching @512KB, Hawkeye (norm. I, pf off)",
+        columns=["prefetch", "scheme", "speedup", "incl_victims",
+                 "pf_useful_rate"],
+    )
+    baseline = runs["off", "inclusive"]
+    for (pf, scheme), results in runs.items():
+        s = speedups_vs_baseline(baseline, results)
+        issued = sum(r.stats.prefetches_issued for r in results)
+        useful = sum(r.stats.prefetch_useful for r in results)
+        fig.add(
+            pf,
+            scheme,
+            s["mean"],
+            sum(r.stats.inclusion_victims_llc for r in results),
+            useful / issued if issued else 0.0,
+        )
+    return fig

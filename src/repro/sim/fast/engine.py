@@ -230,17 +230,7 @@ class FastHierarchy:
             tuple(self._base_lat),
         )
 
-        # -- replacement policy dispatch -----------------------------------
-        if llc_policy == "lru":
-            self._llc_fill = self._llc_touch = self._touch_pos_lru
-            self._victim = None  # the kernel finds the LRU way inline
-        elif llc_policy == "srrip":
-            self._llc_fill = self._fill_pos_srrip
-            self._llc_touch = self._touch_pos_srrip
-            self._victim = self._victim_srrip
-        else:  # nru
-            self._llc_fill = self._llc_touch = self._touch_pos_nru
-            self._victim = self._victim_nru
+        self._bind_policy_ports()
 
         # -- scheme state --------------------------------------------------
         if self._ziv:
@@ -597,7 +587,29 @@ class FastHierarchy:
         self.llc_vcount[sid] += 1
         self._llc_fill(pos)
 
-    # -- replacement-policy array ports (bound at init) --------------------
+    # -- replacement-policy array ports (bound at init and on unpickle) ----
+
+    def _bind_policy_ports(self) -> None:
+        if self.policy_name == "lru":
+            self._llc_fill = self._llc_touch = self._touch_pos_lru
+            self._victim = None  # the kernel finds the LRU way inline
+        elif self.policy_name == "srrip":
+            self._llc_fill = self._fill_pos_srrip
+            self._llc_touch = self._touch_pos_srrip
+            self._victim = self._victim_srrip
+        else:  # nru
+            self._llc_fill = self._llc_touch = self._touch_pos_nru
+            self._victim = self._victim_nru
+
+    def __getstate__(self) -> dict:
+        # A checkpoint holds state, not the bound ports: it names no
+        # method, so renaming one leaves saved checkpoints loadable.
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_llc_fill", "_llc_touch", "_victim")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_policy_ports()
 
     def _touch_pos_lru(self, pos: int) -> None:
         bank = pos // self.bank_size

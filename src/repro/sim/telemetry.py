@@ -41,7 +41,7 @@ import json
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, TextIO
 
 from repro.params import (
@@ -50,6 +50,7 @@ from repro.params import (
     ConfigError,
     TelemetryParams,
 )
+from repro.sim.stats import CoreStats, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hierarchy.cmp import CacheHierarchy
@@ -311,43 +312,19 @@ class TelemetryResult:
 # The collector driven by the simulation engine
 # ---------------------------------------------------------------------------
 
-#: SimStats scalar counters sampled as deltas, in column order.
-SIMSTATS_COUNTERS = (
-    "llc_hits",
-    "llc_misses",
-    "llc_fills",
-    "llc_writebacks_in",
-    "llc_writebacks_out",
-    "relocated_hits",
-    "back_invalidations_llc",
-    "inclusion_victims_llc",
-    "back_invalidations_dir",
-    "inclusion_victims_dir",
-    "coherence_invalidations",
-    "eviction_notices",
-    "directory_evictions",
-    "directory_spills",
-    "relocations",
-    "relocations_cross_bank",
-    "relocations_rechained",
-    "relocation_same_set",
-    "qbs_retries",
-    "qbs_failures",
-    "sharp_alarms",
-    "prefetches_issued",
-    "prefetch_fills",
-    "prefetch_useful",
-    "dram_reads",
-    "dram_writes",
+#: SimStats counters sampled as deltas, in field (and column) order: every
+#: field but the per-core list, a high-water mark and a per-property dict.
+SIMSTATS_COUNTERS = tuple(
+    f.name for f in fields(SimStats)
+    if f.name not in ("cores", "relocation_fifo_peak", "property_hits")
 )
 
-#: CoreStats counters sampled as deltas, summed over the cores.
-CORESTATS_COUNTERS = (
-    "accesses",
-    "l1_hits",
-    "l1_misses",
-    "l2_hits",
-    "l2_misses",
+#: CoreStats counters sampled as deltas, summed over the cores: every
+#: field but the two that time a core (its IPC's numerator and
+#: denominator).
+CORESTATS_COUNTERS = tuple(
+    f.name for f in fields(CoreStats)
+    if f.name not in ("instructions", "cycles")
 )
 
 

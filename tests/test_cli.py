@@ -53,6 +53,18 @@ class TestCommands:
             else:
                 make_policy(name)
 
+    def test_list_names_every_table(self, capsys):
+        from repro.experiments import TABLES
+
+        assert main(["list"]) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("figures:")]
+        assert line.split(":", 1)[1].split() == list(TABLES)
+
+    def test_figure_runs_an_ablation_study(self, capsys):
+        assert main(["figure", "oracle_gap", "--scale", "smoke"]) == 0
+        assert "== Ablation-D: " in capsys.readouterr().out
+
     def test_config(self, capsys):
         assert main(["config"]) == 0
         assert "Table I" in capsys.readouterr().out

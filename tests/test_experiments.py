@@ -5,14 +5,13 @@ yield the row structure its bench prints.  The heavyweight figures reuse
 the process-wide simulation cache, so the whole file stays fast.
 """
 
-import importlib
 import sys
 
 import pytest
 
 from repro.experiments import (
-    ALL_FIGURES,
     SCALES,
+    TABLES,
     FigureResult,
     clear_caches,
     get_scale,
@@ -105,20 +104,20 @@ def test_fig19_energy_rows():
 
 
 def test_all_figures_listed():
-    assert len(ALL_FIGURES) == 17
+    """The registry holds the 17 paper figures and tables, each named
+    after the module of its table, then the seven ablation studies."""
+    names = list(TABLES)
+    for name in names[:17]:
+        assert TABLES[name][1].__module__ == f"repro.experiments.{name}"
+    assert names[17:] == [
+        "property_ladder", "round_robin", "char_threshold", "oracle_gap",
+        "tla_family", "penalty_sensitivity", "prefetch_interplay",
+    ]
 
 
 # ---------------------------------------------------------------------------
 # One grid per table
 # ---------------------------------------------------------------------------
-
-FIGURE_MODULES = {
-    name: importlib.import_module(f"repro.experiments.{name}")
-    for name in ALL_FIGURES
-}
-TABLES = {name: (m.grid, m.table) for name, m in FIGURE_MODULES.items()}
-TABLES.update(ablations.STUDIES)
-TABLES["oracle_gap"] = (ablations.oracle_gap_grid, ablations.oracle_gap_table)
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +132,9 @@ def ziv_result():
 
 
 def test_every_figure_module_has_one_grid():
-    for module in FIGURE_MODULES.values():
-        assert callable(module.grid) and callable(module.table)
+    for grid, table in TABLES.values():
+        module = sys.modules[table.__module__]
+        assert callable(grid) and callable(table)
         for gone in ("run", "recipes", "main"):
             assert not hasattr(module, gone), (module.__name__, gone)
 
@@ -161,8 +161,8 @@ def test_table_reads_only_its_grid(name, ziv_result, monkeypatch):
     assert all(len(row) == len(result.columns) for row in result.rows)
 
 
-@pytest.mark.parametrize("figure", ALL_FIGURES)
-def test_run_figure_resolves_its_grid_in_one_call(figure, ziv_result,
+@pytest.mark.parametrize("name", TABLES)
+def test_run_figure_resolves_its_grid_in_one_call(name, ziv_result,
                                                   monkeypatch):
     calls = []
 
@@ -171,8 +171,8 @@ def test_run_figure_resolves_its_grid_in_one_call(figure, ziv_result,
         return [ziv_result] * len(recipes)
 
     monkeypatch.setattr(common, "run_many", spy)
-    run_figure(figure, "smoke")
-    grid = FIGURE_MODULES[figure].grid("smoke")
+    run_figure(name, "smoke")
+    grid = TABLES[name][0]("smoke")
     assert calls == [
         [recipe.key() for recipes in grid.values() for recipe in recipes]
     ]
@@ -192,12 +192,12 @@ def test_oracle_gap_is_a_lockstep_grid_of_recipes(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_memo()
     try:
-        first = ablations.run_oracle_gap("smoke")
+        first = run_figure("oracle_gap", "smoke")
         fresh = len(read_ledger())
         assert fresh == sum(len(recipes) for recipes in grid.values())
         clear_memo()
-        assert ablations.run_oracle_gap("smoke").rows == first.rows
-        assert ablations.run_oracle_gap("smoke").rows == first.rows
+        assert run_figure("oracle_gap", "smoke").rows == first.rows
+        assert run_figure("oracle_gap", "smoke").rows == first.rows
         again = [record.source for record in read_ledger()][fresh:]
         assert sorted(set(again)) == ["disk", "memo"]
     finally:
