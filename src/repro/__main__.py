@@ -56,28 +56,34 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.params import scaled_config
+    from repro.config_io import check_run, load_config
+    from repro.params import ConfigError, scaled_config
     from repro.sim.checkpoint import SimulationInterrupted
     from repro.sim.engine import run_workload
+    from repro.sim.tracefile import TraceFormatError
     from repro.workloads import SynthRef
 
-    if args.config:
-        from repro.config_io import load_config
+    # Bad input is refused here, before the run starts, with one line;
+    # an error the run itself raises keeps its traceback.
+    try:
+        config = (load_config(args.config) if args.config
+                  else scaled_config(args.l2))
+        # An explicit --engine wins over the config file's.
+        if args.engine is not None and args.engine != config.engine:
+            config = config.replace(engine=args.engine)
+        if args.trace:
+            from repro.sim.tracebin import open_trace
 
-        config = load_config(args.config)
-    else:
-        config = scaled_config(args.l2)
-    if args.engine != config.engine:
-        config = config.replace(engine=args.engine)
-    if args.trace:
-        from repro.sim.tracebin import open_trace
-
-        wl = open_trace(args.trace)
-        if wl.cores != config.cores:
-            # A trace file fixes the core count; follow it.
-            config = config.replace(cores=wl.cores)
-    else:
-        wl = SynthRef.parse(args.workload, config.cores, args.accesses)
+            wl = open_trace(args.trace)
+            if wl.cores != config.cores:
+                # A trace file fixes the core count; follow it.
+                config = config.replace(cores=wl.cores)
+        else:
+            wl = SynthRef.parse(args.workload, config.cores, args.accesses)
+        check_run(config, args.scheme, args.policy)
+    except (ConfigError, TraceFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     from repro.sim.report import describe_result
 
     progress = None
@@ -185,9 +191,9 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint.cli import run_lint
+    from repro.lint import run_lint
 
-    return run_lint(args)
+    return run_lint(args.paths, args.format, args.rules, args.list_rules)
 
 
 def _cmd_obs(args) -> int:
@@ -371,11 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", default="512KB",
                    choices=("256KB", "512KB", "768KB", "1MB"))
     p.add_argument("--accesses", type=int, default=4000)
-    p.add_argument("--engine", default="object",
+    p.add_argument("--engine", default=None,
                    choices=("object", "fast"),
                    help="simulation engine: the reference object engine "
                         "or the array-state fast engine (identical "
-                        "statistics, several times faster)")
+                        "statistics, several times faster); default: "
+                        "the --config file's, else object")
     p.add_argument("--config", default=None, metavar="FILE.json",
                    help="machine description (see repro.config_io)")
     p.add_argument("--audit", nargs="?", const="end", default=None,
@@ -436,9 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="static-analysis pass enforcing simulator invariants "
              "(determinism, lock discipline)",
     )
-    from repro.lint.cli import add_arguments as _add_lint_arguments
-
-    _add_lint_arguments(p)
+    # Declared here, so building the parser never imports repro.lint.
+    p.add_argument("paths", nargs="*", default=None,
+                   help="files/directories to lint (default: src/repro)")
+    p.add_argument("--format", default="human", choices=("human", "json"),
+                   help="report format (default: human)")
+    p.add_argument("--rules", default=None, metavar="ID[,ID...]",
+                   help="run only this comma-separated subset of rules")
+    p.add_argument("--list-rules", action="store_true",
+                   help="list the rules and exit")
 
     p = sub.add_parser(
         "trace",

@@ -355,16 +355,52 @@ def _kwargs_tuple(
     return tuple(sorted(value.items()))
 
 
+def check_run(
+    config: SystemConfig,
+    scheme: str,
+    policy: str = "lru",
+    scheme_kwargs: dict[str, Any] | None = None,
+    policy_kwargs: dict[str, Any] | None = None,
+) -> None:
+    """Reject a run before it starts: the scheme and the policy must
+    build, and a ``fast``-engine run must be one
+    :func:`repro.params.fast_supports` models.  Raises
+    :class:`RecipeError` with ``field`` naming the offending key."""
+    from repro.schemes import make_scheme
+
+    try:
+        make_scheme(scheme, **(scheme_kwargs or {}))
+    except (ValueError, TypeError) as exc:
+        raise RecipeError(str(exc), field="scheme") from exc
+    if policy != "belady":
+        from repro.cache.replacement import make_policy
+
+        try:
+            make_policy(policy, **(policy_kwargs or {}))
+        except (ValueError, TypeError) as exc:
+            raise RecipeError(str(exc), field="policy") from exc
+    if config.engine == "fast" and not fast_supports(
+        config, scheme, policy, scheme_kwargs, policy_kwargs
+    ):
+        raise RecipeError(
+            f"the fast engine does not model scheme={scheme!r} "
+            f"policy={policy!r} with these kwargs and prefetcher; "
+            f"use engine 'object'",
+            field="config.engine",
+        )
+
+
 def recipe_from_dict(data: dict[str, Any]) -> Any:
     """Build a :class:`~repro.sim.parallel.RunRecipe` from its dict form.
 
     Validates structurally (unknown/missing keys), then semantically:
-    the config constructs through :func:`config_from_dict`, the scheme
-    and policy names must exist, a ``fast``-engine recipe must be one
-    :func:`repro.params.fast_supports` (checked without loading the
-    engine), and a run that :func:`~repro.sim.parallel.needs_oracle` is
-    lock-step exactly as :func:`~repro.sim.parallel.make_recipe` makes it.  Rejections raise
-    :class:`RecipeError` with ``field`` naming the offending key."""
+    the config constructs through :func:`config_from_dict`,
+    :func:`check_run` accepts the scheme, the policy and the engine
+    (the fast envelope is checked without loading the engine), and a
+    run that :func:`~repro.sim.parallel.needs_oracle` is lock-step
+    exactly as :func:`~repro.sim.parallel.make_recipe` makes it.
+    Rejections raise :class:`RecipeError` with ``field`` naming the
+    offending key."""
     from repro.sim.parallel import RunRecipe, needs_oracle
 
     if not isinstance(data, dict):
@@ -395,38 +431,18 @@ def recipe_from_dict(data: dict[str, Any]) -> Any:
     scheme_kwargs = _kwargs_tuple(data, "scheme_kwargs")
     if not isinstance(scheme, str):
         raise RecipeError("scheme must be a string", field="scheme")
-    from repro.schemes import make_scheme
-
-    try:
-        make_scheme(scheme, **dict(scheme_kwargs))
-    except (ValueError, TypeError) as exc:
-        raise RecipeError(str(exc), field="scheme") from exc
     policy = data.get("policy", "lru")
     policy_kwargs = _kwargs_tuple(data, "policy_kwargs")
     if not isinstance(policy, str):
         raise RecipeError("policy must be a string", field="policy")
-    if policy != "belady":
-        from repro.cache.replacement import make_policy
-
-        try:
-            make_policy(policy, **dict(policy_kwargs))
-        except (ValueError, TypeError) as exc:
-            raise RecipeError(str(exc), field="policy") from exc
+    check_run(config, scheme, policy, dict(scheme_kwargs),
+              dict(policy_kwargs))
     scheduling = data.get("scheduling", "timing")
     if scheduling not in ("timing", "lockstep"):
         raise RecipeError(
             f"unknown scheduling mode {scheduling!r}; known: "
             f"['timing', 'lockstep']",
             field="scheduling",
-        )
-    if config.engine == "fast" and not fast_supports(
-        config, scheme, policy, dict(scheme_kwargs), dict(policy_kwargs)
-    ):
-        raise RecipeError(
-            f"the fast engine does not model scheme={scheme!r} "
-            f"policy={policy!r} with these kwargs and prefetcher; "
-            f"submit it with engine 'object'",
-            field="config.engine",
         )
     if needs_oracle(scheme, policy):
         scheduling = "lockstep"

@@ -32,10 +32,14 @@ from repro.experiments.common import (
     get_scale,
     mix_population,
     mt_workload,
-    speedups_vs_baseline,
 )
 from repro.params import CHARParams, PrefetchParams, scaled_config
-from repro.sim.metrics import geomean, mix_speedup
+from repro.sim.metrics import (
+    geomean,
+    mix_speedup,
+    normalized_speedups,
+    speedup_summary,
+)
 from repro.sim.parallel import make_recipe
 from repro.workloads.multithreaded import MT_APP_NAMES
 
@@ -73,7 +77,7 @@ def property_ladder_table(runs: dict) -> FigureResult:
     )
     for policy, scheme in LADDER:
         results = runs[policy, scheme]
-        s = speedups_vs_baseline(runs["baseline"], results)
+        s = speedup_summary(normalized_speedups(runs["baseline"], results))
         fig.add(
             policy,
             scheme.split(":")[1],
@@ -109,7 +113,7 @@ def round_robin_table(runs: dict) -> FigureResult:
     )
     for _rr, label in NEXT_RS:
         results = runs[label]
-        s = speedups_vs_baseline(runs["baseline"], results)
+        s = speedup_summary(normalized_speedups(runs["baseline"], results))
         fig.add(label, s["mean"], sum(r.stats.relocations for r in results))
     return fig
 
@@ -137,7 +141,7 @@ def char_threshold_table(runs: dict) -> FigureResult:
     )
     for label, _char_params in CHAR_VARIANTS:
         results = runs[label]
-        s = speedups_vs_baseline(runs["baseline"], results)
+        s = speedup_summary(normalized_speedups(runs["baseline"], results))
         fig.add(label, s["mean"], sum(r.stats.relocations for r in results))
     return fig
 
@@ -200,7 +204,7 @@ def tla_family_table(runs: dict) -> FigureResult:
     )
     for scheme in TLA_SCHEMES:
         results = runs[scheme]
-        s = speedups_vs_baseline(runs["baseline"], results)
+        s = speedup_summary(normalized_speedups(runs["baseline"], results))
         fig.add(scheme, s["mean"],
                 sum(r.stats.inclusion_victims_llc for r in results))
     return fig
@@ -274,7 +278,7 @@ def prefetch_interplay_table(runs: dict) -> FigureResult:
     )
     baseline = runs["off", "inclusive"]
     for (pf, scheme), results in runs.items():
-        s = speedups_vs_baseline(baseline, results)
+        s = speedup_summary(normalized_speedups(baseline, results))
         issued = sum(r.stats.prefetches_issued for r in results)
         useful = sum(r.stats.prefetch_useful for r in results)
         fig.add(

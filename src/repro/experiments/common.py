@@ -25,8 +25,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.sim.engine import SimResult
-from repro.sim.metrics import geomean, mix_speedup
 from repro.sim.parallel import RunRecipe, make_recipe, run_many
 from repro.sim.trace import Workload
 from repro.workloads.mixes import heterogeneous_mixes, homogeneous_mixes
@@ -175,26 +173,3 @@ def resolve(grid: dict, heartbeat=None) -> dict:
         for label, recipes in grid.items()
     }
 
-
-# ---------------------------------------------------------------------------
-# Aggregation helpers
-# ---------------------------------------------------------------------------
-
-def speedups_vs_baseline(
-    baseline_runs: list[SimResult],
-    candidate_runs: list[SimResult],
-) -> dict[str, float]:
-    sp = [mix_speedup(b, c) for b, c in zip(baseline_runs, candidate_runs)]
-    return {"mean": geomean(sp), "min": min(sp), "max": max(sp)}
-
-
-def normalized_total(
-    baseline_runs: list[SimResult],
-    candidate_runs: list[SimResult],
-    counter: str,
-) -> float:
-    def total(runs):
-        return sum(getattr(r.stats, counter) for r in runs)
-
-    base = total(baseline_runs)
-    return total(candidate_runs) / base if base else 0.0

@@ -15,8 +15,8 @@ from repro.experiments.common import (
     baseline_recipes,
     get_scale,
     mix_population,
-    speedups_vs_baseline,
 )
+from repro.sim.metrics import normalized_speedups, speedup_summary
 from repro.sim.parallel import make_recipe
 
 L2_POINTS = ("256KB", "512KB", "768KB")
@@ -47,6 +47,7 @@ def table(runs: dict) -> FigureResult:
     )
     for l2 in L2_POINTS:
         for _scheme, _policy, label in CONFIGS:
-            s = speedups_vs_baseline(runs["baseline"], runs[l2, label])
+            s = speedup_summary(
+                normalized_speedups(runs["baseline"], runs[l2, label]))
             fig.add(l2, label, s["mean"], s["min"], s["max"])
     return fig

@@ -7,9 +7,10 @@ shows the largest counts.
 
 from __future__ import annotations
 
-from repro.experiments.common import FigureResult, normalized_total
+from repro.experiments.common import FigureResult
 from repro.experiments.fig01_motivation import CONFIGS, L2_POINTS
 from repro.experiments.fig01_motivation import grid  # noqa: F401  (same grid)
+from repro.sim.metrics import normalized_counts
 
 
 def table(runs: dict) -> FigureResult:
@@ -20,7 +21,7 @@ def table(runs: dict) -> FigureResult:
     )
     for l2 in L2_POINTS:
         for _scheme, _policy, label in CONFIGS:
-            fig.add(l2, label, normalized_total(
+            fig.add(l2, label, normalized_counts(
                 runs["baseline"], runs[l2, label], "l2_misses"
             ))
     return fig

@@ -18,8 +18,8 @@ from repro.experiments.common import (
     baseline_recipes,
     get_scale,
     mix_population,
-    speedups_vs_baseline,
 )
+from repro.sim.metrics import normalized_speedups, speedup_summary
 from repro.sim.parallel import make_recipe
 
 L2_POINTS = ("256KB", "512KB", "768KB")
@@ -58,7 +58,7 @@ def speedup_table(runs: dict, schemes, figure: str,
     for l2 in L2_POINTS:
         for _scheme, label in schemes:
             results = runs[l2, label]
-            s = speedups_vs_baseline(runs["baseline"], results)
+            s = speedup_summary(normalized_speedups(runs["baseline"], results))
             victims = sum(r.stats.inclusion_victims_llc for r in results)
             fig.add(l2, label, s["mean"], s["min"], s["max"], victims)
     return fig

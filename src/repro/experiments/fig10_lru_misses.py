@@ -8,9 +8,10 @@ misses as NI (they all suppress nearly every inclusion victim).
 
 from __future__ import annotations
 
-from repro.experiments.common import FigureResult, normalized_total
+from repro.experiments.common import FigureResult
 from repro.experiments.fig08_lru_perf import L2_POINTS, SCHEMES
 from repro.experiments.fig08_lru_perf import grid  # noqa: F401  (same grid)
+from repro.sim.metrics import normalized_counts
 
 
 def miss_table(runs: dict, schemes, figure: str, title: str) -> FigureResult:
@@ -25,8 +26,8 @@ def miss_table(runs: dict, schemes, figure: str, title: str) -> FigureResult:
             fig.add(
                 l2,
                 label,
-                normalized_total(runs["baseline"], results, "llc_misses"),
-                normalized_total(runs["baseline"], results, "l2_misses"),
+                normalized_counts(runs["baseline"], results, "llc_misses"),
+                normalized_counts(runs["baseline"], results, "l2_misses"),
             )
     return fig
 

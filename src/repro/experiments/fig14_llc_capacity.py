@@ -14,8 +14,8 @@ from repro.experiments.common import (
     baseline_recipes,
     get_scale,
     mix_population,
-    speedups_vs_baseline,
 )
+from repro.sim.metrics import normalized_speedups, speedup_summary
 from repro.sim.parallel import make_recipe
 
 LRU_SCHEMES = (
@@ -54,6 +54,7 @@ def table(runs: dict) -> FigureResult:
     )
     for policy, schemes in POLICIES:
         for _scheme, label in schemes:
-            s = speedups_vs_baseline(runs["baseline"], runs[policy, label])
+            s = speedup_summary(
+                normalized_speedups(runs["baseline"], runs[policy, label]))
             fig.add(policy, label, s["mean"], s["min"], s["max"])
     return fig

@@ -18,8 +18,8 @@ from repro.experiments.common import (
     baseline_recipes,
     get_scale,
     mix_population,
-    speedups_vs_baseline,
 )
+from repro.sim.metrics import normalized_speedups, speedup_summary
 from repro.sim.parallel import make_recipe
 
 MODES = ("mesi", "zerodev")
@@ -62,7 +62,8 @@ def table(runs: dict) -> FigureResult:
         for factor in FACTORS:
             for _scheme, label in SCHEMES:
                 results = runs[mode, factor, label]
-                s = speedups_vs_baseline(runs["baseline"], results)
+                s = speedup_summary(
+                    normalized_speedups(runs["baseline"], results))
                 dev = sum(
                     r.stats.directory_evictions + r.stats.directory_spills
                     for r in results

@@ -72,15 +72,6 @@ def normalized_counts(
 ) -> float:
     """Ratio of summed counters (e.g. "llc_misses") across paired runs,
     candidate / baseline -- the normalisation used in Figs. 2-4, 10, 13."""
-    base = sum(_counter(r, counter) for r in baselines)
-    cand = sum(_counter(r, counter) for r in candidates)
+    base = sum(getattr(r.stats, counter) for r in baselines)
+    cand = sum(getattr(r.stats, counter) for r in candidates)
     return cand / base if base else 0.0
-
-
-def _counter(result: SimResult, counter: str) -> int:
-    stats = result.stats
-    if counter == "l2_misses":
-        return stats.l2_misses
-    if counter == "inclusion_victims":
-        return stats.inclusion_victims
-    return getattr(stats, counter)

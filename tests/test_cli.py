@@ -185,6 +185,82 @@ class TestCommands:
         ]) == 0
         assert "cycles" in capsys.readouterr().out
 
+    def test_run_takes_the_config_files_engine(self, capsys, tmp_path,
+                                               monkeypatch):
+        """``--engine`` defaults to the engine of the ``--config`` file;
+        a flag given on the command line wins."""
+        from repro.config_io import save_config
+        from repro.params import scaled_config
+        from repro.sim.parallel import RunRecipe
+
+        engines = []
+        execute = RunRecipe.execute
+
+        def spy(self, **run):
+            engines.append(self.config.engine)
+            return execute(self, **run)
+
+        monkeypatch.setattr(RunRecipe, "execute", spy)
+        path = tmp_path / "m.json"
+        save_config(scaled_config("256KB").replace(engine="fast"), path)
+        argv = ["run", "--workload", "leela.1", "--accesses", "300",
+                "--scheme", "inclusive", "--config", str(path)]
+        assert main(argv) == 0
+        assert main(argv + ["--engine", "object"]) == 0
+        assert engines == ["fast", "object"]
+
+
+class TestRunRefusesBadInput:
+    """``repro run`` checks its input before the run starts, as ``repro
+    submit`` does: one line on stderr and exit status 2, no traceback."""
+
+    def refused(self, capsys, *argv) -> str:
+        assert main(["run", "--accesses", "300", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    def test_unknown_workload_app(self, capsys):
+        line = self.refused(capsys, "--workload", "nope.1")
+        assert "unknown 'profile' app 'nope.1'" in line
+
+    def test_unknown_scheme(self, capsys):
+        line = self.refused(capsys, "--scheme", "nope")
+        assert "unknown scheme 'nope'" in line
+
+    def test_unknown_policy(self, capsys):
+        line = self.refused(capsys, "--policy", "nope")
+        assert "unknown replacement policy 'nope'" in line
+
+    def test_config_with_unknown_keys(self, capsys, tmp_path):
+        import json
+
+        from repro.config_io import config_to_dict
+        from repro.params import scaled_config
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {**config_to_dict(scaled_config("256KB")), "bogus": 1}))
+        line = self.refused(capsys, "--config", str(path))
+        assert "unknown configuration keys: ['bogus']" in line
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        line = self.refused(capsys, "--config", str(tmp_path / "no.json"))
+        assert "No such file or directory" in line
+
+    def test_malformed_trace_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b"garbage")
+        line = self.refused(capsys, "--trace", str(path))
+        assert "too short for a tracebin header" in line
+
+    def test_fast_engine_outside_its_envelope(self, capsys):
+        # The default scheme, ziv:likelydead, needs CHAR.
+        line = self.refused(capsys, "--engine", "fast")
+        assert "fast engine does not model scheme='ziv:likelydead'" in line
+
 
 class TestTraceCommands:
     @pytest.fixture()

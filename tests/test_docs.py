@@ -183,28 +183,28 @@ def test_ledger_field_table_matches_ledger_record():
 
 
 def test_rule_table_matches_registry():
-    from repro.lint import all_rules
+    from repro.lint import RULES
 
-    rows = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"), "Rule id")
-    assert sorted(row[0] for row in rows) == [
-        rule.rule_id for rule in all_rules()
-    ]
+    rows = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"),
+                          "Rule id", "Scope")
+    assert len(rows) == len(RULES)
+    assert {row[0]: sorted(d.strip().strip("`") for d in row[1].split(","))
+            for row in rows} == {
+        rule_id: sorted(scope) for rule_id, (_d, scope, _c) in RULES.items()
+    }
 
 
 def test_concurrency_tables_match_the_analyzer():
-    from repro.lint import all_rules, dataflow
-    from repro.lint.rules.scope import CONCURRENCY_SCOPE
+    from repro.lint import RULES, VERBS
 
     rules = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"),
                            "Rule", "Checks")
-    assert sorted(row[0] for row in rules) == [
-        rule.rule_id for rule in all_rules()
-        if rule.scope_dirs == CONCURRENCY_SCOPE
+    assert [row[0] for row in rules] == [
+        rule_id for rule_id, (_d, _s, check) in RULES.items()
+        if check.__module__ == "repro.lint.lock_discipline"
     ]
     markers = markdown_table(doc_text("docs/STATIC_ANALYSIS.md"),
                              "Marker", "Placement")
     documented = [re.match(r"# repro-lint: ([\w-]+)", row[0])
                   for row in markers]
-    assert [m.group(1) if m else None for m in documented] == list(
-        dataflow.CONTRACT_MARKERS
-    )
+    assert [m.group(1) if m else None for m in documented] == list(VERBS)

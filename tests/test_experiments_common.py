@@ -11,9 +11,12 @@ from repro.experiments.common import (
     get_scale,
     mix_population,
     mt_workload,
-    normalized_total,
     resolve,
-    speedups_vs_baseline,
+)
+from repro.sim.metrics import (
+    normalized_counts,
+    normalized_speedups,
+    speedup_summary,
 )
 from repro.sim.parallel import make_recipe, run_many
 
@@ -104,18 +107,20 @@ class TestResolve:
 
 
 class TestAggregation:
-    def test_speedups_vs_baseline_self_is_one(self):
+    """The figures normalise with the ``repro.sim.metrics`` pair."""
+
+    def test_speedup_summary_self_is_one(self):
         mixes = mix_population(SMOKE)[:2]
         runs = run_many(baseline_recipes(mixes))
-        s = speedups_vs_baseline(runs, runs)
+        s = speedup_summary(normalized_speedups(runs, runs))
         assert s["mean"] == pytest.approx(1.0)
         assert s["min"] == pytest.approx(1.0)
 
-    def test_normalized_total_self_is_one(self):
+    def test_normalized_counts_self_is_one(self):
         mixes = mix_population(SMOKE)[:2]
         runs = run_many(baseline_recipes(mixes))
-        assert normalized_total(runs, runs, "llc_misses") == 1.0
-        assert normalized_total(runs, runs, "l2_misses") == 1.0
+        assert normalized_counts(runs, runs, "llc_misses") == 1.0
+        assert normalized_counts(runs, runs, "l2_misses") == 1.0
 
 
 class TestScaleResolution:

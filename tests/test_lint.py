@@ -5,12 +5,15 @@ catch each defect their old rules' fixtures planted."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -18,17 +21,16 @@ import pytest
 from repro import config_io
 from repro.config_io import RecipeError, config_from_dict, config_to_dict
 from repro.lint import (
+    PARSE_ERROR_RULE,
+    RULES,
     Finding,
-    all_rules,
-    findings_from_json,
+    LintError,
     findings_to_json,
-    get_rule,
+    format_findings,
     lint_paths,
+    scan_comments,
 )
-from repro.lint.model import Finding as ModelFinding
-from repro.lint.project import LintError, Project
-from repro.lint.runner import PARSE_ERROR_RULE, format_findings
-from repro.lint.suppress import suppressions_for_line
+from repro.lint.lock_discipline import ClassFacts
 from repro.hierarchy.cmp import CacheHierarchy
 from repro.params import (
     ENGINES,
@@ -74,21 +76,21 @@ def rule_ids(findings) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# The RULES table
 # ---------------------------------------------------------------------------
 
 
 class TestRegistry:
     def test_all_expected_rules_registered(self):
-        assert tuple(r.rule_id for r in all_rules()) == EXPECTED_RULES
+        assert tuple(RULES) == EXPECTED_RULES
 
     def test_every_rule_has_description(self):
-        for rule in all_rules():
-            assert rule.description
+        for description, _scope, _check in RULES.values():
+            assert description
 
-    def test_unknown_rule_id_raises(self):
+    def test_unknown_rule_id_raises(self, tmp_path):
         with pytest.raises(LintError, match="unknown rule id"):
-            get_rule("no-such-rule")
+            lint_paths([str(tmp_path)], rule_ids=["no-such-rule"])
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +178,9 @@ class TestFastEngineScope:
     ``sim/fast/`` fire, and the shipped package itself lints clean."""
 
     def test_fast_is_in_simulator_scope(self):
-        from repro.lint.rules.scope import SIMULATOR_SCOPE
-
-        assert "sim" in SIMULATOR_SCOPE
-        assert "fast" in SIMULATOR_SCOPE
+        _description, scope, _check = RULES["determinism"]
+        assert "sim" in scope
+        assert "fast" in scope
 
     def test_determinism_covers_fast_package(self, tmp_path):
         findings = lint_tree(tmp_path, {
@@ -251,14 +252,14 @@ class TestSuppressions:
         assert [f.line for f in findings] == [3]
 
     def test_parser_accepts_multiple_rules(self):
-        ids = suppressions_for_line(
+        markers = scan_comments(
             "x = 1  # repro-lint: ignore[determinism, lock-discipline]"
         )
-        assert ids == frozenset(("determinism", "lock-discipline"))
+        assert markers == {1: {"ignore": ("determinism", "lock-discipline")}}
 
 
 # ---------------------------------------------------------------------------
-# Output formats and model round-trip
+# Output formats and the JSON round-trip
 # ---------------------------------------------------------------------------
 
 
@@ -273,7 +274,8 @@ class TestOutput:
 
     def test_json_round_trip(self):
         findings = self.sample()
-        assert findings_from_json(findings_to_json(findings)) == findings
+        doc = json.loads(findings_to_json(findings))
+        assert [Finding(**d) for d in doc["findings"]] == findings
 
     def test_json_document_shape(self):
         doc = json.loads(findings_to_json(self.sample()))
@@ -287,9 +289,6 @@ class TestOutput:
         assert "src/a.py:3: [determinism] m1" in text
         assert "2 finding(s)" in text
         assert format_findings([], "human") == "repro lint: clean"
-
-    def test_finding_model_reexport(self):
-        assert Finding is ModelFinding
 
     def test_parse_error_becomes_finding(self, tmp_path):
         findings = lint_tree(tmp_path, {"sim/broken.py": "def f(:\n"})
@@ -308,6 +307,21 @@ class TestCli:
         args = build_parser().parse_args(["lint", "--format", "json"])
         assert args.command == "lint"
         assert args.format == "json"
+
+    def test_parser_does_not_import_lint(self):
+        """Every ``repro`` command builds the parser; only ``repro lint``
+        pays for importing the package."""
+        code = (
+            "import sys\n"
+            "from repro.__main__ import build_parser\n"
+            "build_parser()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['repro', 'lint']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     def test_list_rules(self, capsys, monkeypatch):
         from repro.__main__ import main
@@ -349,7 +363,8 @@ class TestCli:
     def test_shipped_tree_json_round_trips(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         findings = lint_paths(["src/repro"])
-        assert findings_from_json(findings_to_json(findings)) == findings
+        doc = json.loads(findings_to_json(findings))
+        assert [Finding(**d) for d in doc["findings"]] == findings
         assert findings == []
 
 
@@ -606,35 +621,32 @@ class TestLockDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# The dataflow layer itself
+# The per-class facts lock-discipline checks
 # ---------------------------------------------------------------------------
 
 
+def class_facts(source: str) -> list[ClassFacts]:
+    markers = scan_comments(source)
+    return [ClassFacts(node, markers) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)]
+
+
 class TestDataflow:
-    def analyze(self, tmp_path, source):
-        from repro.lint.dataflow import analyze_file
-
-        p = tmp_path / "service"
-        p.mkdir(exist_ok=True)
-        (p / "m.py").write_text(source)
-        project = Project([str(p)], root=str(tmp_path))
-        return analyze_file(project.files[0])
-
-    def test_condition_alias_canonicalises(self, tmp_path):
-        (cls,) = self.analyze(tmp_path, (
+    def test_condition_alias_canonicalises(self):
+        (cls,) = class_facts(
             "import threading\n"
             "class C:\n"
             "    def __init__(self):\n"
             "        self._lock = threading.RLock()\n"
             "        self._cond = threading.Condition(self._lock)\n"
-        ))
+        )
         assert set(cls.locks) == {"_lock", "_cond"}
         assert cls.canonical("_cond") == "_lock"
 
-    def test_lexical_locks_cross_into_wait_predicates(self, tmp_path):
+    def test_lexical_locks_cross_into_wait_predicates(self):
         """The Condition.wait_for lambda runs with the lock held; the
         lexical model must agree."""
-        (cls,) = self.analyze(tmp_path, (
+        (cls,) = class_facts(
             "import threading\n"
             "class C:\n"
             "    def __init__(self):\n"
@@ -644,35 +656,27 @@ class TestDataflow:
             "    def wait(self, n):\n"
             "        with self._cond:\n"
             "            self._cond.wait_for(lambda: self._seq > n)\n"
-        ))
+        )
         (access,) = [a for a in cls.accesses if not a.in_init]
         assert access.attr == "_seq"
         assert "_lock" in access.held
 
     def test_marker_parsing(self):
-        from repro.lint.dataflow import contract_markers
-
         src = (
             "a = 1  # repro-lint: guarded-by[_lock]\n"
             "def f():  # repro-lint: holds[_a, _b]\n"
             "    pass\n"
         )
-        markers = contract_markers(src)
-        assert markers[1].verb == "guarded-by"
-        assert markers[1].args == ("_lock",)
-        assert markers[2].verb == "holds"
-        assert markers[2].args == ("_a", "_b")
+        assert scan_comments(src) == {
+            1: {"guarded-by": ("_lock",)},
+            2: {"holds": ("_a", "_b")},
+        }
 
-    def test_real_jobmanager_contract_is_live(self, monkeypatch):
+    def test_real_jobmanager_contract_is_live(self):
         """Non-vacuity: the shipped JobManager is a lock-bearing class
         with a declared contract the analyzer actually checks."""
-        from repro.lint.dataflow import analyze_file
-
-        monkeypatch.chdir(REPO_ROOT)
-        project = Project(["src/repro/service/jobs.py"])
-        classes = {
-            c.name: c for c in analyze_file(project.files[0])
-        }
+        source = (REPO_ROOT / "src/repro/service/jobs.py").read_text()
+        classes = {c.name: c for c in class_facts(source)}
         mgr = classes["JobManager"]
         assert mgr.canonical("_cond") == "_lock"
         assert "_jobs" in mgr.declared
@@ -731,6 +735,207 @@ class TestProject:
     def test_missing_path_raises(self):
         with pytest.raises(LintError, match="no such file"):
             lint_paths(["definitely/not/here"])
+
+
+# ---------------------------------------------------------------------------
+# Seeded faults (docs/STATIC_ANALYSIS.md#seeded-faults)
+# ---------------------------------------------------------------------------
+
+
+def _line_of(source: str, needle: str) -> int:
+    """The 1-based line of ``source`` holding ``needle``, which must
+    occur on exactly one line."""
+    lines = [n for n, text in enumerate(source.splitlines(), 1)
+             if needle in text]
+    assert len(lines) == 1, (needle, lines)
+    return lines[0]
+
+
+class TestSeededFaults:
+    """The lint rows of the seeded-fault table.  Each test copies one
+    real module under its scope directory, checks that the copy lints
+    clean, plants its fault as a text edit and checks that lint reports
+    exactly the expected findings, each at the line holding its needle."""
+
+    def check(self, tmp_path, rel, edits, rule_id, expected):
+        source = (REPO_ROOT / "src" / "repro" / rel).read_text()
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True)
+        path.write_text(source)
+        assert lint_paths([str(tmp_path)], root=str(tmp_path)) == []
+        for old, new in edits:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        path.write_text(source)
+        assert lint_paths([str(tmp_path)], root=str(tmp_path)) == sorted(
+            Finding(file=rel, line=_line_of(source, needle),
+                    rule_id=rule_id, message=message)
+            for needle, message in expected
+        )
+
+    # -- determinism ---------------------------------------------------------
+
+    def test_module_random_shuffle(self, tmp_path):
+        self.check(tmp_path, "cache/replacement/random_policy.py", [(
+            "self._rng.shuffle(ways)", "random.shuffle(ways)",
+        )], "determinism", [(
+            "random.shuffle(ways)",
+            "call to module-level random.shuffle() uses the shared "
+            "unseeded RNG and poisons result-cache determinism; use a "
+            "random.Random(seed) instance",
+        )])
+
+    def test_unseeded_brrip_rng(self, tmp_path):
+        self.check(tmp_path, "cache/replacement/srrip.py", [(
+            "self.long_prob = long_prob\n"
+            "        self._rng = random.Random(seed)",
+            "self.long_prob = long_prob\n"
+            "        self._rng = random.Random()",
+        )], "determinism", [(
+            "random.Random()",
+            "random.Random() without a seed draws entropy from the OS; "
+            "pass an explicit seed",
+        )])
+
+    def test_wall_clock_in_scheme_stats(self, tmp_path):
+        self.check(tmp_path, "sim/engine.py", [(
+            "scheme_stats=h.scheme.on_stats(),",
+            "scheme_stats={**h.scheme.on_stats(),\n"
+            "                          \"ns\": time.perf_counter_ns()},",
+        )], "determinism", [(
+            "time.perf_counter_ns()",
+            "wall-clock read time.perf_counter_ns() makes simulation "
+            "output run-dependent; derive timing from simulated cycles",
+        )])
+
+    def test_set_order_gauge_columns(self, tmp_path):
+        self.check(tmp_path, "sim/telemetry.py", [(
+            "[f\"empty_pv:{prop}\" for prop in tracker.properties]",
+            "[f\"empty_pv:{prop}\" for prop in set(tracker.properties)]",
+        )], "determinism", [(
+            "set(tracker.properties)",
+            "iteration over set(...): set order depends on PYTHONHASHSEED "
+            "for str keys; iterate a sorted() or insertion-ordered "
+            "sequence instead",
+        )])
+
+    # -- lock-discipline: JobManager -----------------------------------------
+
+    JOBS = "service/jobs.py"
+
+    def test_unguarded_write(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "        with self._lock:\n"
+            "            self._outcomes[\"rejected\"] += 1\n",
+            "        self._outcomes[\"rejected\"] += 1\n",
+        )], "lock-discipline", [(
+            "self._outcomes[\"rejected\"] += 1",
+            "JobManager: unguarded write to '_outcomes' (declared "
+            "guarded-by[_lock]); take `with self._lock:` or annotate the "
+            "method holds[_lock]",
+        )])
+
+    def test_stale_declaration(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "        self._closed = False  # repro-lint: guarded-by[_lock]\n",
+            "        self._closed = False  # repro-lint: guarded-by[_lock]\n"
+            "        self._spare = 0  # repro-lint: guarded-by[_lock]\n",
+        )], "lock-discipline", [(
+            "self._spare = 0",
+            "JobManager: attribute '_spare' is declared guarded-by[_lock] "
+            "but never accessed outside __init__; the declaration is "
+            "stale -- delete it or the attribute",
+        )])
+
+    def test_return_escape(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "    # -- metrics ---",
+            "    def inflight(self) -> \"dict[str, str]\":\n"
+            "        with self._lock:\n"
+            "            return self._inflight\n"
+            "\n"
+            "    # -- metrics ---",
+        ), (
+            "len(self._inflight))", "len(self.inflight()))",
+        )], "lock-discipline", [(
+            "return self._inflight",
+            "JobManager: inflight() returns guarded attribute '_inflight' "
+            "to a caller outside the _lock critical section; return a "
+            "copy/snapshot instead",
+        )])
+
+    def test_yield_under_the_lock(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "        with self._lock:\n"
+            "            return [job.view() for job in self._jobs.values()]\n",
+            "        return list(self._views())\n"
+            "\n"
+            "    def _views(self):\n"
+            "        with self._lock:\n"
+            "            for job in self._jobs.values():\n"
+            "                yield job.view()\n",
+        )], "lock-discipline", [(
+            "yield job.view()",
+            "JobManager: _views() yields while holding _lock: the consumer "
+            "runs inside the critical section for an unbounded time; "
+            "snapshot under the lock, yield outside",
+        )])
+
+    def test_callback_capture(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "            future.add_done_callback(\n",
+            "            future.add_done_callback("
+            "lambda f: self._payloads.pop(key, None))\n"
+            "            future.add_done_callback(\n",
+        )], "lock-discipline", [(
+            "lambda f: self._payloads.pop(key, None)",
+            "JobManager: closure passed to .add_done_callback() captures "
+            "guarded attribute(s) '_payloads'; it runs on another thread "
+            "without the lock -- pass a snapshot or re-acquire inside",
+        )])
+
+    def test_dropped_marker(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "self._ledger_failures = 0  # repro-lint: guarded-by[_lock]",
+            "self._ledger_failures = 0",
+        )], "lock-discipline", [(
+            "self._ledger_failures += 1",
+            "JobManager: attribute '_ledger_failures' is accessed under "
+            "self._lock at every site but carries no declaration; "
+            "annotate its __init__ assignment "
+            "`# repro-lint: guarded-by[_lock]`",
+        )])
+
+    def test_marker_naming_a_missing_lock(self, tmp_path):
+        """The misnamed lock also leaves the one access unguarded."""
+        self.check(tmp_path, self.JOBS, [(
+            "self._job_ids = itertools.count(1)  # repro-lint: "
+            "guarded-by[_lock]",
+            "self._job_ids = itertools.count(1)  # repro-lint: "
+            "guarded-by[_mutex]",
+        )], "lock-discipline", [(
+            "guarded-by[_mutex]",
+            "JobManager: attribute '_job_ids' is declared "
+            "guarded-by[_mutex] but the class constructs no lock named "
+            "'_mutex'",
+        ), (
+            "next(self._job_ids)",
+            "JobManager: unguarded read of '_job_ids' (declared "
+            "guarded-by[_mutex]); take `with self._mutex:` or annotate "
+            "the method holds[_mutex]",
+        )])
+
+    def test_race_signal(self, tmp_path):
+        self.check(tmp_path, self.JOBS, [(
+            "            executor.shutdown(wait=wait)\n",
+            "            executor.shutdown(wait=wait)\n"
+            "        self.workers = 0\n",
+        )], "lock-discipline", [(
+            "self.workers = 0",
+            "JobManager: race signal: 'workers' is written here without a "
+            "lock but accessed under one elsewhere in JobManager; guard "
+            "this site or split the attribute",
+        )])
 
 
 # ---------------------------------------------------------------------------
